@@ -19,15 +19,13 @@ The usual entry points are re-exported here; the implementation lives in
 """
 
 from .amp2d import (
-    AmplitudeResult2D,
+    AmplitudeResult,
     ScatteringConfig2D,
     amplitude_2d,
-    cross_section_2d,
     f1_2d,
     f2_2d,
 )
 from .amp3d import (
-    AmplitudeResult3D,
     Direction3D,
     ScatteringConfig3D,
     amplitude_3d,
@@ -44,7 +42,6 @@ from .cloak import (
     SlabMomentPair,
     design_bilayer,
     design_geometry,
-    design_profiled,
     export_geometry,
     verify_invisibility,
 )
@@ -111,17 +108,14 @@ __all__ = [
     "moment_2d",
     "moment_3d",
     "spatial_moment_y",
-    # 2D amplitudes
+    # 2D and 3D amplitudes
+    "AmplitudeResult",
     "ScatteringConfig2D",
-    "AmplitudeResult2D",
     "f1_2d",
     "f2_2d",
     "amplitude_2d",
-    "cross_section_2d",
-    # 3D amplitudes
     "ScatteringConfig3D",
     "Direction3D",
-    "AmplitudeResult3D",
     "f1_3d",
     "f2_3d",
     "amplitude_3d",
@@ -147,7 +141,6 @@ __all__ = [
     "BilayerGeometry",
     "InfeasibleDesignError",
     "design_bilayer",
-    "design_profiled",
     "design_geometry",
     "verify_invisibility",
     "export_geometry",

@@ -31,13 +31,12 @@ from .profiles import moment_2d
 
 __all__ = [
     "ScatteringConfig2D",
-    "AmplitudeResult2D",
+    "AmplitudeResult",
     "s_factor",
     "c_factor",
     "f1_2d",
     "f2_2d",
     "amplitude_2d",
-    "cross_section_2d",
 ]
 
 _GRAZING_TOL = 1e-9
@@ -76,8 +75,8 @@ class ScatteringConfig2D:
 
 
 @dataclass(frozen=True)
-class AmplitudeResult2D:
-    """Amplitude coefficients and their truncated k*ell series."""
+class AmplitudeResult:
+    """Amplitude coefficients and their truncated k*ell series (2D and 3D)."""
 
     f1: complex
     f2: complex
@@ -142,10 +141,4 @@ def amplitude_2d(profile, config, theta, order=2, spec=None, transform=None):
     if order == 2:
         f2 = complex(f2_2d(profile, config, theta, spec=spec, transform=transform))
     kl = config.kl
-    return AmplitudeResult2D(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
-
-
-def cross_section_2d(profile, config, theta, order=2, spec=None, transform=None):
-    """|truncated amplitude|^2, handy for plotting scans."""
-    res = amplitude_2d(profile, config, theta, order=order, spec=spec, transform=transform)
-    return abs(res.truncated) ** 2
+    return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)

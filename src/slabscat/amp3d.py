@@ -40,13 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .amp2d import AmplitudeResult
 from .numerics import DomainError, integrate_2d
 from .profiles import moment_3d
 
 __all__ = [
     "ScatteringConfig3D",
     "Direction3D",
-    "AmplitudeResult3D",
     "g_vector",
     "gaussian_h",
     "gaussian_Y",
@@ -96,16 +96,6 @@ class Direction3D:
             raise DomainError("theta = pi/2 (in-plane observation) is excluded")
         if not 0.0 <= self.phi < 2.0 * np.pi:
             raise DomainError("phi must lie in [0, 2 pi)")
-
-
-@dataclass(frozen=True)
-class AmplitudeResult3D:
-    """First two 3D amplitude coefficients and their truncated sum."""
-
-    f1: complex
-    f2: complex
-    truncated: complex
-    order: int
 
 
 def g_vector(theta, phi, alpha, beta):
@@ -185,7 +175,7 @@ def amplitude_3d(profile, config, direction, order=2, spec=None, transform=None)
     if order == 2:
         f2 = complex(f2_3d(profile, config, direction, spec=spec, transform=transform))
     kl = config.kl
-    return AmplitudeResult3D(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
+    return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
 
 
 def normalized_cross_section(profile, config, direction, order=2, spec=None):

@@ -13,10 +13,11 @@ Every run is driven by a JSON config (from ``--config <path>`` or a shipped
       "output":   {"path": "out.csv", "format": "csv" | "json"}
     }
 
-Profile catalogs: ``gaussian2d`` (z, L), ``ex1`` (z, alpha, L) in 2D;
-``gaussian3d`` (z, L) in 3D; ``uniform1d`` (n) in 1D.  Complex parameters
-may be written as ``[re, im]``.  A ``{"file": ...}`` profile points at a
-JSON file holding the same catalog object.
+Profiles name an entry of ``profiles.CATALOG``, which lists each name's
+dimension and parameters: ``gaussian2d`` (z, L), ``ex1`` (z, alpha, L) in
+2D; ``gaussian3d`` (z, L) in 3D; ``uniform1d`` (n) in 1D.  Complex
+parameters (z, n) may be written as ``[re, im]``.  A ``{"file": ...}``
+profile points at a JSON file holding the same catalog object.
 
 Grids are either explicit arrays ``[v1, v2, ...]`` or ranges
 ``{"start": a, "stop": b, "count": n}`` (inclusive, linearly spaced).
@@ -61,11 +62,11 @@ import numpy as np
 from .amp2d import ScatteringConfig2D, amplitude_2d
 from .amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
 from .cloak import CoatingMaterials, SlabMomentPair, design_geometry, export_geometry
-from .dyson1d import constant_slab_1d, scattering_1d, transfer_matrix_1d
+from .dyson1d import scattering_1d, transfer_matrix_1d
 from .exactborn import Ex1Params, ex1_exact
 from .kernels import amplitude_from_kernels
 from .numerics import AccuracyError, DomainError, QuadratureSpec
-from .profiles import ex1_profile, gaussian_slab_2d, gaussian_slab_3d
+from .profiles import CATALOG, profile_from_dict
 
 __all__ = ["main", "load_config", "validate_config", "execute"]
 
@@ -212,25 +213,24 @@ def _profile_dict(raw, violations):
     return prof
 
 
-def _validate_profile(prof, domain, violations):
-    """Check a catalog dict and return it (params coerced), or None."""
-    catalogs = {
-        "2d": {"gaussian2d": ("z", "L"), "ex1": ("z", "alpha", "L")},
-        "3d": {"gaussian3d": ("z", "L")},
-        "3d-noL": {"gaussian3d": ("z",)},
-        "1d": {"uniform1d": ("n",)},
-    }[domain]
+def _validate_profile(prof, dimension, violations, derived=()):
+    """Check a catalog dict and return it (params coerced), or None.
+
+    ``derived`` names catalog parameters the command computes itself; they
+    are not read from the profile.
+    """
+    names = sorted(name for name, entry in CATALOG.items() if entry[1] == dimension)
     if prof is None:
         violations.append("profile is required for this command")
         return None
     name = prof.get("catalog")
-    if name not in catalogs:
-        violations.append(
-            f"profile.catalog must be one of {sorted(catalogs)} for this command"
-        )
+    if name not in names:
+        violations.append(f"profile.catalog must be one of {names} for this command")
         return None
     out = {"catalog": name}
-    for key in catalogs[name]:
+    for key in CATALOG[name][2]:
+        if key in derived:
+            continue
         if key not in prof:
             violations.append(f"profile.{key} is required by catalog {name}")
             return None
@@ -420,8 +420,8 @@ def _validate_command(command, prof, phys, raw, violations):
         _check_angles(theta_values, "physics.theta_values", violations, polar=True)
         physics["theta_values"] = theta_values
         return profile, physics
-    profile = _validate_profile(prof, "3d-noL", violations)
-    if profile is not None and "L" in (prof or {}):
+    profile = _validate_profile(prof, "3d", violations, derived=("L",))
+    if profile is not None and "L" in prof:
         violations.append(
             "theta sweeps derive the transverse width from kL_values; drop profile.L"
         )
@@ -457,19 +457,6 @@ class SweepResult:
     rows: list
 
 
-def _build_profile(profile):
-    name = profile["catalog"]
-    if name == "gaussian2d":
-        return gaussian_slab_2d(profile["z"], profile["L"])
-    if name == "ex1":
-        return ex1_profile(profile["z"], profile["alpha"], profile["L"])
-    if name == "gaussian3d":
-        return gaussian_slab_3d(profile["z"], profile["L"])
-    if name == "uniform1d":
-        return constant_slab_1d(profile["n"])
-    raise DomainError(f"unknown catalog {name}")
-
-
 def _map_ordered(fn, values, threads):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -496,7 +483,7 @@ def _quad_spec(cfg):
 
 
 def _run_amp2d(cfg, threads):
-    prof = _build_profile(cfg.profile)
+    prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
     config = ScatteringConfig2D(k=phys["k"], ell=phys["ell"], theta0=phys["theta0"])
     spec = _quad_spec(cfg)
@@ -513,7 +500,7 @@ def _run_amp2d(cfg, threads):
 
 
 def _run_amp3d(cfg, threads):
-    prof = _build_profile(cfg.profile)
+    prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
     config = ScatteringConfig3D(
         k=phys["k"], ell=phys["ell"], theta0=phys["theta0"], phi0=phys["phi0"]
@@ -533,7 +520,7 @@ def _run_amp3d(cfg, threads):
 
 
 def _run_exact2d(cfg, threads):
-    prof = _build_profile(cfg.profile)
+    prof = profile_from_dict(cfg.profile)
     params = Ex1Params(
         z=cfg.profile["z"], alpha=cfg.profile["alpha"], L=cfg.profile["L"]
     )
@@ -553,7 +540,7 @@ def _run_exact2d(cfg, threads):
 
 
 def _run_kernels_check(cfg, threads):
-    prof = _build_profile(cfg.profile)
+    prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
     config = ScatteringConfig2D(k=phys["k"], ell=phys["ell"], theta0=phys["theta0"])
     spec = _quad_spec(cfg)
@@ -606,7 +593,7 @@ def _run_cloak(cfg, threads):
 
 
 def _run_dyson1d(cfg, threads):
-    prof = _build_profile(cfg.profile)
+    prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
     ell = phys["ell"]
 
@@ -639,7 +626,7 @@ def _run_sweep(cfg, threads):
 
 
 def _sweep_2d(cfg, threads):
-    prof = _build_profile(cfg.profile)
+    prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
     spec = _quad_spec(cfg)
     params = None
@@ -669,7 +656,7 @@ def _sweep_2d(cfg, threads):
 
 
 def _sweep_3d_kl(cfg, threads):
-    prof = _build_profile(cfg.profile)
+    prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
     spec = _quad_spec(cfg)
 
@@ -702,7 +689,7 @@ def _sweep_3d_theta(cfg, threads):
     curves = []
     single_kL = len(phys["kL_values"]) == 1
     for kL in phys["kL_values"]:
-        prof = gaussian_slab_3d(cfg.profile["z"], kL / k)
+        prof = profile_from_dict(dict(cfg.profile, L=kL / k))
         for order in phys["orders"]:
             label = f"order{order}" if single_kL else f"kL={kL:.6g}"
             if not single_kL and len(phys["orders"]) > 1:

@@ -28,7 +28,7 @@ accepts complex contrasts).
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .amp2d import ScatteringConfig2D, f1_2d, f2_2d
 from .numerics import DomainError
-from .profiles import spatial_moment_y
+from .profiles import CoatedProfile2D, spatial_moment_y
 
 __all__ = [
     "InfeasibleDesignError",
@@ -45,7 +45,6 @@ __all__ = [
     "BilayerGeometry",
     "InvisibilityReport",
     "design_bilayer",
-    "design_profiled",
     "design_geometry",
     "verify_invisibility",
     "export_geometry",
@@ -176,30 +175,6 @@ def design_bilayer(moments, materials, ell, y):
     return float(ell1[0]), float(ell2[0])
 
 
-def design_profiled(g, z0, materials, ell, y):
-    """Layer thicknesses for a slab with eps = 1 + z0 g(y), z0 >= 0, g >= 0."""
-    if not ell > 0:
-        raise DomainError("ell must be positive")
-    z0 = complex(z0)
-    if abs(z0.imag) > _IMAG_TOL * (1.0 + abs(z0)) or z0.real < 0:
-        raise DomainError("z0 must be real and nonnegative")
-    z0 = z0.real
-    gy = complex(g(y))
-    if abs(gy.imag) > _IMAG_TOL * (1.0 + abs(gy)) or gy.real < 0:
-        raise DomainError("g(y) must be real and nonnegative")
-    gy = gy.real
-    z1, z2 = materials.z1, materials.z2
-    if z1.imag != 0 or z2.imag != 0 or not (z1.real < 0 < z2.real):
-        raise InfeasibleDesignError(
-            "a profiled design needs real contrasts with z1 < 0 < z2"
-        )
-    z1, z2 = z1.real, z2.real
-    chi = z0 * gy * (z0 * gy - z1) / (z2 * (z2 - z1))
-    ell2 = ell * np.sqrt(chi)
-    ell1 = -ell * (z2 * np.sqrt(chi) + z0 * gy) / z1
-    return float(ell1), float(ell2)
-
-
 def design_geometry(moments, materials, ell, y_grid, k=None, kl_warn=0.3):
     """Design the coating over a y grid and package it as a BilayerGeometry.
 
@@ -263,15 +238,15 @@ def verify_invisibility(
 ):
     """Residuals of a coated slab: axial moments over y and f1/f2 over angle.
 
-    ``coated`` must come from profiles.coated_profile.  The report carries
-    max_y |INT_0^ell_c (eps_c - 1) dx|, max_y |INT_0^ell_c x (eps_c - 1) dx|,
-    and the first two amplitude coefficients on the angle grid; a properly
-    designed cloak drives all of them to rounding level.
+    ``coated`` must be a CoatedProfile2D, as profiles.coated_profile returns.
+    The report carries max_y |INT_0^ell_c (eps_c - 1) dx|,
+    max_y |INT_0^ell_c x (eps_c - 1) dx|, and the first two amplitude
+    coefficients on the angle grid; a properly designed cloak drives all of
+    them to rounding level.
     """
-    meta = coated._cache.get("coating")
-    if meta is None:
+    if not isinstance(coated, CoatedProfile2D):
         raise DomainError("verify_invisibility expects a coated_profile result")
-    ell_c = float(meta["geometry"].ell_c)
+    ell_c = float(coated.geometry.ell_c)
     y_grid = np.asarray(y_grid, dtype=float)
     m0 = np.atleast_1d(spatial_moment_y(coated, 0, y_grid, k))
     m1 = np.atleast_1d(spatial_moment_y(coated, 1, y_grid, k))

@@ -55,8 +55,8 @@ from .numerics import (
     AccuracyError,
     DomainError,
     TransformSpec,
+    fourier_1d,
     gauss_legendre,
-    transform_samples_1d,
 )
 from .profiles import moment_2d
 
@@ -190,18 +190,13 @@ def kernel_n2(profile, a, b, p, pp, k, transform=None):
 def q_tilde(profile, x1, x2, q, k, transform=None):
     """Transverse Fourier transform of the product w(x1, y) w(x2, y)."""
     spec = transform or TransformSpec(truncation_radius=profile.decay_radius)
-    y = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
-    vals = np.asarray(profile.eval(x1, y, k), dtype=complex) * np.asarray(
-        profile.eval(x2, y, k), dtype=complex
-    )
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        edge = max(abs(vals[0]), abs(vals[-1]))
-        if edge > 1e-6 * peak:
-            raise AccuracyError(
-                "slice product is not small at the truncation boundary"
-            )
-    return transform_samples_1d(vals, spec.truncation_radius, q)
+
+    def product(y):
+        return np.asarray(profile.eval(x1, y, k), dtype=complex) * np.asarray(
+            profile.eval(x2, y, k), dtype=complex
+        )
+
+    return fourier_1d(product, q, spec)
 
 
 _SIMPLEX_GL_MAX = 32

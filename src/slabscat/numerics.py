@@ -12,13 +12,14 @@ Conventions used throughout the package:
 * Quadrature routines accept complex-valued integrands.  Integrands should be
   vectorized (accept an ndarray of abscissae and return the matching ndarray);
   scalar-only callables are detected and wrapped, at a performance cost.
+* Every transform of sampled data truncated to a finite window is guarded by
+  ``check_edge_decay``, the package's single truncation check.
 
 The adaptive integrator is a nested Gauss-Kronrod (G7/K15) bisection scheme
 with per-panel error estimates; the embedded 15-point Kronrod constants are
 the classic QUADPACK values.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +32,10 @@ __all__ = [
     "QuadratureSpec",
     "TransformSpec",
     "heaviside",
-    "sinc",
-    "sj",
+    "check_edge_decay",
     "integrate_1d",
     "integrate_2d",
     "fourier_1d",
-    "fourier_2d",
     "transform_samples_1d",
     "transform_samples_2d",
     "gauss_legendre",
@@ -90,23 +89,19 @@ class TransformSpec:
     """Truncation and sampling parameters for numeric Fourier transforms.
 
     ``truncation_radius`` is the half-width R of the sampled window [-R, R];
-    ``sample_count`` is the number of uniform panels (a power of two for the
-    numeric scheme, which uses sample_count + 1 nodes including both ends).
+    ``sample_count`` is the number of uniform panels, a power of two (the
+    grid has sample_count + 1 nodes including both ends).
     """
 
     truncation_radius: float
     sample_count: int = 65536
-    scheme: str = "numeric"
 
     def __post_init__(self):
         if not self.truncation_radius > 0:
             raise DomainError("truncation_radius must be positive")
-        if self.scheme not in ("numeric", "analytic"):
-            raise DomainError("scheme must be 'numeric' or 'analytic'")
-        if self.scheme == "numeric":
-            n = self.sample_count
-            if n < 2 or (n & (n - 1)) != 0:
-                raise DomainError("sample_count must be a power of two")
+        n = self.sample_count
+        if n < 2 or (n & (n - 1)) != 0:
+            raise DomainError("sample_count must be a power of two")
 
 
 def heaviside(x):
@@ -119,55 +114,27 @@ def heaviside(x):
     return np.where(np.asarray(x) >= 0, 1.0, 0.0)
 
 
-# sin(x)/x = 1 - x^2/6 + x^4/120 - x^6/5040 + x^8/362880 - ...
-_SINC_COEFFS = (1.0, -1.0 / 6.0, 1.0 / 120.0, -1.0 / 5040.0, 1.0 / 362880.0)
-_SINC_SWITCH = 0.05
+_EDGE_REL_TOL = 1e-6
 
 
-def sinc(x):
-    """sin(x)/x with an even-series branch near 0 to avoid cancellation.
+def check_edge_decay(values, what):
+    """Raise TruncationError unless ``values`` is small on every edge.
 
-    Exactly 1 at x = 0.  Scalar or array input.
+    ``values`` are samples of a truncated integrand (1-D, or 2-D on a mesh);
+    their magnitude on each edge of the array must not exceed 1e-6 of their
+    peak.  An all-zero array passes.
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    small = np.abs(x) < _SINC_SWITCH
-    xs = x[small]
-    x2 = xs * xs
-    acc = np.full_like(xs, _SINC_COEFFS[-1])
-    for c in _SINC_COEFFS[-2::-1]:
-        acc = acc * x2 + c
-    out[small] = acc
-    xl = x[~small]
-    out[~small] = np.sin(xl) / xl
-    return float(out[0]) if scalar else out
-
-
-def sj(j, x):
-    """Coefficient function s_j(x) = (-1)^j x^(2j+1) / (2j+1)! * heaviside(x).
-
-    Parameters
-    ----------
-    j : int
-        Nonnegative order.
-    x : float
-        Argument; negative arguments give exactly 0.
-
-    Raises
-    ------
-    OverflowError
-        If x**(2j+1) overflows the double range.
-    """
-    if j < 0:
-        raise DomainError("j must be nonnegative")
-    if x < 0:
-        return 0.0
-    power = float(x) ** (2 * j + 1)
-    if math.isinf(power):
-        raise OverflowError(f"sj({j}, {x}) overflows the representable range")
-    return (-1.0) ** j * power / math.factorial(2 * j + 1)
+    mag = np.abs(values)
+    peak = np.max(mag)
+    if peak == 0.0:
+        return
+    edge = max(np.max(np.take(mag, [0, -1], axis=axis)) for axis in range(mag.ndim))
+    if edge > _EDGE_REL_TOL * peak:
+        raise TruncationError(
+            f"{what} has magnitude {edge:.3e} at the truncation boundary, "
+            f"more than {_EDGE_REL_TOL:.0e} of its peak {peak:.3e}; enlarge "
+            "the truncation radius"
+        )
 
 
 # 15-point Kronrod abscissae (nonnegative half) and weights, with the
@@ -217,12 +184,17 @@ _DEFAULT_QUAD = QuadratureSpec()
 
 
 def _vectorize_integrand(f, probe):
-    """Return a vectorized version of f, probing with the given abscissae."""
+    """Return a vectorized version of f and its values at the probe abscissae.
+
+    A callable that rejects an array argument (TypeError or ValueError) or
+    returns the wrong shape is wrapped to be called once per abscissa; any
+    other exception it raises propagates.
+    """
     try:
-        out = np.asarray(f(probe))
+        out = np.asarray(f(probe), dtype=complex)
         if out.shape == probe.shape:
             return f, out
-    except Exception:
+    except (TypeError, ValueError):
         pass
 
     def fvec(x):
@@ -231,11 +203,22 @@ def _vectorize_integrand(f, probe):
     return fvec, fvec(probe)
 
 
-def _gk_panel(fx, half_width):
-    """Kronrod and Gauss estimates of one panel from its 15 f-values."""
+def _gk_nodes(lo, hi):
+    """The 15 Kronrod abscissae of the panel [lo, hi]."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GK_NODES
+
+
+def _gk_panel(fx, lo, hi):
+    """[error, lo, hi, kron] of one panel from its 15 f-values.
+
+    A non-finite estimate raises at once, since bisection cannot repair it.
+    """
+    half_width = 0.5 * (hi - lo)
     kron = half_width * np.dot(_GK_WEIGHTS, fx)
     gauss = half_width * np.dot(_G_WEIGHTS, fx[_G_IDX])
-    return kron, abs(kron - gauss)
+    if not (np.isfinite(kron) and np.isfinite(gauss)):
+        raise AccuracyError(f"integrand is not finite on [{lo:.17g}, {hi:.17g}]")
+    return [abs(kron - gauss), lo, hi, kron]
 
 
 _INITIAL_PANELS = 4
@@ -248,7 +231,8 @@ def integrate_1d(f, a, b, spec=None):
     ----------
     f : callable
         Integrand; should accept an ndarray of abscissae and return the
-        matching ndarray of (possibly complex) values.
+        matching ndarray of (possibly complex) values.  Each abscissa is
+        evaluated once.
     a, b : float
         Integration limits, a < b allowed in either order (b < a negates).
     spec : QuadratureSpec, optional
@@ -262,8 +246,9 @@ def integrate_1d(f, a, b, spec=None):
     Raises
     ------
     AccuracyError
-        If the tolerance is not met within max_subdivisions; the best
-        estimate is attached to the exception.
+        If a panel's estimate is not finite (the message names the panel),
+        or if the tolerance is not met within max_subdivisions; in the
+        latter case the best estimate is attached to the exception.
     """
     spec = spec or _DEFAULT_QUAD
     a = float(a)
@@ -276,17 +261,13 @@ def integrate_1d(f, a, b, spec=None):
         sign = -1.0
 
     edges = np.linspace(a, b, _INITIAL_PANELS + 1)
-    mid = 0.5 * (edges[0] + edges[1])
-    half = 0.5 * (edges[1] - edges[0])
-    f, _probe = _vectorize_integrand(f, mid + half * _GK_NODES)
-
-    # panels: list of [neg_error, a, b, kron]
+    f, fx = _vectorize_integrand(f, _gk_nodes(edges[0], edges[1]))
+    # panels: list of [error, a, b, kron]; the probe values serve the first
     panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        m, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        fx = np.asarray(f(m + h * _GK_NODES), dtype=complex)
-        kron, err = _gk_panel(fx, h)
-        panels.append([err, lo, hi, kron])
+        if panels:
+            fx = np.asarray(f(_gk_nodes(lo, hi)), dtype=complex)
+        panels.append(_gk_panel(fx, lo, hi))
 
     subdivisions = 0
     while True:
@@ -310,13 +291,10 @@ def integrate_1d(f, a, b, spec=None):
                 estimate=sign * total,
                 error_estimate=total_err,
             )
-        new = []
-        for llo, lhi in ((lo, m), (m, hi)):
-            mm, hh = 0.5 * (llo + lhi), 0.5 * (lhi - llo)
-            fx = np.asarray(f(mm + hh * _GK_NODES), dtype=complex)
-            kron, err = _gk_panel(fx, hh)
-            new.append([err, llo, lhi, kron])
-        panels[worst : worst + 1] = new
+        panels[worst : worst + 1] = [
+            _gk_panel(np.asarray(f(_gk_nodes(llo, lhi)), dtype=complex), llo, lhi)
+            for llo, lhi in ((lo, m), (m, hi))
+        ]
         subdivisions += 1
 
 
@@ -350,7 +328,7 @@ def _trapezoid_weights(n_panels, h):
     return w
 
 
-def transform_samples_1d(values, radius, p, weights=None):
+def transform_samples_1d(values, radius, p):
     """Fourier transform of uniformly sampled data at arbitrary momenta.
 
     ``values`` are f on the uniform grid y_j = -radius + j*h covering
@@ -360,10 +338,7 @@ def transform_samples_1d(values, radius, p, weights=None):
     """
     values = np.asarray(values, dtype=complex)
     n = values.size - 1
-    h = 2.0 * radius / n
-    if weights is None:
-        weights = _trapezoid_weights(n, h)
-    wf = weights * values
+    wf = _trapezoid_weights(n, 2.0 * radius / n) * values
     wfr = wf.real.copy()
     wfi = wf.imag.copy()
     y = np.linspace(-radius, radius, n + 1)
@@ -379,49 +354,27 @@ def transform_samples_1d(values, radius, p, weights=None):
     return out[0] if scalar else out
 
 
-def fourier_1d(f, p, spec, analytic_transform=None, edge_rel_tol=1e-6):
+def fourier_1d(f, p, spec):
     """Fourier transform INT exp(-i*p*y) f(y) dy of a decaying function.
 
     Parameters
     ----------
     f : callable
         Function of y, vectorized; must decay so its tail beyond the
-        truncation radius is negligible.
+        truncation radius is negligible (check_edge_decay enforces it).
     p : float or 1D ndarray
         Momentum (or momenta) at which to evaluate the transform.
     spec : TransformSpec
-        Truncation radius and sampling density; with scheme="analytic" the
-        registered analytic_transform is evaluated instead of sampling.
-    analytic_transform : callable, optional
-        Registered closed form of the transform, used when
-        spec.scheme == "analytic".
-    edge_rel_tol : float
-        Decay check: |f(+-R)| must not exceed edge_rel_tol * max|f| on the
-        grid, otherwise a TruncationError is raised.
+        Truncation radius and sampling density.
 
     Returns
     -------
     complex (or ndarray of complex when p is an array)
     """
-    if spec.scheme == "analytic":
-        if analytic_transform is None:
-            raise DomainError(
-                "TransformSpec requests the analytic scheme but no analytic "
-                "transform is registered"
-            )
-        return analytic_transform(p)
     radius = spec.truncation_radius
     y = np.linspace(-radius, radius, spec.sample_count + 1)
     values = np.asarray(f(y), dtype=complex)
-    peak = np.max(np.abs(values))
-    if peak > 0:
-        edge = max(abs(values[0]), abs(values[-1]))
-        if edge > edge_rel_tol * peak:
-            raise TruncationError(
-                f"integrand magnitude {edge:.3e} at the truncation boundary "
-                f"exceeds {edge_rel_tol:.1e} of its peak {peak:.3e}; increase "
-                "the truncation radius"
-            )
+    check_edge_decay(values, "integrand")
     return transform_samples_1d(values, radius, p)
 
 
@@ -445,40 +398,6 @@ def transform_samples_2d(values, radius, pvec):
         v = w * np.exp(-1j * py * x)
         out[i] = u @ (values @ v)
     return out[0] if single else out
-
-
-def fourier_2d(f, pvec, spec, analytic_transform=None, edge_rel_tol=1e-6):
-    """2D Fourier transform INT exp(-i*p.r) f(r) d^2r of a decaying function.
-
-    f is called on meshgrid arrays (X, Y); pvec is (px, py) or an (m, 2)
-    array of momentum pairs.  See fourier_1d for the remaining semantics.
-    """
-    if spec.scheme == "analytic":
-        if analytic_transform is None:
-            raise DomainError(
-                "TransformSpec requests the analytic scheme but no analytic "
-                "transform is registered"
-            )
-        return analytic_transform(pvec)
-    radius = spec.truncation_radius
-    x = np.linspace(-radius, radius, spec.sample_count + 1)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    values = np.asarray(f(X, Y), dtype=complex)
-    peak = np.max(np.abs(values))
-    if peak > 0:
-        edge = max(
-            np.max(np.abs(values[0, :])),
-            np.max(np.abs(values[-1, :])),
-            np.max(np.abs(values[:, 0])),
-            np.max(np.abs(values[:, -1])),
-        )
-        if edge > edge_rel_tol * peak:
-            raise TruncationError(
-                f"integrand magnitude {edge:.3e} on the truncation boundary "
-                f"exceeds {edge_rel_tol:.1e} of its peak {peak:.3e}; increase "
-                "the truncation radius"
-            )
-    return transform_samples_2d(values, radius, pvec)
 
 
 _leggauss_cache = {}

@@ -10,24 +10,30 @@ profiles through two quantities:
 * spatial moments     w_l(y; k) = INT_0^1 dx_frac x_frac^l w(x_frac, y; k).
 
 Profiles may carry closed forms for the transform and the moments; when those
-are absent the numeric route samples w on a uniform transverse grid and
+are absent the numeric route samples the axial moments of w on a uniform
+transverse grid (one sampler, ``_moment_samples``, serves 2D and 3D) and
 applies the explicit-phase transform from :mod:`slabscat.numerics`.
+
+``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
+3D); ``profile_from_dict`` builds a profile from its JSON form
+``{"catalog": <name>, <param>: value, ...}``, the form the CLI reads too.
 
 Profiles are immutable after construction and safe to share across threads;
 the internal sample cache only ever adds idempotent entries.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from .dyson1d import constant_slab_1d
 from .numerics import (
     AccuracyError,
     DomainError,
     QuadratureSpec,
     TransformSpec,
-    TruncationError,
+    check_edge_decay,
     fourier_1d,
     gauss_legendre,
     integrate_1d,
@@ -35,10 +41,14 @@ from .numerics import (
     transform_samples_2d,
 )
 
+if TYPE_CHECKING:
+    from .cloak import BilayerGeometry
+
 __all__ = [
     "Profile2D",
     "Profile3D",
-    "MomentTable",
+    "CoatedProfile2D",
+    "CATALOG",
     "moment_2d",
     "moment_3d",
     "spatial_moment_y",
@@ -51,8 +61,6 @@ __all__ = [
     "sampled_profile",
     "profile_from_dict",
 ]
-
-_EDGE_REL_TOL = 1e-6
 
 
 @dataclass
@@ -98,19 +106,14 @@ class Profile3D:
     _cache: dict = field(default_factory=dict, repr=False)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """A fixed-order transform moment, evaluable at (p, k) or (p_vec, k)."""
+@dataclass(kw_only=True)
+class CoatedProfile2D(Profile2D):
+    """A bare slab wrapped in two homogeneous coating layers; see coated_profile."""
 
-    l: int
-    value_at: Callable
-
-
-def moment_table(profile, l, **kwargs):
-    """Bind moment_2d/moment_3d for a profile and order into a MomentTable."""
-    if isinstance(profile, Profile3D):
-        return MomentTable(l=l, value_at=lambda p, k: moment_3d(profile, l, p, k, **kwargs))
-    return MomentTable(l=l, value_at=lambda p, k: moment_2d(profile, l, p, k, **kwargs))
+    bare: Profile2D
+    geometry: "BilayerGeometry"
+    z1: complex
+    z2: complex
 
 
 def _unit_mask(x_frac):
@@ -118,23 +121,17 @@ def _unit_mask(x_frac):
     return (x_frac >= 0.0) & (x_frac <= 1.0)
 
 
+# 3D moments sample a (sample_count + 1)^2 mesh, so their grid is coarser
+_SAMPLES_3D = 1024
+_MAX_SAMPLES_3D = 4096
+
+
 def _default_spec(profile, transform):
     if transform is not None:
         return transform
+    if isinstance(profile, Profile3D):
+        return TransformSpec(truncation_radius=profile.decay_radius, sample_count=_SAMPLES_3D)
     return TransformSpec(truncation_radius=profile.decay_radius)
-
-
-def _check_edge_decay(values, what):
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        return
-    edge = max(abs(values[0]), abs(values[-1]))
-    if edge > _EDGE_REL_TOL * peak:
-        raise TruncationError(
-            f"{what} has magnitude {edge:.3e} at the truncation boundary, "
-            f"more than {_EDGE_REL_TOL:.0e} of its peak {peak:.3e}; enlarge "
-            "the truncation radius"
-        )
 
 
 def _k_key(profile, k):
@@ -147,26 +144,37 @@ _GL_REL = 1e-9
 _GL_ABS = 1e-12
 
 
-def _moment_samples(profile, k, spec):
-    """Spatial moment samples m_l(y_j) for l = 0, 1, 2 on the transform grid.
+def _moment_samples(profile, k, spec, route="eval"):
+    """Spatial moment samples m_l on the transform grid, cached per route.
 
-    Uses the profile's closed moment_y when available; otherwise integrates
-    x_frac^l * w over the axial coordinate with Gauss-Legendre rules of
-    doubling order until the samples stabilize.
+    A 2D profile is sampled on the 1-D y grid for l = 0, 1, 2, a 3D profile
+    on the r1 x r2 mesh for l = 0, 1.  The "moment_y" route takes a 2D
+    profile's closed spatial moments (orders it rejects are left out); the
+    "eval" route integrates x_frac^l * w over the axial coordinate with
+    Gauss-Legendre rules of doubling order until the samples stabilize.
     """
-    key = ("moment-samples", _k_key(profile, k), spec.truncation_radius, spec.sample_count)
+    key = (route, _k_key(profile, k), spec.truncation_radius, spec.sample_count)
     if key in profile._cache:
         return profile._cache[key]
-    y = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
+    r = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
 
-    if profile.moment_y is not None:
+    if route == "moment_y":
         samples = {}
         for l in (0, 1, 2):
             try:
-                samples[l] = np.asarray(profile.moment_y(l, y, k), dtype=complex)
+                samples[l] = np.asarray(profile.moment_y(l, r, k), dtype=complex)
             except DomainError:
                 continue
     else:
+        if isinstance(profile, Profile3D):
+            orders = (0, 1)
+            r1, r2 = np.meshgrid(r, r, indexing="ij")
+            shape = r1.shape
+            layer = lambda xf: profile.eval(r1, r2, xf, k)
+        else:
+            orders = (0, 1, 2)
+            shape = r.shape
+            layer = lambda xf: profile.eval(xf, r, k)
         samples = None
         prev = None
         n = _GL_START
@@ -174,14 +182,14 @@ def _moment_samples(profile, k, spec):
             t, wq = gauss_legendre(n)
             xf = 0.5 * (t + 1.0)
             wt = 0.5 * wq
-            cur = {l: np.zeros(y.size, dtype=complex) for l in (0, 1, 2)}
+            cur = {l: np.zeros(shape, dtype=complex) for l in orders}
             for xi, wi in zip(xf, wt):
-                row = np.asarray(profile.eval(xi, y, k), dtype=complex)
-                for l in (0, 1, 2):
+                row = np.asarray(layer(xi), dtype=complex)
+                for l in orders:
                     cur[l] += wi * xi**l * row
             if prev is not None:
-                scale = max(np.max(np.abs(cur[l])) for l in (0, 1, 2))
-                diff = max(np.max(np.abs(cur[l] - prev[l])) for l in (0, 1, 2))
+                scale = max(np.max(np.abs(cur[l])) for l in orders)
+                diff = max(np.max(np.abs(cur[l] - prev[l])) for l in orders)
                 if diff <= max(_GL_ABS, _GL_REL * scale):
                     samples = cur
                     break
@@ -200,7 +208,7 @@ def _moment_samples(profile, k, spec):
     overall = max(peaks.values(), default=0.0)
     for l, vals in samples.items():
         if peaks[l] > 1e-9 * overall:
-            _check_edge_decay(vals, "profile moment")
+            check_edge_decay(vals, "profile moment")
     profile._cache[key] = samples
     return samples
 
@@ -235,9 +243,6 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
     scalar = np.isscalar(p) or np.asarray(p).ndim == 0
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
 
-    analytic_requested = method == "analytic" or (
-        transform is not None and transform.scheme == "analytic"
-    )
     if method != "numeric":
         if profile.analytic_moment is not None:
             out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
@@ -258,34 +263,23 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
                 dtype=complex,
             )
             return out[0] if scalar else out
-        if analytic_requested:
+        if method == "analytic":
             raise DomainError(
                 "analytic moment requested but the profile has neither an "
                 "analytic moment nor an analytic transform"
             )
-        # fall through: moment_y closed form still beats raw sampling
-        spec = _default_spec(profile, transform)
-        samples = _moment_samples(profile, k, spec)
+
+    spec = _default_spec(profile, transform)
+    if method != "numeric" and profile.moment_y is not None:
+        # the closed moment_y still beats raw sampling
+        samples = _moment_samples(profile, k, spec, route="moment_y")
         if l in samples:
             out = transform_samples_1d(samples[l], spec.truncation_radius, p_arr)
             return out[0] if scalar else out
         # moment_y did not cover this order; use the eval-based route
 
-    # forced numeric route: ignore every closed form on the profile
-    shadow = profile._cache.setdefault("numeric-shadow", {})
-    key = (_k_key(profile, k), None if transform is None else (transform.truncation_radius, transform.sample_count))
-    if key not in shadow:
-        bare = Profile2D(
-            eval=profile.eval,
-            decay_radius=profile.decay_radius,
-            descriptor=profile.descriptor + " [numeric]",
-            k_dependent=profile.k_dependent,
-        )
-        shadow[key] = bare
-    bare = shadow[key]
-    spec = _default_spec(bare, transform)
     try:
-        samples = _moment_samples(bare, k, spec)
+        samples = _moment_samples(profile, k, spec)
     except AccuracyError:
         # non-smooth axial dependence: fall back to the literal route, an
         # adaptive axial integral over per-slice transverse transforms
@@ -309,68 +303,31 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
 
 
 def moment_3d(profile, l, pvec, k, transform=None, method="auto"):
-    """3D transform moment m_l(p_vec; k); p_vec is (p1, p2) or an (m, 2) array."""
+    """3D transform moment m_l(p_vec; k); p_vec is (p1, p2) or an (m, 2) array.
+
+    The sampled route uses a (sample_count + 1)^2 mesh: 1024 panels per axis
+    by default, and ``transform`` may request at most 4096.
+    """
     if l not in (0, 1):
         raise DomainError("3D moment order l must be 0 or 1")
     if method not in ("auto", "analytic", "numeric"):
         raise DomainError("method must be 'auto', 'analytic', or 'numeric'")
+    if transform is not None and transform.sample_count > _MAX_SAMPLES_3D:
+        raise DomainError(
+            f"3D moments sample at most {_MAX_SAMPLES_3D} panels per axis; "
+            f"{transform.sample_count} were requested"
+        )
     pv = np.atleast_2d(np.asarray(pvec, dtype=float))
     single = np.asarray(pvec).ndim == 1
 
     if method != "numeric" and profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, pv[:, 0], pv[:, 1], k), dtype=complex)
         return out[0] if single else out
-    if method == "analytic" and profile.analytic_moment is None:
+    if method == "analytic":
         raise DomainError("analytic moment requested but none is registered")
 
     spec = _default_spec(profile, transform)
-    if spec.sample_count > 4096:
-        spec = TransformSpec(
-            truncation_radius=spec.truncation_radius, sample_count=1024, scheme=spec.scheme
-        )
-    key = ("moment-samples-3d", _k_key(profile, k), spec.truncation_radius, spec.sample_count)
-    if key not in profile._cache:
-        r = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
-        R1, R2 = np.meshgrid(r, r, indexing="ij")
-        prev = None
-        samples = None
-        n = _GL_START
-        while n <= _GL_MAX:
-            t, wq = gauss_legendre(n)
-            zf = 0.5 * (t + 1.0)
-            wt = 0.5 * wq
-            cur = {l_: np.zeros(R1.shape, dtype=complex) for l_ in (0, 1)}
-            for zi, wi in zip(zf, wt):
-                layer = np.asarray(profile.eval(R1, R2, zi, k), dtype=complex)
-                cur[0] += wi * layer
-                cur[1] += wi * zi * layer
-            if prev is not None:
-                scale = max(np.max(np.abs(cur[l_])) for l_ in (0, 1))
-                diff = max(np.max(np.abs(cur[l_] - prev[l_])) for l_ in (0, 1))
-                if diff <= max(_GL_ABS, _GL_REL * scale):
-                    samples = cur
-                    break
-            prev = cur
-            n *= 2
-        if samples is None:
-            raise AccuracyError(
-                "axial quadrature of the 3D profile moments did not stabilize",
-                estimate=prev,
-            )
-        for vals in samples.values():
-            edge = max(
-                np.max(np.abs(vals[0, :])),
-                np.max(np.abs(vals[-1, :])),
-                np.max(np.abs(vals[:, 0])),
-                np.max(np.abs(vals[:, -1])),
-            )
-            peak = np.max(np.abs(vals))
-            if peak > 0 and edge > _EDGE_REL_TOL * peak:
-                raise TruncationError(
-                    "3D profile moment is not small at the truncation boundary"
-                )
-        profile._cache[key] = samples
-    samples = profile._cache[key]
+    samples = _moment_samples(profile, k, spec)
     out = transform_samples_2d(samples[l], spec.truncation_radius, pv)
     return out[0] if single else out
 
@@ -413,71 +370,12 @@ def _xl_spatial_moment(profile, l, y, k, quadrature=None):
 # ---------------------------------------------------------------------------
 
 
-def ex1_profile(z, alpha, L):
-    """Slab with w(x_frac, y) = z e^{i alpha y} / (y/L + i)^2.
+def _axially_uniform_2d(g, g_hat, decay_radius, descriptor):
+    """Profile2D of a slab w(x_frac, y) = g(y) with transverse transform g_hat.
 
-    Its transverse transform is one-sided in momentum:
-    w~(p) = 2 pi z L^2 (alpha - p) e^{L(alpha - p)} for p >= alpha, else 0,
-    which is what makes the profile exactly solvable at low frequency.
+    With no axial variation every moment closes: m_l = g_hat / (l + 1) and
+    w_l = g / (l + 1).
     """
-    z = complex(z)
-    alpha = float(alpha)
-    L = float(L)
-    if L <= 0:
-        raise DomainError("L must be positive")
-
-    def w_eval(x_frac, y, k):
-        x_frac, y = np.broadcast_arrays(
-            np.asarray(x_frac, dtype=float), np.asarray(y, dtype=float)
-        )
-        g = z * np.exp(1j * alpha * y) / (y / L + 1j) ** 2
-        return np.where(_unit_mask(x_frac), g, 0.0)
-
-    def g_hat(p):
-        p = np.asarray(p, dtype=float)
-        out = np.zeros(p.shape, dtype=complex)
-        m = p >= alpha
-        out[m] = 2.0 * np.pi * z * L * L * (alpha - p[m]) * np.exp(L * (alpha - p[m]))
-        return out
-
-    def w_transform(x_frac, p, k):
-        scalar = np.isscalar(p) and np.isscalar(x_frac)
-        x_frac, p = np.broadcast_arrays(
-            np.asarray(x_frac, dtype=float), np.asarray(p, dtype=float)
-        )
-        out = np.where(_unit_mask(x_frac), g_hat(p), 0.0)
-        return complex(out.flat[0]) if scalar else out
-
-    def w_moment(l, p, k):
-        return g_hat(p) / (l + 1.0)
-
-    def w_moment_y(l, y, k):
-        y = np.asarray(y, dtype=float)
-        return z * np.exp(1j * alpha * y) / (y / L + 1j) ** 2 / (l + 1.0)
-
-    return Profile2D(
-        eval=w_eval,
-        decay_radius=2000.0 * L,
-        descriptor=f"ex1(z={z}, alpha={alpha}, L={L})",
-        analytic_transform=w_transform,
-        analytic_moment=w_moment,
-        moment_y=w_moment_y,
-    )
-
-
-def gaussian_slab_2d(z, L):
-    """Slab with w(x_frac, y) = z e^{-y^2 / 2 L^2} (no axial variation)."""
-    z = complex(z)
-    L = float(L)
-    if L <= 0:
-        raise DomainError("L must be positive")
-
-    def g(y):
-        return z * np.exp(-0.5 * (np.asarray(y, dtype=float) / L) ** 2)
-
-    def g_hat(p):
-        p = np.asarray(p, dtype=float)
-        return z * np.sqrt(2.0 * np.pi) * L * np.exp(-0.5 * (L * p) ** 2)
 
     def w_eval(x_frac, y, k):
         x_frac, y = np.broadcast_arrays(
@@ -495,12 +393,56 @@ def gaussian_slab_2d(z, L):
 
     return Profile2D(
         eval=w_eval,
-        decay_radius=12.0 * L,
-        descriptor=f"gaussian2d(z={z}, L={L})",
+        decay_radius=decay_radius,
+        descriptor=descriptor,
         analytic_transform=w_transform,
         analytic_moment=lambda l, p, k: g_hat(p) / (l + 1.0),
         moment_y=lambda l, y, k: g(y) / (l + 1.0),
     )
+
+
+def ex1_profile(z, alpha, L):
+    """Slab with w(x_frac, y) = z e^{i alpha y} / (y/L + i)^2.
+
+    Its transverse transform is one-sided in momentum:
+    w~(p) = 2 pi z L^2 (alpha - p) e^{L(alpha - p)} for p >= alpha, else 0,
+    which is what makes the profile exactly solvable at low frequency.
+    """
+    z = complex(z)
+    alpha = float(alpha)
+    L = float(L)
+    if L <= 0:
+        raise DomainError("L must be positive")
+
+    def g(y):
+        y = np.asarray(y, dtype=float)
+        return z * np.exp(1j * alpha * y) / (y / L + 1j) ** 2
+
+    def g_hat(p):
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape, dtype=complex)
+        m = p >= alpha
+        out[m] = 2.0 * np.pi * z * L * L * (alpha - p[m]) * np.exp(L * (alpha - p[m]))
+        return out
+
+    return _axially_uniform_2d(g, g_hat, 2000.0 * L, f"ex1(z={z}, alpha={alpha}, L={L})")
+
+
+def gaussian_slab_2d(z, L):
+    """Slab with w(x_frac, y) = z e^{-y^2 / 2 L^2} (no axial variation)."""
+    z = complex(z)
+    L = float(L)
+    if L <= 0:
+        raise DomainError("L must be positive")
+
+    def g(y):
+        return z * np.exp(-0.5 * (np.asarray(y, dtype=float) / L) ** 2)
+
+    def g_hat(p):
+        p = np.asarray(p, dtype=float)
+        return z * np.sqrt(2.0 * np.pi) * L * np.exp(-0.5 * (L * p) ** 2)
+
+    return _axially_uniform_2d(g, g_hat, 12.0 * L, f"gaussian2d(z={z}, L={L})")
 
 
 def gaussian_slab_3d(z, L):
@@ -689,7 +631,8 @@ def coated_profile(slab, geometry, z1, z2):
     The coated slab occupies [0, ell_c]: the bare profile on [0, ell], the
     first layer (permittivity 1 + z1) on a further thickness ell1(y), the
     second (1 + z2) on ell2(y), and vacuum up to ell_c.  The result is a
-    Profile2D in the coordinate rescaled by ell_c.
+    CoatedProfile2D in the coordinate rescaled by ell_c that also carries
+    the bare slab, the geometry and both contrasts.
 
     ``geometry`` must provide ell (bare thickness), callables ell1/ell2 of y,
     and ell_c; a geometry whose extent ell + ell1 + ell2 exceeds ell_c at any
@@ -745,50 +688,45 @@ def coated_profile(slab, geometry, z1, z2):
         out = (bare + layer1 + layer2) / ell_c ** (l + 1)
         return out[0] if scalar else out
 
-    prof = Profile2D(
+    return CoatedProfile2D(
         eval=w_eval,
         decay_radius=slab.decay_radius,
         descriptor=f"coated({slab.descriptor}; z1={z1}, z2={z2})",
         moment_y=w_moment_y,
         k_dependent=slab.k_dependent,
+        bare=slab,
+        geometry=geometry,
+        z1=z1,
+        z2=z2,
     )
-    prof._cache["coating"] = {"geometry": geometry, "z1": z1, "z2": z2, "bare": slab}
-    return prof
 
 
-_CATALOG = {
-    "ex1": lambda p: ex1_profile(
-        complex(p["z"][0], p["z"][1]) if isinstance(p["z"], (list, tuple)) else p["z"],
-        p["alpha"],
-        p["L"],
-    ),
-    "gaussian2d": lambda p: gaussian_slab_2d(
-        complex(p["z"][0], p["z"][1]) if isinstance(p["z"], (list, tuple)) else p["z"],
-        p["L"],
-    ),
-    "gaussian3d": lambda p: gaussian_slab_3d(
-        complex(p["z"][0], p["z"][1]) if isinstance(p["z"], (list, tuple)) else p["z"],
-        p["L"],
-    ),
+# name -> (builder, dimension, parameter names); the names are the builder's
+# keyword arguments
+CATALOG = {
+    "ex1": (ex1_profile, "2d", ("z", "alpha", "L")),
+    "gaussian2d": (gaussian_slab_2d, "2d", ("z", "L")),
+    "gaussian3d": (gaussian_slab_3d, "3d", ("z", "L")),
+    "uniform1d": (constant_slab_1d, "1d", ("n",)),
 }
 
 
 def profile_from_dict(data):
-    """Build a profile from its JSON-style description.
+    """Build a catalog profile from ``{"catalog": <name>, <param>: value, ...}``.
 
-    ``{"type": <catalog name>, "params": {...}}`` for catalog profiles, or
-    ``{"type": "sampled", "params": {x_nodes, y_nodes, values_re, values_im,
-    decay_radius}}`` for tabulated ones.
+    The parameters of each name are listed in CATALOG; complex ones may be
+    written as ``[re, im]`` pairs.  Unknown names and missing parameters
+    raise a DomainError.
     """
-    kind = data.get("type")
-    params = data.get("params", {})
-    if kind in _CATALOG:
-        return _CATALOG[kind](params)
-    if kind == "sampled":
-        values = np.asarray(params["values_re"], dtype=float) + 1j * np.asarray(
-            params.get("values_im", np.zeros_like(params["values_re"])), dtype=float
-        )
-        return sampled_profile(
-            params["x_nodes"], params["y_nodes"], values, params["decay_radius"]
-        )
-    raise DomainError(f"unknown profile type {kind!r}")
+    name = data.get("catalog")
+    if name not in CATALOG:
+        raise DomainError(f"unknown profile catalog {name!r}; available: {sorted(CATALOG)}")
+    builder, _, names = CATALOG[name]
+    missing = [key for key in names if key not in data]
+    if missing:
+        raise DomainError(f"catalog {name} requires {', '.join(missing)}")
+    params = {
+        key: complex(*data[key]) if isinstance(data[key], (list, tuple)) else data[key]
+        for key in names
+    }
+    return builder(**params)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from slabscat.amp2d import AmplitudeResult
 from slabscat.amp3d import (
-    AmplitudeResult3D,
     Direction3D,
     ScatteringConfig3D,
     amplitude_3d,
@@ -207,7 +207,7 @@ def test_amplitude_assembly_and_normalized_cross_section():
     d = Direction3D(2.7, 0.6)
     res2 = amplitude_3d(prof, cfg, d, order=2)
     res1 = amplitude_3d(prof, cfg, d, order=1)
-    assert isinstance(res2, AmplitudeResult3D)
+    assert isinstance(res2, AmplitudeResult)
     kl = cfg.kl
     assert res2.truncated == res2.f1 * kl + res2.f2 * kl * kl
     assert res1.f2 == 0.0

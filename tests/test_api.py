@@ -1,0 +1,51 @@
+"""Guards on the public surface: exported names and the benchmark's entry points.
+
+perfbench/layers.json lists the functions the traced benchmark run wraps, and
+the tracer reads some of their arguments by position; a rename or deletion
+there would break the benchmark without failing any numerical test.
+"""
+
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import slabscat
+
+MODULES = (
+    "numerics", "profiles", "amp2d", "amp3d", "exactborn", "kernels", "cloak", "dyson1d", "cli",
+)
+LAYERS = json.loads((Path(__file__).parents[1] / "perfbench" / "layers.json").read_text())
+
+# positional parameters the tracer and the workloads rely on
+POSITIONS = {
+    ("numerics", "transform_samples_1d"): ("values", "radius", "p"),
+    ("profiles", "moment_2d"): ("profile", "l", "p"),
+    ("profiles", "moment_3d"): ("profile", "l", "pvec"),
+    ("kernels", "kernel_matrix"): ("profile", "j", "a", "b", "grid"),
+    ("cli", "validate_config"): ("raw",),
+    ("cli", "execute"): ("cfg",),
+    ("cli", "write_result"): ("result", "path", "out_format"),
+    ("cloak", "verify_invisibility"): ("coated", "k", "y_grid", "theta_grid", "theta0"),
+}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in slabscat.__all__ if not hasattr(slabscat, name)]
+    for module_name in MODULES:
+        module = importlib.import_module(f"slabscat.{module_name}")
+        missing += [
+            f"{module_name}.{name}" for name in module.__all__ if not hasattr(module, name)
+        ]
+    assert missing == []
+
+
+def test_traced_functions_exist_with_the_arguments_the_tracer_reads():
+    for layer, names in LAYERS["traced"].items():
+        module = importlib.import_module(f"slabscat.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name} is gone"
+    for (layer, name), expected in POSITIONS.items():
+        function = getattr(importlib.import_module(f"slabscat.{layer}"), name)
+        params = list(inspect.signature(function).parameters)
+        assert tuple(params[: len(expected)]) == expected, f"{layer}.{name}{tuple(params)}"

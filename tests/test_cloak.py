@@ -20,7 +20,6 @@ from slabscat.cloak import (
     SlabMomentPair,
     design_bilayer,
     design_geometry,
-    design_profiled,
     export_geometry,
     verify_invisibility,
 )
@@ -61,6 +60,17 @@ def test_design_trivial_and_pinned_values():
     assert l2 == pytest.approx(ell * FIG_RATIO, rel=1e-12)
     assert l1 == pytest.approx(ell * (1.0 + 0.4 * FIG_RATIO), rel=1e-12)
 
+    # across a profiled slab eps = 1 + z0 g(y) the general solve reduces to
+    # the closed form with radicand X = z0 g (z0 g - z1) / (z2 (z2 - z1))
+    z0, z1, z2 = 0.8, -0.9, 0.5
+    profiled = _gaussian_moments(z0, 2.0 * ell)
+    for y in (-1.3, -0.2, 0.0, 0.45, 2.0):
+        zg = profiled.w0bar(y)
+        X = zg * (zg - z1) / (z2 * (z2 - z1))
+        l1, l2 = design_bilayer(profiled, CoatingMaterials(z1=z1, z2=z2), ell, y)
+        assert l2 == pytest.approx(ell * np.sqrt(X), rel=1e-12, abs=1e-15)
+        assert l1 == pytest.approx(-ell * (z2 * np.sqrt(X) + zg) / z1, rel=1e-12, abs=1e-15)
+
 
 def test_design_nulls_the_moment_equations():
     rng = np.random.default_rng(20240815)
@@ -97,38 +107,6 @@ def test_design_infeasible_paths():
         design_bilayer(pair, mats_pos, 1.0, 0.0)
     with pytest.raises(DomainError):
         design_bilayer(pair, mats, -1.0, 0.0)
-
-
-def test_design_profiled_matches_bilayer():
-    ell = 0.37
-    L = 2.0 * ell
-    g = lambda y: np.exp(-np.asarray(y, dtype=float) ** 2 / (2.0 * L * L))
-    mats = CoatingMaterials(z1=-1.0, z2=0.4)
-
-    assert design_profiled(lambda y: 0.0, 1.0, mats, ell, 0.0) == (0.0, 0.0)
-
-    l1, l2 = design_profiled(g, 1.0, mats, ell, 0.0)
-    assert l2 == pytest.approx(ell * FIG_RATIO, rel=1e-12)
-    assert l1 == pytest.approx(ell * (1.0 + 0.4 * FIG_RATIO), rel=1e-12)
-
-    # agreement with the general solve across the profile
-    z0 = 0.8
-    mats2 = CoatingMaterials(z1=-0.9, z2=0.5)
-    pair = SlabMomentPair(
-        w0bar=lambda y: z0 * g(y), w1bar=lambda y: 0.5 * z0 * g(y)
-    )
-    for y in (-1.3, -0.2, 0.0, 0.45, 2.0):
-        a = design_profiled(g, z0, mats2, ell, y)
-        b = design_bilayer(pair, mats2, ell, y)
-        assert a[0] == pytest.approx(b[0], rel=1e-12, abs=1e-15)
-        assert a[1] == pytest.approx(b[1], rel=1e-12, abs=1e-15)
-
-    with pytest.raises(InfeasibleDesignError):
-        design_profiled(g, 1.0, CoatingMaterials(z1=0.5, z2=1.0), ell, 0.0)
-    with pytest.raises(DomainError):
-        design_profiled(g, -1.0, mats, ell, 0.0)
-    with pytest.raises(DomainError):
-        design_profiled(lambda y: -0.1, 1.0, mats, ell, 0.0)
 
 
 def test_geometry_on_the_gaussian_example():

@@ -24,7 +24,7 @@ from slabscat.kernels import (
     q_tilde,
     varpi,
 )
-from slabscat.numerics import AccuracyError, DomainError, TransformSpec
+from slabscat.numerics import DomainError, TransformSpec, TruncationError
 from slabscat.profiles import Profile2D, ex1_profile, gaussian_slab_2d
 
 
@@ -150,7 +150,7 @@ def test_q_tilde_one_sided_support():
     )
     assert q_tilde(prof, 0.5, 0.5, q, 1.0) == pytest.approx(conv, rel=1e-6)
 
-    with pytest.raises(AccuracyError):
+    with pytest.raises(TruncationError):
         q_tilde(
             gaussian_slab_2d(1.0, 1.0),
             0.5,

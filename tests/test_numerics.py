@@ -10,14 +10,13 @@ from slabscat.numerics import (
     QuadratureSpec,
     TransformSpec,
     TruncationError,
+    check_edge_decay,
     fourier_1d,
-    fourier_2d,
     gauss_legendre,
     heaviside,
     integrate_1d,
     integrate_2d,
-    sinc,
-    sj,
+    transform_samples_2d,
 )
 from slabscat.numerics import _GK_WEIGHTS, _G_WEIGHTS, _WG
 
@@ -27,35 +26,6 @@ def test_heaviside_convention():
     assert heaviside(3.2) == 1.0
     assert heaviside(-1e-300) == 0.0
     assert_allclose(heaviside(np.array([-1.0, 0.0, 2.0])), [0.0, 1.0, 1.0])
-
-
-def test_sinc_at_zero_and_large():
-    assert sinc(0.0) == 1.0
-    assert_allclose(sinc(np.pi), np.sin(np.pi) / np.pi, rtol=1e-15)
-    assert_allclose(sinc(-2.7), np.sin(2.7) / 2.7, rtol=1e-14)
-
-
-def test_sinc_series_matches_direct_near_zero():
-    # on [1e-4, 1e-2] the series branch and the direct ratio must agree
-    x = np.geomspace(1e-4, 1e-2, 57)
-    x = np.concatenate((-x, x))
-    direct = np.sin(x) / x
-    assert_allclose(sinc(x), direct, rtol=1e-15)
-
-
-def test_sj_small_orders():
-    assert sj(0, 0.5) == 0.5
-    assert_allclose(sj(1, 1.0), -1.0 / 6.0, rtol=1e-15)
-    assert sj(2, -1.0) == 0.0
-    assert sj(0, 0.0) == 0.0  # x^1 * heaviside(0) = 0
-    assert_allclose(sj(2, 2.0), 2.0**5 / 120.0, rtol=1e-15)
-
-
-def test_sj_overflow_signals_range_error():
-    with pytest.raises(OverflowError):
-        sj(200, 50.0)
-    with pytest.raises(DomainError):
-        sj(-1, 0.5)
 
 
 def test_gk_constants_consistent():
@@ -101,6 +71,45 @@ def test_integrate_scalar_only_integrand_falls_back():
     assert_allclose(got, 1.0 - math.exp(-1.0), rtol=1e-12)
 
 
+def _counted(f):
+    """f, plus a list that collects every abscissa f is called on."""
+    seen = []
+
+    def counted(x):
+        seen.extend(np.atleast_1d(x))
+        return f(x)
+
+    return counted, seen
+
+
+def test_integrate_evaluates_each_abscissa_once():
+    # a quadratic converges on the 4 initial panels: 4 x 15 abscissae, the
+    # first panel's probe values included
+    f, seen = _counted(lambda x: x * x)
+    assert_allclose(integrate_1d(f, 0.0, 1.0), 1.0 / 3.0, rtol=1e-14)
+    assert len(seen) == 60
+    assert len(set(seen)) == 60
+
+
+def test_integrate_non_finite_integrand_fails_fast():
+    f, seen = _counted(lambda x: np.where(x > 0.9, np.nan, x))
+    with pytest.raises(AccuracyError, match=r"not finite on \[0.75, 1\]"):
+        integrate_1d(f, 0.0, 1.0)
+    assert len(seen) == 60
+
+
+def test_integrate_propagates_package_errors():
+    calls = []
+
+    def rejects(x):
+        calls.append(x)
+        raise DomainError("outside the domain")
+
+    with pytest.raises(DomainError):
+        integrate_1d(rejects, 0.0, 1.0)
+    assert len(calls) == 1  # no per-node retry
+
+
 def test_integrate_budget_exhaustion_attaches_estimate():
     spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
     with pytest.raises(AccuracyError) as info:
@@ -130,10 +139,6 @@ def test_transform_spec_validation():
         TransformSpec(truncation_radius=-1.0)
     with pytest.raises(DomainError):
         TransformSpec(truncation_radius=1.0, sample_count=1000)
-    with pytest.raises(DomainError):
-        TransformSpec(truncation_radius=1.0, scheme="fft")
-    # power-of-two requirement only applies to the numeric scheme
-    TransformSpec(truncation_radius=1.0, sample_count=1000, scheme="analytic")
 
 
 GAUSS_SPEC = TransformSpec(truncation_radius=12.0, sample_count=4096)
@@ -180,22 +185,30 @@ def test_fourier_truncation_guard():
         fourier_1d(slow, 0.5, spec)
 
 
-def test_fourier_analytic_scheme():
-    spec = TransformSpec(truncation_radius=12.0, scheme="analytic")
-    got = fourier_1d(gaussian, 1.25, spec, analytic_transform=gaussian_hat)
-    assert_allclose(got, gaussian_hat(1.25), rtol=1e-15)
-    with pytest.raises(DomainError):
-        fourier_1d(gaussian, 1.25, spec)
+def test_edge_decay_check_covers_every_edge():
+    check_edge_decay(np.zeros(5), "zero")
+    check_edge_decay(np.array([1e-7, 1.0, 1e-7]), "decayed")
+    mesh = np.zeros((5, 5))
+    mesh[2, 2] = 1.0
+    check_edge_decay(mesh, "decayed mesh")
+    for i, j in ((0, 2), (4, 2), (2, 0), (2, 4)):
+        edged = mesh.copy()
+        edged[i, j] = 1e-3
+        with pytest.raises(TruncationError, match="edged"):
+            check_edge_decay(edged, "edged")
 
 
 def test_fourier_2d_gaussian():
-    spec = TransformSpec(truncation_radius=12.0, sample_count=512)
-    f = lambda X, Y: np.exp(-0.5 * (X * X + Y * Y))
+    radius, n = 12.0, 512
+    x = np.linspace(-radius, radius, n + 1)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    values = np.exp(-0.5 * (X * X + Y * Y))
+    check_edge_decay(values, "gaussian")
     for pvec in ((0.0, 0.0), (1.0, -0.5), (math.sqrt(2.0), 0.3)):
-        got = fourier_2d(f, pvec, spec)
+        got = transform_samples_2d(values, radius, pvec)
         expect = 2.0 * np.pi * np.exp(-0.5 * (pvec[0] ** 2 + pvec[1] ** 2))
         assert_allclose(got, expect, rtol=1e-8, atol=1e-10)
-    batch = fourier_2d(f, np.array([[0.0, 0.0], [1.0, -0.5]]), spec)
+    batch = transform_samples_2d(values, radius, np.array([[0.0, 0.0], [1.0, -0.5]]))
     assert batch.shape == (2,)
 
 

@@ -13,7 +13,9 @@ from slabscat.numerics import (
     integrate_1d,
 )
 from slabscat.profiles import (
+    CoatedProfile2D,
     Profile2D,
+    Profile3D,
     coated_profile,
     ex1_profile,
     gaussian_slab_2d,
@@ -21,7 +23,6 @@ from slabscat.profiles import (
     layered_profile,
     moment_2d,
     moment_3d,
-    moment_table,
     profile_from_dict,
     sampled_profile,
     separable_profile,
@@ -194,6 +195,55 @@ def test_layered_profile_exact_axial_moments():
     assert_allclose(numeric, g_hat(p), rtol=1e-7)
 
 
+def test_numeric_moments_share_the_sample_cache():
+    prof = gaussian_slab_2d(0.7, 1.3)
+    spec = TransformSpec(prof.decay_radius, 1024)
+    m0 = moment_2d(prof, 0, 0.4, 1.0)
+    assert_allclose(moment_2d(prof, 1, 0.4, 1.0, transform=spec, method="numeric"), m0 / 2)
+    assert_allclose(moment_2d(prof, 2, 0.4, 1.0, transform=spec, method="numeric"), m0 / 3)
+    # the cache holds sample arrays only: no stand-in profile objects
+    for samples in prof._cache.values():
+        assert all(isinstance(v, np.ndarray) for v in samples.values())
+
+    calls = []
+
+    def counted(x_frac, y, k):
+        calls.append(x_frac)
+        return prof.eval(x_frac, y, k)
+
+    bare = Profile2D(eval=counted, decay_radius=prof.decay_radius)
+    auto = moment_2d(bare, 0, 0.4, 1.0, transform=spec)
+    sampled = len(calls)
+    assert sampled > 0
+    assert moment_2d(bare, 0, 0.4, 1.0, transform=spec, method="numeric") == auto
+    assert len(calls) == sampled  # the forced route hit the same cache
+
+
+def test_negligible_moments_skip_the_truncation_check():
+    # w = (1 - 2 x) g + P(x), with g a decaying Gaussian and P a shifted
+    # Legendre polynomial orthogonal to the sampled powers of x: the zeroth
+    # moment is rounding noise that does not decay, which must not trip the
+    # truncation check, while the first moment -g/6 is checked and sampled
+    def inside(x):
+        return (x >= 0) & (x <= 1)
+
+    def w2(x, y, k):
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        p3 = 20 * x**3 - 30 * x**2 + 12 * x - 1
+        return np.where(inside(x), (1 - 2 * x) * np.exp(-0.5 * y * y) + p3, 0.0)
+
+    def w3(r1, r2, z, k):
+        r1, r2, z = np.broadcast_arrays(r1, r2, np.asarray(z, float))
+        p2 = 6 * z**2 - 6 * z + 1
+        return np.where(inside(z), (1 - 2 * z) * np.exp(-0.5 * (r1 * r1 + r2 * r2)) + p2, 0.0)
+
+    m1 = moment_2d(Profile2D(eval=w2, decay_radius=12.0), 1, 0.0, 1.0)
+    assert_allclose(m1, -np.sqrt(2 * np.pi) / 6, rtol=1e-8)
+    prof3 = Profile3D(eval=w3, decay_radius=12.0)
+    m1 = moment_3d(prof3, 1, (0.0, 0.0), 1.0, transform=TransformSpec(12.0, 128))
+    assert_allclose(m1, -2 * np.pi / 6, rtol=1e-8)
+
+
 def test_truncation_guard_on_undersized_radius():
     prof = separable_profile(
         axial=lambda xf: np.ones_like(np.asarray(xf, dtype=complex)),
@@ -203,6 +253,11 @@ def test_truncation_guard_on_undersized_radius():
     )
     with pytest.raises(TruncationError):
         moment_2d(prof, 0, 0.5, 1.0)
+    with pytest.raises(TruncationError):
+        moment_3d(
+            gaussian_slab_3d(1.0, 1.0), 0, (0.5, 0.0), 1.0, method="numeric",
+            transform=TransformSpec(2.0, 64),
+        )
 
 
 def test_sampled_profile_interpolates_and_vanishes_outside():
@@ -216,15 +271,20 @@ def test_sampled_profile_interpolates_and_vanishes_outside():
 
 
 def test_profile_from_dict_round_trip():
-    d = {"type": "ex1", "params": {"z": [0.3, 0.0], "alpha": 2.0, "L": 1.0}}
+    d = {"catalog": "ex1", "z": [0.3, 0.0], "alpha": 2.0, "L": 1.0}
     prof = profile_from_dict(d)
     assert_allclose(
         moment_2d(prof, 0, 3.0, 1.0),
         moment_2d(ex1_profile(Z, ALPHA, LW), 0, 3.0, 1.0),
         rtol=1e-14,
     )
+    g3 = profile_from_dict({"catalog": "gaussian3d", "z": 2.0, "L": 1.0})
+    assert_allclose(moment_3d(g3, 0, (0.0, 0.0), 1.0), 4.0 * np.pi, rtol=1e-14)
+    assert profile_from_dict({"catalog": "uniform1d", "n": 1.5}).descriptor.endswith("1.5")
     with pytest.raises(DomainError):
-        profile_from_dict({"type": "nope"})
+        profile_from_dict({"catalog": "nope"})
+    with pytest.raises(DomainError):
+        profile_from_dict({"catalog": "gaussian2d", "z": 1.0})  # L missing
 
 
 def _const_geometry(ell, l1, l2, ell_c):
@@ -239,7 +299,11 @@ def _const_geometry(ell, l1, l2, ell_c):
 
 def test_coated_zero_thickness_equals_rescaled_bare():
     slab = gaussian_slab_2d(0.8, 1.5)
-    coated = coated_profile(slab, _const_geometry(2.0, 0.0, 0.0, 2.0), -1.0, 0.4)
+    geo = _const_geometry(2.0, 0.0, 0.0, 2.0)
+    coated = coated_profile(slab, geo, -1.0, 0.4)
+    assert isinstance(coated, CoatedProfile2D)
+    assert coated.bare is slab and coated.geometry is geo
+    assert (coated.z1, coated.z2) == (-1.0, 0.4)
     xf = np.linspace(0.0, 1.0, 11)
     y = np.linspace(-3.0, 3.0, 5)
     for yi in y:
@@ -276,13 +340,6 @@ def test_coated_extent_check():
         coated_profile(slab, _const_geometry(1.0, 1.0, 1.0, 2.5), -1.0, 0.4)
 
 
-def test_moment_table_binding():
-    prof = gaussian_slab_2d(0.7, 1.3)
-    table = moment_table(prof, 1)
-    assert table.l == 1
-    assert_allclose(table.value_at(0.5, 1.0), moment_2d(prof, 1, 0.5, 1.0), rtol=1e-14)
-
-
 def test_gaussian3d_moments():
     prof = gaussian_slab_3d(2.0, 1.0)
     pv = np.array([0.3, -0.2])
@@ -297,6 +354,18 @@ def test_gaussian3d_moments():
     assert batch.shape == (2,)
     with pytest.raises(DomainError):
         moment_3d(prof, 2, pv, 1.0)
+
+
+def test_moment_3d_sample_count_is_not_rewritten():
+    prof = gaussian_slab_3d(2.0, 1.0)
+    pv = np.array([0.3, -0.2])
+    # a request above the 3D cap is refused, not silently replaced
+    with pytest.raises(DomainError):
+        moment_3d(prof, 0, pv, 1.0, transform=TransformSpec(12.0, 8192))
+    with pytest.raises(DomainError):
+        moment_3d(prof, 0, pv, 1.0, method="numeric", transform=TransformSpec(12.0))
+    coarse = moment_3d(prof, 0, pv, 1.0, method="numeric", transform=TransformSpec(12.0, 64))
+    assert_allclose(coarse, 2 * np.pi * 2.0 * np.exp(-0.5 * (pv @ pv)), rtol=1e-6)
 
 
 def test_moment_validation():
