@@ -60,17 +60,6 @@ def test_design_trivial_and_pinned_values():
     assert l2 == pytest.approx(ell * FIG_RATIO, rel=1e-12)
     assert l1 == pytest.approx(ell * (1.0 + 0.4 * FIG_RATIO), rel=1e-12)
 
-    # across a profiled slab eps = 1 + z0 g(y) the general solve reduces to
-    # the closed form with radicand X = z0 g (z0 g - z1) / (z2 (z2 - z1))
-    z0, z1, z2 = 0.8, -0.9, 0.5
-    profiled = _gaussian_moments(z0, 2.0 * ell)
-    for y in (-1.3, -0.2, 0.0, 0.45, 2.0):
-        zg = profiled.w0bar(y)
-        X = zg * (zg - z1) / (z2 * (z2 - z1))
-        l1, l2 = design_bilayer(profiled, CoatingMaterials(z1=z1, z2=z2), ell, y)
-        assert l2 == pytest.approx(ell * np.sqrt(X), rel=1e-12, abs=1e-15)
-        assert l1 == pytest.approx(-ell * (z2 * np.sqrt(X) + zg) / z1, rel=1e-12, abs=1e-15)
-
 
 def test_design_nulls_the_moment_equations():
     rng = np.random.default_rng(20240815)
@@ -107,6 +96,24 @@ def test_design_infeasible_paths():
         design_bilayer(pair, mats_pos, 1.0, 0.0)
     with pytest.raises(DomainError):
         design_bilayer(pair, mats, -1.0, 0.0)
+
+
+def test_design_profiled_matches_bilayer():
+    # across a profiled slab eps = 1 + z0 g(y) the general solve reduces to
+    # the closed form with radicand X = z0 g (z0 g - z1) / (z2 (z2 - z1))
+    ell = 0.37
+    z0, z1, z2 = 0.8, -0.9, 0.5
+    profiled = _gaussian_moments(z0, 2.0 * ell)
+    for y in (-1.3, -0.2, 0.0, 0.45, 2.0):
+        zg = profiled.w0bar(y)
+        X = zg * (zg - z1) / (z2 * (z2 - z1))
+        l1, l2 = design_bilayer(profiled, CoatingMaterials(z1=z1, z2=z2), ell, y)
+        assert l2 == pytest.approx(ell * np.sqrt(X), rel=1e-12, abs=1e-15)
+        assert l1 == pytest.approx(-ell * (z2 * np.sqrt(X) + zg) / z1, rel=1e-12, abs=1e-15)
+
+    # a zero profile needs no coating
+    zero = _gaussian_moments(0.0, 2.0 * ell)
+    assert design_bilayer(zero, CoatingMaterials(z1=z1, z2=z2), ell, 0.0) == (0.0, 0.0)
 
 
 def test_geometry_on_the_gaussian_example():
