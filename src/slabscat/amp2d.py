@@ -39,6 +39,7 @@ __all__ = [
     "amplitude_2d",
 ]
 
+# |cos| below this marks a grazing angle (theta = +-pi/2), excluded everywhere
 _GRAZING_TOL = 1e-9
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp2d import AmplitudeResult
+from .amp2d import _GRAZING_TOL, AmplitudeResult
 from .numerics import DomainError, integrate_2d
 from .profiles import moment_3d
 
@@ -56,7 +56,6 @@ __all__ = [
     "normalized_cross_section",
 ]
 
-_GRAZING_TOL = 1e-9
 _PREF = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
 
 

@@ -22,15 +22,16 @@ profile points at a JSON file holding the same catalog object.
 Grids are either explicit arrays ``[v1, v2, ...]`` or ranges
 ``{"start": a, "stop": b, "count": n}`` (inclusive, linearly spaced).
 
-Per-command physics:
+Every command but ``cloak`` is one sweep: a few curves evaluated along one
+grid, of observation angle theta or of k*ell.  Per-command physics:
 
-* ``amp2d``:   k, ell, theta0, thetas (grid), orders (default [1, 2])
-* ``amp3d``:   k, ell, theta0, phi0, phi, thetas, orders
-* ``exact2d``: k, ell, theta0, thetas — ex1 catalog only, k <= alpha;
-  emits the exact amplitude (order tag 0) next to orders 1 and 2
-* ``kernels-check``: k, ell, theta0, thetas; evaluates the discretized
-  kernel route against the closed second-order amplitude and fails the run
-  (exit 3) if they disagree beyond check_tol
+* ``amp2d``, ``amp3d``, ``exact2d``, ``kernels-check``: theta sweeps over
+  ``thetas`` (grid) at fixed k, ell, theta0 (and phi0, phi in 3D), one curve
+  per entry of ``orders`` (default [1, 2]).  ``exact2d`` (ex1 catalog only,
+  k <= alpha) adds the exact amplitude (order tag 0) as the first curve;
+  ``kernels-check`` has the curves "kernels" (discretized kernel route) and
+  "closed" (second-order closed form) and fails the run (exit 3) if they
+  disagree beyond check_tol
 * ``cloak``:   ell, z0, z1, z2, g (catalog "gaussian" with L), y (grid),
   optional k; emits the designed layer-thickness table
 * ``dyson1d``: kls (grid), ell (default 1), max_terms, series_tol; emits
@@ -41,13 +42,13 @@ Per-command physics:
   profile; 3d over theta: fixed kl plus kL_values curves (the transverse
   width is derived per curve), orders selecting the truncation
 
-Sweep-style commands emit one row per grid point per method with the
-columns (variable, re_f, im_f, abs2_f, order, method); rows are assembled
-in grid-major deterministic order no matter how many worker threads
-evaluate them, floats are printed with 17 significant digits, and repeated
-runs are byte-identical.  Exit codes: 0 on success, 2 on validation
-failure, 3 on numerical failure; failures put a machine-readable JSON
-diagnostic on standard error.
+Sweeps emit one row per grid point per curve with the columns (variable,
+re_f, im_f, abs2_f, order, method); rows are assembled in grid-major
+deterministic order no matter how many worker threads evaluate them,
+floats are printed with 17 significant digits, and repeated runs, at any
+thread count and for kernels-check too, are byte-identical.  Exit codes: 0
+on success, 2 on validation failure, 3 on numerical failure; failures put a
+machine-readable JSON diagnostic on standard error.
 """
 
 import json
@@ -59,7 +60,7 @@ from importlib import resources
 import click
 import numpy as np
 
-from .amp2d import ScatteringConfig2D, amplitude_2d
+from .amp2d import _GRAZING_TOL, ScatteringConfig2D, amplitude_2d
 from .amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
 from .cloak import CoatingMaterials, SlabMomentPair, design_geometry, export_geometry
 from .dyson1d import scattering_1d, transfer_matrix_1d
@@ -71,7 +72,6 @@ from .profiles import CATALOG, profile_from_dict
 __all__ = ["main", "load_config", "validate_config", "execute"]
 
 _COMMANDS = ("amp2d", "amp3d", "exact2d", "kernels-check", "cloak", "dyson1d", "sweep")
-_GRAZING_TOL = 1e-9
 _PRESET_NAMES = ("fig3", "fig4", "fig6", "fig7", "fig8")
 
 _DEFAULT_NUMERICS = {
@@ -178,12 +178,10 @@ def _check_angles(values, label, violations, polar=False):
         violations.append(f"{label} must lie in [0, pi]")
 
 
-def _angle(phys, key, violations, default=None, polar=False):
+def _angle(phys, key, violations, polar=False):
     if key not in phys:
-        if default is None:
-            violations.append(f"physics.{key} is required")
-            return 0.0
-        return default
+        violations.append(f"physics.{key} is required")
+        return 0.0
     value = phys[key]
     if not isinstance(value, (int, float)):
         violations.append(f"physics.{key} must be a number")
@@ -242,8 +240,24 @@ def _validate_profile(prof, dimension, violations, derived=()):
 
 
 @dataclass
+class Sweep:
+    """Curves evaluated along one grid; every command but cloak is one.
+
+    ``domain`` selects the point function and the shape of a curve: in 2D
+    (method, order tag), method one of order1, order2, exact, kernels,
+    closed; in 3D (profile overrides, fixed theta or None, order, label);
+    in 1D (channel, order tag).  Rows are grid-major, curves in list order.
+    """
+
+    domain: str
+    variable: str  # "theta" or "kl"
+    grid: np.ndarray
+    curves: list
+
+
+@dataclass
 class RunConfig:
-    """A validated run: command, built inputs, and output destination."""
+    """A validated run: fixed physics, its sweep (None for cloak), and output."""
 
     command: str
     profile: dict
@@ -251,6 +265,7 @@ class RunConfig:
     numerics: dict
     out_path: str
     out_format: str
+    sweep: Sweep
 
 
 def validate_config(raw):
@@ -275,10 +290,8 @@ def validate_config(raw):
                 violations.append(f"numerics.{key} must be an integer >= {floor}")
             else:
                 numerics[key] = value
-        elif not isinstance(value, (int, float)) or not value > 0:
-            violations.append(f"numerics.{key} must be a positive number")
         else:
-            numerics[key] = float(value)
+            numerics[key] = _positive(value, f"numerics.{key}", violations)
 
     output = raw.get("output", {})
     if not isinstance(output, dict):
@@ -299,51 +312,18 @@ def validate_config(raw):
         phys_raw = {}
     prof_raw = _profile_dict(raw, violations)
 
-    profile, physics = _validate_command(
+    profile, physics, sweep = _validate_command(
         command, prof_raw, phys_raw, raw, violations
     )
     if violations:
         return None, violations
-    return RunConfig(command, profile, physics, numerics, out_path, out_format), []
+    return RunConfig(command, profile, physics, numerics, out_path, out_format, sweep), []
 
 
 def _validate_command(command, prof, phys, raw, violations):
-    physics = {}
-    if command in ("amp2d", "exact2d", "kernels-check"):
-        profile = _validate_profile(prof, "2d", violations)
-        if command == "exact2d" and profile is not None and profile["catalog"] != "ex1":
-            violations.append("exact2d requires the ex1 catalog profile")
-            profile = None
-        physics["k"] = _positive(phys.get("k", 0.0), "physics.k", violations)
-        physics["ell"] = _positive(phys.get("ell", 0.0), "physics.ell", violations)
-        physics["theta0"] = _angle(phys, "theta0", violations)
-        thetas = _grid(phys.get("thetas"), "physics.thetas", violations)
-        _check_angles(thetas, "physics.thetas", violations)
-        physics["thetas"] = thetas
-        physics["orders"] = _orders(phys, violations)
-        if (
-            command == "exact2d"
-            and profile is not None
-            and physics["k"] > profile["alpha"] * (1.0 + 1e-12)
-        ):
-            violations.append("exact2d requires k <= profile alpha")
-        return profile, physics
-
-    if command == "amp3d":
-        profile = _validate_profile(prof, "3d", violations)
-        physics["k"] = _positive(phys.get("k", 0.0), "physics.k", violations)
-        physics["ell"] = _positive(phys.get("ell", 0.0), "physics.ell", violations)
-        physics["theta0"] = _angle(phys, "theta0", violations, polar=True)
-        physics["phi0"] = float(phys.get("phi0", 0.0))
-        physics["phi"] = float(phys.get("phi", 0.0))
-        thetas = _grid(phys.get("thetas"), "physics.thetas", violations)
-        _check_angles(thetas, "physics.thetas", violations, polar=True)
-        physics["thetas"] = thetas
-        physics["orders"] = _orders(phys, violations)
-        return profile, physics
-
+    """Check a command's inputs; returns (profile, fixed physics, Sweep or None)."""
     if command == "cloak":
-        physics["ell"] = _positive(phys.get("ell", 0.0), "physics.ell", violations)
+        physics = {"ell": _positive(phys.get("ell", 0.0), "physics.ell", violations)}
         for key in ("z0", "z1", "z2"):
             value = phys.get(key)
             if not isinstance(value, (int, float)):
@@ -365,84 +345,112 @@ def _validate_command(command, prof, phys, raw, violations):
         if k is not None:
             k = _positive(k, "physics.k", violations)
         physics["k"] = k
-        return None, physics
+        return None, physics, None
 
     if command == "dyson1d":
         profile = _validate_profile(prof, "1d", violations)
-        physics["kls"] = _grid(phys.get("kls"), "physics.kls", violations, positive=True)
-        physics["ell"] = _positive(phys.get("ell", 1.0), "physics.ell", violations)
-        return profile, physics
+        grid = _grid(phys.get("kls"), "physics.kls", violations, positive=True)
+        physics = {"ell": _positive(phys.get("ell", 1.0), "physics.ell", violations)}
+        curves = [("R_left", 0), ("R_right", 0), ("T", 0)]
+        return profile, physics, Sweep("1d", "kl", grid, curves)
+
+    if command in ("amp2d", "exact2d", "kernels-check", "amp3d"):
+        polar = command == "amp3d"
+        profile = _validate_profile(prof, "3d" if polar else "2d", violations)
+        if command == "exact2d" and profile is not None and profile["catalog"] != "ex1":
+            violations.append("exact2d requires the ex1 catalog profile")
+            profile = None
+        physics = {
+            "k": _positive(phys.get("k", 0.0), "physics.k", violations),
+            "ell": _positive(phys.get("ell", 0.0), "physics.ell", violations),
+            "theta0": _angle(phys, "theta0", violations, polar=polar),
+        }
+        if polar:
+            physics["phi0"] = float(phys.get("phi0", 0.0))
+            physics["phi"] = float(phys.get("phi", 0.0))
+        thetas = _grid(phys.get("thetas"), "physics.thetas", violations)
+        _check_angles(thetas, "physics.thetas", violations, polar=polar)
+        orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
+        if command == "amp3d":
+            curves = [({}, None, order, f"order{order}") for order in orders]
+            return profile, physics, Sweep("3d", "theta", thetas, curves)
+        curves = [(f"order{order}", order) for order in orders]
+        if command == "kernels-check":
+            curves = [("kernels", 2), ("closed", 2)]
+        elif command == "exact2d":
+            curves.insert(0, ("exact", 0))
+            if profile is not None and physics["k"] > profile["alpha"] * (1.0 + 1e-12):
+                violations.append("exact2d requires k <= profile alpha")
+        return profile, physics, Sweep("2d", "theta", thetas, curves)
 
     # sweep
     domain = raw.get("domain", "2d")
     if domain not in ("2d", "3d"):
         violations.append("domain must be '2d' or '3d'")
-        return None, physics
-    physics["domain"] = domain
+        return None, {}, None
     variable = phys.get("variable")
     if variable not in ("kl", "theta"):
         violations.append("physics.variable must be 'kl' or 'theta'")
-        return None, physics
-    physics["variable"] = variable
-    physics["grid"] = _grid(
-        phys.get("grid"), "physics.grid", violations, positive=(variable == "kl")
-    )
-    physics["ell"] = _positive(phys.get("ell", 0.0), "physics.ell", violations)
+        return None, {}, None
+    grid = _grid(phys.get("grid"), "physics.grid", violations, positive=(variable == "kl"))
+    physics = {"ell": _positive(phys.get("ell", 0.0), "physics.ell", violations)}
 
     if domain == "2d":
         if variable != "kl":
             violations.append("2d sweeps support variable 'kl' only")
-            return None, physics
+            return None, physics, None
         profile = _validate_profile(prof, "2d", violations)
         physics["theta"] = _angle(phys, "theta", violations)
         physics["theta0"] = _angle(phys, "theta0", violations)
-        methods = phys.get("methods", ["order1", "order2"])
         known = ("order1", "order2", "exact")
-        if (
-            not isinstance(methods, list)
-            or len(methods) == 0
-            or any(m not in known for m in methods)
-        ):
-            violations.append(f"physics.methods must be a nonempty subset of {known}")
-            methods = ["order2"]
+        methods = _subset(phys, "methods", known, ["order1", "order2"], violations)
         if "exact" in methods and (profile is None or profile["catalog"] != "ex1"):
             violations.append("the 'exact' sweep method requires the ex1 catalog")
-        physics["methods"] = list(methods)
-        return profile, physics
+        curves = [(m, 0 if m == "exact" else int(m[-1])) for m in methods]
+        return profile, physics, Sweep("2d", "kl", grid, curves)
 
     physics["theta0"] = _angle(phys, "theta0", violations, polar=True)
     physics["phi0"] = float(phys.get("phi0", 0.0))
     physics["phi"] = float(phys.get("phi", 0.0))
-    physics["orders"] = _orders(phys, violations)
+    orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
     if variable == "kl":
         profile = _validate_profile(prof, "3d", violations)
         theta_values = _grid(phys.get("theta_values"), "physics.theta_values", violations)
         _check_angles(theta_values, "physics.theta_values", violations, polar=True)
-        physics["theta_values"] = theta_values
-        return profile, physics
+        curves = [
+            ({}, theta, order, f"theta={theta:.6g}")
+            for theta in theta_values
+            for order in orders
+        ]
+        return profile, physics, Sweep("3d", "kl", grid, curves)
     profile = _validate_profile(prof, "3d", violations, derived=("L",))
     if profile is not None and "L" in prof:
         violations.append(
             "theta sweeps derive the transverse width from kL_values; drop profile.L"
         )
-    _check_angles(physics["grid"], "physics.grid", violations, polar=True)
-    physics["kl"] = _positive(phys.get("kl", 0.0), "physics.kl", violations)
-    physics["kL_values"] = _grid(
-        phys.get("kL_values"), "physics.kL_values", violations, positive=True
-    )
-    return profile, physics
+    _check_angles(grid, "physics.grid", violations, polar=True)
+    physics["k"] = _positive(phys.get("kl", 0.0), "physics.kl", violations) / physics["ell"]
+    kL_values = _grid(phys.get("kL_values"), "physics.kL_values", violations, positive=True)
+    curves = []
+    for kL in kL_values:
+        for order in orders:
+            if len(kL_values) == 1:
+                label = f"order{order}"
+            elif len(orders) == 1:
+                label = f"kL={kL:.6g}"
+            else:
+                label = f"kL={kL:.6g},order{order}"
+            curves.append(({"L": kL / physics["k"]}, None, order, label))
+    return profile, physics, Sweep("3d", "theta", grid, curves)
 
 
-def _orders(phys, violations):
-    orders = phys.get("orders", [1, 2])
-    if (
-        not isinstance(orders, list)
-        or len(orders) == 0
-        or any(o not in (1, 2) for o in orders)
-    ):
-        violations.append("physics.orders must be a nonempty subset of [1, 2]")
-        return [2]
-    return list(orders)
+def _subset(phys, key, known, default, violations):
+    """A nonempty list drawn from ``known`` (default's last entry on error)."""
+    values = phys.get(key, default)
+    if not (isinstance(values, list) and values and all(v in known for v in values)):
+        violations.append(f"physics.{key} must be a nonempty subset of {known}")
+        return default[-1:]
+    return list(values)
 
 
 # ---------------------------------------------------------------------------
@@ -466,110 +474,121 @@ def _map_ordered(fn, values, threads):
 
 def execute(cfg, threads=1):
     """Run a validated config; returns (SweepResult or BilayerGeometry, note)."""
-    handler = {
-        "amp2d": _run_amp2d,
-        "amp3d": _run_amp3d,
-        "exact2d": _run_exact2d,
-        "kernels-check": _run_kernels_check,
-        "cloak": _run_cloak,
-        "dyson1d": _run_dyson1d,
-        "sweep": _run_sweep,
-    }[cfg.command]
-    return handler(cfg, threads)
+    if cfg.sweep is None:
+        return _run_cloak(cfg)
+    sweep = cfg.sweep
+    point = _POINTS[sweep.domain](cfg)
+    rows = [
+        (x, value.real, value.imag, abs(value) ** 2, order, label)
+        for chunk in _map_ordered(point, sweep.grid, threads)
+        for x, value, order, label in chunk
+    ]
+    result = SweepResult(variable=sweep.variable, rows=rows)
+    if cfg.command == "kernels-check":
+        return result, _kernel_deviation(rows, cfg.numerics["check_tol"])
+    return result, f"{len(rows)} rows"
 
 
 def _quad_spec(cfg):
     return QuadratureSpec(rel_tol=cfg.numerics["rel_tol"], abs_tol=1e-14)
 
 
-def _run_amp2d(cfg, threads):
+def _wavenumber(cfg, x):
+    """k at grid value x: fixed for theta sweeps, x / ell for kl sweeps."""
+    return cfg.physics["k"] if cfg.sweep.variable == "theta" else x / cfg.physics["ell"]
+
+
+def _point_2d(cfg):
+    """Point function of a 2D sweep: x -> rows of every (method, order) curve."""
     prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
-    config = ScatteringConfig2D(k=phys["k"], ell=phys["ell"], theta0=phys["theta0"])
     spec = _quad_spec(cfg)
+    params = None
+    if cfg.profile["catalog"] == "ex1":
+        params = Ex1Params(**{key: cfg.profile[key] for key in ("z", "alpha", "L")})
 
-    def point(theta):
-        out = []
-        for order in phys["orders"]:
-            res = amplitude_2d(prof, config, theta, order=order, spec=spec)
-            out.append((theta, res.truncated, order, f"order{order}"))
-        return out
-
-    rows = [r for chunk in _map_ordered(point, phys["thetas"], threads) for r in chunk]
-    return _pack("theta", rows), f"{len(rows)} rows"
-
-
-def _run_amp3d(cfg, threads):
-    prof = profile_from_dict(cfg.profile)
-    phys = cfg.physics
-    config = ScatteringConfig3D(
-        k=phys["k"], ell=phys["ell"], theta0=phys["theta0"], phi0=phys["phi0"]
-    )
-    spec = _quad_spec(cfg)
-
-    def point(theta):
-        direction = Direction3D(theta, phys["phi"])
-        out = []
-        for order in phys["orders"]:
-            res = amplitude_3d(prof, config, direction, order=order, spec=spec)
-            out.append((theta, res.truncated, order, f"order{order}"))
-        return out
-
-    rows = [r for chunk in _map_ordered(point, phys["thetas"], threads) for r in chunk]
-    return _pack("theta", rows), f"{len(rows)} rows"
-
-
-def _run_exact2d(cfg, threads):
-    prof = profile_from_dict(cfg.profile)
-    params = Ex1Params(
-        z=cfg.profile["z"], alpha=cfg.profile["alpha"], L=cfg.profile["L"]
-    )
-    phys = cfg.physics
-    config = ScatteringConfig2D(k=phys["k"], ell=phys["ell"], theta0=phys["theta0"])
-    spec = _quad_spec(cfg)
-
-    def point(theta):
-        out = [(theta, ex1_exact(params, config, theta), 0, "exact")]
-        for order in phys["orders"]:
-            res = amplitude_2d(prof, config, theta, order=order, spec=spec)
-            out.append((theta, res.truncated, order, f"order{order}"))
-        return out
-
-    rows = [r for chunk in _map_ordered(point, phys["thetas"], threads) for r in chunk]
-    return _pack("theta", rows), f"{len(rows)} rows"
-
-
-def _run_kernels_check(cfg, threads):
-    prof = profile_from_dict(cfg.profile)
-    phys = cfg.physics
-    config = ScatteringConfig2D(k=phys["k"], ell=phys["ell"], theta0=phys["theta0"])
-    spec = _quad_spec(cfg)
-    node_count = cfg.numerics["node_count"]
-
-    def point(theta):
-        via_kernels = amplitude_from_kernels(
-            prof, config, theta, truncation=2, node_count=node_count
+    def point(x):
+        config = ScatteringConfig2D(
+            k=_wavenumber(cfg, x), ell=phys["ell"], theta0=phys["theta0"]
         )
-        closed = amplitude_2d(prof, config, theta, order=2, spec=spec).truncated
-        return [
-            (theta, via_kernels, 2, "kernels"),
-            (theta, closed, 2, "closed"),
-        ]
+        theta = x if cfg.sweep.variable == "theta" else phys["theta"]
+        out = []
+        for method, order in cfg.sweep.curves:
+            if method == "exact":
+                if config.k > params.alpha * (1.0 + 1e-12):
+                    continue  # the exact formula stops being valid above alpha
+                value = ex1_exact(params, config, theta)
+            elif method == "kernels":
+                value = amplitude_from_kernels(
+                    prof, config, theta, truncation=2,
+                    node_count=cfg.numerics["node_count"],
+                )
+            else:  # order1, order2, closed
+                value = amplitude_2d(prof, config, theta, order=order, spec=spec).truncated
+            out.append((x, value, order, method))
+        return out
 
-    chunks = _map_ordered(point, phys["thetas"], threads)
-    rows = [r for chunk in chunks for r in chunk]
-    scale = max(abs(r[1]) for r in rows if r[3] == "closed")
-    worst = 0.0
-    for chunk in chunks:
-        gap = abs(chunk[0][1] - chunk[1][1])
-        worst = max(worst, gap / scale if scale > 0 else gap)
-    note = f"max deviation {worst:.3e} against tolerance {cfg.numerics['check_tol']:.1e}"
-    if not worst <= cfg.numerics["check_tol"]:
+    return point
+
+
+def _point_3d(cfg):
+    """Point function of a 3D sweep: x -> rows of every curve."""
+    phys = cfg.physics
+    spec = _quad_spec(cfg)
+    keys = [tuple(curve[0].items()) for curve in cfg.sweep.curves]
+    built = {key: profile_from_dict(dict(cfg.profile, **dict(key))) for key in set(keys)}
+    profiles = [built[key] for key in keys]
+
+    def point(x):
+        config = ScatteringConfig3D(
+            k=_wavenumber(cfg, x), ell=phys["ell"], theta0=phys["theta0"], phi0=phys["phi0"]
+        )
+        out = []
+        for prof, (_, theta, order, label) in zip(profiles, cfg.sweep.curves):
+            direction = Direction3D(x if theta is None else theta, phys["phi"])
+            res = amplitude_3d(prof, config, direction, order=order, spec=spec)
+            out.append((x, res.truncated, order, label))
+        return out
+
+    return point
+
+
+def _point_1d(cfg):
+    """Point function of a 1D sweep: kl -> rows of the R_left, R_right, T curves."""
+    prof = profile_from_dict(cfg.profile)
+    ell = cfg.physics["ell"]
+
+    def point(kl):
+        matrix = transfer_matrix_1d(
+            prof,
+            kl / ell,
+            ell,
+            max_terms=cfg.numerics["max_terms"],
+            tol=cfg.numerics["series_tol"],
+        )
+        channels = dict(zip(("R_left", "R_right", "T"), scattering_1d(matrix)))
+        return [(kl, channels[name], order, name) for name, order in cfg.sweep.curves]
+
+    return point
+
+
+_POINTS = {"1d": _point_1d, "2d": _point_2d, "3d": _point_3d}
+
+
+def _kernel_deviation(rows, check_tol):
+    """Largest kernel-vs-closed gap relative to the largest closed amplitude."""
+    kernels = np.array([complex(r[1], r[2]) for r in rows if r[5] == "kernels"])
+    closed = np.array([complex(r[1], r[2]) for r in rows if r[5] == "closed"])
+    scale = float(np.max(np.abs(closed)))
+    worst = float(np.max(np.abs(kernels - closed)))  # a NaN gap fails the check
+    worst = worst / scale if scale > 0 else worst
+    note = f"max deviation {worst:.3e} against tolerance {check_tol:.1e}"
+    if not worst <= check_tol:
         raise AccuracyError(f"kernel route disagrees with the closed forms: {note}")
-    return _pack("theta", rows), note
+    return note
 
 
-def _run_cloak(cfg, threads):
+def _run_cloak(cfg):
     phys = cfg.physics
     L = phys["g_L"]
     z0 = phys["z0"]
@@ -590,129 +609,6 @@ def _run_cloak(cfg, threads):
         else f"infeasible: {geometry.reason}"
     )
     return geometry, note
-
-
-def _run_dyson1d(cfg, threads):
-    prof = profile_from_dict(cfg.profile)
-    phys = cfg.physics
-    ell = phys["ell"]
-
-    def point(kl):
-        matrix = transfer_matrix_1d(
-            prof,
-            kl / ell,
-            ell,
-            max_terms=cfg.numerics["max_terms"],
-            tol=cfg.numerics["series_tol"],
-        )
-        r_left, r_right, t = scattering_1d(matrix)
-        return [
-            (kl, r_left, 0, "R_left"),
-            (kl, r_right, 0, "R_right"),
-            (kl, t, 0, "T"),
-        ]
-
-    rows = [r for chunk in _map_ordered(point, phys["kls"], threads) for r in chunk]
-    return _pack("kl", rows), f"{len(rows)} rows"
-
-
-def _run_sweep(cfg, threads):
-    phys = cfg.physics
-    if phys["domain"] == "2d":
-        return _sweep_2d(cfg, threads)
-    if phys["variable"] == "kl":
-        return _sweep_3d_kl(cfg, threads)
-    return _sweep_3d_theta(cfg, threads)
-
-
-def _sweep_2d(cfg, threads):
-    prof = profile_from_dict(cfg.profile)
-    phys = cfg.physics
-    spec = _quad_spec(cfg)
-    params = None
-    if "exact" in phys["methods"]:
-        params = Ex1Params(
-            z=cfg.profile["z"], alpha=cfg.profile["alpha"], L=cfg.profile["L"]
-        )
-
-    def point(kl):
-        config = ScatteringConfig2D(
-            k=kl / phys["ell"], ell=phys["ell"], theta0=phys["theta0"]
-        )
-        out = []
-        for method in phys["methods"]:
-            if method == "exact":
-                if config.k > params.alpha * (1.0 + 1e-12):
-                    continue  # the exact formula stops being valid above alpha
-                out.append((kl, ex1_exact(params, config, phys["theta"]), 0, "exact"))
-            else:
-                order = int(method[-1])
-                res = amplitude_2d(prof, config, phys["theta"], order=order, spec=spec)
-                out.append((kl, res.truncated, order, method))
-        return out
-
-    rows = [r for chunk in _map_ordered(point, phys["grid"], threads) for r in chunk]
-    return _pack("kl", rows), f"{len(rows)} rows"
-
-
-def _sweep_3d_kl(cfg, threads):
-    prof = profile_from_dict(cfg.profile)
-    phys = cfg.physics
-    spec = _quad_spec(cfg)
-
-    def point(kl):
-        config = ScatteringConfig3D(
-            k=kl / phys["ell"],
-            ell=phys["ell"],
-            theta0=phys["theta0"],
-            phi0=phys["phi0"],
-        )
-        out = []
-        for theta in phys["theta_values"]:
-            direction = Direction3D(theta, phys["phi"])
-            for order in phys["orders"]:
-                res = amplitude_3d(prof, config, direction, order=order, spec=spec)
-                out.append((kl, res.truncated, order, f"theta={theta:.6g}"))
-        return out
-
-    rows = [r for chunk in _map_ordered(point, phys["grid"], threads) for r in chunk]
-    return _pack("kl", rows), f"{len(rows)} rows"
-
-
-def _sweep_3d_theta(cfg, threads):
-    phys = cfg.physics
-    spec = _quad_spec(cfg)
-    k = phys["kl"] / phys["ell"]
-    config = ScatteringConfig3D(
-        k=k, ell=phys["ell"], theta0=phys["theta0"], phi0=phys["phi0"]
-    )
-    curves = []
-    single_kL = len(phys["kL_values"]) == 1
-    for kL in phys["kL_values"]:
-        prof = profile_from_dict(dict(cfg.profile, L=kL / k))
-        for order in phys["orders"]:
-            label = f"order{order}" if single_kL else f"kL={kL:.6g}"
-            if not single_kL and len(phys["orders"]) > 1:
-                label = f"kL={kL:.6g},order{order}"
-            curves.append((prof, order, label))
-
-    def point(theta):
-        direction = Direction3D(theta, phys["phi"])
-        return [
-            (theta, amplitude_3d(p, config, direction, order=o, spec=spec).truncated, o, label)
-            for p, o, label in curves
-        ]
-
-    rows = [r for chunk in _map_ordered(point, phys["grid"], threads) for r in chunk]
-    return _pack("theta", rows), f"{len(rows)} rows"
-
-
-def _pack(variable, raw_rows):
-    rows = [
-        (var, value.real, value.imag, abs(value) ** 2, order, method)
-        for var, value, order, method in raw_rows
-    ]
-    return SweepResult(variable=variable, rows=rows)
 
 
 # ---------------------------------------------------------------------------

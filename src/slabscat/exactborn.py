@@ -24,7 +24,6 @@ coefficients from any amplitude-of-thickness function.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,6 @@ from .profiles import Profile2D
 __all__ = [
     "BornExactProfile",
     "Ex1Params",
-    "SupportSampleSpec",
     "is_born_exact",
     "ttv",
     "exact_amplitude",
@@ -72,14 +70,12 @@ class Ex1Params:
             raise DomainError("L must be positive")
 
 
-@dataclass(frozen=True)
-class SupportSampleSpec:
-    """Sampling grid used to probe the one-sided support condition."""
-
-    p_count: int = 25
-    x_count: int = 5
-    rel_tol: float = 1e-9
-    k: float = 1.0
+# sampling grid of the one-sided support probe: momenta per side, x_frac
+# slices, the tolerated below/above magnitude ratio, and the probing k
+_SUPPORT_P_COUNT = 25
+_SUPPORT_X_COUNT = 5
+_SUPPORT_REL_TOL = 1e-9
+_SUPPORT_K = 1.0
 
 
 def _transform_slice(profile, x_frac, p, k):
@@ -89,7 +85,7 @@ def _transform_slice(profile, x_frac, p, k):
     return complex(fourier_1d(lambda y: profile.eval(x_frac, y, k), p, spec))
 
 
-def is_born_exact(profile, alpha, sample_spec=None):
+def is_born_exact(profile, alpha):
     """Probe whether w~(x_frac, p; k) vanishes for all p <= alpha.
 
     The transform is sampled on a grid of x_frac slices and momenta below
@@ -97,13 +93,12 @@ def is_born_exact(profile, alpha, sample_spec=None):
     magnitude on the mirrored grid above alpha.  A profile that is zero
     everywhere passes vacuously.
     """
-    spec = sample_spec or SupportSampleSpec()
-    k = spec.k
+    k = _SUPPORT_K
     # momentum span: wide enough to cover both the reflected support window
     # and the spectral width suggested by the decay radius
     span = 2.0 * abs(alpha) + 100.0 / profile.decay_radius
-    offsets = span * np.linspace(0.0, 1.0, spec.p_count) ** 2
-    xs = np.linspace(0.05, 0.95, spec.x_count)
+    offsets = span * np.linspace(0.0, 1.0, _SUPPORT_P_COUNT) ** 2
+    xs = np.linspace(0.05, 0.95, _SUPPORT_X_COUNT)
     below = 0.0
     above = 0.0
     for xf in xs:
@@ -111,7 +106,7 @@ def is_born_exact(profile, alpha, sample_spec=None):
             below = max(below, abs(_transform_slice(profile, xf, alpha - d, k)))
             if d > 0:
                 above = max(above, abs(_transform_slice(profile, xf, alpha + d, k)))
-    return below <= spec.rel_tol * max(above, below)
+    return below <= _SUPPORT_REL_TOL * max(above, below)
 
 
 @dataclass
@@ -120,10 +115,9 @@ class BornExactProfile:
 
     base: Profile2D
     alpha: float
-    sample_spec: Optional[SupportSampleSpec] = None
 
     def __post_init__(self):
-        if not is_born_exact(self.base, self.alpha, self.sample_spec):
+        if not is_born_exact(self.base, self.alpha):
             raise DomainError(
                 "the profile's transform does not vanish below the support "
                 f"threshold alpha = {self.alpha}"

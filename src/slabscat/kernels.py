@@ -51,6 +51,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import BarycentricInterpolator
 
+from .amp2d import _GRAZING_TOL
 from .numerics import (
     AccuracyError,
     DomainError,
@@ -85,49 +86,31 @@ class MomentumGrid:
     k: float
     nodes: np.ndarray
     weights: np.ndarray
-    substitution: str
-    query_points: np.ndarray  # interpolation abscissae (phi for "sine", p otherwise)
+    query_points: np.ndarray  # interpolation abscissae phi, with p = k sin(phi)
 
     def query_of(self, p):
-        """Map a momentum to the interpolation variable of this grid."""
-        if self.substitution == "sine":
-            return np.arcsin(np.clip(p / self.k, -1.0, 1.0))
-        return p
+        """Map a momentum to the interpolation variable phi of this grid."""
+        return np.arcsin(np.clip(p / self.k, -1.0, 1.0))
 
 
-def momentum_grid(k, count=201, substitution="sine"):
-    """Build a Gauss-Legendre MomentumGrid with the requested substitution.
+def momentum_grid(k, count=201):
+    """Build a Gauss-Legendre MomentumGrid in phi, with p = k sin(phi).
 
-    "sine" places Gauss-Legendre nodes in phi with p = k sin(phi), so the
-    weights absorb the endpoint measure; "direct" puts the nodes in p itself.
+    The substitution makes the weights absorb the endpoint measure.
     """
     if not k > 0:
         raise DomainError("k must be positive")
     if count < 3:
         raise DomainError("a momentum grid needs at least 3 nodes")
     t, w = gauss_legendre(count)
-    if substitution == "sine":
-        phi = 0.5 * np.pi * t
-        nodes = k * np.sin(phi)
-        weights = 0.5 * np.pi * w * k * np.cos(phi)
-        query = phi
-    elif substitution == "direct":
-        nodes = k * t
-        weights = k * w
-        query = nodes
-    else:
-        raise DomainError("substitution must be 'sine' or 'direct'")
+    phi = 0.5 * np.pi * t
+    nodes = k * np.sin(phi)
+    weights = 0.5 * np.pi * w * k * np.cos(phi)
     if np.min(k - np.abs(nodes)) <= _EDGE_MARGIN * k:
         raise DomainError(
             "grid nodes fall within 1e-10 of |p| = k; reduce the node count"
         )
-    return MomentumGrid(
-        k=float(k),
-        nodes=nodes,
-        weights=weights,
-        substitution=substitution,
-        query_points=query,
-    )
+    return MomentumGrid(k=float(k), nodes=nodes, weights=weights, query_points=phi)
 
 
 @dataclass(frozen=True)
@@ -310,8 +293,7 @@ def _index_kernels(kernels):
         if grid is None:
             grid = km.grid
         elif km.grid is not grid and not (
-            km.grid.substitution == grid.substitution
-            and km.grid.nodes.shape == grid.nodes.shape
+            km.grid.nodes.shape == grid.nodes.shape
             and np.array_equal(km.grid.nodes, grid.nodes)
         ):
             raise DomainError("kernel matrices were built on mismatched grids")
@@ -330,6 +312,15 @@ def _lookup(table, j, a, b):
     raise DomainError(f"missing kernel matrix N^({j})_{a}{b} for the requested truncation")
 
 
+def _interpolant(grid, values):
+    """Barycentric interpolant in phi over the grid nodes.
+
+    scipy builds the weights over a random permutation of the nodes; a fixed
+    ``rng`` makes repeated calls, and so every amplitude, bit-for-bit equal.
+    """
+    return BarycentricInterpolator(grid.query_points, values, rng=0)
+
+
 def _column_at(values, grid, p0):
     """Interpolate the p' dependence of a kernel matrix at p' = p0.
 
@@ -339,7 +330,7 @@ def _column_at(values, grid, p0):
     the interpolant smooth.
     """
     scale = np.sqrt(1.0 - (grid.nodes / grid.k) ** 2)
-    interp = BarycentricInterpolator(grid.query_points, (values * scale).T)
+    interp = _interpolant(grid, (values * scale).T)
     s0 = math.sqrt(1.0 - (p0 / grid.k) ** 2)
     return np.asarray(interp(grid.query_of(p0)), dtype=complex) / s0
 
@@ -412,7 +403,7 @@ def amplitude_from_kernels(
     """
     if truncation not in (1, 2):
         raise DomainError("amplitude assembly supports truncation 1 or 2")
-    if abs(math.cos(theta)) < 1e-9:
+    if abs(math.cos(theta)) < _GRAZING_TOL:
         raise DomainError("theta = +-pi/2 is excluded")
     grid = momentum_grid(config.k, count=node_count)
     kernels = []
@@ -425,6 +416,6 @@ def amplitude_from_kernels(
     channels = assemble_channels(kernels, config, side, truncation)
     p = config.k * math.sin(theta)
     values = channels.A_plus if math.cos(theta) > 0 else channels.B_minus
-    interp = BarycentricInterpolator(grid.query_points, values)
+    interp = _interpolant(grid, values)
     smooth = complex(interp(grid.query_of(p)))
     return -1j / math.sqrt(2.0 * math.pi) * smooth

@@ -6,16 +6,28 @@ from click.testing import CliRunner
 from numpy.testing import assert_allclose
 
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
+from slabscat.amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
 from slabscat.cli import load_config, main, validate_config
 from slabscat.dyson1d import constant_slab_1d, scattering_1d, transfer_matrix_1d
+from slabscat.exactborn import Ex1Params, ex1_exact
 from slabscat.numerics import DomainError
-from slabscat.profiles import gaussian_slab_2d
+from slabscat.profiles import ex1_profile, gaussian_slab_2d, gaussian_slab_3d
 
 PRESETS = ("fig3", "fig4", "fig6", "fig7", "fig8")
 
 
 def _invoke(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def _run_json(tmp_path, cfg):
+    """Run cfg with JSON output; returns the payload's rows."""
+    cfg = dict(cfg, output={"path": str(tmp_path / "out.json"), "format": "json"})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = _invoke("run", "--config", str(path))
+    assert result.exit_code == 0, result.output
+    return json.loads((tmp_path / "out.json").read_text())["rows"]
 
 
 def test_presets_all_validate():
@@ -144,6 +156,50 @@ def test_amp2d_json_rows_match_the_api(tmp_path):
     assert_allclose(row[1] + 1j * row[2], expect, rtol=1e-12)
 
 
+def test_exact2d_rows_match_the_api(tmp_path):
+    cfg = {
+        "command": "exact2d",
+        "profile": {"catalog": "ex1", "z": 0.1, "alpha": 500.0, "L": 0.01},
+        "physics": {"k": 400.0, "ell": 0.001, "theta0": 4 * np.pi / 3, "thetas": [1.0, 2.0]},
+    }
+    rows = _run_json(tmp_path, cfg)
+    assert [(r[0], r[4], r[5]) for r in rows] == [
+        (theta, order, method)
+        for theta in (1.0, 2.0)
+        for order, method in ((0, "exact"), (1, "order1"), (2, "order2"))
+    ]
+    params = Ex1Params(z=0.1, alpha=500.0, L=0.01)
+    prof = ex1_profile(0.1, 500.0, 0.01)
+    config = ScatteringConfig2D(k=400.0, ell=0.001, theta0=4 * np.pi / 3)
+    for row in rows:
+        if row[5] == "exact":
+            expect = ex1_exact(params, config, row[0])
+        else:
+            expect = amplitude_2d(prof, config, row[0], order=row[4]).truncated
+        assert abs(expect) > 0
+        assert_allclose(row[1] + 1j * row[2], expect, rtol=1e-12)
+
+
+def test_amp3d_rows_match_the_api(tmp_path):
+    cfg = {
+        "command": "amp3d",
+        "profile": {"catalog": "gaussian3d", "z": 2.0, "L": 1.5},
+        "physics": {
+            "k": 0.8, "ell": 0.3, "theta0": 0.4, "phi0": 0.7, "phi": 1.9,
+            "thetas": [0.2, 2.5],
+        },
+    }
+    rows = _run_json(tmp_path, cfg)
+    assert [(r[0], r[4], r[5]) for r in rows] == [
+        (0.2, 1, "order1"), (0.2, 2, "order2"), (2.5, 1, "order1"), (2.5, 2, "order2"),
+    ]
+    prof = gaussian_slab_3d(2.0, 1.5)
+    config = ScatteringConfig3D(k=0.8, ell=0.3, theta0=0.4, phi0=0.7)
+    for row in rows:
+        expect = amplitude_3d(prof, config, Direction3D(row[0], 1.9), order=row[4])
+        assert_allclose(row[1] + 1j * row[2], expect.truncated, rtol=1e-12)
+
+
 def test_kernels_check_passes_then_fails_on_absurd_tol(tmp_path):
     cfg = {
         "command": "kernels-check",
@@ -180,8 +236,50 @@ def test_dyson1d_rows_match_the_api(tmp_path):
     assert_allclose(float(got[1]) + 1j * float(got[2]), r_left, rtol=1e-15)
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    cfg = {
+# one small config per row-producing command and sweep shape
+THREAD_CASES = {
+    "amp2d": {
+        "command": "amp2d",
+        "profile": {"catalog": "gaussian2d", "z": [0.3, 0.05], "L": 1.2},
+        "physics": {"k": 1.1, "ell": 0.05, "theta0": 2.5, "thetas": [0.4, 1.0, 2.8]},
+    },
+    "exact2d": {
+        "command": "exact2d",
+        "profile": {"catalog": "ex1", "z": 0.1, "alpha": 500.0, "L": 0.01},
+        "physics": {"k": 400.0, "ell": 0.001, "theta0": 4.0, "thetas": [0.5, 1.0, 2.0]},
+    },
+    "amp3d": {
+        "command": "amp3d",
+        "profile": {"catalog": "gaussian3d", "z": 2.0, "L": 1.5},
+        "physics": {"k": 0.8, "ell": 0.3, "theta0": 0.4, "phi0": 0.7, "phi": 1.9,
+                    "thetas": [0.2, 1.0, 2.5]},
+    },
+    "kernels_check": {
+        "command": "kernels-check",
+        "profile": {"catalog": "gaussian2d", "z": 0.3, "L": 1.2},
+        "physics": {"k": 1.1, "ell": 0.05, "theta0": 2.5, "thetas": [0.4, 2.0, 3.0]},
+        "numerics": {"node_count": 21},
+    },
+    "dyson1d": {
+        "command": "dyson1d",
+        "profile": {"catalog": "uniform1d", "n": 1.5},
+        "physics": {"kls": [0.1, 0.2, 0.4], "ell": 1.0},
+    },
+    "sweep2d_kl": {
+        "command": "sweep",
+        "domain": "2d",
+        "profile": {"catalog": "ex1", "z": 0.1, "alpha": 500.0, "L": 0.01},
+        "physics": {"variable": "kl", "grid": [0.2, 0.4, 0.6], "ell": 0.001,
+                    "theta": 1.0, "theta0": 4.0, "methods": ["order1", "order2", "exact"]},
+    },
+    "sweep3d_kl": {
+        "command": "sweep",
+        "domain": "3d",
+        "profile": {"catalog": "gaussian3d", "z": 3.0, "L": 2.0},
+        "physics": {"variable": "kl", "grid": [0.05, 0.1, 0.2], "ell": 1.0,
+                    "theta0": 0.0, "theta_values": [0.0, 2.0], "orders": [1, 2]},
+    },
+    "sweep3d_theta": {
         "command": "sweep",
         "domain": "3d",
         "profile": {"catalog": "gaussian3d", "z": 10.0},
@@ -194,13 +292,18 @@ def test_threads_do_not_change_bytes(tmp_path):
             "kL_values": [1.0],
             "orders": [2],
         },
-        "output": {"path": str(tmp_path / "t1.csv"), "format": "csv"},
-    }
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(THREAD_CASES))
+def test_threads_do_not_change_bytes(tmp_path, case):
+    cfg = dict(THREAD_CASES[case], output={"path": str(tmp_path / "t1.csv"), "format": "csv"})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert _invoke("run", "--config", str(path)).exit_code == 0
-    assert (
-        _invoke("run", "--config", str(path), "--threads", "4",
-                "--out", str(tmp_path / "t4.csv")).exit_code == 0
-    )
-    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
+    for threads in ("2", "4"):
+        out = tmp_path / f"t{threads}.csv"
+        result = _invoke("run", "--config", str(path), "--threads", threads, "--out", str(out))
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "t1.csv").read_bytes() == out.read_bytes()
