@@ -190,6 +190,21 @@ def _angle(phys, key, violations, polar=False):
     return float(value)
 
 
+def _azimuths(phys, physics, violations):
+    """Copy the 3D azimuths phi0 and phi (default 0) into ``physics``.
+
+    phi0 may be any finite number; phi must lie in Direction3D's [0, 2 pi).
+    """
+    for key in ("phi0", "phi"):
+        value = phys.get(key, 0.0)
+        if not isinstance(value, (int, float)) or not np.isfinite(value):
+            violations.append(f"physics.{key} must be a finite number")
+            value = 0.0
+        elif key == "phi" and not 0.0 <= value < 2.0 * np.pi:
+            violations.append("physics.phi must lie in [0, 2 pi)")
+        physics[key] = float(value)
+
+
 def _profile_dict(raw, violations):
     prof = raw.get("profile")
     if prof is None:
@@ -366,8 +381,7 @@ def _validate_command(command, prof, phys, raw, violations):
             "theta0": _angle(phys, "theta0", violations, polar=polar),
         }
         if polar:
-            physics["phi0"] = float(phys.get("phi0", 0.0))
-            physics["phi"] = float(phys.get("phi", 0.0))
+            _azimuths(phys, physics, violations)
         thetas = _grid(phys.get("thetas"), "physics.thetas", violations)
         _check_angles(thetas, "physics.thetas", violations, polar=polar)
         orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
@@ -410,8 +424,7 @@ def _validate_command(command, prof, phys, raw, violations):
         return profile, physics, Sweep("2d", "kl", grid, curves)
 
     physics["theta0"] = _angle(phys, "theta0", violations, polar=True)
-    physics["phi0"] = float(phys.get("phi0", 0.0))
-    physics["phi"] = float(phys.get("phi", 0.0))
+    _azimuths(phys, physics, violations)
     orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
     if variable == "kl":
         profile = _validate_profile(prof, "3d", violations)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from slabscat import amp3d
 from slabscat.amp2d import AmplitudeResult
 from slabscat.amp3d import (
     Direction3D,
@@ -14,7 +17,12 @@ from slabscat.amp3d import (
     gaussian_Y,
     normalized_cross_section,
 )
-from slabscat.numerics import DomainError
+from slabscat.numerics import (
+    DomainError,
+    QuadratureSpec,
+    _integrate_2d_nested,
+    integrate_2d,
+)
 from slabscat.profiles import Profile3D, gaussian_slab_3d
 
 # frozen via e^{-K^2} sqrt(pi)/(2K) erfi(K); the Riemann oracle below agrees
@@ -133,6 +141,74 @@ def test_Y_against_riemann_oracle_and_frozen_values():
         gaussian_Y(0.9, 1.1, 2.3, 0.4, 1.2),
         rtol=1e-8,
     )
+
+
+@pytest.mark.parametrize("K", [0.5, 2.0, 4.0, 8.0])
+def test_tensor_rule_matches_nested_scheme_on_Y_integrands(K):
+    theta, phi, theta0, phi0 = 2.3, 1.1, 0.4, 0.7
+
+    def integrand(alpha, beta):
+        expo = gaussian_h(theta, phi - beta, alpha) + gaussian_h(alpha, beta - phi0, theta0)
+        return np.sin(alpha) * np.exp(K * K * expo)
+
+    box = (0.0, 0.5 * np.pi, 0.0, 2.0 * np.pi)
+    nested = _integrate_2d_nested(integrand, *box, QuadratureSpec())
+    assert_allclose(integrate_2d(integrand, *box), nested, rtol=1e-12)
+
+
+def test_fig6_f2_evaluates_two_tensor_levels(monkeypatch):
+    # fig6 at its largest k: gaussian3d z = L = 10, ell = 1, kl = 0.2 (K = 2)
+    nodes = []
+
+    def counting(f, *args):
+        def counted(alpha, beta):
+            nodes.append(np.broadcast(alpha, beta).size)
+            return f(alpha, beta)
+
+        return integrate_2d(counted, *args)
+
+    monkeypatch.setattr(amp3d, "integrate_2d", counting)
+    prof = gaussian_slab_3d(10.0, 10.0)
+    cfg = ScatteringConfig3D(k=0.2, ell=1.0, theta0=0.0)
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14)
+    for theta in (0.0, np.pi / 3, 3 * np.pi / 4, np.pi):
+        nodes.clear()
+        f2_3d(prof, cfg, Direction3D(theta, 0.0), spec=spec)
+        assert 0 < sum(nodes) <= 16 * 32 + 32 * 64
+
+
+_POLAR = st.builds(
+    lambda t, flip: np.pi - t if flip else t,
+    st.floats(0.0, 0.5 * np.pi - 0.1),
+    st.booleans(),
+)  # non-grazing: at least 0.1 away from pi/2
+_AZIMUTH = st.floats(0.0, 2.0 * np.pi, exclude_max=True)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    z_re=st.floats(-3.0, 3.0),
+    z_im=st.floats(-3.0, 3.0),
+    L=st.floats(0.2, 2.0),
+    k=st.floats(0.1, 2.0),
+    theta=_POLAR,
+    phi=_AZIMUTH,
+    theta0=_POLAR,
+    phi0=_AZIMUTH,
+)
+def test_reciprocity(z_re, z_im, L, k, theta, phi, theta0, phi0):
+    # f(theta, phi; theta0, phi0) = f(pi - theta0, phi0 + pi; pi - theta, phi + pi)
+    prof = gaussian_slab_3d(complex(z_re, z_im), L)
+    cfg = ScatteringConfig3D(k=k, ell=0.1, theta0=theta0, phi0=phi0)
+    swapped = ScatteringConfig3D(
+        k=k, ell=0.1, theta0=np.pi - theta, phi0=(phi + np.pi) % (2.0 * np.pi)
+    )
+    d = Direction3D(theta, phi)
+    d_swapped = Direction3D(np.pi - theta0, (phi0 + np.pi) % (2.0 * np.pi))
+    for coefficient in (f1_3d, f2_3d):
+        assert_allclose(
+            coefficient(prof, swapped, d_swapped), coefficient(prof, cfg, d), rtol=1e-12
+        )
 
 
 def test_Y_lower_bound():

@@ -92,6 +92,32 @@ def test_validation_collects_every_violation(tmp_path):
     assert any("start exceeds stop" in v for v in empty_grid)
 
 
+@pytest.mark.parametrize("command", ["amp3d", "sweep3d"])
+def test_validation_checks_the_azimuths(tmp_path, command):
+    cfg = dict(THREAD_CASES["amp3d" if command == "amp3d" else "sweep3d_kl"])
+    cfg["output"] = {"path": str(tmp_path / "out.csv")}
+    for phi0, phi, complaints in (
+        ("abc", 7.0, ["physics.phi0 must be a finite number", "physics.phi must lie in"]),
+        (0.5, -1.0, ["physics.phi must lie in"]),
+        (0.5, "abc", ["physics.phi must be a finite number"]),
+    ):
+        cfg["physics"] = dict(cfg["physics"], phi0=phi0, phi=phi)
+        _, violations = validate_config(cfg)
+        assert len(violations) == len(complaints), violations
+        for violation, fragment in zip(violations, complaints):
+            assert fragment in violation
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        result = _invoke("validate", "--config", str(path))
+        assert result.exit_code == 2
+        assert json.loads(result.output)["violations"] == violations
+    # any finite incidence azimuth is accepted; phi = 2 pi is not
+    cfg["physics"] = dict(cfg["physics"], phi0=-9.0, phi=0.0)
+    assert validate_config(cfg)[1] == []
+    cfg["physics"] = dict(cfg["physics"], phi=2.0 * np.pi)
+    assert validate_config(cfg)[1] == ["physics.phi must lie in [0, 2 pi)"]
+
+
 def test_fig4_run_is_deterministic_and_exact(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (out1, out2):

@@ -123,6 +123,36 @@ def test_integrate_2d_separable_and_coupled():
     assert_allclose(got, 0.25, rtol=1e-10)
     got = integrate_2d(lambda x, y: np.cos(x + y), 0.0, np.pi, 0.0, np.pi)
     assert_allclose(got, -4.0, rtol=1e-9, atol=1e-10)
+    # a scalar-only integrand rejects the broadcast arrays and takes the
+    # nested path; exact value Ein(1) = gamma + E1(1)
+    got = integrate_2d(lambda x, y: math.exp(-x * y), 0.0, 1.0, 0.0, 1.0)
+    assert_allclose(got, 0.7965995992970531, rtol=1e-10)
+
+
+def _shapes_seen(f):
+    """f, plus a list of the shape of every x it is called with."""
+    shapes = []
+
+    def recorded(x, y):
+        shapes.append(np.shape(x))
+        return f(x, y)
+
+    return recorded, shapes
+
+
+def test_integrate_2d_kinked_integrand_falls_back():
+    # the kinks at x = 0.3 and y = 0.7 stall the tensor rule at every level
+    f, shapes = _shapes_seen(lambda x, y: np.abs(x - 0.3) * np.abs(y - 0.7))
+    assert_allclose(integrate_2d(f, 0.0, 1.0, 0.0, 1.0), 0.29 * 0.29, rtol=1e-8)
+    assert shapes[:5] == [(16, 1), (32, 1), (64, 1), (128, 1), (256, 1)]
+    assert len(shapes) > 5 and all(s == () for s in shapes[5:])  # nested scheme
+
+
+def test_integrate_2d_non_finite_integrand_fails_after_one_level():
+    f, shapes = _shapes_seen(lambda x, y: np.where(x > 0.9, np.nan, x * y))
+    with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\] x \[0, 2\]"):
+        integrate_2d(f, 0.0, 1.0, 0.0, 2.0)
+    assert shapes == [(16, 1)]
 
 
 def test_quadrature_spec_validation():
