@@ -24,11 +24,22 @@ classic QUADPACK values.  integrate_2d is a tensor Gauss-Legendre rule whose
 order doubles until two levels agree (exponentially convergent for smooth
 integrands, Trefethen & Weideman, SIAM Rev. 56(3), 2014); integrands it does
 not resolve by n = 256 fall back to nested integrate_1d calls.
+
+transform_samples_1d evaluates the trapezoid sum over uniform samples at
+off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
+14(6), 1993): one FFT per sample set on a twice-finer grid, then a short
+kernel sum per momentum.  It matches the direct sum to rounding.  The FFT
+runs once per read-only sample set (such as the cached axial moments of a
+profile); only the fine-grid bins its momenta reach are kept.
+transform_samples_2d sums with explicit phase factors.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "SlabscatError",
@@ -396,14 +407,8 @@ def _trapezoid_weights(n_panels, h):
     return w
 
 
-def transform_samples_1d(values, radius, p):
-    """Fourier transform of uniformly sampled data at arbitrary momenta.
-
-    ``values`` are f on the uniform grid y_j = -radius + j*h covering
-    [-radius, radius] (h = 2*radius/(len(values)-1)); trapezoid end
-    correction (half weights at both ends) is applied.  ``p`` may be a
-    scalar or a 1D array; explicit phase factors support any off-grid p.
-    """
+def _transform_samples_1d_direct(values, radius, p):
+    """transform_samples_1d as the explicit sum over every sample (test oracle)."""
     values = np.asarray(values, dtype=complex)
     n = values.size - 1
     wf = _trapezoid_weights(n, 2.0 * radius / n) * values
@@ -419,6 +424,138 @@ def transform_samples_1d(values, radius, p):
         cs = np.cos(ph)
         sn = np.sin(ph)
         out[i] = (cs @ wfr + sn @ wfi) + 1j * (cs @ wfi - sn @ wfr)
+    return out[0] if scalar else out
+
+
+# Type-2 NUFFT: the "exponential of semicircle" kernel exp(beta (sqrt(1 - z^2)
+# - 1)) spans _NUFFT_W bins of a fine grid about twice as long as the sample
+# set; w = 16 with beta = 2.30 w keeps the gap from the direct sum at rounding
+# level (Barnett, Magland & af Klinteberg, SIAM J. Sci. Comput. 41(5), 2019).
+_NUFFT_W = 16
+_NUFFT_BETA = 2.30 * _NUFFT_W
+# Gauss-Legendre nodes on [0, 1] for the kernel's Fourier transform
+_NUFFT_KERNEL_NODES = 2 + 3 * _NUFFT_W // 2
+
+_nufft_plans = {}
+# id(values) -> [weakref to values, half-width W, fine-grid bins -W .. W-1]
+_nufft_windows = {}
+_nufft_windows_lock = threading.Lock()
+
+
+def _es_kernel(z):
+    """The kernel exp(beta (sqrt(1 - z^2) - 1)) on |z| <= 1, zero outside."""
+    inside = np.abs(z) <= 1.0
+    root = np.sqrt(np.where(inside, 1.0 - z * z, 0.0))
+    return np.where(inside, np.exp(_NUFFT_BETA * (root - 1.0)), 0.0)
+
+
+def _nufft_plan(count):
+    """(fine-grid length, kernel transform at each sample offset) for count samples.
+
+    The kernel transform is even in both the kernel's argument and the
+    offset; it is accumulated one quadrature node at a time over the
+    nonnegative offsets, so no count x nodes matrix is ever formed.
+    """
+    plan = _nufft_plans.get(count)
+    if plan is None:
+        n_fine = scipy.fft.next_fast_len(2 * count)
+        offsets = np.arange(count) - (count - 1) // 2
+        scale = np.pi * _NUFFT_W / n_fine * np.arange(offsets[-1] + 1)
+        t, wq = gauss_legendre(_NUFFT_KERNEL_NODES)
+        z = 0.5 * (t + 1.0)
+        correction = np.zeros(scale.size)
+        for zq, weight in zip(z, 0.5 * wq * _es_kernel(z)):
+            correction += weight * np.cos(scale * zq)
+        plan = _nufft_plans[count] = (n_fine, _NUFFT_W * correction[np.abs(offsets)])
+    return plan
+
+
+def _fine_grid(values):
+    """The FFT of the pre-corrected, zero-padded samples (trapezoid weights, h = 1)."""
+    count = values.size
+    n_fine, correction = _nufft_plan(count)
+    half = (count - 1) // 2
+    a = _trapezoid_weights(count - 1, 1.0) * values / correction
+    padded = np.zeros(n_fine, dtype=complex)
+    padded[: count - half] = a[half:]
+    padded[n_fine - half :] = a[:half]
+    return scipy.fft.fft(padded)
+
+
+def _window(values, half_width):
+    """Fine-grid bins -W .. W-1 (W >= half_width) of a sample set.
+
+    The bins of a read-only array that owns its data are cached, keyed by a
+    weakref to it, and grow to the next power of two when a call needs more.
+    Every bin is sliced from the one FFT of the whole set, so its value does
+    not depend on the window or on which momenta came first.
+    """
+    n_fine = _nufft_plan(values.size)[0]
+    if values.flags.writeable or not values.flags.owndata:
+        return np.take(_fine_grid(values), np.arange(-half_width, half_width), mode="wrap")
+    key = id(values)
+    with _nufft_windows_lock:
+        entry = _nufft_windows.get(key)
+        if entry is not None and entry[0]() is values and entry[1] >= half_width:
+            return entry[2]
+    width = 1 << (int(half_width) - 1).bit_length()
+    width = min(width, n_fine // 2 + _NUFFT_W + 2)
+    bins = np.take(_fine_grid(values), np.arange(-width, width), mode="wrap")
+    bins.setflags(write=False)
+    with _nufft_windows_lock:
+        entry = _nufft_windows.get(key)
+        if entry is not None and entry[0]() is values:
+            if entry[1] >= width:
+                return entry[2]
+            entry[1:] = [width, bins]
+        else:
+            ref = weakref.ref(values, lambda _, key=key: _nufft_windows.pop(key, None))
+            _nufft_windows[key] = [ref, width, bins]
+    return bins
+
+
+def transform_samples_1d(values, radius, p):
+    """Fourier transform of uniformly sampled data at arbitrary momenta.
+
+    ``values`` are f on the uniform grid y_j = -radius + j*h covering
+    [-radius, radius] (h = 2*radius/(len(values)-1)); trapezoid end
+    correction (half weights at both ends) is applied.  ``p`` may be a
+    scalar or a 1D array of finite momenta, on or off the grid.
+
+    The sum over samples is a type-2 NUFFT: the samples are divided by the
+    kernel's Fourier transform, zero-padded onto a fine grid about twice as
+    long and transformed by one FFT; each momentum is then a sum of the
+    kernel over the w + 1 nearest fine-grid bins.  It agrees with the direct
+    sum to rounding: within 1e-13 of h * sum(|values|), at any momentum.  A
+    read-only ``values`` array that owns its data is treated as immutable:
+    the fine-grid bins its momenta reach are cached for later calls.
+    """
+    values = np.asarray(values, dtype=complex)
+    n = values.size - 1
+    h = 2.0 * radius / n
+    scalar = np.isscalar(p) or np.asarray(p).ndim == 0
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    if p_arr.size == 0:
+        return np.empty(0, dtype=complex)
+    n_fine = _nufft_plan(values.size)[0]
+
+    # fine-grid position of each momentum; the sum is periodic in p*h with
+    # period 2 pi, i.e. n_fine bins, and both reductions below are exact
+    position = p_arr * (h * n_fine / (2.0 * np.pi))
+    if not np.all(np.isfinite(position)):
+        raise DomainError("transform momenta must be finite")
+    position = np.fmod(position, n_fine)
+    position -= n_fine * np.round(position / n_fine)
+    first = np.floor(position - 0.5 * _NUFFT_W).astype(int)
+    half_width = max(-first.min(), first.max() + _NUFFT_W + 1)
+    bins = _window(values, half_width)
+    width = bins.size // 2
+    total = np.zeros(p_arr.size, dtype=complex)
+    for q in range(_NUFFT_W + 1):
+        kernel = _es_kernel((2.0 / _NUFFT_W) * (position - (first + q)))
+        total += kernel * bins[first + q + width]
+    # the fine grid is centred on sample n // 2, at y = h * (n // 2) - radius
+    out = h * np.exp(1j * p_arr * (radius - h * (n // 2))) * total
     return out[0] if scalar else out
 
 

@@ -12,7 +12,8 @@ profiles through two quantities:
 Profiles may carry closed forms for the transform and the moments; when those
 are absent the numeric route samples the axial moments of w on a uniform
 transverse grid (one sampler, ``_moment_samples``, serves 2D and 3D) and
-applies the explicit-phase transform from :mod:`slabscat.numerics`.
+transforms the samples with :mod:`slabscat.numerics` (for a 2D profile a
+type-2 NUFFT, planned once per cached sample set).
 
 ``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
 3D); ``profile_from_dict`` builds a profile from its JSON form
@@ -162,7 +163,8 @@ def _moment_samples(profile, k, spec, route="eval"):
         samples = {}
         for l in (0, 1, 2):
             try:
-                samples[l] = np.asarray(profile.moment_y(l, r, k), dtype=complex)
+                # a copy: the samples are made read-only below
+                samples[l] = np.array(profile.moment_y(l, r, k), dtype=complex)
             except DomainError:
                 continue
     else:
@@ -209,6 +211,8 @@ def _moment_samples(profile, k, spec, route="eval"):
     for l, vals in samples.items():
         if peaks[l] > 1e-9 * overall:
             check_edge_decay(vals, "profile moment")
+        # read-only, so transform_samples_1d may cache its fine-grid bins
+        vals.setflags(write=False)
     profile._cache[key] = samples
     return samples
 

@@ -53,7 +53,6 @@ from slabscat.profiles import (
     ex1_profile,
     gaussian_slab_2d,
     gaussian_slab_3d,
-    moment_2d,
 )
 
 # worked one-sided profile, lengths in mm
@@ -90,34 +89,13 @@ def test_criterion_1_invisibility_both_paths():
         descriptor="ex1 sampled",
     )
 
-    # The adaptive phi quadrature re-visits the same nodes for every angle
-    # pair, so memoize the sampled transform per exact momentum; every value
-    # still comes from the package's numeric route.
-    cache = {}
-
-    def sampled_moment(l, p, k_):
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        miss = [i for i, q in enumerate(p) if (l, q) not in cache]
-        if miss:
-            vals = np.atleast_1d(moment_2d(bare, l, p[miss], k_, transform=spec))
-            for i, v in zip(miss, vals):
-                cache[(l, p[i])] = v
-        return np.array([cache[(l, q)] for q in p], dtype=complex)
-
-    numeric = Profile2D(
-        eval=bare.eval,
-        decay_radius=bare.decay_radius,
-        descriptor="ex1 sampled+memo",
-        analytic_moment=sampled_moment,
-    )
-
     worst1 = 0.0
     worst2 = 0.0
     for th0 in THETAS:
         config = ScatteringConfig2D(k=k, ell=EX1_ELL, theta0=th0)
         for th in THETAS:
-            worst1 = max(worst1, abs(f1_2d(numeric, config, th)))
-            worst2 = max(worst2, abs(f2_2d(numeric, config, th)))
+            worst1 = max(worst1, abs(f1_2d(bare, config, th, transform=spec)))
+            worst2 = max(worst2, abs(f2_2d(bare, config, th, transform=spec)))
 
     ok = worst1 < 1e-10 and worst2 < 1e-10
     print(

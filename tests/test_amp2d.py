@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slabscat.amp2d import (
@@ -137,6 +139,35 @@ def test_f1_depends_on_angles_only_through_s():
     va = f1_2d(prof, cfg_a, 0.7)
     vb = f1_2d(prof, cfg_b, np.pi - 0.7)  # same sines, same s
     assert_allclose(vb, va, rtol=1e-13)
+
+
+_ANGLE = st.builds(
+    lambda t, flip: t + np.pi if flip else t,
+    st.floats(-0.5 * np.pi + 0.1, 0.5 * np.pi - 0.1),
+    st.booleans(),
+)  # non-grazing: at least 0.1 away from +-pi/2
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    z_re=st.floats(-3.0, 3.0),
+    z_im=st.floats(-3.0, 3.0),
+    L=st.floats(0.3, 2.0),
+    k=st.floats(0.1, 2.0),
+    theta=_ANGLE,
+    theta0=_ANGLE,
+)
+def test_reciprocity_on_the_sampled_route(z_re, z_im, L, k, theta, theta0):
+    # f(theta; theta0) = f(theta0 + pi; theta + pi), with every moment taken
+    # from transformed samples of an eval-only profile
+    closed = gaussian_slab_2d(complex(z_re, z_im), L)
+    prof = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
+    cfg = ScatteringConfig2D(k=k, ell=0.1, theta0=theta0)
+    swapped = ScatteringConfig2D(k=k, ell=0.1, theta0=theta + np.pi)
+    for coefficient in (f1_2d, f2_2d):
+        assert_allclose(
+            coefficient(prof, swapped, theta0 + np.pi), coefficient(prof, cfg, theta), rtol=1e-12
+        )
 
 
 def test_amplitude_assembly_and_orders():

@@ -50,6 +50,17 @@ def test_support_predicate():
     assert is_born_exact(ZERO, 1.0)
 
 
+def test_support_probe_samples_each_slice_once():
+    calls = []
+
+    def zero(xf, y, k):
+        calls.append(xf)
+        return np.zeros(np.broadcast(xf, y).shape, dtype=complex)
+
+    assert is_born_exact(Profile2D(eval=zero, decay_radius=5.0), 1.0)
+    assert len(calls) <= 5
+
+
 def test_born_exact_profile_construction():
     BornExactProfile(base=PROF, alpha=ALPHA)
     with pytest.raises(DomainError):

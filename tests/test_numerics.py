@@ -16,9 +16,11 @@ from slabscat.numerics import (
     heaviside,
     integrate_1d,
     integrate_2d,
+    transform_samples_1d,
     transform_samples_2d,
 )
-from slabscat.numerics import _GK_WEIGHTS, _G_WEIGHTS, _WG
+from slabscat.numerics import _GK_WEIGHTS, _G_WEIGHTS, _WG, _transform_samples_1d_direct
+from slabscat.profiles import ex1_profile
 
 
 def test_heaviside_convention():
@@ -213,6 +215,49 @@ def test_fourier_truncation_guard():
     spec = TransformSpec(truncation_radius=10.0, sample_count=1024)
     with pytest.raises(TruncationError):
         fourier_1d(slow, 0.5, spec)
+
+
+def _nufft_cases():
+    """(name, samples, radius): a Gaussian at 2^16 panels and ex1 at R = 400, 2^19."""
+    y = np.linspace(-12.0, 12.0, 2**16 + 1)
+    yield "gaussian", (0.7 + 0.2j) * gaussian(y), 12.0
+    y = np.linspace(-400.0, 400.0, 2**19 + 1)
+    yield "ex1", ex1_profile(0.1, 500.0, 0.01).eval(0.5, y, 1.0), 400.0
+
+
+def test_transform_samples_matches_the_direct_sum():
+    rng = np.random.default_rng(20261018)
+    for name, values, radius in _nufft_cases():
+        n = values.size - 1
+        h = 2.0 * radius / n
+        nyquist = np.pi / h
+        p = np.concatenate(
+            (
+                rng.uniform(-4.0, 4.0, 16),
+                [0.0, nyquist, -nyquist, 0.999 * nyquist, 1.5 * nyquist, -3.7 * nyquist],
+            )
+        )
+        bound = 1e-13 * h * np.sum(np.abs(values))
+        for samples in (values.real.copy(), values):
+            got = transform_samples_1d(samples, radius, p)
+            expect = _transform_samples_1d_direct(samples, radius, p)
+            assert np.max(np.abs(got - expect)) <= bound, name
+        # a read-only sample set takes the cached path: the same bits
+        frozen = values.copy()
+        frozen.setflags(write=False)
+        assert np.array_equal(transform_samples_1d(frozen, radius, p), got)
+        assert np.array_equal(transform_samples_1d(frozen, radius, p[::-1]), got[::-1])
+        scalar = transform_samples_1d(values, radius, 1.3)
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - _transform_samples_1d_direct(values, radius, 1.3)) <= bound
+        assert transform_samples_1d(values, radius, np.array([])).shape == (0,)
+        assert not np.any(transform_samples_1d(np.zeros(n + 1), radius, p))
+
+
+def test_transform_samples_rejects_non_finite_momenta():
+    values = gaussian(np.linspace(-12.0, 12.0, 1025))
+    with pytest.raises(DomainError, match="finite"):
+        transform_samples_1d(values, 12.0, [0.5, np.nan])
 
 
 def test_edge_decay_check_covers_every_edge():

@@ -1,4 +1,6 @@
+import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -217,6 +219,34 @@ def test_numeric_moments_share_the_sample_cache():
     assert sampled > 0
     assert moment_2d(bare, 0, 0.4, 1.0, transform=spec, method="numeric") == auto
     assert len(calls) == sampled  # the forced route hit the same cache
+
+
+def test_sampled_moments_do_not_depend_on_call_order_or_threads():
+    # each momentum is its own call, so the cached fine-grid window of each
+    # sample set grows call by call (from 16 to 64 bins a side in ascending
+    # order), in a different order in every case
+    closed = gaussian_slab_2d(0.8 + 0.3j, 0.9)
+    momenta = np.linspace(-1.0, 6.0, 36)
+    requests = [(l, p) for l in (0, 1, 2) for p in momenta]
+
+    def run(order, threads=1):
+        prof = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
+        with ThreadPoolExecutor(threads) as pool:
+            values = list(pool.map(lambda r: moment_2d(prof, r[0], r[1], 1.0), order))
+        return dict(zip(order, values))
+
+    ascending = run(requests)
+    descending = run(requests[::-1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run(requests, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(ascending[r] == descending[r] == threaded[r] for r in requests)
+    assert_allclose(
+        [ascending[(0, p)] for p in momenta], closed.analytic_moment(0, momenta, 1.0), rtol=1e-9
+    )
 
 
 def test_negligible_moments_skip_the_truncation_check():
