@@ -19,11 +19,12 @@ Conventions used throughout the package:
   ``check_edge_decay``, the package's single truncation check.
 
 integrate_1d is an adaptive Gauss-Kronrod (G7/K15) bisection scheme with
-per-panel error estimates; the embedded 15-point Kronrod constants are the
-classic QUADPACK values.  integrate_2d is a tensor Gauss-Legendre rule whose
-order doubles until two levels agree (exponentially convergent for smooth
-integrands, Trefethen & Weideman, SIAM Rev. 56(3), 2014); integrands it does
-not resolve by n = 256 fall back to nested integrate_1d calls.
+per-panel error estimates (the classic QUADPACK 15-point constants); its loop
+also drives the array-valued moment integrator of the profiles' axial sampler.
+integrate_2d is a tensor Gauss-Legendre rule whose order doubles until two
+levels agree (exponentially convergent for smooth integrands, Trefethen &
+Weideman, SIAM Rev. 56(3), 2014); integrands it does not resolve by n = 256
+fall back to nested integrate_1d calls.
 
 transform_samples_1d evaluates the trapezoid sum over uniform samples at
 off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
@@ -241,6 +242,41 @@ def _gk_panel(fx, lo, hi):
 _INITIAL_PANELS = 4
 
 
+def _bisect(panels, halve, total, spec, what):
+    """The bisection loop of the adaptive G7/K15 integrators.
+
+    ``panels`` holds [error, lo, hi, ...] records; halve(record, mid) returns
+    the records of a panel's halves and total() the current estimate.  The
+    worst panel is halved until the summed errors are within
+    max(abs_tol, rel_tol * max|total|); if the budget runs out first, or a
+    panel cannot be halved, AccuracyError carries the estimate.
+    """
+    subdivisions = 0
+    while True:
+        estimate = total()
+        error = sum(p[0] for p in panels)
+        if error <= max(spec.abs_tol, spec.rel_tol * np.max(np.abs(estimate), initial=0.0)):
+            return estimate
+        if subdivisions >= spec.max_subdivisions:
+            raise AccuracyError(
+                f"{what} did not converge within {spec.max_subdivisions} "
+                f"subdivisions (error estimate {error:.3e})",
+                estimate=estimate,
+                error_estimate=error,
+            )
+        worst = max(range(len(panels)), key=lambda i: panels[i][0])
+        lo, hi = panels[worst][1:3]
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            raise AccuracyError(
+                f"{what} hit the resolution limit of double precision",
+                estimate=estimate,
+                error_estimate=error,
+            )
+        panels[worst : worst + 1] = halve(panels[worst], mid)
+        subdivisions += 1
+
+
 def integrate_1d(f, a, b, spec=None):
     """Adaptively integrate a complex-valued function over [a, b].
 
@@ -279,40 +315,56 @@ def integrate_1d(f, a, b, spec=None):
 
     edges = np.linspace(a, b, _INITIAL_PANELS + 1)
     f, fx = _vectorize_integrand(f, _gk_nodes(edges[0], edges[1]))
-    # panels: list of [error, a, b, kron]; the probe values serve the first
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if panels:
-            fx = np.asarray(f(_gk_nodes(lo, hi)), dtype=complex)
-        panels.append(_gk_panel(fx, lo, hi))
 
-    subdivisions = 0
-    while True:
-        total = sum(p[3] for p in panels)
-        total_err = sum(p[0] for p in panels)
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return sign * total
-        if subdivisions >= spec.max_subdivisions:
-            raise AccuracyError(
-                f"integrate_1d did not converge within {spec.max_subdivisions} "
-                f"subdivisions (error estimate {total_err:.3e})",
-                estimate=sign * total,
-                error_estimate=total_err,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        _, lo, hi, _ = panels[worst]
-        m = 0.5 * (lo + hi)
-        if m <= lo or m >= hi:
-            raise AccuracyError(
-                "integrate_1d hit the resolution limit of double precision",
-                estimate=sign * total,
-                error_estimate=total_err,
-            )
-        panels[worst : worst + 1] = [
-            _gk_panel(np.asarray(f(_gk_nodes(llo, lhi)), dtype=complex), llo, lhi)
-            for llo, lhi in ((lo, m), (m, hi))
-        ]
-        subdivisions += 1
+    def panel(lo, hi):
+        return _gk_panel(np.asarray(f(_gk_nodes(lo, hi)), dtype=complex), lo, hi)
+
+    # panels: list of [error, a, b, kron]; the probe values serve the first
+    panels = [_gk_panel(fx, edges[0], edges[1])]
+    panels += [panel(lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    halve = lambda record, mid: [panel(record[1], mid), panel(mid, record[2])]
+    total = lambda: sign * sum(p[3] for p in panels)
+    return _bisect(panels, halve, total, spec, "integrate_1d")
+
+
+# the embedded Gauss weights at their places among the 15 Kronrod nodes
+_G_WEIGHTS_AT_NODES = np.zeros(15)
+_G_WEIGHTS_AT_NODES[_G_IDX] = _G_WEIGHTS
+
+
+def _integrate_moments(f, orders, spec, what):
+    """INT_0^1 x^l f(x) dx for each l in ``orders``, of an array-valued f(x).
+
+    Adaptive G7/K15 from the whole of [0, 1] by the loop of integrate_1d; a
+    panel's error is its largest |K15 - G7| over every order and entry.  A
+    panel sums its rows node by node and keeps no estimate: a halved panel
+    is evaluated again to take its estimate out of the running total, so
+    memory stays at a few rows.  A non-finite panel raises AccuracyError.
+    """
+
+    def panel(lo, hi):
+        kron = gauss = 0.0
+        for x, wk, wg in zip(_gk_nodes(lo, hi), _GK_WEIGHTS, _G_WEIGHTS_AT_NODES):
+            powers = np.power(x, orders)
+            values = np.asarray(f(x))
+            kron = kron + np.multiply.outer(wk * powers, values)
+            if wg:
+                gauss = gauss + np.multiply.outer(wg * powers, values)
+        half_width = 0.5 * (hi - lo)
+        error = half_width * np.max(np.abs(kron - gauss), initial=0.0)
+        if not np.isfinite(error):
+            raise AccuracyError(f"{what}: integrand not finite on [{lo:.17g}, {hi:.17g}]")
+        return [error, lo, hi], half_width * kron
+
+    first, total = panel(0.0, 1.0)
+
+    def halve(record, mid):
+        nonlocal total
+        (left, left_sum), (right, right_sum) = panel(record[1], mid), panel(mid, record[2])
+        total = total + ((left_sum + right_sum) - panel(*record[1:])[1])
+        return [left, right]
+
+    return _bisect([first], halve, lambda: total, spec, what)
 
 
 # Orders n of the doubling tensor rule: n nodes in x times 2n nodes in y.

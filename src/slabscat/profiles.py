@@ -10,10 +10,11 @@ profiles through two quantities:
 * spatial moments     w_l(y; k) = INT_0^1 dx_frac x_frac^l w(x_frac, y; k).
 
 Profiles may carry closed forms for the transform and the moments; when those
-are absent the numeric route samples the axial moments of w on a uniform
-transverse grid (one sampler, ``_moment_samples``, serves 2D and 3D) and
-transforms the samples with :mod:`slabscat.numerics` (for a 2D profile a
-type-2 NUFFT, planned once per cached sample set).
+are absent one axial sampler, adaptive Gauss-Kronrod over x_frac of whole rows
+of ``eval`` samples, gives the moments on a uniform transverse grid (2D and 3D)
+and :mod:`slabscat.numerics` transforms them (in 2D by a type-2 NUFFT, planned
+once per cached sample set).  A profile the sampler cannot resolve within its
+budget (an axial jump whose position moves with y, say) raises AccuracyError.
 
 ``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
 3D); ``profile_from_dict`` builds a profile from its JSON form
@@ -30,13 +31,11 @@ import numpy as np
 
 from .dyson1d import constant_slab_1d
 from .numerics import (
-    AccuracyError,
     DomainError,
     QuadratureSpec,
     TransformSpec,
+    _integrate_moments,
     check_edge_decay,
-    fourier_1d,
-    gauss_legendre,
     integrate_1d,
     transform_samples_1d,
     transform_samples_2d,
@@ -139,10 +138,8 @@ def _k_key(profile, k):
     return float(k) if profile.k_dependent else None
 
 
-_GL_START = 32
-_GL_MAX = 256
-_GL_REL = 1e-9
-_GL_ABS = 1e-12
+# the halving budget bounds the time an unresolvable profile takes to fail
+_AXIAL_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=100)
 
 
 def _moment_samples(profile, k, spec, route="eval"):
@@ -151,8 +148,8 @@ def _moment_samples(profile, k, spec, route="eval"):
     A 2D profile is sampled on the 1-D y grid for l = 0, 1, 2, a 3D profile
     on the r1 x r2 mesh for l = 0, 1.  The "moment_y" route takes a 2D
     profile's closed spatial moments (orders it rejects are left out); the
-    "eval" route integrates x_frac^l * w over the axial coordinate with
-    Gauss-Legendre rules of doubling order until the samples stabilize.
+    "eval" route integrates x_frac^l * w over the axial coordinate for the
+    whole grid at once, by adaptive Gauss-Kronrod (``_AXIAL_QUAD``).
     """
     key = (route, _k_key(profile, k), spec.truncation_radius, spec.sample_count)
     if key in profile._cache:
@@ -171,38 +168,13 @@ def _moment_samples(profile, k, spec, route="eval"):
         if isinstance(profile, Profile3D):
             orders = (0, 1)
             r1, r2 = np.meshgrid(r, r, indexing="ij")
-            shape = r1.shape
             layer = lambda xf: profile.eval(r1, r2, xf, k)
         else:
             orders = (0, 1, 2)
-            shape = r.shape
             layer = lambda xf: profile.eval(xf, r, k)
-        samples = None
-        prev = None
-        n = _GL_START
-        while n <= _GL_MAX:
-            t, wq = gauss_legendre(n)
-            xf = 0.5 * (t + 1.0)
-            wt = 0.5 * wq
-            cur = {l: np.zeros(shape, dtype=complex) for l in orders}
-            for xi, wi in zip(xf, wt):
-                row = np.asarray(layer(xi), dtype=complex)
-                for l in orders:
-                    cur[l] += wi * xi**l * row
-            if prev is not None:
-                scale = max(np.max(np.abs(cur[l])) for l in orders)
-                diff = max(np.max(np.abs(cur[l] - prev[l])) for l in orders)
-                if diff <= max(_GL_ABS, _GL_REL * scale):
-                    samples = cur
-                    break
-            prev = cur
-            n *= 2
-        if samples is None:
-            raise AccuracyError(
-                "axial Gauss-Legendre quadrature of the profile moments did "
-                f"not stabilize by order {_GL_MAX}",
-                estimate=prev,
-            )
+        moments = _integrate_moments(layer, orders, _AXIAL_QUAD, "axial moment sampler")
+        # complex copies owning their data, which transform_samples_1d caches
+        samples = {l: np.array(row, dtype=complex) for l, row in zip(orders, moments)}
 
     # a moment that is uniformly negligible against the largest one (e.g. a
     # coating that nulls it to rounding level) has nothing left to truncate
@@ -239,6 +211,9 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
     Returns
     -------
     complex, or ndarray of complex when p is an array
+
+    Raises AccuracyError on the eval-based route if the axial sampler cannot
+    resolve the profile within its budget, or the profile is not finite.
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
@@ -274,34 +249,12 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
             )
 
     spec = _default_spec(profile, transform)
+    samples = {}
     if method != "numeric" and profile.moment_y is not None:
         # the closed moment_y still beats raw sampling
         samples = _moment_samples(profile, k, spec, route="moment_y")
-        if l in samples:
-            out = transform_samples_1d(samples[l], spec.truncation_radius, p_arr)
-            return out[0] if scalar else out
-        # moment_y did not cover this order; use the eval-based route
-
-    try:
+    if l not in samples:  # no moment_y for this order: sample eval
         samples = _moment_samples(profile, k, spec)
-    except AccuracyError:
-        # non-smooth axial dependence: fall back to the literal route, an
-        # adaptive axial integral over per-slice transverse transforms
-        qspec = quadrature or QuadratureSpec()
-
-        def slice_transform(x_frac, pi):
-            return fourier_1d(lambda ys: profile.eval(x_frac, ys, k), pi, spec)
-
-        out = np.empty(p_arr.size, dtype=complex)
-        for i, pi in enumerate(p_arr):
-            def integrand(xf_arr):
-                return np.array(
-                    [xf**l * slice_transform(xf, pi) for xf in np.atleast_1d(xf_arr)],
-                    dtype=complex,
-                )
-
-            out[i] = integrate_1d(integrand, 0.0, 1.0, qspec)
-        return out[0] if scalar else out
     out = transform_samples_1d(samples[l], spec.truncation_radius, p_arr)
     return out[0] if scalar else out
 
@@ -337,7 +290,11 @@ def moment_3d(profile, l, pvec, k, transform=None, method="auto"):
 
 
 def spatial_moment_y(profile, l, y, k, quadrature=None):
-    """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac."""
+    """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac.
+
+    Without a closed ``moment_y`` the axial sampler integrates ``eval`` at all
+    the y points at once, to ``quadrature`` relative to the largest |w_l|.
+    """
     if l not in (0, 1):
         raise DomainError("spatial moment order l must be 0 or 1")
     return _xl_spatial_moment(profile, l, y, k, quadrature)
@@ -353,19 +310,9 @@ def _xl_spatial_moment(profile, l, y, k, quadrature=None):
             return out[0] if scalar else out
         except DomainError:
             pass
+    layer = lambda xf: profile.eval(xf, y_arr, k)
     spec = quadrature or QuadratureSpec()
-    out = np.array(
-        [
-            integrate_1d(
-                lambda xf: xf**l * np.asarray(profile.eval(xf, yi, k), dtype=complex),
-                0.0,
-                1.0,
-                spec,
-            )
-            for yi in y_arr
-        ],
-        dtype=complex,
-    )
+    out = _integrate_moments(layer, (l,), spec, "axial moment sampler")[0].astype(complex)
     return out[0] if scalar else out
 
 

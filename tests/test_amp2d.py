@@ -14,7 +14,13 @@ from slabscat.amp2d import (
     s_factor,
 )
 from slabscat.numerics import DomainError
-from slabscat.profiles import Profile2D, ex1_profile, gaussian_slab_2d, moment_2d
+from slabscat.profiles import (
+    Profile2D,
+    ex1_profile,
+    gaussian_slab_2d,
+    moment_2d,
+    separable_profile,
+)
 
 Z, ALPHA, LW = 0.3, 2.0, 1.0
 
@@ -167,6 +173,74 @@ def test_reciprocity_on_the_sampled_route(z_re, z_im, L, k, theta, theta0):
     for coefficient in (f1_2d, f2_2d):
         assert_allclose(
             coefficient(prof, swapped, theta0 + np.pi), coefficient(prof, cfg, theta), rtol=1e-12
+        )
+
+
+def _eval_only(kind, z, L, decay_radius=None):
+    """An eval-only slab of transverse width L: Gaussian, or separable with a
+    quadratic axial factor; every moment comes from the axial sampler."""
+    if kind == "gaussian":
+        closed = gaussian_slab_2d(z, L)
+    else:
+        closed = separable_profile(
+            lambda x: 1.0 + 0.5 * x - 0.8 * x * x,
+            lambda y: z * np.exp(-0.5 * (np.asarray(y) / L) ** 2),
+            12.0 * L,
+        )
+    return Profile2D(eval=closed.eval, decay_radius=decay_radius or closed.decay_radius)
+
+
+_CONTRAST = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    a=_CONTRAST,
+    b=_CONTRAST,
+    L1=st.floats(0.3, 2.0),
+    L2=st.floats(0.3, 2.0),
+    k=st.floats(0.1, 2.0),
+    theta=_ANGLE,
+    theta0=_ANGLE,
+)
+def test_f1_is_linear_in_w_on_the_sampled_route(a, b, L1, L2, k, theta, theta0):
+    # one transverse grid for all three slabs, so only rounding separates them
+    radius = 12.0 * max(L1, L2)
+    w1 = _eval_only("gaussian", 1.0, L1, radius)
+    w2 = _eval_only("separable", 1.0, L2, radius)
+    combined = Profile2D(
+        eval=lambda x, y, kk: a * w1.eval(x, y, kk) + b * w2.eval(x, y, kk),
+        decay_radius=radius,
+    )
+    cfg = ScatteringConfig2D(k=k, ell=0.1, theta0=theta0)
+    parts = a * f1_2d(w1, cfg, theta) + b * f1_2d(w2, cfg, theta)
+    scale = k * (abs(a) * L1 + abs(b) * L2)
+    assert abs(f1_2d(combined, cfg, theta) - parts) <= 1e-12 * scale
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gaussian", "separable"]),
+    z=_CONTRAST,
+    L=st.floats(0.3, 2.0),
+    k=st.floats(0.1, 2.0),
+    s=st.floats(0.25, 4.0),
+    theta=_ANGLE,
+    theta0=_ANGLE,
+)
+def test_dimensionless_scaling_on_the_sampled_route(kind, z, L, k, s, theta, theta0):
+    # f1 and f2 depend on k, ell and L only through k ell and k L
+    base = _eval_only(kind, z, L)
+    scaled = _eval_only(kind, z, s * L)
+    cfg = ScatteringConfig2D(k=k, ell=0.1, theta0=theta0)
+    cfg_scaled = ScatteringConfig2D(k=k / s, ell=0.1 * s, theta0=theta0)
+    scale = k * L * abs(z)
+    for coefficient in (f1_2d, f2_2d):
+        assert_allclose(
+            coefficient(scaled, cfg_scaled, theta),
+            coefficient(base, cfg, theta),
+            rtol=1e-10,
+            atol=1e-12 * scale * (1.0 + scale),
         )
 
 

@@ -19,7 +19,13 @@ from slabscat.numerics import (
     transform_samples_1d,
     transform_samples_2d,
 )
-from slabscat.numerics import _GK_WEIGHTS, _G_WEIGHTS, _WG, _transform_samples_1d_direct
+from slabscat.numerics import (
+    _GK_WEIGHTS,
+    _G_WEIGHTS,
+    _WG,
+    _integrate_moments,
+    _transform_samples_1d_direct,
+)
 from slabscat.profiles import ex1_profile
 
 
@@ -118,6 +124,23 @@ def test_integrate_budget_exhaustion_attaches_estimate():
         integrate_1d(lambda x: np.cos(50.0 * x) / (1.0 + x), 0.0, 10.0, spec)
     assert info.value.estimate is not None
     assert info.value.error_estimate > 0
+
+
+def test_integrate_moments_of_kinked_rows():
+    # INT_0^1 x^l |x - c| dx for kinks c off the dyadic points, in closed form
+    c = np.array([0.3, 0.7])
+    exact = [
+        c * c ** (l + 1) / (l + 1) - c ** (l + 2) / (l + 2)
+        + (1 - c ** (l + 2)) / (l + 2) - c * (1 - c ** (l + 1)) / (l + 1)
+        for l in (0, 1, 2)
+    ]
+    f, seen = _counted(lambda x: np.abs(x - c))
+    got = _integrate_moments(f, (0, 1, 2), QuadratureSpec(rel_tol=1e-10), "kinked rows")
+    assert got.shape == (3, 2)
+    assert_allclose(got, exact, rtol=1e-9)
+    # 15 rows for [0, 1], then per halving 15 for each half and 15 more to
+    # take the halved panel out of the running total
+    assert len(seen) > 15 and (len(seen) - 15) % 45 == 0
 
 
 def test_integrate_2d_separable_and_coupled():

@@ -1,4 +1,5 @@
 import sys
+import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,13 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from slabscat.amp2d import ScatteringConfig2D, f2_2d
 from slabscat.numerics import (
+    AccuracyError,
     DomainError,
     QuadratureSpec,
     TransformSpec,
     TruncationError,
     fourier_1d,
     integrate_1d,
+    transform_samples_1d,
 )
 from slabscat.profiles import (
     CoatedProfile2D,
@@ -183,18 +187,91 @@ def test_moment_change_of_variable_form():
 
 def test_layered_profile_exact_axial_moments():
     g_hat = lambda p: np.sqrt(2 * np.pi) * np.exp(-0.5 * np.asarray(p) ** 2)
-    prof = layered_profile(
-        boundaries=[0.0, 0.5, 1.0],
-        values=[2.0, 0.0],
-        transverse=lambda y: np.exp(-0.5 * np.asarray(y) ** 2),
-        decay_radius=12.0,
-        transverse_transform=g_hat,
-    )
     p = np.array([0.0, 1.2])
-    assert_allclose(moment_2d(prof, 0, p, 1.0), 1.0 * g_hat(p), rtol=1e-13)
-    assert_allclose(moment_2d(prof, 1, p, 1.0), 0.25 * g_hat(p), rtol=1e-13)
-    numeric = moment_2d(prof, 0, p, 1.0, method="numeric")
-    assert_allclose(numeric, g_hat(p), rtol=1e-7)
+    # (boundaries, values, INT_0^1 x^l axial dx for l = 0, 1, 2); the second
+    # slab jumps off the dyadic points, where no panel edge ever lands
+    cases = [
+        ([0.0, 0.5, 1.0], [2.0, 0.0], [1.0, 0.25, 1.0 / 12.0]),
+        ([0.0, 0.3, 0.7, 1.0], [1.5, -0.5, 2.0], [0.85, 0.4775, 1.1965 / 3.0]),
+    ]
+    for boundaries, values, axial in cases:
+        prof = layered_profile(
+            boundaries=boundaries,
+            values=values,
+            transverse=lambda y: np.exp(-0.5 * np.asarray(y) ** 2),
+            decay_radius=12.0,
+            transverse_transform=g_hat,
+        )
+        for l, a_l in enumerate(axial):
+            assert_allclose(moment_2d(prof, l, p, 1.0), a_l * g_hat(p), rtol=1e-13)
+            numeric = moment_2d(prof, l, p, 1.0, method="numeric")
+            assert_allclose(numeric, a_l * g_hat(p), rtol=1e-9)
+
+
+def _bilinear_profile():
+    """A sampled_profile a(x_frac) b(y) kinked at x_frac = 1/4, 1/2, 3/4, and
+    the exact axial integrals A_l = INT_0^1 x^l a dx of its interpolant."""
+    x_nodes = np.linspace(0.0, 1.0, 5)
+    a = np.array([0.2, 1.0, 0.4, 0.9, 0.1])
+    y_nodes = np.linspace(-6.0, 6.0, 49)
+    b = np.exp(-0.5 * y_nodes**2) * (1.0 + 0.3j * y_nodes)
+    prof = sampled_profile(x_nodes, y_nodes, np.outer(a, b), decay_radius=8.0)
+    # Simpson's rule is exact for x^l times a linear piece (degree <= 3)
+    x0, x1 = x_nodes[:-1], x_nodes[1:]
+    xm, am = 0.5 * (x0 + x1), 0.5 * (a[:-1] + a[1:])
+    axial = [
+        np.sum((x1 - x0) / 6 * (x0**l * a[:-1] + 4 * xm**l * am + x1**l * a[1:]))
+        for l in (0, 1, 2)
+    ]
+    return prof, y_nodes, b, axial
+
+
+def test_bilinear_sampled_moments_match_the_exact_axial_integral():
+    prof, y_nodes, b, axial = _bilinear_profile()
+    spec = TransformSpec(prof.decay_radius)
+    y = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
+    p = np.array([0.0, 0.7, -1.3, 2.5])
+    # the transverse interpolant on the same grid, transformed the same way
+    b_interp = np.interp(y, y_nodes, b, left=0.0, right=0.0)
+    b_hat = transform_samples_1d(b_interp, spec.truncation_radius, p)
+    for l, a_l in enumerate(axial):
+        assert_allclose(moment_2d(prof, l, p, 1.0), a_l * b_hat, rtol=1e-9)
+
+
+def test_sampled_profile_reaches_second_order_quickly():
+    prof = _bilinear_profile()[0]
+    cfg = ScatteringConfig2D(k=0.8, ell=0.1, theta0=0.3)
+    start = time.perf_counter()
+    f2 = f2_2d(prof, cfg, 0.7)  # sampling the profile included
+    assert time.perf_counter() - start < 2.0
+    assert np.isfinite(f2)
+
+
+def test_y_dependent_axial_jump_fails_fast():
+    # the jump sweeps through x_frac in [0.25, 0.75] as y varies, so no
+    # partition of the axial coordinate resolves every sample at once
+    def w(x, y, k):
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        return np.where((x >= 0) & (x <= 0.5 + 0.25 * np.tanh(y)), np.exp(-0.5 * y * y), 0.0)
+
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError, match="did not converge") as info:
+        moment_2d(Profile2D(eval=w, decay_radius=12.0), 0, 0.3, 1.0)
+    assert time.perf_counter() - start < 10.0
+    assert info.value.estimate is not None
+    assert info.value.error_estimate > 0
+
+
+def test_non_finite_profile_fails_on_the_first_panel():
+    calls = []
+
+    def w(x, y, k):
+        calls.append(x)
+        return np.where(np.asarray(y) > 1.0, np.nan, 1.0) * np.exp(-np.asarray(y) ** 2)
+
+    with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\]"):
+        moment_2d(Profile2D(eval=w, decay_radius=12.0), 0, 0.3, 1.0)
+    assert len(calls) == 15
 
 
 def test_numeric_moments_share_the_sample_cache():
