@@ -332,15 +332,18 @@ _G_WEIGHTS_AT_NODES = np.zeros(15)
 _G_WEIGHTS_AT_NODES[_G_IDX] = _G_WEIGHTS
 
 
-def _integrate_moments(f, orders, spec, what):
+def _integrate_moments(f, orders, spec, breaks=()):
     """INT_0^1 x^l f(x) dx for each l in ``orders``, of an array-valued f(x).
 
-    Adaptive G7/K15 from the whole of [0, 1] by the loop of integrate_1d; a
-    panel's error is its largest |K15 - G7| over every order and entry.  A
-    panel sums its rows node by node and keeps no estimate: a halved panel
-    is evaluated again to take its estimate out of the running total, so
-    memory stays at a few rows.  A non-finite panel raises AccuracyError.
+    Adaptive G7/K15 by the loop of integrate_1d, from the panels between the
+    ``breaks`` in (0, 1) (say, where f is known to kink or jump), or from the
+    whole of [0, 1]; a panel's error is its largest |K15 - G7| over every
+    order and entry.  A panel sums its rows node by node and keeps no
+    estimate: a halved panel is evaluated again to take its estimate out of
+    the running total, so memory stays at a few rows.  A non-finite panel
+    raises AccuracyError.
     """
+    what = "axial moment sampler"
 
     def panel(lo, hi):
         kron = gauss = 0.0
@@ -356,7 +359,12 @@ def _integrate_moments(f, orders, spec, what):
             raise AccuracyError(f"{what}: integrand not finite on [{lo:.17g}, {hi:.17g}]")
         return [error, lo, hi], half_width * kron
 
-    first, total = panel(0.0, 1.0)
+    edges = np.unique(np.clip([0.0, *breaks, 1.0], 0.0, 1.0))
+    panels, total = [], 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        record, part = panel(lo, hi)
+        panels.append(record)
+        total = total + part
 
     def halve(record, mid):
         nonlocal total
@@ -364,7 +372,7 @@ def _integrate_moments(f, orders, spec, what):
         total = total + ((left_sum + right_sum) - panel(*record[1:])[1])
         return [left, right]
 
-    return _bisect([first], halve, lambda: total, spec, what)
+    return _bisect(panels, halve, lambda: total, spec, what)
 
 
 # Orders n of the doubling tensor rule: n nodes in x times 2n nodes in y.

@@ -13,8 +13,11 @@ Profiles may carry closed forms for the transform and the moments; when those
 are absent one axial sampler, adaptive Gauss-Kronrod over x_frac of whole rows
 of ``eval`` samples, gives the moments on a uniform transverse grid (2D and 3D)
 and :mod:`slabscat.numerics` transforms them (in 2D by a type-2 NUFFT, planned
-once per cached sample set).  A profile the sampler cannot resolve within its
-budget (an axial jump whose position moves with y, say) raises AccuracyError.
+once per cached sample set).  Its first panels end where the profile declares
+an axial kink or jump (the x nodes of a sampled profile, the boundaries of a
+layered one).  A profile the sampler cannot resolve within its budget of
+evaluated points (an axial jump whose position moves with y, say) raises
+AccuracyError.
 
 ``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
 3D); ``profile_from_dict`` builds a profile from its JSON form
@@ -87,6 +90,9 @@ class Profile2D:
     moment_y: Optional[Callable] = None
     k_dependent: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
+    # interior x_frac where eval may kink or jump, set by the builders that
+    # know them; the axial sampler starts its panels there
+    _axial_breaks: tuple = field(default=(), init=False, repr=False)
 
 
 @dataclass
@@ -138,8 +144,11 @@ def _k_key(profile, k):
     return float(k) if profile.k_dependent else None
 
 
-# the halving budget bounds the time an unresolvable profile takes to fail
-_AXIAL_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=100)
+# The axial sampler's budget, in evaluated points, bounds the time an
+# unresolvable profile takes to fail whatever its grid.  A halving evaluates
+# 45 rows, so a default 2D row (65,537 points) gets 101 halvings and a
+# default 3D mesh (1025^2 points) 6.
+_AXIAL_POINTS = 3e8
 
 
 def _moment_samples(profile, k, spec, route="eval"):
@@ -149,7 +158,8 @@ def _moment_samples(profile, k, spec, route="eval"):
     on the r1 x r2 mesh for l = 0, 1.  The "moment_y" route takes a 2D
     profile's closed spatial moments (orders it rejects are left out); the
     "eval" route integrates x_frac^l * w over the axial coordinate for the
-    whole grid at once, by adaptive Gauss-Kronrod (``_AXIAL_QUAD``).
+    whole grid at once, by adaptive Gauss-Kronrod from the profile's declared
+    axial breaks, within a budget of ``_AXIAL_POINTS`` evaluated points.
     """
     key = (route, _k_key(profile, k), spec.truncation_radius, spec.sample_count)
     if key in profile._cache:
@@ -166,13 +176,15 @@ def _moment_samples(profile, k, spec, route="eval"):
                 continue
     else:
         if isinstance(profile, Profile3D):
-            orders = (0, 1)
             r1, r2 = np.meshgrid(r, r, indexing="ij")
+            orders, breaks, points = (0, 1), (), r1.size
             layer = lambda xf: profile.eval(r1, r2, xf, k)
         else:
-            orders = (0, 1, 2)
+            orders, breaks, points = (0, 1, 2), profile._axial_breaks, r.size
             layer = lambda xf: profile.eval(xf, r, k)
-        moments = _integrate_moments(layer, orders, _AXIAL_QUAD, "axial moment sampler")
+        halvings = max(1, int(_AXIAL_POINTS / (45 * points)))
+        quad = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=halvings)
+        moments = _integrate_moments(layer, orders, quad, breaks)
         # complex copies owning their data, which transform_samples_1d caches
         samples = {l: np.array(row, dtype=complex) for l, row in zip(orders, moments)}
 
@@ -227,20 +239,8 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
             out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
             return out[0] if scalar else out
         if profile.analytic_transform is not None:
-            spec = quadrature or QuadratureSpec()
-            out = np.array(
-                [
-                    integrate_1d(
-                        lambda xf: xf**l
-                        * np.asarray(profile.analytic_transform(xf, pi, k), dtype=complex),
-                        0.0,
-                        1.0,
-                        spec,
-                    )
-                    for pi in p_arr
-                ],
-                dtype=complex,
-            )
+            w_hat = lambda xf, pi: profile.analytic_transform(xf, pi, k)
+            out = _axial_integrals(w_hat, l, p_arr, quadrature)
             return out[0] if scalar else out
         if method == "analytic":
             raise DomainError(
@@ -292,8 +292,8 @@ def moment_3d(profile, l, pvec, k, transform=None, method="auto"):
 def spatial_moment_y(profile, l, y, k, quadrature=None):
     """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac.
 
-    Without a closed ``moment_y`` the axial sampler integrates ``eval`` at all
-    the y points at once, to ``quadrature`` relative to the largest |w_l|.
+    Without a closed ``moment_y`` each y point's axial integral of ``eval``
+    is adaptive on its own, to ``quadrature`` relative to its |w_l|.
     """
     if l not in (0, 1):
         raise DomainError("spatial moment order l must be 0 or 1")
@@ -310,10 +310,15 @@ def _xl_spatial_moment(profile, l, y, k, quadrature=None):
             return out[0] if scalar else out
         except DomainError:
             pass
-    layer = lambda xf: profile.eval(xf, y_arr, k)
-    spec = quadrature or QuadratureSpec()
-    out = _integrate_moments(layer, (l,), spec, "axial moment sampler")[0].astype(complex)
+    out = _axial_integrals(lambda xf, yi: profile.eval(xf, yi, k), l, y_arr, quadrature)
     return out[0] if scalar else out
+
+
+def _axial_integrals(g, l, points, quadrature=None):
+    """INT_0^1 x_frac^l g(x_frac, t) dx_frac for each t in points, one integrate_1d each."""
+    spec = quadrature or QuadratureSpec()
+    xl_g = lambda t: lambda xf: xf**l * np.asarray(g(xf, t), dtype=complex)
+    return np.array([integrate_1d(xl_g(t), 0.0, 1.0, spec) for t in points], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +546,7 @@ def layered_profile(
         descriptor=descriptor,
     )
     prof.moment_y = lambda l, y, k: ax_moment(l) * np.asarray(transverse(y), dtype=complex)
+    prof._axial_breaks = tuple(b)
     if transverse_transform is not None:
         prof.analytic_moment = lambda l, p, k: ax_moment(l) * np.asarray(
             transverse_transform(p), dtype=complex
@@ -573,7 +579,9 @@ def sampled_profile(x_nodes, y_nodes, values, decay_radius, descriptor="sampled"
         out = interp(pts).reshape(x_frac.shape)
         return np.where(_unit_mask(x_frac), out, 0.0)
 
-    return Profile2D(eval=w_eval, decay_radius=float(decay_radius), descriptor=descriptor)
+    prof = Profile2D(eval=w_eval, decay_radius=float(decay_radius), descriptor=descriptor)
+    prof._axial_breaks = tuple(x_nodes)  # the interpolant kinks there
+    return prof
 
 
 def coated_profile(slab, geometry, z1, z2):

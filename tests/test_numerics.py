@@ -135,12 +135,18 @@ def test_integrate_moments_of_kinked_rows():
         for l in (0, 1, 2)
     ]
     f, seen = _counted(lambda x: np.abs(x - c))
-    got = _integrate_moments(f, (0, 1, 2), QuadratureSpec(rel_tol=1e-10), "kinked rows")
+    got = _integrate_moments(f, (0, 1, 2), QuadratureSpec(rel_tol=1e-10))
     assert got.shape == (3, 2)
     assert_allclose(got, exact, rtol=1e-9)
     # 15 rows for [0, 1], then per halving 15 for each half and 15 more to
     # take the halved panel out of the running total
     assert len(seen) > 15 and (len(seen) - 15) % 45 == 0
+
+    # panels that start at the kinks are polynomial: 15 rows each, no halving
+    f, seen = _counted(lambda x: np.abs(x - c))
+    got = _integrate_moments(f, (0, 1, 2), QuadratureSpec(rel_tol=1e-10), breaks=c)
+    assert_allclose(got, exact, rtol=1e-13)
+    assert len(seen) == 45
 
 
 def test_integrate_2d_separable_and_coupled():

@@ -208,11 +208,12 @@ def test_layered_profile_exact_axial_moments():
             assert_allclose(numeric, a_l * g_hat(p), rtol=1e-9)
 
 
-def _bilinear_profile():
-    """A sampled_profile a(x_frac) b(y) kinked at x_frac = 1/4, 1/2, 3/4, and
-    the exact axial integrals A_l = INT_0^1 x^l a dx of its interpolant."""
-    x_nodes = np.linspace(0.0, 1.0, 5)
-    a = np.array([0.2, 1.0, 0.4, 0.9, 0.1])
+def _bilinear_profile(a=(0.2, 1.0, 0.4, 0.9, 0.1)):
+    """A sampled_profile a(x_frac) b(y) on evenly spaced x nodes (by default
+    kinked at x_frac = 1/4, 1/2, 3/4), and the exact axial integrals
+    A_l = INT_0^1 x^l a dx of its interpolant."""
+    a = np.asarray(a, dtype=float)
+    x_nodes = np.linspace(0.0, 1.0, a.size)
     y_nodes = np.linspace(-6.0, 6.0, 49)
     b = np.exp(-0.5 * y_nodes**2) * (1.0 + 0.3j * y_nodes)
     prof = sampled_profile(x_nodes, y_nodes, np.outer(a, b), decay_radius=8.0)
@@ -226,8 +227,15 @@ def _bilinear_profile():
     return prof, y_nodes, b, axial
 
 
-def test_bilinear_sampled_moments_match_the_exact_axial_integral():
-    prof, y_nodes, b, axial = _bilinear_profile()
+def _counted_eval(prof):
+    """Make prof record its eval calls; returns the list of their arguments."""
+    calls = []
+    w = prof.eval
+    prof.eval = lambda *args: calls.append(args) or w(*args)
+    return calls
+
+
+def _check_bilinear_moments(prof, y_nodes, b, axial):
     spec = TransformSpec(prof.decay_radius)
     y = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
     p = np.array([0.0, 0.7, -1.3, 2.5])
@@ -238,28 +246,61 @@ def test_bilinear_sampled_moments_match_the_exact_axial_integral():
         assert_allclose(moment_2d(prof, l, p, 1.0), a_l * b_hat, rtol=1e-9)
 
 
+def test_bilinear_sampled_moments_match_the_exact_axial_integral():
+    _check_bilinear_moments(*_bilinear_profile())
+
+
+def test_sampled_profile_panels_start_at_its_x_nodes():
+    # 21 x nodes put 16 kinks off the dyadic points; halving toward each of
+    # them would take about ten halvings apiece
+    prof, y_nodes, b, axial = _bilinear_profile(0.6 + 0.4 * np.sin(2.3 * np.arange(21)))
+    calls = _counted_eval(prof)
+    _check_bilinear_moments(prof, y_nodes, b, axial)
+    assert len(calls) == 20 * 15  # one Kronrod panel per interval, none halved
+
+
 def test_sampled_profile_reaches_second_order_quickly():
     prof = _bilinear_profile()[0]
+    calls = _counted_eval(prof)
     cfg = ScatteringConfig2D(k=0.8, ell=0.1, theta0=0.3)
     start = time.perf_counter()
     f2 = f2_2d(prof, cfg, 0.7)  # sampling the profile included
     assert time.perf_counter() - start < 2.0
     assert np.isfinite(f2)
+    assert len(calls) == 4 * 15
+
+
+def _tanh_jump(x, y):
+    """exp(-y^2/2) for 0 <= x <= 0.5 + 0.25 tanh(y), else 0: the jump sweeps
+    through x in [0.25, 0.75] as y varies, so no partition of the axial
+    coordinate resolves every sample at once."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    return np.where((x >= 0) & (x <= 0.5 + 0.25 * np.tanh(y)), np.exp(-0.5 * y * y), 0.0)
 
 
 def test_y_dependent_axial_jump_fails_fast():
-    # the jump sweeps through x_frac in [0.25, 0.75] as y varies, so no
-    # partition of the axial coordinate resolves every sample at once
-    def w(x, y, k):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return np.where((x >= 0) & (x <= 0.5 + 0.25 * np.tanh(y)), np.exp(-0.5 * y * y), 0.0)
-
+    prof = Profile2D(eval=lambda x, y, k: _tanh_jump(x, y), decay_radius=12.0)
+    calls = _counted_eval(prof)
     start = time.perf_counter()
     with pytest.raises(AccuracyError, match="did not converge") as info:
-        moment_2d(Profile2D(eval=w, decay_radius=12.0), 0, 0.3, 1.0)
+        moment_2d(prof, 0, 0.3, 1.0)
     assert time.perf_counter() - start < 10.0
     assert info.value.estimate is not None
     assert info.value.error_estimate > 0
+    # [0, 1], then 45 rows for each of the 101 halvings of a 65,537-point row
+    assert len(calls) == 15 + 45 * 101
+
+
+def test_3d_axial_jump_fails_within_the_point_budget():
+    prof = Profile3D(
+        eval=lambda r1, r2, z, k: _tanh_jump(z, r1) * np.exp(-0.5 * np.asarray(r2) ** 2),
+        decay_radius=8.0,
+    )
+    calls = _counted_eval(prof)
+    with pytest.raises(AccuracyError, match="did not converge"):
+        moment_3d(prof, 0, (0.3, 0.1), 1.0)
+    # a 1025 x 1025 mesh costs 16 times a 2D row, so it gets 6 halvings
+    assert len(calls) == 15 + 45 * 6
 
 
 def test_non_finite_profile_fails_on_the_first_panel():
