@@ -39,27 +39,26 @@ The first three kernel orders are
                  + INT_0^1 dx2 INT_0^x2 dx1 (x2 - x1) Q(x1, x2, p - p'; k) },
 
 where m_l are the transform moments and Q is the transverse Fourier
-transform of w(x1, y) w(x2, y).  N^(3) is exposed for validation; amplitude
-assembly stops at second order.
+transform of w(x1, y) w(x2, y).  By Fubini the simplex term is the transform
+of one more axial moment of the profile,
+
+    C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y),
+
+sampled once per profile and transformed like m_l, so every order is
+evaluated on the whole grid at once and amplitude assembly reaches third
+order.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.interpolate import BarycentricInterpolator
 
 from .amp2d import _GRAZING_TOL
-from .numerics import (
-    AccuracyError,
-    DomainError,
-    TransformSpec,
-    fourier_1d,
-    gauss_legendre,
-)
-from .profiles import moment_2d
+from .numerics import DomainError, gauss_legendre
+from .profiles import _convolution_moment, moment_2d
 
 __all__ = [
     "MomentumGrid",
@@ -70,7 +69,6 @@ __all__ = [
     "kernel_n1",
     "kernel_n2",
     "kernel_n3",
-    "q_tilde",
     "kernel_matrix",
     "assemble_channels",
     "amplitude_from_kernels",
@@ -170,61 +168,21 @@ def kernel_n2(profile, a, b, p, pp, k, transform=None):
     return bracket * m1 / (4.0 * np.pi)
 
 
-def q_tilde(profile, x1, x2, q, k, transform=None):
-    """Transverse Fourier transform of the product w(x1, y) w(x2, y)."""
-    spec = transform or TransformSpec(truncation_radius=profile.decay_radius)
+def kernel_n3(profile, a, b, p, pp, k, transform=None):
+    """Third-order kernel.
 
-    def product(y):
-        return np.asarray(profile.eval(x1, y, k), dtype=complex) * np.asarray(
-            profile.eval(x2, y, k), dtype=complex
-        )
-
-    return fourier_1d(product, q, spec)
-
-
-_SIMPLEX_GL_MAX = 32
-
-
-def _simplex_convolution(profile, q, k, transform=None):
-    """INT_0^1 dx2 INT_0^x2 dx1 (x2 - x1) Q(x1, x2, q; k), by nested GL rules."""
-    prev = None
-    n = 4
-    while n <= _SIMPLEX_GL_MAX:
-        t, w = gauss_legendre(n)
-        u = 0.5 * (t + 1.0)  # x2
-        wu = 0.5 * w
-        total = 0j
-        for x2, w2 in zip(u, wu):
-            for tt, wt in zip(u, wu):
-                x1 = x2 * tt
-                total += (
-                    w2
-                    * wt
-                    * x2
-                    * (x2 - x1)
-                    * complex(q_tilde(profile, x1, x2, q, k, transform))
-                )
-        if prev is not None and abs(total - prev) <= max(1e-14, 1e-8 * abs(total)):
-            return total
-        prev = total
-        n *= 2
-    raise AccuracyError(
-        "simplex convolution for the third-order kernel did not stabilize",
-        estimate=prev,
-    )
-
-
-def kernel_n3(profile, a, b, p, pp, k, spec=None, transform=None):
-    """Third-order kernel (validation only; not used in amplitude assembly)."""
+    Its simplex term is the transform of the profile's "convolution"
+    samples (see profiles._convolution_moment), so like m_2 it is evaluated
+    at the whole p - p' array at once.
+    """
     _validate_ab(a, b)
     _validate_momenta(p, pp, k)
-    p = float(p)
-    pp = float(pp)
-    q = p - pp
-    m2 = moment_2d(profile, 2, q, k, transform=transform)
+    p = np.asarray(p, dtype=float)
+    pp = np.asarray(pp, dtype=float)
+    m2 = moment_2d(profile, 2, p - pp, k, transform=transform)
+    conv = _convolution_moment(profile, p - pp, k, transform)
     root = np.sqrt((1.0 - (p / k) ** 2) * (1.0 - (pp / k) ** 2))
     bracket = 1.0 - (p * p + pp * pp) / (2.0 * k * k) - (-1.0) ** (a + b) * root
-    conv = _simplex_convolution(profile, q, k, transform)
     pref = 1j * (-1.0) ** (a - 1) / (4.0 * np.pi * np.sqrt(1.0 - (pp / k) ** 2))
     return pref * (m2 * bracket + conv)
 
@@ -236,18 +194,8 @@ def kernel_matrix(profile, j, a, b, grid, transform=None):
     n = grid.nodes.size
     P = np.repeat(grid.nodes, n)
     PP = np.tile(grid.nodes, n)
-    if j == 1:
-        vals = kernel_n1(profile, a, b, P, PP, grid.k, transform)
-    elif j == 2:
-        vals = kernel_n2(profile, a, b, P, PP, grid.k, transform)
-    else:
-        vals = np.array(
-            [
-                kernel_n3(profile, a, b, pi, ppi, grid.k, transform=transform)
-                for pi, ppi in zip(P, PP)
-            ],
-            dtype=complex,
-        )
+    kernel = (kernel_n1, kernel_n2, kernel_n3)[j - 1]
+    vals = kernel(profile, a, b, P, PP, grid.k, transform)
     return KernelMatrix(j=j, a=a, b=b, values=vals.reshape(n, n), grid=grid)
 
 
@@ -401,8 +349,8 @@ def amplitude_from_kernels(
     cos theta0), and reads off the smooth part at p = k sin theta; the
     delta parts (unscattered beam) are excluded.
     """
-    if truncation not in (1, 2):
-        raise DomainError("amplitude assembly supports truncation 1 or 2")
+    if truncation not in (1, 2, 3):
+        raise DomainError("amplitude assembly supports truncation 1, 2, or 3")
     if abs(math.cos(theta)) < _GRAZING_TOL:
         raise DomainError("theta = +-pi/2 is excluded")
     grid = momentum_grid(config.k, count=node_count)

@@ -15,9 +15,11 @@ of ``eval`` samples, gives the moments on a uniform transverse grid (2D and 3D)
 and :mod:`slabscat.numerics` transforms them (in 2D by a type-2 NUFFT, planned
 once per cached sample set).  Its first panels end where the profile declares
 an axial kink or jump (the x nodes of a sampled profile, the boundaries of a
-layered one).  A profile the sampler cannot resolve within its budget of
-evaluated points (an axial jump whose position moves with y, say) raises
-AccuracyError.
+layered one).  Nested, the same sampler gives the one further moment the
+third-order kernel needs, the simplex convolution C(y) of w with itself
+(see _convolution_moment).  A profile the sampler cannot resolve within its
+budget of evaluated points (an axial jump whose position moves with y, say)
+raises AccuracyError.
 
 ``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
 3D); ``profile_from_dict`` builds a profile from its JSON form
@@ -159,7 +161,13 @@ def _moment_samples(profile, k, spec, route="eval"):
     profile's closed spatial moments (orders it rejects are left out); the
     "eval" route integrates x_frac^l * w over the axial coordinate for the
     whole grid at once, by adaptive Gauss-Kronrod from the profile's declared
-    axial breaks, within a budget of ``_AXIAL_POINTS`` evaluated points.
+    axial breaks, within a budget of ``_AXIAL_POINTS`` evaluated points.  The
+    "convolution" route samples a 2D profile's
+
+        C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y)
+
+    under the key "C", by the same sampler nested: over x2 from the declared
+    breaks, and at each x2 over t from the breaks b/x2 with b < x2.
     """
     key = (route, _k_key(profile, k), spec.truncation_radius, spec.sample_count)
     if key in profile._cache:
@@ -184,9 +192,20 @@ def _moment_samples(profile, k, spec, route="eval"):
             layer = lambda xf: profile.eval(xf, r, k)
         halvings = max(1, int(_AXIAL_POINTS / (45 * points)))
         quad = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=halvings)
+        names = orders
+        if route == "convolution":
+            w_row = layer
+
+            def layer(x2):
+                # INT_0^1 dt (1 - t) w(x2 t, y), from the breaks below x2
+                t_breaks = [b / x2 for b in breaks if b < x2]
+                tail = lambda t: (1.0 - t) * w_row(x2 * t)
+                return _integrate_moments(tail, (0,), quad, t_breaks)[0] * w_row(x2)
+
+            orders, names = (2,), ("C",)
         moments = _integrate_moments(layer, orders, quad, breaks)
         # complex copies owning their data, which transform_samples_1d caches
-        samples = {l: np.array(row, dtype=complex) for l, row in zip(orders, moments)}
+        samples = {name: np.array(row, dtype=complex) for name, row in zip(names, moments)}
 
     # a moment that is uniformly negligible against the largest one (e.g. a
     # coating that nulls it to rounding level) has nothing left to truncate
@@ -257,6 +276,19 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
         samples = _moment_samples(profile, k, spec)
     out = transform_samples_1d(samples[l], spec.truncation_radius, p_arr)
     return out[0] if scalar else out
+
+
+def _convolution_moment(profile, p, k, transform=None):
+    """F[C](p), the transverse transform of the "convolution" samples C(y).
+
+    By Fubini it is the simplex term of the third-order kernel,
+    INT_0^1 dx2 INT_0^x2 dx1 (x2 - x1) Q(x1, x2, p), where Q is the
+    transverse transform of w(x1, y) w(x2, y); C is sampled from ``eval``
+    (for an axially uniform w, C = w^2 / 6) and transformed like m_l.
+    """
+    spec = _default_spec(profile, transform)
+    samples = _moment_samples(profile, k, spec, route="convolution")
+    return transform_samples_1d(samples["C"], spec.truncation_radius, p)
 
 
 def moment_3d(profile, l, pvec, k, transform=None, method="auto"):

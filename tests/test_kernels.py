@@ -11,7 +11,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import BarycentricInterpolator
 
-from slabscat.amp2d import ScatteringConfig2D, amplitude_2d, f1_2d
+from slabscat.amp2d import ScatteringConfig2D, amplitude_2d, c_factor, f1_2d
+from slabscat.exactborn import Ex1Params, ex1_f1
 from slabscat.kernels import (
     ChannelFunctions,
     amplitude_from_kernels,
@@ -21,11 +22,15 @@ from slabscat.kernels import (
     kernel_n2,
     kernel_n3,
     momentum_grid,
-    q_tilde,
     varpi,
 )
 from slabscat.numerics import DomainError, TransformSpec, TruncationError
-from slabscat.profiles import Profile2D, ex1_profile, gaussian_slab_2d
+from slabscat.profiles import (
+    Profile2D,
+    _convolution_moment,
+    ex1_profile,
+    gaussian_slab_2d,
+)
 
 
 def _zero_profile():
@@ -117,7 +122,9 @@ def test_kernel_n2_symmetry_and_values():
     np.testing.assert_array_equal(mats[(1, 2)], mats[(2, 1)])
 
 
-def test_q_tilde_one_sided_support():
+def test_convolution_moment_one_sided_support():
+    # ex1 is axially uniform, so C = w^2 / 6 and F[C] is a sixth of the
+    # transform of w^2, one-sided above 2 alpha
     z, alpha, L = 0.5, 2.0, 1.0
     prof = ex1_profile(z, alpha, L)
 
@@ -129,10 +136,10 @@ def test_q_tilde_one_sided_support():
 
     scale = 2 * np.pi * z * z * L
     for q in (alpha, 2 * alpha - 0.5, 2 * alpha):
-        assert abs(q_tilde(prof, 0.2, 0.7, q, 1.0)) < 1e-8 * scale
+        assert abs(_convolution_moment(prof, q, 1.0)) < 1e-8 * scale
     for q in (2 * alpha + 0.5, 2 * alpha + 1.5, 2 * alpha + 3.0):
-        got = q_tilde(prof, 0.2, 0.7, q, 1.0)
-        assert complex(got) == pytest.approx(closed(q), rel=1e-6)
+        got = _convolution_moment(prof, q, 1.0)
+        assert complex(got) == pytest.approx(closed(q) / 6.0, rel=1e-6)
 
     # independent check of one value against direct convolution of transforms
     def g_hat(p):
@@ -144,13 +151,11 @@ def test_q_tilde_one_sided_support():
     conv = quad(lambda s: (g_hat(s) * g_hat(q - s)).real, alpha, q - alpha)[0] / (
         2 * np.pi
     )
-    assert q_tilde(prof, 0.5, 0.5, q, 1.0) == pytest.approx(conv, rel=1e-6)
+    assert _convolution_moment(prof, q, 1.0) == pytest.approx(conv / 6.0, rel=1e-6)
 
     with pytest.raises(TruncationError):
-        q_tilde(
+        _convolution_moment(
             gaussian_slab_2d(1.0, 1.0),
-            0.5,
-            0.5,
             0.3,
             1.0,
             transform=TransformSpec(truncation_radius=2.0, sample_count=1024),
@@ -175,9 +180,15 @@ def test_kernel_n3_axially_uniform_reduction():
                 * (m0 / 3.0 * bracket + conv)
             )
             got = kernel_n3(prof, a, b, p, pp, k)
-            assert complex(got) == pytest.approx(want, rel=1e-6)
+            assert complex(got) == pytest.approx(want, rel=1e-12)
     zero = kernel_n3(_zero_profile(), 1, 1, p, pp, k)
     assert abs(complex(zero)) < 1e-14
+    # the matrix is the kernel at every node pair, evaluated at once
+    grid = momentum_grid(k, count=11)
+    matrix = kernel_matrix(prof, 3, 2, 1, grid).values
+    for i, j in ((0, 10), (3, 7), (5, 5)):
+        entry = kernel_n3(prof, 2, 1, grid.nodes[i], grid.nodes[j], k)
+        assert matrix[i, j] == pytest.approx(complex(entry), rel=1e-12)
 
 
 def test_channels_vacuum():
@@ -310,7 +321,7 @@ def test_assembly_error_paths():
     with pytest.raises(DomainError):
         assemble_channels([], config, "left", truncation=1)
     with pytest.raises(DomainError):
-        amplitude_from_kernels(prof, config, 1.0, truncation=3)
+        amplitude_from_kernels(prof, config, 1.0, truncation=4)
     with pytest.raises(DomainError):
         amplitude_from_kernels(prof, config, np.pi / 2)
 
@@ -332,6 +343,45 @@ def test_amplitude_matches_closed_forms():
         second = amplitude_from_kernels(prof, config, theta, truncation=2)
         want2 = amplitude_2d(prof, config, theta, order=2).truncated
         assert second == pytest.approx(want2, rel=1e-6)
+
+
+def test_third_order_matches_ex1_exact():
+    # for k <= alpha the exact ex1 amplitude is i (e^{-i k ell c} - 1)/c * f1,
+    # whose third-order coefficient is -c^2 f1 / 6
+    z, alpha, L = 0.5, 1.0, 1.0
+    prof = ex1_profile(z, alpha, L)
+    k, kl = 1.0, 0.1
+    cases = [
+        (-np.pi / 5, np.pi / 3),  # left incidence, transmission half
+        (-np.pi / 5, 2.5),  # left incidence, reflection half
+        (4 * np.pi / 3, 0.4),  # right incidence, reflection half
+        (4 * np.pi / 3, 2.8),  # right incidence, transmission half
+        (0.3, 1.0),  # s < alpha / k: f1 and every order vanish
+    ]
+    errors, f1s = [], []
+    for theta0, theta in cases:
+        config = ScatteringConfig2D(k=k, ell=kl / k, theta0=theta0)
+        second = amplitude_from_kernels(prof, config, theta, truncation=2)
+        third = amplitude_from_kernels(prof, config, theta, truncation=3)
+        f1 = ex1_f1(Ex1Params(z, alpha, L), config, theta)
+        want = -c_factor(theta, theta0) ** 2 * f1 / 6.0
+        errors.append(abs((third - second) / kl**3 - want))
+        f1s.append(abs(f1))
+    assert max(errors) <= 1e-3 * max(f1s)
+
+
+def test_third_order_grid_refinement():
+    prof = gaussian_slab_2d(0.3 + 0.05j, 1.2)
+    config = ScatteringConfig2D(k=1.1, ell=0.05, theta0=-np.pi / 5)
+    terms = []
+    for count in (201, 401):
+        second, third = (
+            amplitude_from_kernels(prof, config, 2.5, truncation=t, node_count=count)
+            for t in (2, 3)
+        )
+        terms.append(third - second)
+    coarse, fine = terms
+    assert abs(coarse - fine) <= 1e-7 * abs(fine)
 
 
 def test_amplitude_grid_refinement():

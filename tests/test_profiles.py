@@ -5,7 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import dblquad
 
 from slabscat.amp2d import ScatteringConfig2D, f2_2d
 from slabscat.numerics import (
@@ -22,6 +25,7 @@ from slabscat.profiles import (
     CoatedProfile2D,
     Profile2D,
     Profile3D,
+    _convolution_moment,
     coated_profile,
     ex1_profile,
     gaussian_slab_2d,
@@ -279,16 +283,20 @@ def _tanh_jump(x, y):
 
 
 def test_y_dependent_axial_jump_fails_fast():
-    prof = Profile2D(eval=lambda x, y, k: _tanh_jump(x, y), decay_radius=12.0)
-    calls = _counted_eval(prof)
-    start = time.perf_counter()
-    with pytest.raises(AccuracyError, match="did not converge") as info:
-        moment_2d(prof, 0, 0.3, 1.0)
-    assert time.perf_counter() - start < 10.0
-    assert info.value.estimate is not None
-    assert info.value.error_estimate > 0
-    # [0, 1], then 45 rows for each of the 101 halvings of a 65,537-point row
-    assert len(calls) == 15 + 45 * 101
+    # [0, 1], then 45 rows for each of the 101 halvings of a 65,537-point row;
+    # the convolution route first resolves the inner integrals of the five
+    # outer nodes below the jump (16 rows each), then fails on the sixth
+    routes = [(moment_2d, (0, 0.3, 1.0), 0), (_convolution_moment, (0.3, 1.0), 5 * 16)]
+    for moment, args, resolved in routes:
+        prof = Profile2D(eval=lambda x, y, k: _tanh_jump(x, y), decay_radius=12.0)
+        calls = _counted_eval(prof)
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="did not converge") as info:
+            moment(prof, *args)
+        assert time.perf_counter() - start < 10.0
+        assert info.value.estimate is not None
+        assert info.value.error_estimate > 0
+        assert len(calls) == resolved + 15 + 45 * 101
 
 
 def test_3d_axial_jump_fails_within_the_point_budget():
@@ -310,9 +318,91 @@ def test_non_finite_profile_fails_on_the_first_panel():
         calls.append(x)
         return np.where(np.asarray(y) > 1.0, np.nan, 1.0) * np.exp(-np.asarray(y) ** 2)
 
-    with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\]"):
-        moment_2d(Profile2D(eval=w, decay_radius=12.0), 0, 0.3, 1.0)
-    assert len(calls) == 15
+    for moment, args in ((moment_2d, (0, 0.3, 1.0)), (_convolution_moment, (0.3, 1.0))):
+        calls.clear()
+        with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\]"):
+            moment(Profile2D(eval=w, decay_radius=12.0), *args)
+        assert len(calls) == 15
+
+
+def _sheared_gaussian(g, shear):
+    """The eval-only, non-separable profile g(x) exp(-(y - shear x)^2 / 2)."""
+
+    def w(x, y, k):
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        return np.where((x >= 0) & (x <= 1), g(x) * np.exp(-0.5 * (y - shear * x) ** 2), 0.0)
+
+    return Profile2D(eval=w, decay_radius=12.0 + abs(shear))
+
+
+def test_convolution_moment_of_a_sheared_gaussian():
+    # Q(x1, x2, q) = g(x1) g(x2) sqrt(pi) e^{-shear^2 (x1 - x2)^2 / 4 - q^2 / 4
+    # - i q shear (x1 + x2) / 2} in closed form, integrated over the simplex
+    g = lambda x: 0.6 + 0.3j * x - 0.5 * x * x
+    shear = 1.2
+    prof = _sheared_gaussian(g, shear)
+    calls = _counted_eval(prof)
+
+    def Q(x1, x2, q):
+        phase = -0.25 * (shear * (x1 - x2)) ** 2 - 0.25 * q * q - 0.5j * q * shear * (x1 + x2)
+        return g(x1) * g(x2) * np.sqrt(np.pi) * np.exp(phase)
+
+    for q in (0.0, 0.8, -2.1):
+        want = [
+            dblquad(
+                lambda x1, x2: part((x2 - x1) * Q(x1, x2, q)),
+                0.0, 1.0, 0.0, lambda x2: x2, epsabs=1e-14, epsrel=1e-13,
+            )[0]
+            for part in (np.real, np.imag)
+        ]
+        assert_allclose(_convolution_moment(prof, q, 1.0), complex(*want), rtol=1e-9)
+    # one outer panel of 15 nodes, each one row plus one inner panel of 15
+    assert len(calls) == 15 * 16
+
+
+def test_convolution_moment_of_a_bilinear_sampled_profile():
+    # w = a(x) b(y) with a, b the linear interpolants, so C = A b^2 where A is
+    # the simplex integral of (x2 - x1) a(x1) a(x2): A = INT_0^1 a F dx with
+    # F(x) = INT_0^x (x - x1) a(x1) dx1, piecewise polynomial integrals
+    a = np.array([0.2, 1.0, 0.4, 0.9, 0.1])
+    prof, y_nodes, b, _ = _bilinear_profile(a)
+    calls = _counted_eval(prof)
+    x_nodes = np.linspace(0.0, 1.0, a.size)
+    P = np.polynomial.Polynomial
+    x = P([0.0, 1.0])
+    A, M0, M1 = 0.0, 0.0, 0.0  # M_l = INT_0^x0 x1^l a(x1) dx1 at the piece start
+    for x0, x1, a0, a1 in zip(x_nodes[:-1], x_nodes[1:], a[:-1], a[1:]):
+        piece = a0 + (a1 - a0) / (x1 - x0) * (x - x0)
+        m0 = M0 + piece.integ(lbnd=x0)
+        m1 = M1 + (x * piece).integ(lbnd=x0)
+        A += (piece * (x * m0 - m1)).integ(lbnd=x0)(x1)
+        M0, M1 = m0(x1), m1(x1)
+
+    spec = TransformSpec(prof.decay_radius, 4096)
+    y = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
+    p = np.array([0.0, 0.7, -1.3, 2.5])
+    b_interp = np.interp(y, y_nodes, b, left=0.0, right=0.0)
+    want = A * transform_samples_1d(b_interp**2, spec.truncation_radius, p)
+    assert_allclose(_convolution_moment(prof, p, 1.0, transform=spec), want, rtol=1e-9)
+    # outer piece i holds i + 1 inner pieces, none halved: 15 (1 + 15 (i + 1))
+    assert len(calls) == sum(15 * (1 + 15 * (i + 1)) for i in range(4))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    s=st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).filter(
+        lambda s: abs(s) > 0.1
+    ),
+    shear=st.floats(-2.0, 2.0),
+    q=st.floats(-3.0, 3.0),
+)
+def test_convolution_moment_is_quadratic_in_w(s, shear, q):
+    g = lambda x: 1.0 + 0.5 * x - 0.8 * x * x
+    prof = _sheared_gaussian(g, shear)
+    scaled = Profile2D(eval=lambda x, y, k: s * prof.eval(x, y, k), decay_radius=prof.decay_radius)
+    spec = TransformSpec(prof.decay_radius, 1024)
+    base = _convolution_moment(prof, q, 1.0, transform=spec)
+    assert_allclose(_convolution_moment(scaled, q, 1.0, transform=spec), s * s * base, rtol=1e-12)
 
 
 def test_numeric_moments_share_the_sample_cache():
