@@ -45,8 +45,17 @@ of one more axial moment of the profile,
     C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y),
 
 sampled once per profile and transformed like m_l, so every order is
-evaluated on the whole grid at once and amplitude assembly reaches third
-order.
+evaluated at a whole array of momentum pairs at once and amplitude assembly
+reaches third order.
+
+Chains are evaluated by Nystrom's method (Atkinson 1997, *The Numerical
+Solution of Integral Equations of the Second Kind*, section 4.1): every
+kernel is known at any momentum pair, so in <p| N_1 ... N_m |p0> the last
+kernel is evaluated at the grid nodes against the column p' = p0, the first
+at the requested rows p against the nodes, and only the kernels in between
+(third-order chains, as N^(1)_22) as grid matrices; a one-kernel chain is
+N_1(p, p0) itself.  Nothing is interpolated, so the only discretization
+error is the quadrature over the intermediate momenta.
 """
 
 import itertools
@@ -54,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
 from .amp2d import _GRAZING_TOL
 from .numerics import DomainError, gauss_legendre
@@ -62,10 +70,7 @@ from .profiles import _convolution_moment, moment_2d
 
 __all__ = [
     "MomentumGrid",
-    "KernelMatrix",
-    "ChannelFunctions",
     "momentum_grid",
-    "varpi",
     "kernel_n1",
     "kernel_n2",
     "kernel_n3",
@@ -84,11 +89,6 @@ class MomentumGrid:
     k: float
     nodes: np.ndarray
     weights: np.ndarray
-    query_points: np.ndarray  # interpolation abscissae phi, with p = k sin(phi)
-
-    def query_of(self, p):
-        """Map a momentum to the interpolation variable phi of this grid."""
-        return np.arcsin(np.clip(p / self.k, -1.0, 1.0))
 
 
 def momentum_grid(k, count=201):
@@ -108,30 +108,7 @@ def momentum_grid(k, count=201):
         raise DomainError(
             "grid nodes fall within 1e-10 of |p| = k; reduce the node count"
         )
-    return MomentumGrid(k=float(k), nodes=nodes, weights=weights, query_points=phi)
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """One discretized kernel N^(j)_ab on a MomentumGrid."""
-
-    j: int
-    a: int
-    b: int
-    values: np.ndarray
-    grid: MomentumGrid
-
-
-def varpi(p, k):
-    """Axial wavenumber sqrt(k^2 - p^2), continued as i sqrt(p^2 - k^2)."""
-    p = np.asarray(p, dtype=float)
-    scalar = p.ndim == 0
-    p = np.atleast_1d(p)
-    out = np.empty(p.shape, dtype=complex)
-    prop = np.abs(p) < k
-    out[prop] = np.sqrt(k * k - p[prop] ** 2)
-    out[~prop] = 1j * np.sqrt(p[~prop] ** 2 - k * k)
-    return complex(out[0]) if scalar else out
+    return MomentumGrid(k=float(k), nodes=nodes, weights=weights)
 
 
 def _validate_ab(a, b):
@@ -187,155 +164,87 @@ def kernel_n3(profile, a, b, p, pp, k, transform=None):
     return pref * (m2 * bracket + conv)
 
 
-def kernel_matrix(profile, j, a, b, grid, transform=None):
-    """Discretize N^(j)_ab on the grid (rows: p, columns: p')."""
+def _kernel_block(profile, j, a, b, p, pp, k, transform=None):
+    """N^(j)_ab at every pair of the momenta p and p', as a (p.size, p'.size) array.
+
+    The pairs are flattened first: the sampled transforms take 1-D momenta.
+    """
     if j not in (1, 2, 3):
         raise DomainError("kernel order j must be 1, 2, or 3")
-    n = grid.nodes.size
-    P = np.repeat(grid.nodes, n)
-    PP = np.tile(grid.nodes, n)
     kernel = (kernel_n1, kernel_n2, kernel_n3)[j - 1]
-    vals = kernel(profile, a, b, P, PP, grid.k, transform)
-    return KernelMatrix(j=j, a=a, b=b, values=vals.reshape(n, n), grid=grid)
+    vals = kernel(profile, a, b, np.repeat(p, pp.size), np.tile(pp, p.size), k, transform)
+    return vals.reshape(p.size, pp.size)
 
 
-@dataclass(frozen=True)
-class ChannelFunctions:
-    """Smooth channel values on the grid plus symbolic delta coefficients."""
-
-    grid: MomentumGrid
-    side: str
-    truncation: int
-    p0: float
-    B_minus: np.ndarray
-    A_plus: np.ndarray
-    B_minus_delta: complex
-    A_plus_delta: complex
-
-    def __post_init__(self):
-        if self.side == "left" and self.B_minus_delta != 0:
-            raise DomainError("left-incidence B- carries no delta part")
-        if self.side == "right" and self.A_plus_delta != 0:
-            raise DomainError("right-incidence A+ carries no delta part")
+def kernel_matrix(profile, j, a, b, grid, transform=None):
+    """Discretize N^(j)_ab on the grid (rows: p, columns: p')."""
+    return _kernel_block(profile, j, a, b, grid.nodes, grid.nodes, grid.k, transform)
 
 
-def _channel_chains(side):
-    """Kernel-index words of each channel's series, with overall signs."""
-    if side == "left":
-        b_chains = lambda m: [("22",) * j + ("21",) for j in range(m)]
-        a_chains = lambda m: [("11",)] + [
-            ("12",) + ("22",) * j + ("21",) for j in range(max(m - 1, 0))
-        ]
-        return (b_chains, 1.0), (a_chains, -1.0)
-    if side == "right":
-        b_chains = lambda m: [("22",) * j for j in range(1, m + 1)]
-        a_chains = lambda m: [("12",) + ("22",) * j for j in range(m)]
-        return (b_chains, 1.0), (a_chains, -1.0)
-    raise DomainError("side must be 'left' or 'right'")
+def _channel_chains(left, m):
+    """Kernel-index words of the (B-, A+) series to m kernels, with their signs."""
+    if left:
+        b_chains = [("22",) * j + ("21",) for j in range(m)]
+        a_chains = [("11",)] + [("12",) + ("22",) * j + ("21",) for j in range(m - 1)]
+    else:
+        b_chains = [("22",) * j for j in range(1, m + 1)]
+        a_chains = [("12",) + ("22",) * j for j in range(m)]
+    return (b_chains, 1.0), (a_chains, -1.0)
 
 
-def _index_kernels(kernels):
-    table = {}
-    grid = None
-    for km in kernels:
-        if grid is None:
-            grid = km.grid
-        elif km.grid is not grid and not (
-            km.grid.nodes.shape == grid.nodes.shape
-            and np.array_equal(km.grid.nodes, grid.nodes)
-        ):
-            raise DomainError("kernel matrices were built on mismatched grids")
-        table[(km.j, km.a, km.b)] = km.values
-    return table, grid
+def _chain_sum(block, chains, truncation, kl, weights):
+    """Sum over words and order assignments of <p| N... |p0> * (k ell)^total.
 
-
-def _lookup(table, j, a, b):
-    key = (j, a, b)
-    if key in table:
-        return table[key]
-    if j == 1:  # first order is b-independent
-        alt = (1, a, 3 - b)
-        if alt in table:
-            return table[alt]
-    raise DomainError(f"missing kernel matrix N^({j})_{a}{b} for the requested truncation")
-
-
-def _interpolant(grid, values):
-    """Barycentric interpolant in phi over the grid nodes.
-
-    scipy builds the weights over a random permutation of the nodes; a fixed
-    ``rng`` makes repeated calls, and so every amplitude, bit-for-bit equal.
+    The last kernel of a word is evaluated against the column p0, the first
+    at the rows p, and the ones in between on the grid, so a product of m
+    kernels integrates m - 1 intermediate momenta with the grid weights.
     """
-    return BarycentricInterpolator(grid.query_points, values, rng=0)
-
-
-def _column_at(values, grid, p0):
-    """Interpolate the p' dependence of a kernel matrix at p' = p0.
-
-    Every kernel order carries an inverse square-root endpoint weight in p'
-    (poles at |p'| = k sit on the interpolation interval's ends); stripping
-    the weight before polynomial interpolation and dividing it back keeps
-    the interpolant smooth.
-    """
-    scale = np.sqrt(1.0 - (grid.nodes / grid.k) ** 2)
-    interp = _interpolant(grid, (values * scale).T)
-    s0 = math.sqrt(1.0 - (p0 / grid.k) ** 2)
-    return np.asarray(interp(grid.query_of(p0)), dtype=complex) / s0
-
-
-def _chain_sum(table, grid, chains, truncation, p0, kl):
-    """Sum over words and order assignments of <p| N... |p0> * (k ell)^total."""
-    total = np.zeros(grid.nodes.size, dtype=complex)
+    total = 0.0
     for chain in chains:
         m = len(chain)
-        if m > truncation:
-            continue
         for orders in itertools.product(range(1, truncation + 1), repeat=m):
             if sum(orders) > truncation:
                 continue
-            word = [
-                _lookup(table, o, int(ab[0]), int(ab[1]))
-                for o, ab in zip(orders, chain)
-            ]
-            vec = _column_at(word[-1], grid, p0)
-            for matrix in reversed(word[:-1]):
-                vec = matrix @ (grid.weights * vec)
-            total += kl ** sum(orders) * vec
+            vec = block(orders[-1], chain[-1], "p" if m == 1 else "nodes", "p0")
+            for i in reversed(range(m - 1)):
+                rows = "p" if i == 0 else "nodes"
+                vec = block(orders[i], chain[i], rows, "nodes") @ (weights[:, None] * vec)
+            total = total + kl ** sum(orders) * vec[:, 0]
     return total
 
 
-def assemble_channels(kernels, config, side, truncation):
-    """Assemble the channel functions from discretized kernels.
+def assemble_channels(profile, config, p, truncation, grid, transform=None):
+    """Smooth parts (B-, A+) of the channel functions at the momenta p.
 
-    ``kernels`` is an iterable of KernelMatrix on one common grid, covering
-    every order up to ``truncation`` (first-order matrices may be supplied
-    for a single b thanks to their b-independence).  Products are truncated
-    by total power of k*ell.
+    The incidence side is the sign of cos theta0, and the delta parts (the
+    unscattered beam) are left out.  Products are truncated by total power
+    of k*ell; their intermediate momenta run over the grid nodes.  Each
+    kernel block a chain needs is built once per call.
     """
     if truncation not in (1, 2, 3):
         raise DomainError("truncation must be 1, 2, or 3")
-    table, grid = _index_kernels(kernels)
-    if grid is None:
-        raise DomainError("no kernel matrices supplied")
-    k = config.k
-    p0 = config.p0
+    if grid.k != config.k:
+        raise DomainError("the momentum grid was built for another wavenumber")
+    momenta = {
+        "p": np.atleast_1d(np.asarray(p, dtype=float)),
+        "nodes": grid.nodes,
+        "p0": np.array([config.p0]),
+    }
+    blocks = {}
+
+    def block(j, ab, rows, cols):
+        key = (j, ab, rows, cols)
+        if key not in blocks:
+            blocks[key] = _kernel_block(
+                profile, j, int(ab[0]), int(ab[1]), momenta[rows], momenta[cols],
+                grid.k, transform,
+            )
+        return blocks[key]
+
     pref = 2.0 * np.pi * config.varpi0
-    (b_chains, b_sign), (a_chains, a_sign) = _channel_chains(side)
-    b_vals = pref * b_sign * _chain_sum(
-        table, grid, b_chains(truncation), truncation, p0, config.kl
-    )
-    a_vals = pref * a_sign * _chain_sum(
-        table, grid, a_chains(truncation), truncation, p0, config.kl
-    )
-    return ChannelFunctions(
-        grid=grid,
-        side=side,
-        truncation=truncation,
-        p0=p0,
-        B_minus=b_vals,
-        A_plus=a_vals,
-        B_minus_delta=pref if side == "right" else 0j,
-        A_plus_delta=pref if side == "left" else 0j,
+    return tuple(
+        pref * sign * _chain_sum(block, chains, truncation, config.kl, grid.weights)
+        for chains, sign in _channel_chains(math.cos(config.theta0) > 0, truncation)
     )
 
 
@@ -344,26 +253,14 @@ def amplitude_from_kernels(
 ):
     """Amplitude at observation angle theta via the discretized kernel route.
 
-    Builds the kernel matrices up to ``truncation`` in total k*ell power,
-    assembles the channel dictated by the incidence side (sign of
-    cos theta0), and reads off the smooth part at p = k sin theta; the
-    delta parts (unscattered beam) are excluded.
+    Assembles the channels up to ``truncation`` in total k*ell power at
+    p = k sin theta and reads the A+ channel for cos theta > 0, B- otherwise.
     """
-    if truncation not in (1, 2, 3):
-        raise DomainError("amplitude assembly supports truncation 1, 2, or 3")
     if abs(math.cos(theta)) < _GRAZING_TOL:
         raise DomainError("theta = +-pi/2 is excluded")
     grid = momentum_grid(config.k, count=node_count)
-    kernels = []
-    for j in range(1, truncation + 1):
-        for a in (1, 2):
-            bs = (1,) if j == 1 else (1, 2)
-            for b in bs:
-                kernels.append(kernel_matrix(profile, j, a, b, grid, transform))
-    side = "left" if math.cos(config.theta0) > 0 else "right"
-    channels = assemble_channels(kernels, config, side, truncation)
-    p = config.k * math.sin(theta)
-    values = channels.A_plus if math.cos(theta) > 0 else channels.B_minus
-    interp = _interpolant(grid, values)
-    smooth = complex(interp(grid.query_of(p)))
-    return -1j / math.sqrt(2.0 * math.pi) * smooth
+    b_minus, a_plus = assemble_channels(
+        profile, config, config.k * math.sin(theta), truncation, grid, transform
+    )
+    smooth = a_plus[0] if math.cos(theta) > 0 else b_minus[0]
+    return -1j / math.sqrt(2.0 * math.pi) * complex(smooth)

@@ -227,19 +227,32 @@ def test_amp3d_rows_match_the_api(tmp_path):
 
 
 def test_kernels_check_passes_then_fails_on_absurd_tol(tmp_path):
-    cfg = {
-        "command": "kernels-check",
-        "profile": {"catalog": "gaussian2d", "z": 0.3, "L": 1.2},
-        "physics": {"k": 1.1, "ell": 0.05, "theta0": 2.5, "thetas": [0.4]},
-        "output": {"path": str(tmp_path / "k.csv"), "format": "csv"},
+    # a smooth Gaussian slab, and ex1, whose one-sided spectrum kinks the
+    # kernels at p - p' = alpha
+    cases = {
+        "gaussian2d": (
+            {"catalog": "gaussian2d", "z": 0.3, "L": 1.2},
+            {"k": 1.1, "ell": 0.05, "theta0": 2.5, "thetas": [0.4]},
+        ),
+        "ex1": (
+            {"catalog": "ex1", "z": 0.5, "alpha": 1.0, "L": 1.0},
+            {"k": 1.0, "ell": 0.1, "theta0": -np.pi / 5, "thetas": [np.pi / 3, 2.5]},
+        ),
     }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    result = _invoke("run", "--config", str(path))
-    assert result.exit_code == 0, result.output
-    assert "max deviation" in result.output
-    result = _invoke("run", "--config", str(path), "--tol", "1e-16")
-    assert result.exit_code == 3
+    for name, (profile, physics) in cases.items():
+        cfg = {
+            "command": "kernels-check",
+            "profile": profile,
+            "physics": physics,
+            "output": {"path": str(tmp_path / f"{name}.csv"), "format": "csv"},
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        result = _invoke("run", "--config", str(path))
+        assert result.exit_code == 0, (name, result.output)
+        assert "max deviation" in result.output
+        result = _invoke("run", "--config", str(path), "--tol", "1e-16")
+        assert result.exit_code == 3, name
 
 
 def test_dyson1d_rows_match_the_api(tmp_path):
