@@ -70,7 +70,6 @@ from .numerics import (
     DomainError,
     QuadratureSpec,
     SlabscatError,
-    TransformSpec,
     TruncationError,
 )
 from .profiles import (
@@ -96,7 +95,6 @@ __all__ = [
     "DomainError",
     "TruncationError",
     "QuadratureSpec",
-    "TransformSpec",
     # profiles
     "Profile2D",
     "Profile3D",

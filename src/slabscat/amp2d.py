@@ -100,17 +100,15 @@ def _check_theta(theta):
         raise DomainError("theta = +-pi/2 (grazing observation) is excluded")
 
 
-def f1_2d(profile, config, theta, transform=None):
+def f1_2d(profile, config, theta):
     """First-order amplitude coefficient f1(theta)."""
     _check_theta(theta)
     k = config.k
     p = k * s_factor(theta, config.theta0)
-    return k / (2.0 * np.sqrt(2.0 * np.pi)) * moment_2d(
-        profile, 0, p, k, transform=transform
-    )
+    return k / (2.0 * np.sqrt(2.0 * np.pi)) * moment_2d(profile, 0, p, k)
 
 
-def f2_2d(profile, config, theta, spec=None, transform=None):
+def f2_2d(profile, config, theta, spec=None):
     """Second-order amplitude coefficient f2(theta).
 
     The phi-integral runs over the propagating directions (-pi/2, pi/2) of
@@ -122,24 +120,24 @@ def f2_2d(profile, config, theta, spec=None, transform=None):
     k = config.k
     theta0 = config.theta0
     s = s_factor(theta, theta0)
-    term1 = -c_factor(theta, theta0) * moment_2d(profile, 1, k * s, k, transform=transform)
+    term1 = -c_factor(theta, theta0) * moment_2d(profile, 1, k * s, k)
 
     def integrand(phi):
-        left = moment_2d(profile, 0, k * s_factor(theta, phi), k, transform=transform)
-        right = moment_2d(profile, 0, k * s_factor(phi, theta0), k, transform=transform)
+        left = moment_2d(profile, 0, k * s_factor(theta, phi), k)
+        right = moment_2d(profile, 0, k * s_factor(phi, theta0), k)
         return np.asarray(left, dtype=complex) * np.asarray(right, dtype=complex)
 
     term2 = k / (4.0 * np.pi) * integrate_1d(integrand, -np.pi / 2.0, np.pi / 2.0, spec)
     return 1j * k / (2.0 * np.sqrt(2.0 * np.pi)) * (term1 + term2)
 
 
-def amplitude_2d(profile, config, theta, order=2, spec=None, transform=None):
+def amplitude_2d(profile, config, theta, order=2, spec=None):
     """Truncated amplitude f1*(k ell) [+ f2*(k ell)^2] with its coefficients."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    f1 = complex(f1_2d(profile, config, theta, transform=transform))
+    f1 = complex(f1_2d(profile, config, theta))
     f2 = 0j
     if order == 2:
-        f2 = complex(f2_2d(profile, config, theta, spec=spec, transform=transform))
+        f2 = complex(f2_2d(profile, config, theta, spec=spec))
     kl = config.kl
     return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)

@@ -129,19 +129,19 @@ def gaussian_Y(theta, phi, theta0, phi0, K, spec=None):
     return float(val.real) / (2.0 * np.pi)
 
 
-def f1_3d(profile, config, direction, transform=None):
+def f1_3d(profile, config, direction):
     """First-order 3D amplitude coefficient (units of length)."""
     k = config.k
     g1, g2 = g_vector(direction.theta, direction.phi, config.theta0, config.phi0)
-    m0 = moment_3d(profile, 0, np.array([k * g1, k * g2]), k, transform=transform)
+    m0 = moment_3d(profile, 0, np.array([k * g1, k * g2]), k)
     return k * _PREF * m0
 
 
-def f2_3d(profile, config, direction, spec=None, transform=None):
+def f2_3d(profile, config, direction, spec=None):
     """Second-order 3D amplitude coefficient (units of length)."""
     k = config.k
     g1, g2 = g_vector(direction.theta, direction.phi, config.theta0, config.phi0)
-    m1 = moment_3d(profile, 1, np.array([k * g1, k * g2]), k, transform=transform)
+    m1 = moment_3d(profile, 1, np.array([k * g1, k * g2]), k)
     term1 = (math.cos(config.theta0) - math.cos(direction.theta)) * m1
 
     def integrand(alpha, beta):
@@ -150,14 +150,8 @@ def f2_3d(profile, config, direction, spec=None, transform=None):
         )
         out1, out2 = g_vector(direction.theta, direction.phi, alpha, beta)
         in1, in2 = g_vector(alpha, beta, config.theta0, config.phi0)
-        m_out = moment_3d(
-            profile, 0, k * np.stack([out1.ravel(), out2.ravel()], axis=-1), k,
-            transform=transform,
-        )
-        m_in = moment_3d(
-            profile, 0, k * np.stack([in1.ravel(), in2.ravel()], axis=-1), k,
-            transform=transform,
-        )
+        m_out = moment_3d(profile, 0, k * np.stack([out1.ravel(), out2.ravel()], axis=-1), k)
+        m_in = moment_3d(profile, 0, k * np.stack([in1.ravel(), in2.ravel()], axis=-1), k)
         return (np.sin(alpha) * (m_out * m_in).reshape(alpha.shape))
 
     integral = integrate_2d(integrand, 0.0, 0.5 * np.pi, 0.0, 2.0 * np.pi, spec)
@@ -165,14 +159,14 @@ def f2_3d(profile, config, direction, spec=None, transform=None):
     return 1j * k * _PREF * (term1 + term2)
 
 
-def amplitude_3d(profile, config, direction, order=2, spec=None, transform=None):
+def amplitude_3d(profile, config, direction, order=2, spec=None):
     """Assemble the truncated 3D amplitude f1*(kl) + f2*(kl)^2."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    f1 = complex(f1_3d(profile, config, direction, transform=transform))
+    f1 = complex(f1_3d(profile, config, direction))
     f2 = 0j
     if order == 2:
-        f2 = complex(f2_3d(profile, config, direction, spec=spec, transform=transform))
+        f2 = complex(f2_3d(profile, config, direction, spec=spec))
     kl = config.kl
     return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
 

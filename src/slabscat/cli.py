@@ -206,22 +206,23 @@ def _azimuths(phys, physics, violations):
 
 
 def _profile_dict(raw, violations):
+    """The profile object (from its file if given), None if absent, False if unusable."""
     prof = raw.get("profile")
     if prof is None:
         return None
     if not isinstance(prof, dict):
         violations.append("profile must be an object")
-        return None
+        return False
     if "file" in prof:
         try:
             with open(prof["file"], "r") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             violations.append(f"profile.file cannot be loaded: {exc}")
-            return None
+            return False
         if not isinstance(loaded, dict):
             violations.append("profile.file must hold a JSON object")
-            return None
+            return False
         return loaded
     return prof
 
@@ -235,6 +236,7 @@ def _validate_profile(prof, dimension, violations, derived=()):
     names = sorted(name for name, entry in CATALOG.items() if entry[1] == dimension)
     if prof is None:
         violations.append("profile is required for this command")
+    if not isinstance(prof, dict):
         return None
     name = prof.get("catalog")
     if name not in names:

@@ -52,6 +52,8 @@ __all__ = [
 
 _IMAG_TOL = 1e-12
 _NEG_TOL = 1e-12
+# k*ell_c from which design_geometry warns that the low-frequency premise is strained
+_KL_WARN = 0.3
 
 
 class InfeasibleDesignError(DomainError):
@@ -175,7 +177,7 @@ def design_bilayer(moments, materials, ell, y):
     return float(ell1[0]), float(ell2[0])
 
 
-def design_geometry(moments, materials, ell, y_grid, k=None, kl_warn=0.3):
+def design_geometry(moments, materials, ell, y_grid, k=None):
     """Design the coating over a y grid and package it as a BilayerGeometry.
 
     Feasibility is reported per grid: the geometry is feasible only if every
@@ -183,7 +185,7 @@ def design_geometry(moments, materials, ell, y_grid, k=None, kl_warn=0.3):
     first failing point otherwise.  The thickness callables re-evaluate the
     closed-form design (infeasible y yield NaN).  ell_c is the smallest
     overall extent covering ell + ell1 + ell2 on the grid; when ``k`` is
-    given and k*ell_c >= ``kl_warn``, a warning flags that the low-frequency
+    given and k*ell_c >= 0.3, a warning flags that the low-frequency
     premise is strained.
     """
     if not ell > 0:
@@ -211,7 +213,7 @@ def design_geometry(moments, materials, ell, y_grid, k=None, kl_warn=0.3):
         reason = f"{why} (first failing grid point y = {bad:.6g})"
     extent = ell + l1 + l2
     max_extent = float(np.nanmax(extent)) if np.any(ok) else ell
-    if k is not None and k * max_extent >= kl_warn:
+    if k is not None and k * max_extent >= _KL_WARN:
         warnings.warn(
             f"k*ell_c = {k * max_extent:.3g} is not small; the design only "
             "nulls the first two orders in k*ell_c",
@@ -233,9 +235,7 @@ def design_geometry(moments, materials, ell, y_grid, k=None, kl_warn=0.3):
 _DEFAULT_THETA0 = 4.0 * np.pi / 3.0
 
 
-def verify_invisibility(
-    coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THETA0, quadrature=None
-):
+def verify_invisibility(coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THETA0):
     """Residuals of a coated slab: axial moments over y and f1/f2 over angle.
 
     ``coated`` must be a CoatedProfile2D, as profiles.coated_profile returns.
@@ -255,10 +255,7 @@ def verify_invisibility(
     theta_grid = np.asarray(theta_grid, dtype=float)
     config = ScatteringConfig2D(k=k, ell=ell_c, theta0=theta0)
     f1 = np.array([f1_2d(coated, config, t) for t in theta_grid], dtype=complex)
-    f2 = np.array(
-        [f2_2d(coated, config, t, spec=quadrature) for t in theta_grid],
-        dtype=complex,
-    )
+    f2 = np.array([f2_2d(coated, config, t) for t in theta_grid], dtype=complex)
     return InvisibilityReport(
         moment0_max=float(np.max(np.abs(m0))) * ell_c,
         moment1_max=float(np.max(np.abs(m1))) * ell_c**2,

@@ -47,6 +47,8 @@ __all__ = [
 _ODE_RTOL = 1e-12
 _ODE_ATOL = 1e-14
 _MAX_STEP = 1.0 / 16.0
+# |M22| below which scattering_1d warns of a nearby spectral singularity
+_SINGULAR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -112,17 +114,13 @@ def dyson_terms(profile, k, ell, n_terms):
         raise DomainError("n_terms must be at least 1")
     if not (k > 0 and ell > 0):
         raise DomainError("k and ell must be positive")
-    eye = np.eye(2, dtype=complex)
+    eye = np.eye(2, dtype=complex)[None]
 
     def rhs(x, y):
         t = y.reshape(n_terms, 2, 2)
         h = h_check(profile, x, k, ell)
-        out = np.empty_like(t)
-        prev = eye
-        for m in range(n_terms):
-            out[m] = -1j * ell * (h @ prev)
-            prev = t[m]
-        return out.ravel()
+        # T_m' = -i ell H T_{m-1} for every m at once, with T_0 = I
+        return (-1j * ell * (h @ np.concatenate((eye, t[:-1])))).ravel()
 
     sol = solve_ivp(
         rhs,
@@ -180,7 +178,7 @@ def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"
     )
 
 
-def scattering_1d(matrix, singular_tol=1e-8):
+def scattering_1d(matrix):
     """Reflection/transmission amplitudes (R_left, R_right, T) from M.
 
     A tiny |M22| flags proximity to a spectral singularity (a lasing-type
@@ -190,9 +188,9 @@ def scattering_1d(matrix, singular_tol=1e-8):
     m22 = complex(matrix.m22)
     if m22 == 0:
         raise DomainError("M22 vanishes: amplitudes are undefined")
-    if abs(m22) < singular_tol:
+    if abs(m22) < _SINGULAR_TOL:
         warnings.warn(
-            f"|M22| = {abs(m22):.3e} is below {singular_tol:.1e}: "
+            f"|M22| = {abs(m22):.3e} is below {_SINGULAR_TOL:.1e}: "
             "near a spectral singularity, amplitudes are unreliable",
             UserWarning,
             stacklevel=2,

@@ -53,6 +53,7 @@ __all__ = [
 
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _VALIDITY_SLACK = 1.0 + 1e-12
+_EXTRACT_LEVELS = 8  # thicknesses ell_max * 2^-j of extract_series_coefficients
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def _transform_slice(profile, x_frac, p, k):
         return np.array(
             [complex(profile.analytic_transform(x_frac, pi, k)) for pi in p], dtype=complex
         )
-    spec = TransformSpec(truncation_radius=profile.decay_radius)
+    spec = TransformSpec(profile.decay_radius, profile.sample_count)
     return fourier_1d(lambda y: profile.eval(x_frac, y, k), p, spec)
 
 
@@ -261,14 +262,14 @@ def _neville_at_zero(x, y):
     return t[0]
 
 
-def extract_series_coefficients(amplitude_fn, k, ell_max, levels=8):
+def extract_series_coefficients(amplitude_fn, k, ell_max):
     """Recover (f1, f2) of f = f1 (k ell) + f2 (k ell)^2 + O((k ell)^3).
 
-    ``amplitude_fn(ell)`` is evaluated on thicknesses ell_max * 2^-j; the
-    first coefficient comes from extrapolating f/(k ell) to zero thickness,
-    the second from extrapolating the deflated remainder.
+    ``amplitude_fn(ell)`` is evaluated on the thicknesses ell_max * 2^-j,
+    j = 0, ..., 7; the first coefficient comes from extrapolating f/(k ell)
+    to zero thickness, the second from extrapolating the deflated remainder.
     """
-    ells = ell_max * 2.0 ** (-np.arange(levels))
+    ells = ell_max * 2.0 ** (-np.arange(_EXTRACT_LEVELS))
     us = k * ells
     amps = np.array([amplitude_fn(ell) for ell in ells], dtype=complex)
     f1 = _neville_at_zero(us, amps / us)

@@ -124,28 +124,28 @@ def _validate_momenta(p, pp, k):
         )
 
 
-def kernel_n1(profile, a, b, p, pp, k, transform=None):
+def kernel_n1(profile, a, b, p, pp, k):
     """First-order kernel; independent of the index b."""
     _validate_ab(a, b)
     _validate_momenta(p, pp, k)
     p = np.asarray(p, dtype=float)
     pp = np.asarray(pp, dtype=float)
-    m0 = moment_2d(profile, 0, p - pp, k, transform=transform)
+    m0 = moment_2d(profile, 0, p - pp, k)
     return (-1.0) ** a * 1j * m0 / (4.0 * np.pi * np.sqrt(1.0 - (pp / k) ** 2))
 
 
-def kernel_n2(profile, a, b, p, pp, k, transform=None):
+def kernel_n2(profile, a, b, p, pp, k):
     """Second-order kernel."""
     _validate_ab(a, b)
     _validate_momenta(p, pp, k)
     p = np.asarray(p, dtype=float)
     pp = np.asarray(pp, dtype=float)
-    m1 = moment_2d(profile, 1, p - pp, k, transform=transform)
+    m1 = moment_2d(profile, 1, p - pp, k)
     bracket = (-1.0) ** (a + b) - np.sqrt((k * k - p * p) / (k * k - pp * pp))
     return bracket * m1 / (4.0 * np.pi)
 
 
-def kernel_n3(profile, a, b, p, pp, k, transform=None):
+def kernel_n3(profile, a, b, p, pp, k):
     """Third-order kernel.
 
     Its simplex term is the transform of the profile's "convolution"
@@ -156,15 +156,15 @@ def kernel_n3(profile, a, b, p, pp, k, transform=None):
     _validate_momenta(p, pp, k)
     p = np.asarray(p, dtype=float)
     pp = np.asarray(pp, dtype=float)
-    m2 = moment_2d(profile, 2, p - pp, k, transform=transform)
-    conv = _convolution_moment(profile, p - pp, k, transform)
+    m2 = moment_2d(profile, 2, p - pp, k)
+    conv = _convolution_moment(profile, p - pp, k)
     root = np.sqrt((1.0 - (p / k) ** 2) * (1.0 - (pp / k) ** 2))
     bracket = 1.0 - (p * p + pp * pp) / (2.0 * k * k) - (-1.0) ** (a + b) * root
     pref = 1j * (-1.0) ** (a - 1) / (4.0 * np.pi * np.sqrt(1.0 - (pp / k) ** 2))
     return pref * (m2 * bracket + conv)
 
 
-def _kernel_block(profile, j, a, b, p, pp, k, transform=None):
+def _kernel_block(profile, j, a, b, p, pp, k):
     """N^(j)_ab at every pair of the momenta p and p', as a (p.size, p'.size) array.
 
     The pairs are flattened first: the sampled transforms take 1-D momenta.
@@ -172,13 +172,13 @@ def _kernel_block(profile, j, a, b, p, pp, k, transform=None):
     if j not in (1, 2, 3):
         raise DomainError("kernel order j must be 1, 2, or 3")
     kernel = (kernel_n1, kernel_n2, kernel_n3)[j - 1]
-    vals = kernel(profile, a, b, np.repeat(p, pp.size), np.tile(pp, p.size), k, transform)
+    vals = kernel(profile, a, b, np.repeat(p, pp.size), np.tile(pp, p.size), k)
     return vals.reshape(p.size, pp.size)
 
 
-def kernel_matrix(profile, j, a, b, grid, transform=None):
+def kernel_matrix(profile, j, a, b, grid):
     """Discretize N^(j)_ab on the grid (rows: p, columns: p')."""
-    return _kernel_block(profile, j, a, b, grid.nodes, grid.nodes, grid.k, transform)
+    return _kernel_block(profile, j, a, b, grid.nodes, grid.nodes, grid.k)
 
 
 def _channel_chains(left, m):
@@ -213,7 +213,7 @@ def _chain_sum(block, chains, truncation, kl, weights):
     return total
 
 
-def assemble_channels(profile, config, p, truncation, grid, transform=None):
+def assemble_channels(profile, config, p, truncation, grid):
     """Smooth parts (B-, A+) of the channel functions at the momenta p.
 
     The incidence side is the sign of cos theta0, and the delta parts (the
@@ -236,8 +236,7 @@ def assemble_channels(profile, config, p, truncation, grid, transform=None):
         key = (j, ab, rows, cols)
         if key not in blocks:
             blocks[key] = _kernel_block(
-                profile, j, int(ab[0]), int(ab[1]), momenta[rows], momenta[cols],
-                grid.k, transform,
+                profile, j, int(ab[0]), int(ab[1]), momenta[rows], momenta[cols], grid.k
             )
         return blocks[key]
 
@@ -248,9 +247,7 @@ def assemble_channels(profile, config, p, truncation, grid, transform=None):
     )
 
 
-def amplitude_from_kernels(
-    profile, config, theta, truncation=2, node_count=201, transform=None
-):
+def amplitude_from_kernels(profile, config, theta, truncation=2, node_count=201):
     """Amplitude at observation angle theta via the discretized kernel route.
 
     Assembles the channels up to ``truncation`` in total k*ell power at
@@ -260,7 +257,7 @@ def amplitude_from_kernels(
         raise DomainError("theta = +-pi/2 is excluded")
     grid = momentum_grid(config.k, count=node_count)
     b_minus, a_plus = assemble_channels(
-        profile, config, config.k * math.sin(theta), truncation, grid, transform
+        profile, config, config.k * math.sin(theta), truncation, grid
     )
     smooth = a_plus[0] if math.cos(theta) > 0 else b_minus[0]
     return -1j / math.sqrt(2.0 * math.pi) * complex(smooth)

@@ -118,7 +118,7 @@ class TransformSpec:
         if not self.truncation_radius > 0:
             raise DomainError("truncation_radius must be positive")
         n = self.sample_count
-        if n < 2 or (n & (n - 1)) != 0:
+        if not isinstance(n, (int, np.integer)) or n < 2 or (n & (n - 1)) != 0:
             raise DomainError("sample_count must be a power of two")
 
 

@@ -11,8 +11,8 @@ profiles through two quantities:
 
 Profiles may carry closed forms for the transform and the moments; when those
 are absent one axial sampler, adaptive Gauss-Kronrod over x_frac of whole rows
-of ``eval`` samples, gives the moments on a uniform transverse grid (2D and 3D)
-and :mod:`slabscat.numerics` transforms them (in 2D by a type-2 NUFFT, planned
+of ``eval`` samples, gives the moments on the profile's uniform transverse grid
+(2D and 3D) and :mod:`slabscat.numerics` transforms them (in 2D by a type-2 NUFFT, planned
 once per cached sample set).  Its first panels end where the profile declares
 an axial kink or jump (the x nodes of a sampled profile, the boundaries of a
 layered one).  Nested, the same sampler gives the one further moment the
@@ -80,8 +80,13 @@ class Profile2D:
     * analytic_moment(l, p, k): transform moment m_l(p; k), vectorized in p,
     * moment_y(l, y, k): spatial moment w_l(y; k), vectorized in y.
 
-    ``decay_radius`` bounds the transverse support well enough that numeric
-    transforms truncated there pass the relative edge-decay check.
+    Moments without a closed form are sampled on the profile's transverse
+    grid: ``sample_count`` uniform panels (a power of two) on
+    [-decay_radius, decay_radius], a radius that bounds the support well
+    enough for transforms truncated there to pass the edge-decay check.
+    ``dataclasses.replace`` derives a variant with a cache of its own:
+    ``analytic_moment=None, moment_y=None`` for the sampled route, or
+    another ``sample_count``.
     """
 
     eval: Callable
@@ -91,27 +96,39 @@ class Profile2D:
     analytic_moment: Optional[Callable] = None
     moment_y: Optional[Callable] = None
     k_dependent: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
+    sample_count: int = 65536
     # interior x_frac where eval may kink or jump, set by the builders that
     # know them; the axial sampler starts its panels there
-    _axial_breaks: tuple = field(default=(), init=False, repr=False)
+    _axial_breaks: tuple = field(default=(), repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        _check_grid(self)
+
+
+# 3D moments sample a (sample_count + 1)^2 mesh, so their grid is coarser
+_MAX_SAMPLES_3D = 4096
 
 
 @dataclass
 class Profile3D:
     """A 3D slab profile w(r1, r2, z_frac; k); see Profile2D for semantics.
 
-    ``eval`` takes (r1, r2, z_frac, k); ``analytic_transform`` takes
-    (p1, p2, z_frac, k); ``analytic_moment`` takes (l, p1, p2, k).
+    ``eval`` takes (r1, r2, z_frac, k); ``analytic_moment`` takes
+    (l, p1, p2, k).  The sampled route takes a (sample_count + 1)^2 mesh on
+    [-decay_radius, decay_radius]^2, so ``sample_count`` is at most 4096.
     """
 
     eval: Callable
     decay_radius: float
     descriptor: str = ""
-    analytic_transform: Optional[Callable] = None
     analytic_moment: Optional[Callable] = None
     k_dependent: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
+    sample_count: int = 1024
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        _check_grid(self, _MAX_SAMPLES_3D)
 
 
 @dataclass(kw_only=True)
@@ -124,22 +141,17 @@ class CoatedProfile2D(Profile2D):
     z2: complex
 
 
+def _check_grid(profile, max_samples=None):
+    """Refuse a transverse grid the sampled route cannot use."""
+    TransformSpec(profile.decay_radius, profile.sample_count)  # R > 0, a power of two
+    n = profile.sample_count
+    if max_samples is not None and n > max_samples:
+        raise DomainError(f"3D moments sample at most {max_samples} panels per axis, not {n}")
+
+
 def _unit_mask(x_frac):
     x_frac = np.asarray(x_frac, dtype=float)
     return (x_frac >= 0.0) & (x_frac <= 1.0)
-
-
-# 3D moments sample a (sample_count + 1)^2 mesh, so their grid is coarser
-_SAMPLES_3D = 1024
-_MAX_SAMPLES_3D = 4096
-
-
-def _default_spec(profile, transform):
-    if transform is not None:
-        return transform
-    if isinstance(profile, Profile3D):
-        return TransformSpec(truncation_radius=profile.decay_radius, sample_count=_SAMPLES_3D)
-    return TransformSpec(truncation_radius=profile.decay_radius)
 
 
 def _k_key(profile, k):
@@ -153,8 +165,8 @@ def _k_key(profile, k):
 _AXIAL_POINTS = 3e8
 
 
-def _moment_samples(profile, k, spec, route="eval"):
-    """Spatial moment samples m_l on the transform grid, cached per route.
+def _moment_samples(profile, k, route="eval"):
+    """Spatial moment samples m_l on the profile's transverse grid, cached per route.
 
     A 2D profile is sampled on the 1-D y grid for l = 0, 1, 2, a 3D profile
     on the r1 x r2 mesh for l = 0, 1.  The "moment_y" route takes a 2D
@@ -169,10 +181,10 @@ def _moment_samples(profile, k, spec, route="eval"):
     under the key "C", by the same sampler nested: over x2 from the declared
     breaks, and at each x2 over t from the breaks b/x2 with b < x2.
     """
-    key = (route, _k_key(profile, k), spec.truncation_radius, spec.sample_count)
+    key = (route, _k_key(profile, k), profile.decay_radius, profile.sample_count)
     if key in profile._cache:
         return profile._cache[key]
-    r = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
+    r = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
 
     if route == "moment_y":
         samples = {}
@@ -220,7 +232,7 @@ def _moment_samples(profile, k, spec, route="eval"):
     return samples
 
 
-def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
+def moment_2d(profile, l, p, k):
     """Transform moment m_l(p; k) = INT_0^1 x_frac^l w~(x_frac, p; k) dx_frac.
 
     Parameters
@@ -231,54 +243,36 @@ def moment_2d(profile, l, p, k, transform=None, quadrature=None, method="auto"):
         Transverse momentum (vectorized).
     k : float
         Wavenumber (enters only through k-dependent profiles).
-    transform : TransformSpec, optional
-        Overrides the truncation radius / sampling for numeric transforms.
-    quadrature : QuadratureSpec, optional
-        Axial quadrature control for the analytic-transform route.
-    method : {"auto", "analytic", "numeric"}
-        "auto" prefers closed forms, "analytic" requires one, "numeric"
-        forces the eval-based sampled route (useful for cross-checks).
 
     Returns
     -------
     complex, or ndarray of complex when p is an array
 
-    Raises AccuracyError on the eval-based route if the axial sampler cannot
-    resolve the profile within its budget, or the profile is not finite.
+    A closed ``analytic_moment`` is used if present; else samples on the
+    profile's transverse grid are transformed: its ``moment_y``, or ``eval``
+    integrated over x_frac, which raises AccuracyError if the axial sampler
+    cannot resolve the profile within its budget or it is not finite.
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
-    if method not in ("auto", "analytic", "numeric"):
-        raise DomainError("method must be 'auto', 'analytic', or 'numeric'")
     scalar = np.isscalar(p) or np.asarray(p).ndim == 0
     p_arr = np.atleast_1d(np.asarray(p, dtype=float))
 
-    if method != "numeric":
-        if profile.analytic_moment is not None:
-            out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
-            return out[0] if scalar else out
-        if profile.analytic_transform is not None:
-            w_hat = lambda xf, pi: profile.analytic_transform(xf, pi, k)
-            out = _axial_integrals(w_hat, l, p_arr, quadrature)
-            return out[0] if scalar else out
-        if method == "analytic":
-            raise DomainError(
-                "analytic moment requested but the profile has neither an "
-                "analytic moment nor an analytic transform"
-            )
+    if profile.analytic_moment is not None:
+        out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
+        return out[0] if scalar else out
 
-    spec = _default_spec(profile, transform)
     samples = {}
-    if method != "numeric" and profile.moment_y is not None:
+    if profile.moment_y is not None:
         # the closed moment_y still beats raw sampling
-        samples = _moment_samples(profile, k, spec, route="moment_y")
+        samples = _moment_samples(profile, k, route="moment_y")
     if l not in samples:  # no moment_y for this order: sample eval
-        samples = _moment_samples(profile, k, spec)
-    out = transform_samples_1d(samples[l], spec.truncation_radius, p_arr)
+        samples = _moment_samples(profile, k)
+    out = transform_samples_1d(samples[l], profile.decay_radius, p_arr)
     return out[0] if scalar else out
 
 
-def _convolution_moment(profile, p, k, transform=None):
+def _convolution_moment(profile, p, k):
     """F[C](p), the transverse transform of the "convolution" samples C(y).
 
     By Fubini it is the simplex term of the third-order kernel,
@@ -286,53 +280,43 @@ def _convolution_moment(profile, p, k, transform=None):
     transverse transform of w(x1, y) w(x2, y); C is sampled from ``eval``
     (for an axially uniform w, C = w^2 / 6) and transformed like m_l.
     """
-    spec = _default_spec(profile, transform)
-    samples = _moment_samples(profile, k, spec, route="convolution")
-    return transform_samples_1d(samples["C"], spec.truncation_radius, p)
+    samples = _moment_samples(profile, k, route="convolution")
+    return transform_samples_1d(samples["C"], profile.decay_radius, p)
 
 
-def moment_3d(profile, l, pvec, k, transform=None, method="auto"):
+def moment_3d(profile, l, pvec, k):
     """3D transform moment m_l(p_vec; k); p_vec is (p1, p2) or an (m, 2) array.
 
-    The sampled route uses a (sample_count + 1)^2 mesh: 1024 panels per axis
-    by default, and ``transform`` may request at most 4096.
+    A closed ``analytic_moment`` is used if present; else samples on the
+    profile's (sample_count + 1)^2 transverse mesh are transformed.
     """
     if l not in (0, 1):
         raise DomainError("3D moment order l must be 0 or 1")
-    if method not in ("auto", "analytic", "numeric"):
-        raise DomainError("method must be 'auto', 'analytic', or 'numeric'")
-    if transform is not None and transform.sample_count > _MAX_SAMPLES_3D:
-        raise DomainError(
-            f"3D moments sample at most {_MAX_SAMPLES_3D} panels per axis; "
-            f"{transform.sample_count} were requested"
-        )
     pv = np.atleast_2d(np.asarray(pvec, dtype=float))
     single = np.asarray(pvec).ndim == 1
 
-    if method != "numeric" and profile.analytic_moment is not None:
+    if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, pv[:, 0], pv[:, 1], k), dtype=complex)
         return out[0] if single else out
-    if method == "analytic":
-        raise DomainError("analytic moment requested but none is registered")
 
-    spec = _default_spec(profile, transform)
-    samples = _moment_samples(profile, k, spec)
-    out = transform_samples_2d(samples[l], spec.truncation_radius, pv)
+    samples = _moment_samples(profile, k)
+    out = transform_samples_2d(samples[l], profile.decay_radius, pv)
     return out[0] if single else out
 
 
-def spatial_moment_y(profile, l, y, k, quadrature=None):
+def spatial_moment_y(profile, l, y, k):
     """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac.
 
     Without a closed ``moment_y`` each y point's axial integral of ``eval``
-    is adaptive on its own, to ``quadrature`` relative to its |w_l|.
+    is adaptive on its own, to the default QuadratureSpec relative to its
+    |w_l|; the transverse grid plays no part.
     """
     if l not in (0, 1):
         raise DomainError("spatial moment order l must be 0 or 1")
-    return _xl_spatial_moment(profile, l, y, k, quadrature)
+    return _xl_spatial_moment(profile, l, y, k)
 
 
-def _xl_spatial_moment(profile, l, y, k, quadrature=None):
+def _xl_spatial_moment(profile, l, y, k):
     """Like spatial_moment_y but without the public restriction on l."""
     scalar = np.isscalar(y) or np.asarray(y).ndim == 0
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -342,15 +326,9 @@ def _xl_spatial_moment(profile, l, y, k, quadrature=None):
             return out[0] if scalar else out
         except DomainError:
             pass
-    out = _axial_integrals(lambda xf, yi: profile.eval(xf, yi, k), l, y_arr, quadrature)
+    xl_w = lambda yi: lambda xf: xf**l * np.asarray(profile.eval(xf, yi, k), dtype=complex)
+    out = np.array([integrate_1d(xl_w(yi), 0.0, 1.0) for yi in y_arr], dtype=complex)
     return out[0] if scalar else out
-
-
-def _axial_integrals(g, l, points, quadrature=None):
-    """INT_0^1 x_frac^l g(x_frac, t) dx_frac for each t in points, one integrate_1d each."""
-    spec = quadrature or QuadratureSpec()
-    xl_g = lambda t: lambda xf: xf**l * np.asarray(g(xf, t), dtype=complex)
-    return np.array([integrate_1d(xl_g(t), 0.0, 1.0, spec) for t in points], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +427,6 @@ def gaussian_slab_3d(z, L):
         g = z * np.exp(-0.5 * (r1 * r1 + r2 * r2) / (L * L))
         return np.where(_unit_mask(z_frac), g, 0.0)
 
-    def w_transform(p1, p2, z_frac, k):
-        p1, p2, z_frac = np.broadcast_arrays(
-            np.asarray(p1, dtype=float),
-            np.asarray(p2, dtype=float),
-            np.asarray(z_frac, dtype=float),
-        )
-        g = 2.0 * np.pi * z * L * L * np.exp(-0.5 * L * L * (p1 * p1 + p2 * p2))
-        return np.where(_unit_mask(z_frac), g, 0.0)
-
     def w_moment(l, p1, p2, k):
         p1 = np.asarray(p1, dtype=float)
         p2 = np.asarray(p2, dtype=float)
@@ -469,7 +438,6 @@ def gaussian_slab_3d(z, L):
         eval=w_eval,
         decay_radius=12.0 * L,
         descriptor=f"gaussian3d(z={z}, L={L})",
-        analytic_transform=w_transform,
         analytic_moment=w_moment,
     )
 
@@ -480,7 +448,6 @@ def separable_profile(
     decay_radius,
     transverse_transform=None,
     descriptor="separable",
-    quadrature=None,
 ):
     """Profile w(x_frac, y) = axial(x_frac) * transverse(y).
 
@@ -488,13 +455,12 @@ def separable_profile(
     adaptive quadrature; a closed transverse transform upgrades the profile
     to fully analytic moments.
     """
-    spec = quadrature or QuadratureSpec()
     ax_moments = {}
 
     def ax_moment(l):
         if l not in ax_moments:
             ax_moments[l] = integrate_1d(
-                lambda xf: xf**l * np.asarray(axial(xf), dtype=complex), 0.0, 1.0, spec
+                lambda xf: xf**l * np.asarray(axial(xf), dtype=complex), 0.0, 1.0
             )
         return ax_moments[l]
 
@@ -611,9 +577,12 @@ def sampled_profile(x_nodes, y_nodes, values, decay_radius, descriptor="sampled"
         out = interp(pts).reshape(x_frac.shape)
         return np.where(_unit_mask(x_frac), out, 0.0)
 
-    prof = Profile2D(eval=w_eval, decay_radius=float(decay_radius), descriptor=descriptor)
-    prof._axial_breaks = tuple(x_nodes)  # the interpolant kinks there
-    return prof
+    return Profile2D(
+        eval=w_eval,
+        decay_radius=float(decay_radius),
+        descriptor=descriptor,
+        _axial_breaks=tuple(x_nodes),  # the interpolant kinks there
+    )
 
 
 def coated_profile(slab, geometry, z1, z2):
@@ -623,7 +592,8 @@ def coated_profile(slab, geometry, z1, z2):
     first layer (permittivity 1 + z1) on a further thickness ell1(y), the
     second (1 + z2) on ell2(y), and vacuum up to ell_c.  The result is a
     CoatedProfile2D in the coordinate rescaled by ell_c that also carries
-    the bare slab, the geometry and both contrasts.
+    the bare slab, the geometry and both contrasts, and samples on the bare
+    slab's transverse grid.
 
     ``geometry`` must provide ell (bare thickness), callables ell1/ell2 of y,
     and ell_c; a geometry whose extent ell + ell1 + ell2 exceeds ell_c at any
@@ -682,6 +652,7 @@ def coated_profile(slab, geometry, z1, z2):
     return CoatedProfile2D(
         eval=w_eval,
         decay_radius=slab.decay_radius,
+        sample_count=slab.sample_count,
         descriptor=f"coated({slab.descriptor}; z1={z1}, z2={z2})",
         moment_y=w_moment_y,
         k_dependent=slab.k_dependent,

@@ -46,7 +46,6 @@ from slabscat.exactborn import (
     x_function,
 )
 from slabscat.kernels import amplitude_from_kernels
-from slabscat.numerics import TransformSpec
 from slabscat.profiles import (
     Profile2D,
     coated_profile,
@@ -77,15 +76,15 @@ def test_criterion_1_invisibility_both_paths():
             assert f2_2d(prof, config, th) == 0
 
     # Numeric-transform path: strip every closed form so the moments come
-    # from sampled data.  The default truncation radius is far too small
-    # for a 1e-10 target on this slowly decaying oscillatory profile; the
-    # tail of the truncated transform scales like 2 z L^2 / (R^2 |alpha - q|),
-    # so R = 400 with 2^19 panels keeps both the tail and the aliased
-    # replicas below ~1e-12 on the sampled momentum range.
-    spec = TransformSpec(truncation_radius=400.0, sample_count=2**19)
+    # from sampled data.  The catalog's decay radius is far too small for a
+    # 1e-10 target on this slowly decaying oscillatory profile; the tail of
+    # the truncated transform scales like 2 z L^2 / (R^2 |alpha - q|), so
+    # the sampled profile's grid of R = 400 with 2^19 panels keeps both the
+    # tail and the aliased replicas below ~1e-12 on the sampled momentum range.
     bare = Profile2D(
         eval=prof.eval,
-        decay_radius=prof.decay_radius,
+        decay_radius=400.0,
+        sample_count=2**19,
         descriptor="ex1 sampled",
     )
 
@@ -94,8 +93,8 @@ def test_criterion_1_invisibility_both_paths():
     for th0 in THETAS:
         config = ScatteringConfig2D(k=k, ell=EX1_ELL, theta0=th0)
         for th in THETAS:
-            worst1 = max(worst1, abs(f1_2d(bare, config, th, transform=spec)))
-            worst2 = max(worst2, abs(f2_2d(bare, config, th, transform=spec)))
+            worst1 = max(worst1, abs(f1_2d(bare, config, th)))
+            worst2 = max(worst2, abs(f2_2d(bare, config, th)))
 
     ok = worst1 < 1e-10 and worst2 < 1e-10
     print(

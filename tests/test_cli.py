@@ -42,6 +42,8 @@ def test_config_source_exclusivity_and_unknown_preset(tmp_path):
     assert _invoke("run").exit_code == 2
     assert _invoke("run", "--preset", "fig4", "--config", "x.json").exit_code == 2
     assert _invoke("run", "--preset", "fig99").exit_code == 2
+    result = _invoke("run", "--preset", "fig4", "--threads", "0")
+    assert result.exit_code == 2 and "--threads must be at least 1" in result.output
     with pytest.raises(DomainError):
         load_config(None, None)
 
@@ -130,6 +132,69 @@ def test_fig4_run_is_deterministic_and_exact(tmp_path):
     data = np.loadtxt(str(out1), delimiter=",", skiprows=2)
     assert data.shape == (81, 3)
     assert np.all(data[:, 1:] >= 0.0)
+
+
+def test_fig4_json_carries_the_csv_header_and_rows(tmp_path):
+    csv_out, json_out = tmp_path / "fig4.csv", tmp_path / "fig4.json"
+    assert _invoke("run", "--preset", "fig4", "--out", str(csv_out)).exit_code == 0
+    result = _invoke("run", "--preset", "fig4", "--out", str(json_out), "--format", "json")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(json_out.read_text())
+    header = json.loads(csv_out.read_text().splitlines()[0][2:])
+    assert {key: payload[key] for key in header} == header
+    assert payload["rows"] == np.loadtxt(str(csv_out), delimiter=",", skiprows=2).tolist()
+
+
+def test_file_profile_gives_the_inline_rows(tmp_path):
+    profile = {"catalog": "gaussian2d", "z": [0.3, 0.05], "L": 1.2}
+    cfg = {
+        "command": "amp2d",
+        "profile": profile,
+        "physics": {"k": 1.1, "ell": 0.05, "theta0": 2.5, "thetas": [0.4, 2.8]},
+    }
+    inline = _run_json(tmp_path, cfg)
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    from_file = _run_json(tmp_path, dict(cfg, profile={"file": str(tmp_path / "profile.json")}))
+    assert from_file == inline
+
+
+def test_bad_profile_is_one_violation(tmp_path):
+    (tmp_path / "array.json").write_text("[1, 2]")
+    cases = [
+        ({"file": str(tmp_path / "missing.json")}, "profile.file cannot be loaded"),
+        ({"file": str(tmp_path / "array.json")}, "profile.file must hold a JSON object"),
+        ("gaussian2d", "profile must be an object"),
+    ]
+    for profile, complaint in cases:
+        cfg = dict(THREAD_CASES["amp2d"], profile=profile, output={"path": "x.csv"})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        result = _invoke("validate", "--config", str(path))
+        assert result.exit_code == 2
+        violations = json.loads(result.output)["violations"]
+        assert len(violations) == 1 and violations[0].startswith(complaint), violations
+    cfg = dict(THREAD_CASES["amp2d"], output={"path": "x.csv"})
+    del cfg["profile"]
+    assert validate_config(cfg)[1] == ["profile is required for this command"]
+
+
+@pytest.mark.parametrize(
+    "grid, complaint",
+    [
+        ([], "must be a nonempty array of numbers"),
+        ([0.1, "a"], "must be a nonempty array of numbers"),
+        ({"start": 0.1, "count": 3}, "range is missing stop"),
+        ({"start": 0.1, "stop": 0.2, "count": 0}, "count must be a positive integer"),
+        ({"start": 0.1, "stop": 0.2, "count": 2.5}, "count must be a positive integer"),
+        ({"start": "0.1", "stop": 0.2, "count": 3}, "start/stop must be numbers"),
+        ({"start": -0.1, "stop": 0.2, "count": 3}, "values must all be positive"),
+        ("0.1:0.2", "must be an array or a start/stop/count range"),
+    ],
+)
+def test_grid_violations(grid, complaint):
+    cfg = dict(THREAD_CASES["sweep2d_kl"], output={"path": "x.csv"})
+    cfg["physics"] = dict(cfg["physics"], grid=grid)
+    assert validate_config(cfg)[1] == [f"physics.grid {complaint}"]
 
 
 def test_sweep_2d_exact_rows_stop_at_the_support_edge(tmp_path):

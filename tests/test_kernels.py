@@ -6,6 +6,8 @@ product-transform support; hand-expanded term tables check the truncation
 bookkeeping.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -22,7 +24,7 @@ from slabscat.kernels import (
     kernel_n3,
     momentum_grid,
 )
-from slabscat.numerics import DomainError, TransformSpec, TruncationError
+from slabscat.numerics import DomainError, TruncationError
 from slabscat.profiles import (
     Profile2D,
     _convolution_moment,
@@ -85,6 +87,8 @@ def test_kernel_n1_values_and_b_independence():
         kernel_n1(prof, 1, 1, 1.5 * k, 0.0, k)
     with pytest.raises(DomainError):
         kernel_n1(prof, 3, 1, 0.0, 0.0, k)
+    with pytest.raises(DomainError, match="kernel order j"):
+        kernel_matrix(prof, 4, 1, 1, grid)
 
 
 def test_kernel_n2_symmetry_and_values():
@@ -139,10 +143,7 @@ def test_convolution_moment_one_sided_support():
 
     with pytest.raises(TruncationError):
         _convolution_moment(
-            gaussian_slab_2d(1.0, 1.0),
-            0.3,
-            1.0,
-            transform=TransformSpec(truncation_radius=2.0, sample_count=1024),
+            replace(gaussian_slab_2d(1.0, 1.0), decay_radius=2.0, sample_count=1024), 0.3, 1.0
         )
 
 

@@ -198,8 +198,9 @@ def test_quadrature_spec_validation():
 def test_transform_spec_validation():
     with pytest.raises(DomainError):
         TransformSpec(truncation_radius=-1.0)
-    with pytest.raises(DomainError):
-        TransformSpec(truncation_radius=1.0, sample_count=1000)
+    for count in (1000, 1024.0):
+        with pytest.raises(DomainError):
+            TransformSpec(truncation_radius=1.0, sample_count=count)
 
 
 GAUSS_SPEC = TransformSpec(truncation_radius=12.0, sample_count=4096)

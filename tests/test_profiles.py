@@ -2,6 +2,7 @@ import sys
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,11 @@ def ex1_hat(p):
     return out
 
 
+def _eval_only(prof, **grid):
+    """A 2D profile without its closed moments, so they are sampled from eval."""
+    return replace(prof, analytic_moment=None, moment_y=None, **grid)
+
+
 def test_ex1_moments_match_one_sided_closed_form():
     prof = ex1_profile(Z, ALPHA, LW)
     p = np.array([1.2, 2.0, 2.5, 3.0, 5.0])
@@ -70,8 +76,9 @@ def test_axially_uniform_profile_moment_ratio():
     m0 = moment_2d(prof, 0, p, k=1.0)
     m1 = moment_2d(prof, 1, p, k=1.0)
     assert_allclose(m1, 0.5 * m0, rtol=1e-12)
-    m0n = moment_2d(prof, 0, p, k=1.0, method="numeric")
-    m1n = moment_2d(prof, 1, p, k=1.0, method="numeric")
+    sampled = _eval_only(prof)
+    m0n = moment_2d(sampled, 0, p, k=1.0)
+    m1n = moment_2d(sampled, 1, p, k=1.0)
     assert_allclose(m1n, 0.5 * m0n, rtol=1e-12)
 
 
@@ -86,7 +93,7 @@ def test_linear_axial_factor_gives_half_and_third():
     p = np.array([0.0, 0.8, -1.7])
     assert_allclose(moment_2d(prof, 0, p, 1.0), g_hat(p) / 2.0, rtol=1e-12)
     assert_allclose(moment_2d(prof, 1, p, 1.0), g_hat(p) / 3.0, rtol=1e-12)
-    numeric = moment_2d(prof, 1, p, 1.0, method="numeric")
+    numeric = moment_2d(_eval_only(prof), 1, p, 1.0)
     assert_allclose(numeric, g_hat(p) / 3.0, rtol=1e-8)
 
 
@@ -170,7 +177,8 @@ def test_analytic_vs_numeric_transform_ex1():
         assert_allclose(numeric, exact, rtol=1e-6, atol=1e-6 * scale)
     # the sampled-moment route must agree too
     p = ALPHA + np.array([-2.0, -1.0, 1.0, 2.0]) / LW
-    numeric = moment_2d(prof, 0, p, 1.0, transform=spec, method="numeric")
+    sampled = _eval_only(prof, sample_count=spec.sample_count)
+    numeric = moment_2d(sampled, 0, p, 1.0)
     assert_allclose(numeric, ex1_hat(p), rtol=1e-6, atol=1e-6 * scale)
 
 
@@ -206,9 +214,10 @@ def test_layered_profile_exact_axial_moments():
             decay_radius=12.0,
             transverse_transform=g_hat,
         )
+        sampled = _eval_only(prof)
         for l, a_l in enumerate(axial):
             assert_allclose(moment_2d(prof, l, p, 1.0), a_l * g_hat(p), rtol=1e-13)
-            numeric = moment_2d(prof, l, p, 1.0, method="numeric")
+            numeric = moment_2d(sampled, l, p, 1.0)
             assert_allclose(numeric, a_l * g_hat(p), rtol=1e-9)
 
 
@@ -366,6 +375,7 @@ def test_convolution_moment_of_a_bilinear_sampled_profile():
     # F(x) = INT_0^x (x - x1) a(x1) dx1, piecewise polynomial integrals
     a = np.array([0.2, 1.0, 0.4, 0.9, 0.1])
     prof, y_nodes, b, _ = _bilinear_profile(a)
+    prof = replace(prof, sample_count=4096)
     calls = _counted_eval(prof)
     x_nodes = np.linspace(0.0, 1.0, a.size)
     P = np.polynomial.Polynomial
@@ -378,12 +388,11 @@ def test_convolution_moment_of_a_bilinear_sampled_profile():
         A += (piece * (x * m0 - m1)).integ(lbnd=x0)(x1)
         M0, M1 = m0(x1), m1(x1)
 
-    spec = TransformSpec(prof.decay_radius, 4096)
-    y = np.linspace(-spec.truncation_radius, spec.truncation_radius, spec.sample_count + 1)
+    y = np.linspace(-prof.decay_radius, prof.decay_radius, prof.sample_count + 1)
     p = np.array([0.0, 0.7, -1.3, 2.5])
     b_interp = np.interp(y, y_nodes, b, left=0.0, right=0.0)
-    want = A * transform_samples_1d(b_interp**2, spec.truncation_radius, p)
-    assert_allclose(_convolution_moment(prof, p, 1.0, transform=spec), want, rtol=1e-9)
+    want = A * transform_samples_1d(b_interp**2, prof.decay_radius, p)
+    assert_allclose(_convolution_moment(prof, p, 1.0), want, rtol=1e-9)
     # outer piece i holds i + 1 inner pieces, none halved: 15 (1 + 15 (i + 1))
     assert len(calls) == sum(15 * (1 + 15 * (i + 1)) for i in range(4))
 
@@ -398,21 +407,22 @@ def test_convolution_moment_of_a_bilinear_sampled_profile():
 )
 def test_convolution_moment_is_quadratic_in_w(s, shear, q):
     g = lambda x: 1.0 + 0.5 * x - 0.8 * x * x
-    prof = _sheared_gaussian(g, shear)
-    scaled = Profile2D(eval=lambda x, y, k: s * prof.eval(x, y, k), decay_radius=prof.decay_radius)
-    spec = TransformSpec(prof.decay_radius, 1024)
-    base = _convolution_moment(prof, q, 1.0, transform=spec)
-    assert_allclose(_convolution_moment(scaled, q, 1.0, transform=spec), s * s * base, rtol=1e-12)
+    prof = replace(_sheared_gaussian(g, shear), sample_count=1024)
+    scaled = replace(prof, eval=lambda x, y, k: s * prof.eval(x, y, k))
+    base = _convolution_moment(prof, q, 1.0)
+    assert_allclose(_convolution_moment(scaled, q, 1.0), s * s * base, rtol=1e-12)
 
 
 def test_numeric_moments_share_the_sample_cache():
     prof = gaussian_slab_2d(0.7, 1.3)
-    spec = TransformSpec(prof.decay_radius, 1024)
     m0 = moment_2d(prof, 0, 0.4, 1.0)
-    assert_allclose(moment_2d(prof, 1, 0.4, 1.0, transform=spec, method="numeric"), m0 / 2)
-    assert_allclose(moment_2d(prof, 2, 0.4, 1.0, transform=spec, method="numeric"), m0 / 3)
-    # the cache holds sample arrays only: no stand-in profile objects
-    for samples in prof._cache.values():
+    numeric = _eval_only(prof, sample_count=1024)
+    assert_allclose(moment_2d(numeric, 1, 0.4, 1.0), m0 / 2)
+    assert_allclose(moment_2d(numeric, 2, 0.4, 1.0), m0 / 3)
+    # a derived profile starts with a cache of its own, which holds sample
+    # arrays only: no stand-in profile objects
+    assert prof._cache == {} and numeric._cache
+    for samples in numeric._cache.values():
         assert all(isinstance(v, np.ndarray) for v in samples.values())
 
     calls = []
@@ -421,12 +431,12 @@ def test_numeric_moments_share_the_sample_cache():
         calls.append(x_frac)
         return prof.eval(x_frac, y, k)
 
-    bare = Profile2D(eval=counted, decay_radius=prof.decay_radius)
-    auto = moment_2d(bare, 0, 0.4, 1.0, transform=spec)
+    bare = Profile2D(eval=counted, decay_radius=prof.decay_radius, sample_count=1024)
+    moment_2d(bare, 0, 0.4, 1.0)
     sampled = len(calls)
     assert sampled > 0
-    assert moment_2d(bare, 0, 0.4, 1.0, transform=spec, method="numeric") == auto
-    assert len(calls) == sampled  # the forced route hit the same cache
+    moment_2d(bare, 2, 0.4, 1.0)
+    assert len(calls) == sampled  # every order comes from the same samples
 
 
 def test_sampled_moments_do_not_depend_on_call_order_or_threads():
@@ -477,8 +487,8 @@ def test_negligible_moments_skip_the_truncation_check():
 
     m1 = moment_2d(Profile2D(eval=w2, decay_radius=12.0), 1, 0.0, 1.0)
     assert_allclose(m1, -np.sqrt(2 * np.pi) / 6, rtol=1e-8)
-    prof3 = Profile3D(eval=w3, decay_radius=12.0)
-    m1 = moment_3d(prof3, 1, (0.0, 0.0), 1.0, transform=TransformSpec(12.0, 128))
+    prof3 = Profile3D(eval=w3, decay_radius=12.0, sample_count=128)
+    m1 = moment_3d(prof3, 1, (0.0, 0.0), 1.0)
     assert_allclose(m1, -2 * np.pi / 6, rtol=1e-8)
 
 
@@ -492,10 +502,10 @@ def test_truncation_guard_on_undersized_radius():
     with pytest.raises(TruncationError):
         moment_2d(prof, 0, 0.5, 1.0)
     with pytest.raises(TruncationError):
-        moment_3d(
-            gaussian_slab_3d(1.0, 1.0), 0, (0.5, 0.0), 1.0, method="numeric",
-            transform=TransformSpec(2.0, 64),
+        undersized = replace(
+            gaussian_slab_3d(1.0, 1.0), analytic_moment=None, decay_radius=2.0, sample_count=64
         )
+        moment_3d(undersized, 0, (0.5, 0.0), 1.0)
 
 
 def test_sampled_profile_interpolates_and_vanishes_outside():
@@ -586,7 +596,7 @@ def test_gaussian3d_moments():
     m1 = moment_3d(prof, 1, pv, 1.0)
     assert_allclose(m0, expect0, rtol=1e-13)
     assert_allclose(m1, 0.5 * m0, rtol=1e-13)
-    numeric0 = moment_3d(prof, 0, pv, 1.0, method="numeric")
+    numeric0 = moment_3d(replace(prof, analytic_moment=None), 0, pv, 1.0)
     assert_allclose(numeric0, expect0, rtol=1e-6)
     batch = moment_3d(prof, 0, np.array([[0.0, 0.0], [0.3, -0.2]]), 1.0)
     assert batch.shape == (2,)
@@ -597,12 +607,13 @@ def test_gaussian3d_moments():
 def test_moment_3d_sample_count_is_not_rewritten():
     prof = gaussian_slab_3d(2.0, 1.0)
     pv = np.array([0.3, -0.2])
-    # a request above the 3D cap is refused, not silently replaced
-    with pytest.raises(DomainError):
-        moment_3d(prof, 0, pv, 1.0, transform=TransformSpec(12.0, 8192))
-    with pytest.raises(DomainError):
-        moment_3d(prof, 0, pv, 1.0, method="numeric", transform=TransformSpec(12.0))
-    coarse = moment_3d(prof, 0, pv, 1.0, method="numeric", transform=TransformSpec(12.0, 64))
+    # a grid above the 3D cap is refused when the profile is built, not
+    # silently replaced
+    with pytest.raises(DomainError, match="at most 4096"):
+        replace(prof, sample_count=8192)
+    with pytest.raises(DomainError, match="at most 4096"):
+        replace(prof, sample_count=65536)
+    coarse = moment_3d(replace(prof, analytic_moment=None, sample_count=64), 0, pv, 1.0)
     assert_allclose(coarse, 2 * np.pi * 2.0 * np.exp(-0.5 * (pv @ pv)), rtol=1e-6)
 
 
@@ -610,8 +621,22 @@ def test_moment_validation():
     prof = gaussian_slab_2d(1.0, 1.0)
     with pytest.raises(DomainError):
         moment_2d(prof, 3, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        moment_2d(prof, 0, 0.0, 1.0, method="fancy")
-    bare = Profile2D(eval=prof.eval, decay_radius=prof.decay_radius)
-    with pytest.raises(DomainError):
-        moment_2d(bare, 0, 0.0, 1.0, method="analytic")
+
+
+def test_profiles_own_a_validated_grid():
+    w2 = gaussian_slab_2d(1.0, 1.0).eval
+    w3 = gaussian_slab_3d(1.0, 1.0).eval
+    assert Profile2D(eval=w2, decay_radius=12.0).sample_count == 65536
+    assert Profile3D(eval=w3, decay_radius=12.0).sample_count == 1024
+    assert Profile3D(eval=w3, decay_radius=12.0, sample_count=4096).sample_count == 4096
+    with pytest.raises(DomainError, match="power of two"):
+        Profile2D(eval=w2, decay_radius=12.0, sample_count=1000)
+    with pytest.raises(DomainError, match="at most 4096"):
+        Profile3D(eval=w3, decay_radius=12.0, sample_count=8192)
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            Profile2D(eval=w2, decay_radius=radius)
+    # a coating samples on its bare slab's grid
+    slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
+    coated = coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25)
+    assert (coated.decay_radius, coated.sample_count) == (slab.decay_radius, 4096)
