@@ -80,11 +80,9 @@ _SUPPORT_K = 1.0
 
 
 def _transform_slice(profile, x_frac, p, k):
-    """w~(x_frac, p; k) on a 1-D array of momenta p."""
+    """w~(x_frac, p; k) on a 1-D array of momenta p; a closed w~ also broadcasts x_frac."""
     if profile.analytic_transform is not None:
-        return np.array(
-            [complex(profile.analytic_transform(x_frac, pi, k)) for pi in p], dtype=complex
-        )
+        return np.asarray(profile.analytic_transform(x_frac, p, k), dtype=complex)
     spec = TransformSpec(profile.decay_radius, profile.sample_count)
     return fourier_1d(lambda y: profile.eval(x_frac, y, k), p, spec)
 
@@ -140,6 +138,8 @@ def ttv(profile, p_x, p_y, k, ell, quadrature=None):
     def integrand(xf_arr):
         xf_arr = np.atleast_1d(xf_arr)
         phases = np.exp(-1j * ell * p_x * xf_arr)
+        if profile.analytic_transform is not None:  # every node of the panel at once
+            return phases * _transform_slice(profile, xf_arr, p_y, k)
         vals = np.array(
             [_transform_slice(profile, xf, [p_y], k)[0] for xf in xf_arr], dtype=complex
         )

@@ -25,8 +25,9 @@ raises AccuracyError.
 3D); ``profile_from_dict`` builds a profile from its JSON form
 ``{"catalog": <name>, <param>: value, ...}``, the form the CLI reads too.
 
-Profiles are immutable after construction and safe to share across threads;
-the internal sample cache only ever adds idempotent entries.
+Profiles are frozen dataclasses, so no code can change one once it is built,
+and they are safe to share across threads; the internal sample cache only ever
+adds idempotent entries.
 """
 
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Profile2D:
     """A 2D slab profile w(x_frac, y; k).
 
@@ -77,16 +78,20 @@ class Profile2D:
     forms, when present, must agree with ``eval``:
 
     * analytic_transform(x_frac, p, k): transverse Fourier transform,
+      broadcasting x_frac against p,
     * analytic_moment(l, p, k): transform moment m_l(p; k), vectorized in p,
     * moment_y(l, y, k): spatial moment w_l(y; k), vectorized in y.
 
-    Moments without a closed form are sampled on the profile's transverse
-    grid: ``sample_count`` uniform panels (a power of two) on
-    [-decay_radius, decay_radius], a radius that bounds the support well
-    enough for transforms truncated there to pass the edge-decay check.
-    ``dataclasses.replace`` derives a variant with a cache of its own:
-    ``analytic_moment=None, moment_y=None`` for the sampled route, or
-    another ``sample_count``.
+    Each closed-form builder here makes a w = a(x_frac) g(y) through one
+    constructor.  Moments without a closed form are sampled on the
+    profile's transverse grid: ``sample_count`` uniform panels (a power of
+    two) on [-decay_radius, decay_radius], a radius that bounds the support
+    well enough for transforms truncated there to pass the edge-decay check.
+    With ``k_dependent`` False (the default) samples taken at one k are
+    reused at every k.  A profile is frozen (assigning to a field raises
+    FrozenInstanceError); ``dataclasses.replace`` derives a variant with a
+    cache of its own: ``analytic_moment=None, moment_y=None`` for the
+    sampled route, another ``sample_count``, or a wrapped ``eval``.
     """
 
     eval: Callable
@@ -110,13 +115,15 @@ class Profile2D:
 _MAX_SAMPLES_3D = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class Profile3D:
     """A 3D slab profile w(r1, r2, z_frac; k); see Profile2D for semantics.
 
     ``eval`` takes (r1, r2, z_frac, k); ``analytic_moment`` takes
     (l, p1, p2, k).  The sampled route takes a (sample_count + 1)^2 mesh on
     [-decay_radius, decay_radius]^2, so ``sample_count`` is at most 4096.
+    Like a Profile2D it is frozen, reuses samples at every k unless
+    ``k_dependent``, and is varied by ``dataclasses.replace``.
     """
 
     eval: Callable
@@ -131,7 +138,7 @@ class Profile3D:
         _check_grid(self, _MAX_SAMPLES_3D)
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class CoatedProfile2D(Profile2D):
     """A bare slab wrapped in two homogeneous coating layers; see coated_profile."""
 
@@ -152,10 +159,6 @@ def _check_grid(profile, max_samples=None):
 def _unit_mask(x_frac):
     x_frac = np.asarray(x_frac, dtype=float)
     return (x_frac >= 0.0) & (x_frac <= 1.0)
-
-
-def _k_key(profile, k):
-    return float(k) if profile.k_dependent else None
 
 
 # The axial sampler's budget, in evaluated points, bounds the time an
@@ -181,7 +184,7 @@ def _moment_samples(profile, k, route="eval"):
     under the key "C", by the same sampler nested: over x2 from the declared
     breaks, and at each x2 over t from the breaks b/x2 with b < x2.
     """
-    key = (route, _k_key(profile, k), profile.decay_radius, profile.sample_count)
+    key = (route, float(k) if profile.k_dependent else None)
     if key in profile._cache:
         return profile._cache[key]
     r = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
@@ -307,17 +310,12 @@ def moment_3d(profile, l, pvec, k):
 def spatial_moment_y(profile, l, y, k):
     """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac.
 
-    Without a closed ``moment_y`` each y point's axial integral of ``eval``
-    is adaptive on its own, to the default QuadratureSpec relative to its
-    |w_l|; the transverse grid plays no part.
+    Without a closed ``moment_y`` (or for an order it rejects) each y
+    point's axial integral of ``eval`` is adaptive on its own, to the default
+    QuadratureSpec relative to its |w_l|; the transverse grid plays no part.
     """
-    if l not in (0, 1):
-        raise DomainError("spatial moment order l must be 0 or 1")
-    return _xl_spatial_moment(profile, l, y, k)
-
-
-def _xl_spatial_moment(profile, l, y, k):
-    """Like spatial_moment_y but without the public restriction on l."""
+    if l not in (0, 1, 2):
+        raise DomainError("spatial moment order l must be 0, 1, or 2")
     scalar = np.isscalar(y) or np.asarray(y).ndim == 0
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if profile.moment_y is not None:
@@ -336,35 +334,54 @@ def _xl_spatial_moment(profile, l, y, k):
 # ---------------------------------------------------------------------------
 
 
-def _axially_uniform_2d(g, g_hat, decay_radius, descriptor):
-    """Profile2D of a slab w(x_frac, y) = g(y) with transverse transform g_hat.
+def _separable_2d(
+    axial, axial_moment, transverse, transverse_transform, decay_radius, descriptor, breaks=()
+):
+    """Profile2D of w(x_frac, y) = a(x_frac) g(y), given a_l = axial_moment(l).
 
-    With no axial variation every moment closes: m_l = g_hat / (l + 1) and
-    w_l = g / (l + 1).
+    Every moment closes through a_l = INT_0^1 x_frac^l a dx_frac: w_l = a_l g(y),
+    and with the transverse transform g~ also w~ = a(x_frac) g~(p) and
+    m_l = a_l g~(p).  ``breaks`` are the x_frac where a kinks or jumps.
     """
 
     def w_eval(x_frac, y, k):
         x_frac, y = np.broadcast_arrays(
             np.asarray(x_frac, dtype=float), np.asarray(y, dtype=float)
         )
-        return np.where(_unit_mask(x_frac), g(y), 0.0)
-
-    def w_transform(x_frac, p, k):
-        scalar = np.isscalar(p) and np.isscalar(x_frac)
-        x_frac, p = np.broadcast_arrays(
-            np.asarray(x_frac, dtype=float), np.asarray(p, dtype=float)
+        vals = np.asarray(axial(x_frac), dtype=complex) * np.asarray(
+            transverse(y), dtype=complex
         )
-        out = np.where(_unit_mask(x_frac), g_hat(p), 0.0)
-        return complex(out.flat[0]) if scalar else out
+        return np.where(_unit_mask(x_frac), vals, 0.0)
+
+    closed = {}
+    if transverse_transform is not None:
+        def w_transform(x_frac, p, k):
+            x_frac, p = np.broadcast_arrays(
+                np.asarray(x_frac, dtype=float), np.asarray(p, dtype=float)
+            )
+            vals = np.asarray(axial(x_frac), dtype=complex) * np.asarray(
+                transverse_transform(p), dtype=complex
+            )
+            return np.where(_unit_mask(x_frac), vals, 0.0)
+
+        closed["analytic_transform"] = w_transform
+        closed["analytic_moment"] = lambda l, p, k: axial_moment(l) * np.asarray(
+            transverse_transform(p), dtype=complex
+        )
 
     return Profile2D(
         eval=w_eval,
-        decay_radius=decay_radius,
+        decay_radius=float(decay_radius),
         descriptor=descriptor,
-        analytic_transform=w_transform,
-        analytic_moment=lambda l, p, k: g_hat(p) / (l + 1.0),
-        moment_y=lambda l, y, k: g(y) / (l + 1.0),
+        moment_y=lambda l, y, k: axial_moment(l) * np.asarray(transverse(y), dtype=complex),
+        _axial_breaks=tuple(breaks),
+        **closed,
     )
+
+
+# a = 1 and a_l = 1 / (l + 1) for a slab with no axial variation
+_uniform = lambda x_frac: 1.0
+_uniform_moment = lambda l: 1.0 / (l + 1.0)
 
 
 def ex1_profile(z, alpha, L):
@@ -391,7 +408,9 @@ def ex1_profile(z, alpha, L):
         out[m] = 2.0 * np.pi * z * L * L * (alpha - p[m]) * np.exp(L * (alpha - p[m]))
         return out
 
-    return _axially_uniform_2d(g, g_hat, 2000.0 * L, f"ex1(z={z}, alpha={alpha}, L={L})")
+    return _separable_2d(
+        _uniform, _uniform_moment, g, g_hat, 2000.0 * L, f"ex1(z={z}, alpha={alpha}, L={L})"
+    )
 
 
 def gaussian_slab_2d(z, L):
@@ -408,7 +427,9 @@ def gaussian_slab_2d(z, L):
         p = np.asarray(p, dtype=float)
         return z * np.sqrt(2.0 * np.pi) * L * np.exp(-0.5 * (L * p) ** 2)
 
-    return _axially_uniform_2d(g, g_hat, 12.0 * L, f"gaussian2d(z={z}, L={L})")
+    return _separable_2d(
+        _uniform, _uniform_moment, g, g_hat, 12.0 * L, f"gaussian2d(z={z}, L={L})"
+    )
 
 
 def gaussian_slab_3d(z, L):
@@ -464,44 +485,8 @@ def separable_profile(
             )
         return ax_moments[l]
 
-    def w_eval(x_frac, y, k):
-        x_frac, y = np.broadcast_arrays(
-            np.asarray(x_frac, dtype=float), np.asarray(y, dtype=float)
-        )
-        vals = np.asarray(axial(x_frac), dtype=complex) * np.asarray(
-            transverse(y), dtype=complex
-        )
-        return np.where(_unit_mask(x_frac), vals, 0.0)
-
-    def w_moment_y(l, y, k):
-        return ax_moment(l) * np.asarray(transverse(y), dtype=complex)
-
-    kwargs = {}
-    if transverse_transform is not None:
-        def w_transform(x_frac, p, k):
-            scalar = np.isscalar(p) and np.isscalar(x_frac)
-            x_frac, p = np.broadcast_arrays(
-                np.asarray(x_frac, dtype=float), np.asarray(p, dtype=float)
-            )
-            out = np.where(
-                _unit_mask(x_frac),
-                np.asarray(axial(x_frac), dtype=complex)
-                * np.asarray(transverse_transform(p), dtype=complex),
-                0.0,
-            )
-            return complex(out.flat[0]) if scalar else out
-
-        kwargs["analytic_transform"] = w_transform
-        kwargs["analytic_moment"] = lambda l, p, k: ax_moment(l) * np.asarray(
-            transverse_transform(p), dtype=complex
-        )
-
-    return Profile2D(
-        eval=w_eval,
-        decay_radius=float(decay_radius),
-        descriptor=descriptor,
-        moment_y=w_moment_y,
-        **kwargs,
+    return _separable_2d(
+        axial, ax_moment, transverse, transverse_transform, decay_radius, descriptor
     )
 
 
@@ -536,20 +521,9 @@ def layered_profile(
     def ax_moment(l):
         return np.sum(v * (b[1:] ** (l + 1) - b[:-1] ** (l + 1))) / (l + 1.0)
 
-    prof = separable_profile(
-        axial,
-        transverse,
-        decay_radius,
-        transverse_transform=transverse_transform,
-        descriptor=descriptor,
+    return _separable_2d(
+        axial, ax_moment, transverse, transverse_transform, decay_radius, descriptor, b
     )
-    prof.moment_y = lambda l, y, k: ax_moment(l) * np.asarray(transverse(y), dtype=complex)
-    prof._axial_breaks = tuple(b)
-    if transverse_transform is not None:
-        prof.analytic_moment = lambda l, p, k: ax_moment(l) * np.asarray(
-            transverse_transform(p), dtype=complex
-        )
-    return prof
 
 
 def sampled_profile(x_nodes, y_nodes, values, decay_radius, descriptor="sampled"):
@@ -643,7 +617,7 @@ def coated_profile(slab, geometry, z1, z2):
         a = ell
         b = ell + l1
         c = ell + l1 + l2
-        bare = ell ** (l + 1) * _xl_spatial_moment(slab, l, y_arr, k)
+        bare = ell ** (l + 1) * spatial_moment_y(slab, l, y_arr, k)
         layer1 = z1 * (b ** (l + 1) - a ** (l + 1)) / (l + 1.0)
         layer2 = z2 * (c ** (l + 1) - b ** (l + 1)) / (l + 1.0)
         out = (bare + layer1 + layer2) / ell_c ** (l + 1)

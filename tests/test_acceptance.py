@@ -6,6 +6,7 @@ Each test computes its verdict first, prints a single summary line
 """
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
 
 from slabscat.amp2d import (
@@ -63,6 +64,7 @@ THETAS = np.linspace(-1.5, 1.5, 36)
 SQ = np.sqrt(np.pi / 2.0)
 
 
+@pytest.mark.slow
 def test_criterion_1_invisibility_both_paths():
     # k = 0.4 alpha puts every momentum k*s strictly below the transform
     # support threshold: the amplitude coefficients must vanish.

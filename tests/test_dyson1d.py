@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slabscat.dyson1d import (
@@ -96,6 +98,31 @@ def test_unimodularity_for_random_bounded_profiles():
         prof = Profile1D(eval=w, descriptor="random trig")
         m = transfer_matrix_1d(prof, 1.3, 0.2)
         assert abs(m.det - 1.0) < 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    a=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    lossy=st.booleans(),
+    kl=st.floats(0.05, 2.0),
+)
+def test_series_is_unimodular_matches_direct_and_conserves_flux(a, lossy, kl):
+    scale = 1.0 + 0.3j if lossy else 1.0
+
+    def w(x, k):
+        if not 0.0 <= x <= 1.0:
+            return 0.0
+        return scale * (a[0] + a[1] * np.cos(2 * np.pi * x) + a[2] * np.sin(np.pi * x))
+
+    prof = Profile1D(eval=w, descriptor="trig")
+    m = transfer_matrix_1d(prof, kl, 1.0)
+    assert abs(m.det - 1.0) <= 1e-10
+    direct = transfer_matrix_1d(prof, kl, 1.0, method="direct").as_array()
+    assert np.linalg.norm(m.as_array() - direct) <= 1e-9 * np.linalg.norm(direct)
+    if not lossy:  # a real w neither absorbs nor amplifies
+        r_left, r_right, t = scattering_1d(m)
+        for r in (r_left, r_right):
+            assert abs(abs(r) ** 2 + abs(t) ** 2 - 1.0) <= 1e-10
 
 
 def test_term_decay_and_kl_scaling():

@@ -2,7 +2,7 @@ import sys
 import time
 import types
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -144,8 +144,9 @@ def test_spatial_moments():
     w1 = spatial_moment_y(g, 1, y, 1.0)
     assert_allclose(w0, 0.5 * np.exp(-y * y / 8.0), rtol=1e-14)
     assert_allclose(w0, 2.0 * w1, rtol=1e-14)
+    assert_allclose(spatial_moment_y(g, 2, y, 1.0), w0 / 3.0, rtol=1e-14)
     with pytest.raises(DomainError):
-        spatial_moment_y(g, 2, 0.0, 1.0)
+        spatial_moment_y(g, 3, 0.0, 1.0)
 
 
 def test_analytic_vs_numeric_transform_gaussian():
@@ -241,11 +242,10 @@ def _bilinear_profile(a=(0.2, 1.0, 0.4, 0.9, 0.1)):
 
 
 def _counted_eval(prof):
-    """Make prof record its eval calls; returns the list of their arguments."""
+    """A copy of prof that records its eval calls, and the list of their arguments."""
     calls = []
     w = prof.eval
-    prof.eval = lambda *args: calls.append(args) or w(*args)
-    return calls
+    return replace(prof, eval=lambda *args: calls.append(args) or w(*args)), calls
 
 
 def _check_bilinear_moments(prof, y_nodes, b, axial):
@@ -267,14 +267,14 @@ def test_sampled_profile_panels_start_at_its_x_nodes():
     # 21 x nodes put 16 kinks off the dyadic points; halving toward each of
     # them would take about ten halvings apiece
     prof, y_nodes, b, axial = _bilinear_profile(0.6 + 0.4 * np.sin(2.3 * np.arange(21)))
-    calls = _counted_eval(prof)
+    prof, calls = _counted_eval(prof)
     _check_bilinear_moments(prof, y_nodes, b, axial)
     assert len(calls) == 20 * 15  # one Kronrod panel per interval, none halved
 
 
 def test_sampled_profile_reaches_second_order_quickly():
     prof = _bilinear_profile()[0]
-    calls = _counted_eval(prof)
+    prof, calls = _counted_eval(prof)
     cfg = ScatteringConfig2D(k=0.8, ell=0.1, theta0=0.3)
     start = time.perf_counter()
     f2 = f2_2d(prof, cfg, 0.7)  # sampling the profile included
@@ -291,14 +291,16 @@ def _tanh_jump(x, y):
     return np.where((x >= 0) & (x <= 0.5 + 0.25 * np.tanh(y)), np.exp(-0.5 * y * y), 0.0)
 
 
+@pytest.mark.slow
 def test_y_dependent_axial_jump_fails_fast():
     # [0, 1], then 45 rows for each of the 101 halvings of a 65,537-point row;
     # the convolution route first resolves the inner integrals of the five
     # outer nodes below the jump (16 rows each), then fails on the sixth
     routes = [(moment_2d, (0, 0.3, 1.0), 0), (_convolution_moment, (0.3, 1.0), 5 * 16)]
     for moment, args, resolved in routes:
-        prof = Profile2D(eval=lambda x, y, k: _tanh_jump(x, y), decay_radius=12.0)
-        calls = _counted_eval(prof)
+        prof, calls = _counted_eval(
+            Profile2D(eval=lambda x, y, k: _tanh_jump(x, y), decay_radius=12.0)
+        )
         start = time.perf_counter()
         with pytest.raises(AccuracyError, match="did not converge") as info:
             moment(prof, *args)
@@ -308,12 +310,13 @@ def test_y_dependent_axial_jump_fails_fast():
         assert len(calls) == resolved + 15 + 45 * 101
 
 
+@pytest.mark.slow
 def test_3d_axial_jump_fails_within_the_point_budget():
     prof = Profile3D(
         eval=lambda r1, r2, z, k: _tanh_jump(z, r1) * np.exp(-0.5 * np.asarray(r2) ** 2),
         decay_radius=8.0,
     )
-    calls = _counted_eval(prof)
+    prof, calls = _counted_eval(prof)
     with pytest.raises(AccuracyError, match="did not converge"):
         moment_3d(prof, 0, (0.3, 0.1), 1.0)
     # a 1025 x 1025 mesh costs 16 times a 2D row, so it gets 6 halvings
@@ -350,7 +353,7 @@ def test_convolution_moment_of_a_sheared_gaussian():
     g = lambda x: 0.6 + 0.3j * x - 0.5 * x * x
     shear = 1.2
     prof = _sheared_gaussian(g, shear)
-    calls = _counted_eval(prof)
+    prof, calls = _counted_eval(prof)
 
     def Q(x1, x2, q):
         phase = -0.25 * (shear * (x1 - x2)) ** 2 - 0.25 * q * q - 0.5j * q * shear * (x1 + x2)
@@ -376,7 +379,7 @@ def test_convolution_moment_of_a_bilinear_sampled_profile():
     a = np.array([0.2, 1.0, 0.4, 0.9, 0.1])
     prof, y_nodes, b, _ = _bilinear_profile(a)
     prof = replace(prof, sample_count=4096)
-    calls = _counted_eval(prof)
+    prof, calls = _counted_eval(prof)
     x_nodes = np.linspace(0.0, 1.0, a.size)
     P = np.polynomial.Polynomial
     x = P([0.0, 1.0])
@@ -640,3 +643,16 @@ def test_profiles_own_a_validated_grid():
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     coated = coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25)
     assert (coated.decay_radius, coated.sample_count) == (slab.decay_radius, 4096)
+
+
+def test_profiles_are_frozen():
+    slab = gaussian_slab_2d(0.8, 1.5)
+    built = [
+        slab,
+        gaussian_slab_3d(1.0, 1.0),
+        coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25),
+    ]
+    for prof in built:
+        for f in fields(prof):
+            with pytest.raises(FrozenInstanceError):
+                setattr(prof, f.name, getattr(prof, f.name))
