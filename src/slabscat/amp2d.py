@@ -56,6 +56,8 @@ class ScatteringConfig2D:
             raise DomainError("k must be positive")
         if not self.ell > 0:
             raise DomainError("ell must be positive")
+        if not np.isfinite(self.theta0):
+            raise DomainError("theta0 must be finite")
         if abs(np.cos(self.theta0)) < _GRAZING_TOL:
             raise DomainError("theta0 = +-pi/2 (grazing incidence) is excluded")
 
@@ -96,6 +98,8 @@ def c_factor(theta, theta0):
 
 
 def _check_theta(theta):
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("theta must be finite")
     if np.any(np.abs(np.cos(theta)) < _GRAZING_TOL):
         raise DomainError("theta = +-pi/2 (grazing observation) is excluded")
 

@@ -73,6 +73,8 @@ class ScatteringConfig3D:
             raise DomainError("k must be positive")
         if not self.ell > 0:
             raise DomainError("ell must be positive")
+        if not (math.isfinite(self.theta0) and math.isfinite(self.phi0)):
+            raise DomainError("theta0 and phi0 must be finite")
         if abs(math.cos(self.theta0)) < _GRAZING_TOL:
             raise DomainError("grazing incidence (cos theta0 = 0) is excluded")
 
@@ -113,7 +115,7 @@ def gaussian_h(theta, phi, theta0):
     )
 
 
-def gaussian_Y(theta, phi, theta0, phi0, K, spec=None):
+def gaussian_Y(theta, phi, theta0, phi0, K):
     """Normalized double integral entering the Gaussian second-order form."""
     if K < 0:
         raise DomainError("K = kL must be nonnegative")
@@ -125,7 +127,7 @@ def gaussian_Y(theta, phi, theta0, phi0, K, spec=None):
         )
         return np.sin(alpha) * np.exp(K2 * expo)
 
-    val = integrate_2d(integrand, 0.0, 0.5 * np.pi, 0.0, 2.0 * np.pi, spec)
+    val = integrate_2d(integrand, 0.0, 0.5 * np.pi, 0.0, 2.0 * np.pi)
     return float(val.real) / (2.0 * np.pi)
 
 
@@ -171,10 +173,10 @@ def amplitude_3d(profile, config, direction, order=2, spec=None):
     return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
 
 
-def normalized_cross_section(profile, config, direction, order=2, spec=None):
+def normalized_cross_section(profile, config, direction, order=2):
     """Differential cross section normalized to the forward direction."""
-    forward = amplitude_3d(profile, config, Direction3D(0.0, 0.0), order, spec=spec)
+    forward = amplitude_3d(profile, config, Direction3D(0.0, 0.0), order)
     if abs(forward.truncated) == 0.0:
         raise DomainError("forward amplitude vanishes; normalization undefined")
-    value = amplitude_3d(profile, config, direction, order, spec=spec)
+    value = amplitude_3d(profile, config, direction, order)
     return abs(value.truncated) ** 2 / abs(forward.truncated) ** 2

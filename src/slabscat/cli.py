@@ -165,6 +165,9 @@ def _grid(spec, label, violations, positive=False):
     else:
         violations.append(f"{label} must be an array or a start/stop/count range")
         return np.array([1.0])
+    if not np.all(np.isfinite(values)):
+        violations.append(f"{label} values must be finite")
+        return np.array([1.0])
     if positive and np.any(values <= 0):
         violations.append(f"{label} values must all be positive")
     return values
@@ -183,8 +186,8 @@ def _angle(phys, key, violations, polar=False):
         violations.append(f"physics.{key} is required")
         return 0.0
     value = phys[key]
-    if not isinstance(value, (int, float)):
-        violations.append(f"physics.{key} must be a number")
+    if not isinstance(value, (int, float)) or not np.isfinite(value):
+        violations.append(f"physics.{key} must be a finite number")
         return 0.0
     _check_angles(float(value), f"physics.{key}", violations, polar=polar)
     return float(value)

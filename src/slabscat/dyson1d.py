@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .numerics import AccuracyError, DomainError
 
@@ -114,6 +113,8 @@ def dyson_terms(profile, k, ell, n_terms):
         raise DomainError("n_terms must be at least 1")
     if not (k > 0 and ell > 0):
         raise DomainError("k and ell must be positive")
+    from scipy.integrate import solve_ivp  # imported on first use: it loads slowly
+
     eye = np.eye(2, dtype=complex)[None]
 
     def rhs(x, y):
@@ -149,6 +150,8 @@ def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"
         raise DomainError("method must be 'series' or 'direct'")
 
     if method == "direct":
+        from scipy.integrate import solve_ivp
+
         def rhs(x, y):
             u = y.reshape(2, 2)
             return (-1j * ell * (h_check(profile, x, k, ell) @ u)).ravel()

@@ -9,12 +9,12 @@ Conventions used throughout the package:
   evaluated at arbitrary (off-grid) momenta ``p``.
 * The Heaviside step takes the value 1 at the origin, ``heaviside(0) == 1``.
   Every step-gated formula in the package relies on this convention.
-* Quadrature routines accept complex-valued integrands.  Integrands should be
-  vectorized (accept an ndarray of abscissae and return the matching ndarray);
-  scalar-only callables are detected and wrapped, at a performance cost.
-  A 2-D integrand f(x, y) receives broadcastable arrays of shapes (n, 1) and
-  (1, 2n) and returns the (n, 2n) values; on the fallback path it receives a
-  scalar x and a 1-D ndarray of y values.
+* Quadrature routines accept complex-valued integrands, which are vectorized:
+  they take an ndarray of abscissae and return the matching ndarray (or an
+  array that broadcasts to it).  A 2-D integrand f(x, y) receives
+  broadcastable arrays of shapes (n, 1) and (1, 2n) and returns the (n, 2n)
+  values; on the nested path it receives a scalar x and a 1-D ndarray of y
+  values.  An exception an integrand raises propagates.
 * Every transform of sampled data truncated to a finite window is guarded by
   ``check_edge_decay``, the package's single truncation check.
 
@@ -96,9 +96,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise DomainError("rel_tol must be positive")
-        if self.abs_tol < 0:
+        if not self.abs_tol >= 0:
             raise DomainError("abs_tol must be nonnegative")
-        if self.max_subdivisions < 1:
+        if not self.max_subdivisions >= 1:
             raise DomainError("max_subdivisions must be at least 1")
 
 
@@ -140,10 +140,13 @@ def check_edge_decay(values, what):
 
     ``values`` are samples of a truncated integrand (1-D, or 2-D on a mesh);
     their magnitude on each edge of the array must not exceed 1e-6 of their
-    peak.  An all-zero array passes.
+    peak.  An all-zero array passes; one with a value that is not finite
+    raises AccuracyError.
     """
     mag = np.abs(values)
-    peak = np.max(mag)
+    peak = np.max(mag)  # NaN or inf if any value is
+    if not np.isfinite(peak):
+        raise AccuracyError(f"{what} is not finite")
     if peak == 0.0:
         return
     edge = max(np.max(np.take(mag, [0, -1], axis=axis)) for axis in range(mag.ndim))
@@ -201,24 +204,13 @@ _G_WEIGHTS = np.concatenate((_WG[:3], [_WG[3]], _WG[2::-1]))
 _DEFAULT_QUAD = QuadratureSpec()
 
 
-def _vectorize_integrand(f, probe):
-    """Return a vectorized version of f and its values at the probe abscissae.
+def _sample(f, shape, *args):
+    """f(*args) as a complex array of ``shape``, broadcast to it if need be.
 
-    A callable that rejects an array argument (TypeError or ValueError) or
-    returns the wrong shape is wrapped to be called once per abscissa; any
-    other exception it raises propagates.
+    A result that does not broadcast to ``shape`` raises ValueError.
     """
-    try:
-        out = np.asarray(f(probe), dtype=complex)
-        if out.shape == probe.shape:
-            return f, out
-    except (TypeError, ValueError):
-        pass
-
-    def fvec(x):
-        return np.array([f(xi) for xi in x], dtype=complex)
-
-    return fvec, fvec(probe)
+    values = np.asarray(f(*args), dtype=complex)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
 def _gk_nodes(lo, hi):
@@ -283,9 +275,10 @@ def integrate_1d(f, a, b, spec=None):
     Parameters
     ----------
     f : callable
-        Integrand; should accept an ndarray of abscissae and return the
-        matching ndarray of (possibly complex) values.  Each abscissa is
-        evaluated once.
+        Vectorized integrand: called once per panel with the ndarray of its
+        15 abscissae, it returns the matching ndarray of (possibly complex)
+        values, or an array that broadcasts to it.  Each abscissa is
+        evaluated once, and an exception f raises propagates.
     a, b : float
         Integration limits, a < b allowed in either order (b < a negates).
     spec : QuadratureSpec, optional
@@ -302,6 +295,8 @@ def integrate_1d(f, a, b, spec=None):
         If a panel's estimate is not finite (the message names the panel),
         or if the tolerance is not met within max_subdivisions; in the
         latter case the best estimate is attached to the exception.
+    ValueError
+        If f returns values that do not broadcast to its abscissae.
     """
     spec = spec or _DEFAULT_QUAD
     a = float(a)
@@ -313,15 +308,12 @@ def integrate_1d(f, a, b, spec=None):
         a, b = b, a
         sign = -1.0
 
-    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
-    f, fx = _vectorize_integrand(f, _gk_nodes(edges[0], edges[1]))
-
     def panel(lo, hi):
-        return _gk_panel(np.asarray(f(_gk_nodes(lo, hi)), dtype=complex), lo, hi)
+        return _gk_panel(_sample(f, _GK_NODES.shape, _gk_nodes(lo, hi)), lo, hi)
 
-    # panels: list of [error, a, b, kron]; the probe values serve the first
-    panels = [_gk_panel(fx, edges[0], edges[1])]
-    panels += [panel(lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    # panels: list of [error, a, b, kron]
+    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
+    panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     halve = lambda record, mid: [panel(record[1], mid), panel(mid, record[2])]
     total = lambda: sign * sum(p[3] for p in panels)
     return _bisect(panels, halve, total, spec, "integrate_1d")
@@ -380,22 +372,14 @@ _TENSOR_ORDERS = (16, 32, 64, 128, 256)
 
 
 def _tensor_level(f, a, b, c, d, n):
-    """The n x 2n tensor Gauss-Legendre sum of f over [a, b] x [c, d].
-
-    Returns None if f cannot take the broadcast (n, 1) x (1, 2n) abscissae
-    (TypeError or ValueError, or a result of the wrong shape).
-    """
+    """The n x 2n tensor Gauss-Legendre sum of f over [a, b] x [c, d]."""
     tx, wx = gauss_legendre(n)
     ty, wy = gauss_legendre(2 * n)
     hx = 0.5 * (b - a)
     hy = 0.5 * (d - c)
     x = 0.5 * (a + b) + hx * tx
     y = 0.5 * (c + d) + hy * ty
-    try:
-        fxy = np.asarray(f(x[:, None], y[None, :]), dtype=complex)
-        fxy = np.broadcast_to(fxy, (n, 2 * n))
-    except (TypeError, ValueError):
-        return None
+    fxy = _sample(f, (n, 2 * n), x[:, None], y[None, :])
     total = hx * hy * (wx @ fxy @ wy)
     if not np.isfinite(total):
         raise AccuracyError(
@@ -414,22 +398,22 @@ def integrate_2d(f, a, b, c, d, spec=None):
     and (1, 2n), which must return the (n, 2n) values (or an array that
     broadcasts to them).
 
-    If the rule has not converged at n = 256 (a kinked integrand), or f does
-    not accept the broadcast arrays, the nested adaptive scheme takes over.
-    There f is called with a scalar x and a 1-D ndarray of y values.
+    If the rule has not converged at n = 256 (a kinked integrand), the
+    nested adaptive scheme takes over.  There f is called with a scalar x
+    and a 1-D ndarray of y values.  An exception f raises propagates.
 
     Raises
     ------
     AccuracyError
         At once if a level's sum is not finite (the message names the
         rectangle); or if the nested adaptive scheme fails to converge.
+    ValueError
+        If f returns values that do not broadcast to its abscissae.
     """
     spec = spec or _DEFAULT_QUAD
     previous = None
     for n in _TENSOR_ORDERS:
         total = _tensor_level(f, a, b, c, d, n)
-        if total is None:
-            break
         if previous is not None and abs(total - previous) <= max(
             spec.abs_tol, spec.rel_tol * abs(total)
         ):

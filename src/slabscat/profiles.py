@@ -80,7 +80,8 @@ class Profile2D:
     * analytic_transform(x_frac, p, k): transverse Fourier transform,
       broadcasting x_frac against p,
     * analytic_moment(l, p, k): transform moment m_l(p; k), vectorized in p,
-    * moment_y(l, y, k): spatial moment w_l(y; k), vectorized in y.
+    * moment_y(l, y, k): spatial moment w_l(y; k) for each l in {0, 1, 2},
+      vectorized in y.
 
     Each closed-form builder here makes a w = a(x_frac) g(y) through one
     constructor.  Moments without a closed form are sampled on the
@@ -173,11 +174,11 @@ def _moment_samples(profile, k, route="eval"):
 
     A 2D profile is sampled on the 1-D y grid for l = 0, 1, 2, a 3D profile
     on the r1 x r2 mesh for l = 0, 1.  The "moment_y" route takes a 2D
-    profile's closed spatial moments (orders it rejects are left out); the
-    "eval" route integrates x_frac^l * w over the axial coordinate for the
-    whole grid at once, by adaptive Gauss-Kronrod from the profile's declared
-    axial breaks, within a budget of ``_AXIAL_POINTS`` evaluated points.  The
-    "convolution" route samples a 2D profile's
+    profile's closed spatial moments; the "eval" route integrates
+    x_frac^l * w over the axial coordinate for the whole grid at once, by
+    adaptive Gauss-Kronrod from the profile's declared axial breaks, within
+    a budget of ``_AXIAL_POINTS`` evaluated points.  The "convolution" route
+    samples a 2D profile's
 
         C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y)
 
@@ -190,13 +191,8 @@ def _moment_samples(profile, k, route="eval"):
     r = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
 
     if route == "moment_y":
-        samples = {}
-        for l in (0, 1, 2):
-            try:
-                # a copy: the samples are made read-only below
-                samples[l] = np.array(profile.moment_y(l, r, k), dtype=complex)
-            except DomainError:
-                continue
+        # copies: the samples are made read-only below
+        samples = {l: np.array(profile.moment_y(l, r, k), dtype=complex) for l in (0, 1, 2)}
     else:
         if isinstance(profile, Profile3D):
             r1, r2 = np.meshgrid(r, r, indexing="ij")
@@ -223,11 +219,12 @@ def _moment_samples(profile, k, route="eval"):
         samples = {name: np.array(row, dtype=complex) for name, row in zip(names, moments)}
 
     # a moment that is uniformly negligible against the largest one (e.g. a
-    # coating that nulls it to rounding level) has nothing left to truncate
+    # coating that nulls it to rounding level) has nothing left to truncate;
+    # a non-finite one is checked whatever the others, and fails the check
     peaks = {l: np.max(np.abs(vals)) for l, vals in samples.items()}
     overall = max(peaks.values(), default=0.0)
     for l, vals in samples.items():
-        if peaks[l] > 1e-9 * overall:
+        if not np.isfinite(peaks[l]) or peaks[l] > 1e-9 * overall:
             check_edge_decay(vals, "profile moment")
         # read-only, so transform_samples_1d may cache its fine-grid bins
         vals.setflags(write=False)
@@ -252,9 +249,11 @@ def moment_2d(profile, l, p, k):
     complex, or ndarray of complex when p is an array
 
     A closed ``analytic_moment`` is used if present; else samples on the
-    profile's transverse grid are transformed: its ``moment_y``, or ``eval``
-    integrated over x_frac, which raises AccuracyError if the axial sampler
-    cannot resolve the profile within its budget or it is not finite.
+    profile's transverse grid are transformed: its ``moment_y`` when present,
+    or else ``eval`` integrated over x_frac, which raises AccuracyError if the
+    axial sampler cannot resolve the profile within its budget.  Samples that
+    are not finite raise AccuracyError, and an error ``moment_y`` or ``eval``
+    raises propagates.
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
@@ -265,12 +264,8 @@ def moment_2d(profile, l, p, k):
         out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
         return out[0] if scalar else out
 
-    samples = {}
-    if profile.moment_y is not None:
-        # the closed moment_y still beats raw sampling
-        samples = _moment_samples(profile, k, route="moment_y")
-    if l not in samples:  # no moment_y for this order: sample eval
-        samples = _moment_samples(profile, k)
+    route = "eval" if profile.moment_y is None else "moment_y"
+    samples = _moment_samples(profile, k, route)
     out = transform_samples_1d(samples[l], profile.decay_radius, p_arr)
     return out[0] if scalar else out
 
@@ -310,8 +305,8 @@ def moment_3d(profile, l, pvec, k):
 def spatial_moment_y(profile, l, y, k):
     """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac.
 
-    Without a closed ``moment_y`` (or for an order it rejects) each y
-    point's axial integral of ``eval`` is adaptive on its own, to the default
+    A closed ``moment_y`` is used if present; without one each y point's
+    axial integral of ``eval`` is adaptive on its own, to the default
     QuadratureSpec relative to its |w_l|; the transverse grid plays no part.
     """
     if l not in (0, 1, 2):
@@ -319,13 +314,10 @@ def spatial_moment_y(profile, l, y, k):
     scalar = np.isscalar(y) or np.asarray(y).ndim == 0
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if profile.moment_y is not None:
-        try:
-            out = np.asarray(profile.moment_y(l, y_arr, k), dtype=complex)
-            return out[0] if scalar else out
-        except DomainError:
-            pass
-    xl_w = lambda yi: lambda xf: xf**l * np.asarray(profile.eval(xf, yi, k), dtype=complex)
-    out = np.array([integrate_1d(xl_w(yi), 0.0, 1.0) for yi in y_arr], dtype=complex)
+        out = np.asarray(profile.moment_y(l, y_arr, k), dtype=complex)
+    else:
+        xl_w = lambda yi: lambda xf: xf**l * np.asarray(profile.eval(xf, yi, k), dtype=complex)
+        out = np.array([integrate_1d(xl_w(yi), 0.0, 1.0) for yi in y_arr], dtype=complex)
     return out[0] if scalar else out
 
 
@@ -611,17 +603,14 @@ def coated_profile(slab, geometry, z1, z2):
     def w_moment_y(l, y, k):
         # branch-wise: exact power integrals over the homogeneous layers plus
         # the bare slab's own axial moment, all in physical x before rescaling
-        scalar = np.isscalar(y) or np.asarray(y).ndim == 0
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        l1, l2 = layer_bounds(y_arr)
+        l1, l2 = layer_bounds(y)
         a = ell
         b = ell + l1
         c = ell + l1 + l2
-        bare = ell ** (l + 1) * spatial_moment_y(slab, l, y_arr, k)
+        bare = ell ** (l + 1) * spatial_moment_y(slab, l, y, k)
         layer1 = z1 * (b ** (l + 1) - a ** (l + 1)) / (l + 1.0)
         layer2 = z2 * (c ** (l + 1) - b ** (l + 1)) / (l + 1.0)
-        out = (bare + layer1 + layer2) / ell_c ** (l + 1)
-        return out[0] if scalar else out
+        return (bare + layer1 + layer2) / ell_c ** (l + 1)
 
     return CoatedProfile2D(
         eval=w_eval,

@@ -47,12 +47,17 @@ def test_config_validation():
         ScatteringConfig2D(k=1.0, ell=0.0, theta0=0.0)
     with pytest.raises(DomainError):
         ScatteringConfig2D(k=1.0, ell=1.0, theta0=np.pi / 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            ScatteringConfig2D(k=1.0, ell=1.0, theta0=bad)
     cfg = ScatteringConfig2D(k=2.0, ell=0.25, theta0=np.pi)
     assert_allclose(cfg.kl, 0.5)
     assert_allclose(cfg.p0, 2.0 * np.sin(np.pi), atol=1e-15)
     assert_allclose(cfg.varpi0, 2.0)
     with pytest.raises(DomainError):
         f1_2d(gaussian_slab_2d(1.0, 1.0), cfg, np.pi / 2)
+    with pytest.raises(DomainError, match="finite"):
+        f1_2d(gaussian_slab_2d(1.0, 1.0), cfg, np.array([0.3, np.nan]))
 
 
 def test_zero_profile_zero_amplitudes():

@@ -89,6 +89,9 @@ def test_direction_and_config_validation():
         ScatteringConfig3D(k=1.0, ell=-1.0, theta0=0.0)
     with pytest.raises(DomainError):
         ScatteringConfig3D(k=1.0, ell=1.0, theta0=np.pi / 2)
+    for theta0, phi0 in ((np.nan, 0.0), (0.3, np.nan), (0.3, -np.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            ScatteringConfig3D(k=1.0, ell=1.0, theta0=theta0, phi0=phi0)
     cfg = ScatteringConfig3D(k=2.0, ell=0.05, theta0=np.pi, phi0=0.3)
     assert_allclose(cfg.kl, 0.1)
     with pytest.raises(DomainError):

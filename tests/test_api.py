@@ -1,13 +1,17 @@
-"""Guards on the public surface: exported names and the benchmark's entry points.
+"""Guards on the public surface: exported names, the benchmark's entry points,
+error handling and the import.
 
 perfbench/layers.json lists the functions the traced benchmark run wraps, and
 the tracer reads some of their arguments by position; a rename or deletion
 there would break the benchmark without failing any numerical test.
 """
 
+import ast
 import importlib
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import slabscat
@@ -49,3 +53,27 @@ def test_traced_functions_exist_with_the_arguments_the_tracer_reads():
         function = getattr(importlib.import_module(f"slabscat.{layer}"), name)
         params = list(inspect.signature(function).parameters)
         assert tuple(params[: len(expected)]) == expected, f"{layer}.{name}{tuple(params)}"
+
+
+def test_only_the_cli_handles_exceptions():
+    # the library lets every error propagate; only the command line turns
+    # errors into exit codes, so any other handler must re-raise
+    swallowing = []
+    for path in Path(slabscat.__file__).parent.glob("*.py"):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler):
+                if not any(isinstance(inner, ast.Raise) for inner in ast.walk(node)):
+                    swallowing.append(f"{path.name}:{node.lineno}")
+    assert swallowing == []
+
+
+def test_import_does_not_load_the_ode_solver():
+    src = str(Path(slabscat.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import slabscat; "
+    code += "print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"

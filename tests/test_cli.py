@@ -93,6 +93,14 @@ def test_validation_collects_every_violation(tmp_path):
     )
     assert any("start exceeds stop" in v for v in empty_grid)
 
+    # JSON reads NaN: a non-finite angle is one violation, and the run exits 2
+    cfg = dict(THREAD_CASES["amp2d"], output={"path": str(tmp_path / "nan.csv")})
+    cfg["physics"] = dict(cfg["physics"], theta0=float("nan"))
+    assert validate_config(cfg)[1] == ["physics.theta0 must be a finite number"]
+    path.write_text(json.dumps(cfg))
+    assert _invoke("run", "--config", str(path)).exit_code == 2
+    assert not (tmp_path / "nan.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["amp3d", "sweep3d"])
 def test_validation_checks_the_azimuths(tmp_path, command):
@@ -188,6 +196,9 @@ def test_bad_profile_is_one_violation(tmp_path):
         ({"start": 0.1, "stop": 0.2, "count": 2.5}, "count must be a positive integer"),
         ({"start": "0.1", "stop": 0.2, "count": 3}, "start/stop must be numbers"),
         ({"start": -0.1, "stop": 0.2, "count": 3}, "values must all be positive"),
+        ([0.1, float("nan")], "values must be finite"),
+        ([0.1, -float("inf")], "values must be finite"),
+        ({"start": float("nan"), "stop": 0.2, "count": 3}, "values must be finite"),
         ("0.1:0.2", "must be an array or a start/stop/count range"),
     ],
 )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from slabscat.numerics import (
     _integrate_moments,
     _transform_samples_1d_direct,
 )
-from slabscat.profiles import ex1_profile
+from slabscat.profiles import ex1_profile, gaussian_slab_2d, moment_2d
 
 
 def test_heaviside_convention():
@@ -74,11 +75,6 @@ def test_integrate_reversed_limits_negates():
     assert integrate_1d(lambda x: x, 1.0, 1.0) == 0.0
 
 
-def test_integrate_scalar_only_integrand_falls_back():
-    got = integrate_1d(lambda x: math.exp(-x), 0.0, 1.0)
-    assert_allclose(got, 1.0 - math.exp(-1.0), rtol=1e-12)
-
-
 def _counted(f):
     """f, plus a list that collects every abscissa f is called on."""
     seen = []
@@ -90,9 +86,30 @@ def _counted(f):
     return counted, seen
 
 
+def test_integrate_scalar_only_integrand_raises():
+    # integrands are vectorized: one that rejects the panel's abscissae
+    # raises on the first call, with no per-node retry
+    f, seen = _counted(lambda x: math.exp(-x))
+    with pytest.raises(TypeError):
+        integrate_1d(f, 0.0, 1.0)
+    assert len(seen) == 15
+
+
+def test_integrate_broadcasts_a_constant_result():
+    calls = []
+
+    def constant(x):
+        calls.append(x)
+        return 2.0
+
+    assert_allclose(integrate_1d(constant, 0.0, 1.0), 2.0, rtol=1e-15)
+    assert len(calls) == 4
+    with pytest.raises(ValueError):
+        integrate_1d(lambda x: np.ones((2, x.size)), 0.0, 1.0)
+
+
 def test_integrate_evaluates_each_abscissa_once():
-    # a quadratic converges on the 4 initial panels: 4 x 15 abscissae, the
-    # first panel's probe values included
+    # a quadratic converges on the 4 initial panels: 4 x 15 abscissae
     f, seen = _counted(lambda x: x * x)
     assert_allclose(integrate_1d(f, 0.0, 1.0), 1.0 / 3.0, rtol=1e-14)
     assert len(seen) == 60
@@ -149,17 +166,6 @@ def test_integrate_moments_of_kinked_rows():
     assert len(seen) == 45
 
 
-def test_integrate_2d_separable_and_coupled():
-    got = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
-    assert_allclose(got, 0.25, rtol=1e-10)
-    got = integrate_2d(lambda x, y: np.cos(x + y), 0.0, np.pi, 0.0, np.pi)
-    assert_allclose(got, -4.0, rtol=1e-9, atol=1e-10)
-    # a scalar-only integrand rejects the broadcast arrays and takes the
-    # nested path; exact value Ein(1) = gamma + E1(1)
-    got = integrate_2d(lambda x, y: math.exp(-x * y), 0.0, 1.0, 0.0, 1.0)
-    assert_allclose(got, 0.7965995992970531, rtol=1e-10)
-
-
 def _shapes_seen(f):
     """f, plus a list of the shape of every x it is called with."""
     shapes = []
@@ -169,6 +175,21 @@ def _shapes_seen(f):
         return f(x, y)
 
     return recorded, shapes
+
+
+def test_integrate_2d_separable_and_coupled():
+    got = integrate_2d(lambda x, y: x * y, 0.0, 1.0, 0.0, 1.0)
+    assert_allclose(got, 0.25, rtol=1e-10)
+    got = integrate_2d(lambda x, y: np.cos(x + y), 0.0, np.pi, 0.0, np.pi)
+    assert_allclose(got, -4.0, rtol=1e-9, atol=1e-10)
+    # exact value Ein(1) = gamma + E1(1)
+    got = integrate_2d(lambda x, y: np.exp(-x * y), 0.0, 1.0, 0.0, 1.0)
+    assert_allclose(got, 0.7965995992970531, rtol=1e-10)
+    # a scalar-only integrand rejects the broadcast arrays and raises at once
+    f, shapes = _shapes_seen(lambda x, y: math.exp(-x * y))
+    with pytest.raises(TypeError):
+        integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
+    assert shapes == [(16, 1)]
 
 
 def test_integrate_2d_kinked_integrand_falls_back():
@@ -189,10 +210,12 @@ def test_integrate_2d_non_finite_integrand_fails_after_one_level():
 def test_quadrature_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=-1e-3)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=0)
+    for bad in (-1e-3, np.nan):
+        with pytest.raises(DomainError):
+            QuadratureSpec(abs_tol=bad)
+    for bad in (0, np.nan):
+        with pytest.raises(DomainError):
+            QuadratureSpec(max_subdivisions=bad)
 
 
 def test_transform_spec_validation():
@@ -301,6 +324,21 @@ def test_edge_decay_check_covers_every_edge():
         edged[i, j] = 1e-3
         with pytest.raises(TruncationError, match="edged"):
             check_edge_decay(edged, "edged")
+
+
+def test_non_finite_samples_fail_the_truncation_check():
+    values = np.exp(-np.linspace(-5.0, 5.0, 11) ** 2)
+    values[5] = np.nan
+    with pytest.raises(AccuracyError, match="samples is not finite"):
+        check_edge_decay(values, "samples")
+    inf_core = lambda y: np.where(np.abs(y) < 1.0, np.inf, np.exp(-y * y))
+    with pytest.raises(AccuracyError, match="integrand is not finite"):
+        fourier_1d(inf_core, 0.5, TransformSpec(truncation_radius=12.0, sample_count=1024))
+    # a NaN closed moment_y, on the sampled route
+    nan_core = lambda l, y, k: np.where(np.abs(y) < 1.0, np.nan, np.exp(-y * y))
+    prof = replace(gaussian_slab_2d(1.0, 1.0), analytic_moment=None, moment_y=nan_core)
+    with pytest.raises(AccuracyError, match="profile moment is not finite"):
+        moment_2d(prof, 0, 0.5, 1.0)
 
 
 def test_fourier_2d_gaussian():

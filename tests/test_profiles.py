@@ -626,6 +626,24 @@ def test_moment_validation():
         moment_2d(prof, 3, 0.0, 1.0)
 
 
+def test_moment_y_errors_propagate_without_sampling_eval():
+    calls = []
+
+    def w(x, y, k):
+        calls.append(x)
+        return np.exp(-0.5 * np.asarray(y, dtype=float) ** 2) * np.ones_like(x)
+
+    def rejects(l, y, k):
+        raise DomainError("no closed moment here")
+
+    prof = Profile2D(eval=w, decay_radius=12.0, moment_y=rejects)
+    with pytest.raises(DomainError, match="no closed moment"):
+        moment_2d(prof, 0, 0.3, 1.0)
+    with pytest.raises(DomainError, match="no closed moment"):
+        spatial_moment_y(prof, 0, 0.3, 1.0)
+    assert calls == []
+
+
 def test_profiles_own_a_validated_grid():
     w2 = gaussian_slab_2d(1.0, 1.0).eval
     w3 = gaussian_slab_3d(1.0, 1.0).eval
