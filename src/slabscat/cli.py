@@ -52,6 +52,7 @@ machine-readable JSON diagnostic on standard error.
 """
 
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -120,54 +121,59 @@ def load_config(config_path=None, preset=None):
     return raw
 
 
+def _is_number(value, finite=True):
+    """An int or a float, not a bool, and finite (unless ``finite`` is False)."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return real and (not finite or isinstance(value, int) or math.isfinite(value))
+
+
 def _as_complex(value, label, violations):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     violations.append(f"{label} must be a number or an [re, im] pair")
     return 0j
 
 
 def _positive(value, label, violations):
-    if not isinstance(value, (int, float)) or not value > 0:
-        violations.append(f"{label} must be a positive number")
+    if not _is_number(value) or not value > 0:
+        violations.append(f"{label} must be a positive finite number")
         return 1.0
     return float(value)
 
 
 def _grid(spec, label, violations, positive=False):
     if isinstance(spec, list):
-        if len(spec) == 0 or not all(isinstance(v, (int, float)) for v in spec):
+        if len(spec) == 0 or not all(_is_number(v, finite=False) for v in spec):
             violations.append(f"{label} must be a nonempty array of numbers")
             return np.array([1.0])
-        values = np.array(spec, dtype=float)
+        numbers = spec
     elif isinstance(spec, dict):
         missing = [key for key in ("start", "stop", "count") if key not in spec]
         if missing:
             violations.append(f"{label} range is missing {', '.join(missing)}")
             return np.array([1.0])
         count = spec["count"]
-        if not isinstance(count, int) or count < 1:
+        if not (_is_number(count) and isinstance(count, int)) or count < 1:
             violations.append(f"{label} count must be a positive integer")
             return np.array([1.0])
-        if not all(isinstance(spec[key], (int, float)) for key in ("start", "stop")):
+        numbers = [spec["start"], spec["stop"]]
+        if not all(_is_number(v, finite=False) for v in numbers):
             violations.append(f"{label} start/stop must be numbers")
             return np.array([1.0])
-        if spec["start"] > spec["stop"]:
+        if numbers[0] > numbers[1]:
             violations.append(f"{label} start exceeds stop")
             return np.array([1.0])
-        values = np.linspace(float(spec["start"]), float(spec["stop"]), count)
     else:
         violations.append(f"{label} must be an array or a start/stop/count range")
         return np.array([1.0])
-    if not np.all(np.isfinite(values)):
+    if not all(map(_is_number, numbers)):
         violations.append(f"{label} values must be finite")
         return np.array([1.0])
+    if isinstance(spec, dict):
+        spec = np.linspace(numbers[0], numbers[1], count)
+    values = np.array(spec, dtype=float)
     if positive and np.any(values <= 0):
         violations.append(f"{label} values must all be positive")
     return values
@@ -186,7 +192,7 @@ def _angle(phys, key, violations, polar=False):
         violations.append(f"physics.{key} is required")
         return 0.0
     value = phys[key]
-    if not isinstance(value, (int, float)) or not np.isfinite(value):
+    if not _is_number(value):
         violations.append(f"physics.{key} must be a finite number")
         return 0.0
     _check_angles(float(value), f"physics.{key}", violations, polar=polar)
@@ -200,7 +206,7 @@ def _azimuths(phys, physics, violations):
     """
     for key in ("phi0", "phi"):
         value = phys.get(key, 0.0)
-        if not isinstance(value, (int, float)) or not np.isfinite(value):
+        if not _is_number(value):
             violations.append(f"physics.{key} must be a finite number")
             value = 0.0
         elif key == "phi" and not 0.0 <= value < 2.0 * np.pi:
@@ -306,7 +312,7 @@ def validate_config(raw):
             violations.append(f"numerics.{key} is not a known setting")
         elif key in ("node_count", "max_terms"):
             floor = 3 if key == "node_count" else 1
-            if not isinstance(value, int) or value < floor:
+            if not (_is_number(value) and isinstance(value, int)) or value < floor:
                 violations.append(f"numerics.{key} must be an integer >= {floor}")
             else:
                 numerics[key] = value
@@ -346,8 +352,8 @@ def _validate_command(command, prof, phys, raw, violations):
         physics = {"ell": _positive(phys.get("ell", 0.0), "physics.ell", violations)}
         for key in ("z0", "z1", "z2"):
             value = phys.get(key)
-            if not isinstance(value, (int, float)):
-                violations.append(f"physics.{key} must be a real number")
+            if not _is_number(value):
+                violations.append(f"physics.{key} must be a finite real number")
                 value = 1.0
             physics[key] = float(value)
         if physics["z1"] == physics["z2"]:
@@ -465,7 +471,8 @@ def _validate_command(command, prof, phys, raw, violations):
 def _subset(phys, key, known, default, violations):
     """A nonempty list drawn from ``known`` (default's last entry on error)."""
     values = phys.get(key, default)
-    if not (isinstance(values, list) and values and all(v in known for v in values)):
+    listed = isinstance(values, list) and values
+    if not (listed and all(v in known and not isinstance(v, bool) for v in values)):
         violations.append(f"physics.{key} must be a nonempty subset of {known}")
         return default[-1:]
     return list(values)
@@ -718,8 +725,8 @@ def run(config_path, preset, out_path, out_format, threads, tol):
     if threads < 1:
         _fail(2, "validation", {"violations": ["--threads must be at least 1"]})
     if tol is not None:
-        if not tol > 0:
-            _fail(2, "validation", {"violations": ["--tol must be positive"]})
+        if not (_is_number(tol) and tol > 0):
+            _fail(2, "validation", {"violations": ["--tol must be a positive finite number"]})
         cfg.numerics["rel_tol"] = tol
         cfg.numerics["check_tol"] = tol
         cfg.numerics["series_tol"] = tol

@@ -28,6 +28,7 @@ R_right = M12/M22, and T = 1/M22 on both sides since det M = 1.
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -75,11 +76,11 @@ class TransferMatrix1D:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Profile1D:
-    """Bounded 1D profile w(x_check; k), zero outside x_check in [0, 1]."""
+    """Bounded 1D profile w(x_check; k), zero outside x_check in [0, 1]; frozen."""
 
-    eval: callable
+    eval: Callable
     descriptor: str = ""
 
 

@@ -32,9 +32,12 @@ from .numerics import (
     DomainError,
     QuadratureSpec,
     TransformSpec,
+    _integrate_moments,
+    check_edge_decay,
     fourier_1d,
     heaviside,
     integrate_1d,
+    transform_samples_1d,
 )
 from .profiles import Profile2D
 
@@ -112,9 +115,9 @@ def is_born_exact(profile, alpha):
     return below <= _SUPPORT_REL_TOL * max(above, below)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BornExactProfile:
-    """A profile paired with its verified support threshold alpha."""
+    """A profile paired with its verified support threshold alpha (frozen)."""
 
     base: Profile2D
     alpha: float
@@ -130,22 +133,28 @@ class BornExactProfile:
 def ttv(profile, p_x, p_y, k, ell, quadrature=None):
     """Interaction transform -k^2 INT_0^ell dx e^{-i x p_x} w~(x/ell, p_y; k).
 
-    ``ell`` is the slab thickness; the axial integral is evaluated
-    adaptively in the scaled coordinate.
+    ``ell`` is the slab thickness; the axial integral is adaptive in the
+    scaled coordinate, to ``quadrature`` (default QuadratureSpec()): by
+    integrate_1d of a closed transform, else by the axial sampler over the
+    rows e^{-i ell p_x x_frac} w(x_frac, y) on the transverse grid, whose
+    one integrated row is checked for edge decay and transformed at p_y.
     """
     spec = quadrature or QuadratureSpec()
+    phase = lambda xf: np.exp(-1j * ell * p_x * xf)
+    if profile.analytic_transform is not None:
+        integrand = lambda xf: phase(xf) * _transform_slice(profile, xf, p_y, k)
+        return -(k * k) * ell * integrate_1d(integrand, 0.0, 1.0, spec)
+    y = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
+    row = lambda xf: phase(xf) * profile.eval(xf, y, k)
+    values = _integrate_moments(row, (0,), profile._axial_breaks, spec)[0]
+    check_edge_decay(values, "integrand")
+    return -(k * k) * ell * transform_samples_1d(values, profile.decay_radius, p_y)
 
-    def integrand(xf_arr):
-        xf_arr = np.atleast_1d(xf_arr)
-        phases = np.exp(-1j * ell * p_x * xf_arr)
-        if profile.analytic_transform is not None:  # every node of the panel at once
-            return phases * _transform_slice(profile, xf_arr, p_y, k)
-        vals = np.array(
-            [_transform_slice(profile, xf, [p_y], k)[0] for xf in xf_arr], dtype=complex
-        )
-        return phases * vals
 
-    return -(k * k) * ell * integrate_1d(integrand, 0.0, 1.0, spec)
+def _check_validity(k, alpha):
+    """Refuse k above the support threshold alpha rather than extrapolate."""
+    if k > alpha * _VALIDITY_SLACK:
+        raise DomainError(f"exact amplitude is only valid for k <= alpha = {alpha}; got k = {k}")
 
 
 def exact_amplitude(profile, config, theta, quadrature=None):
@@ -154,11 +163,7 @@ def exact_amplitude(profile, config, theta, quadrature=None):
     ``profile`` is a BornExactProfile; requesting k above its support
     threshold is refused rather than extrapolated.
     """
-    if config.k > profile.alpha * _VALIDITY_SLACK:
-        raise DomainError(
-            f"exact amplitude is only valid for k <= alpha = {profile.alpha}; "
-            f"got k = {config.k}"
-        )
+    _check_validity(config.k, profile.alpha)
     k = config.k
     c = c_factor(theta, config.theta0)
     s = s_factor(theta, config.theta0)
@@ -202,11 +207,7 @@ def ex1_exact(params, config, theta):
     f = i (e^{-i k ell c} - 1)/c * f1; the removable c -> 0 singularity is
     evaluated by the series u [1 - iv/2 + (-iv)^2/6 + ...] with v = k ell c.
     """
-    if config.k > params.alpha * _VALIDITY_SLACK:
-        raise DomainError(
-            f"exact amplitude is only valid for k <= alpha = {params.alpha}; "
-            f"got k = {config.k}"
-        )
+    _check_validity(config.k, params.alpha)
     u = config.kl
     c = c_factor(theta, config.theta0)
     v = u * c

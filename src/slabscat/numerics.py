@@ -20,7 +20,7 @@ Conventions used throughout the package:
 
 integrate_1d is an adaptive Gauss-Kronrod (G7/K15) bisection scheme with
 per-panel error estimates (the classic QUADPACK 15-point constants); its loop
-also drives the array-valued moment integrator of the profiles' axial sampler.
+also drives _integrate_moments, the one axial sampler of eval-only profiles.
 integrate_2d is a tensor Gauss-Legendre rule whose order doubles until two
 levels agree (exponentially convergent for smooth integrands, Trefethen &
 Weideman, SIAM Rev. 56(3), 2014); integrands it does not resolve by n = 256
@@ -37,7 +37,7 @@ transform_samples_2d sums with explicit phase factors.
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -94,10 +94,10 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError("rel_tol must be positive")
-        if not self.abs_tol >= 0:
-            raise DomainError("abs_tol must be nonnegative")
+        if not 0 < self.rel_tol < np.inf:
+            raise DomainError("rel_tol must be positive and finite")
+        if not 0 <= self.abs_tol < np.inf:
+            raise DomainError("abs_tol must be nonnegative and finite")
         if not self.max_subdivisions >= 1:
             raise DomainError("max_subdivisions must be at least 1")
 
@@ -323,17 +323,26 @@ def integrate_1d(f, a, b, spec=None):
 _G_WEIGHTS_AT_NODES = np.zeros(15)
 _G_WEIGHTS_AT_NODES[_G_IDX] = _G_WEIGHTS
 
+# The axial sampler's tolerances, and its budget of evaluated points: a halving
+# evaluates 45 rows, so a default 2D row (65,537 points) gets 101 halvings and
+# a default 3D mesh (1025^2 points) 6, and an unresolvable row fails in seconds.
+_AXIAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
+_AXIAL_POINTS = 3e8
 
-def _integrate_moments(f, orders, spec, breaks=()):
-    """INT_0^1 x^l f(x) dx for each l in ``orders``, of an array-valued f(x).
 
-    Adaptive G7/K15 by the loop of integrate_1d, from the panels between the
-    ``breaks`` in (0, 1) (say, where f is known to kink or jump), or from the
-    whole of [0, 1]; a panel's error is its largest |K15 - G7| over every
-    order and entry.  A panel sums its rows node by node and keeps no
-    estimate: a halved panel is evaluated again to take its estimate out of
-    the running total, so memory stays at a few rows.  A non-finite panel
-    raises AccuracyError.
+def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC):
+    """INT_0^1 x^l f(x) dx for each l in ``orders``, of a row f(x) of any shape.
+
+    The one axial sampler: every axial integral of an eval-only profile is
+    one call.  Adaptive G7/K15 by the loop of integrate_1d, from the panels
+    between the ``breaks`` in (0, 1) (where f is known to kink or jump);
+    a panel's error is its largest |K15 - G7| over every order and entry,
+    so the tolerance is relative to the largest |moment| over the row, not
+    per entry.  It gets _AXIAL_POINTS / (45 * row size) halvings, at least 1
+    and at most spec.max_subdivisions, and raises AccuracyError when they
+    run out or a panel is not finite.  A panel sums its rows node by node:
+    a halved panel is evaluated again to take its estimate out of the
+    running total, so memory stays at a few rows.
     """
     what = "axial moment sampler"
 
@@ -364,7 +373,9 @@ def _integrate_moments(f, orders, spec, breaks=()):
         total = total + ((left_sum + right_sum) - panel(*record[1:])[1])
         return [left, right]
 
-    return _bisect(panels, halve, lambda: total, spec, what)
+    row_size = max(1, np.size(total) // len(orders))
+    halvings = min(spec.max_subdivisions, max(1, int(_AXIAL_POINTS / (45 * row_size))))
+    return _bisect(panels, halve, lambda: total, replace(spec, max_subdivisions=halvings), what)
 
 
 # Orders n of the doubling tensor rule: n nodes in x times 2n nodes in y.
@@ -429,11 +440,7 @@ def _integrate_2d_nested(f, a, b, c, d, spec):
     outer adaptive pass sees a consistent integrand ("tolerance splitting").
     f is called as f(x, y) with a scalar x and an ndarray of y values.
     """
-    inner_spec = QuadratureSpec(
-        rel_tol=0.1 * spec.rel_tol,
-        abs_tol=0.1 * spec.abs_tol,
-        max_subdivisions=spec.max_subdivisions,
-    )
+    inner_spec = replace(spec, rel_tol=0.1 * spec.rel_tol, abs_tol=0.1 * spec.abs_tol)
 
     def outer(xs):
         return np.array(

@@ -11,15 +11,15 @@ profiles through two quantities:
 
 Profiles may carry closed forms for the transform and the moments; when those
 are absent one axial sampler, adaptive Gauss-Kronrod over x_frac of whole rows
-of ``eval`` samples, gives the moments on the profile's uniform transverse grid
-(2D and 3D) and :mod:`slabscat.numerics` transforms them (in 2D by a type-2 NUFFT, planned
-once per cached sample set).  Its first panels end where the profile declares
-an axial kink or jump (the x nodes of a sampled profile, the boundaries of a
-layered one).  Nested, the same sampler gives the one further moment the
-third-order kernel needs, the simplex convolution C(y) of w with itself
-(see _convolution_moment).  A profile the sampler cannot resolve within its
-budget of evaluated points (an axial jump whose position moves with y, say)
-raises AccuracyError.
+of ``eval`` samples (numerics._integrate_moments), takes every axial integral:
+the moments on the profile's transverse grid (2D and 3D), which are then
+transformed (in 2D by a type-2 NUFFT), spatial_moment_y at any y, and the a_l
+of separable_profile.  Its first panels end where the profile declares an
+axial kink or jump (the x nodes of a sampled profile, the boundaries of a
+layered one).  Nested, it gives the simplex convolution C(y) of w with itself
+that the third-order kernel needs (see _convolution_moment).  A profile the
+sampler cannot resolve within its budget of evaluated points (an axial jump
+whose position moves with y, say) raises AccuracyError.
 
 ``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
 3D); ``profile_from_dict`` builds a profile from its JSON form
@@ -38,11 +38,9 @@ import numpy as np
 from .dyson1d import constant_slab_1d
 from .numerics import (
     DomainError,
-    QuadratureSpec,
     TransformSpec,
     _integrate_moments,
     check_edge_decay,
-    integrate_1d,
     transform_samples_1d,
     transform_samples_2d,
 )
@@ -162,13 +160,6 @@ def _unit_mask(x_frac):
     return (x_frac >= 0.0) & (x_frac <= 1.0)
 
 
-# The axial sampler's budget, in evaluated points, bounds the time an
-# unresolvable profile takes to fail whatever its grid.  A halving evaluates
-# 45 rows, so a default 2D row (65,537 points) gets 101 halvings and a
-# default 3D mesh (1025^2 points) 6.
-_AXIAL_POINTS = 3e8
-
-
 def _moment_samples(profile, k, route="eval"):
     """Spatial moment samples m_l on the profile's transverse grid, cached per route.
 
@@ -176,9 +167,9 @@ def _moment_samples(profile, k, route="eval"):
     on the r1 x r2 mesh for l = 0, 1.  The "moment_y" route takes a 2D
     profile's closed spatial moments; the "eval" route integrates
     x_frac^l * w over the axial coordinate for the whole grid at once, by
-    adaptive Gauss-Kronrod from the profile's declared axial breaks, within
-    a budget of ``_AXIAL_POINTS`` evaluated points.  The "convolution" route
-    samples a 2D profile's
+    the axial sampler (numerics._integrate_moments, to its own tolerances and
+    budget of evaluated points) from the profile's declared axial breaks.
+    The "convolution" route samples a 2D profile's
 
         C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y)
 
@@ -196,13 +187,11 @@ def _moment_samples(profile, k, route="eval"):
     else:
         if isinstance(profile, Profile3D):
             r1, r2 = np.meshgrid(r, r, indexing="ij")
-            orders, breaks, points = (0, 1), (), r1.size
+            orders, breaks = (0, 1), ()
             layer = lambda xf: profile.eval(r1, r2, xf, k)
         else:
-            orders, breaks, points = (0, 1, 2), profile._axial_breaks, r.size
+            orders, breaks = (0, 1, 2), profile._axial_breaks
             layer = lambda xf: profile.eval(xf, r, k)
-        halvings = max(1, int(_AXIAL_POINTS / (45 * points)))
-        quad = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12, max_subdivisions=halvings)
         names = orders
         if route == "convolution":
             w_row = layer
@@ -211,10 +200,10 @@ def _moment_samples(profile, k, route="eval"):
                 # INT_0^1 dt (1 - t) w(x2 t, y), from the breaks below x2
                 t_breaks = [b / x2 for b in breaks if b < x2]
                 tail = lambda t: (1.0 - t) * w_row(x2 * t)
-                return _integrate_moments(tail, (0,), quad, t_breaks)[0] * w_row(x2)
+                return _integrate_moments(tail, (0,), t_breaks)[0] * w_row(x2)
 
             orders, names = (2,), ("C",)
-        moments = _integrate_moments(layer, orders, quad, breaks)
+        moments = _integrate_moments(layer, orders, breaks)
         # complex copies owning their data, which transform_samples_1d caches
         samples = {name: np.array(row, dtype=complex) for name, row in zip(names, moments)}
 
@@ -305,9 +294,11 @@ def moment_3d(profile, l, pvec, k):
 def spatial_moment_y(profile, l, y, k):
     """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac.
 
-    A closed ``moment_y`` is used if present; without one each y point's
-    axial integral of ``eval`` is adaptive on its own, to the default
-    QuadratureSpec relative to its |w_l|; the transverse grid plays no part.
+    A closed ``moment_y`` is used if present; without one ``eval`` at every
+    requested y is one call of the axial sampler, from the declared axial
+    breaks.  It meets 1e-9 of the largest |w_l| over the requested y, not a
+    tolerance per point, and a jump whose position moves with y, which no
+    shared partition resolves, raises AccuracyError.
     """
     if l not in (0, 1, 2):
         raise DomainError("spatial moment order l must be 0, 1, or 2")
@@ -316,8 +307,8 @@ def spatial_moment_y(profile, l, y, k):
     if profile.moment_y is not None:
         out = np.asarray(profile.moment_y(l, y_arr, k), dtype=complex)
     else:
-        xl_w = lambda yi: lambda xf: xf**l * np.asarray(profile.eval(xf, yi, k), dtype=complex)
-        out = np.array([integrate_1d(xl_w(yi), 0.0, 1.0) for yi in y_arr], dtype=complex)
+        row = lambda xf: profile.eval(xf, y_arr, k)
+        out = np.asarray(_integrate_moments(row, (l,), profile._axial_breaks)[0], dtype=complex)
     return out[0] if scalar else out
 
 
@@ -464,21 +455,13 @@ def separable_profile(
 ):
     """Profile w(x_frac, y) = axial(x_frac) * transverse(y).
 
-    The axial moments INT_0^1 x_frac^l axial dx_frac are computed once by
-    adaptive quadrature; a closed transverse transform upgrades the profile
-    to fully analytic moments.
+    The axial moments a_l = INT_0^1 x_frac^l axial dx_frac (l = 0, 1, 2) come
+    from one axial sampler call when the profile is built; a closed
+    transverse transform upgrades it to fully analytic moments.
     """
-    ax_moments = {}
-
-    def ax_moment(l):
-        if l not in ax_moments:
-            ax_moments[l] = integrate_1d(
-                lambda xf: xf**l * np.asarray(axial(xf), dtype=complex), 0.0, 1.0
-            )
-        return ax_moments[l]
-
+    a = _integrate_moments(lambda xf: np.asarray(axial(xf), dtype=complex), (0, 1, 2))
     return _separable_2d(
-        axial, ax_moment, transverse, transverse_transform, decay_radius, descriptor
+        axial, lambda l: a[l], transverse, transverse_transform, decay_radius, descriptor
     )
 
 

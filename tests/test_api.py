@@ -26,11 +26,18 @@ POSITIONS = {
     ("numerics", "transform_samples_1d"): ("values", "radius", "p"),
     ("profiles", "moment_2d"): ("profile", "l", "p"),
     ("profiles", "moment_3d"): ("profile", "l", "pvec"),
+    ("profiles", "spatial_moment_y"): ("profile", "l", "y", "k"),
+    ("profiles", "separable_profile"): ("axial", "transverse", "decay_radius"),
+    ("profiles", "coated_profile"): ("slab", "geometry", "z1", "z2"),
     ("kernels", "kernel_matrix"): ("profile", "j", "a", "b", "grid"),
     ("cli", "validate_config"): ("raw",),
     ("cli", "execute"): ("cfg",),
     ("cli", "write_result"): ("result", "path", "out_format"),
     ("cloak", "verify_invisibility"): ("coated", "k", "y_grid", "theta_grid", "theta0"),
+}
+# keyword parameters the workloads pass by name
+KEYWORDS = {
+    ("profiles", "separable_profile"): ("transverse_transform", "descriptor"),
 }
 
 
@@ -53,6 +60,10 @@ def test_traced_functions_exist_with_the_arguments_the_tracer_reads():
         function = getattr(importlib.import_module(f"slabscat.{layer}"), name)
         params = list(inspect.signature(function).parameters)
         assert tuple(params[: len(expected)]) == expected, f"{layer}.{name}{tuple(params)}"
+    for (layer, name), expected in KEYWORDS.items():
+        function = getattr(importlib.import_module(f"slabscat.{layer}"), name)
+        params = inspect.signature(function).parameters
+        assert set(expected) <= set(params), f"{layer}.{name}{tuple(params)}"
 
 
 def test_only_the_cli_handles_exceptions():

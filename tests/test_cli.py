@@ -101,6 +101,21 @@ def test_validation_collects_every_violation(tmp_path):
     assert _invoke("run", "--config", str(path)).exit_code == 2
     assert not (tmp_path / "nan.csv").exists()
 
+    # JSON reads Infinity and true: neither is a usable number or integer
+    base = dict(THREAD_CASES["amp2d"], output={"path": "x.csv"})
+    for section, key, value, complaint in (
+        ("numerics", "check_tol", float("inf"), "numerics.check_tol must be a positive"),
+        ("numerics", "rel_tol", float("inf"), "numerics.rel_tol must be a positive"),
+        ("numerics", "max_terms", True, "numerics.max_terms must be an integer"),
+        ("physics", "k", True, "physics.k must be a positive"),
+        ("physics", "theta0", True, "physics.theta0 must be a finite number"),
+        ("profile", "z", True, "profile.z must be a number"),
+        ("profile", "z", [0.3, float("inf")], "profile.z must be a number"),
+    ):
+        cfg = dict(base, **{section: dict(base.get(section, {}), **{key: value})})
+        found = validate_config(cfg)[1]
+        assert len(found) == 1 and found[0].startswith(complaint), (key, value, found)
+
 
 @pytest.mark.parametrize("command", ["amp3d", "sweep3d"])
 def test_validation_checks_the_azimuths(tmp_path, command):
@@ -200,6 +215,10 @@ def test_bad_profile_is_one_violation(tmp_path):
         ([0.1, -float("inf")], "values must be finite"),
         ({"start": float("nan"), "stop": 0.2, "count": 3}, "values must be finite"),
         ("0.1:0.2", "must be an array or a start/stop/count range"),
+        ([0.1, True], "must be a nonempty array of numbers"),
+        ({"start": True, "stop": 0.2, "count": 3}, "start/stop must be numbers"),
+        ({"start": 0.1, "stop": 0.2, "count": True}, "count must be a positive integer"),
+        ({"start": 0.1, "stop": float("inf"), "count": 3}, "values must be finite"),
     ],
 )
 def test_grid_violations(grid, complaint):
@@ -329,6 +348,11 @@ def test_kernels_check_passes_then_fails_on_absurd_tol(tmp_path):
         assert "max deviation" in result.output
         result = _invoke("run", "--config", str(path), "--tol", "1e-16")
         assert result.exit_code == 3, name
+        # an infinite tolerance would let the check never fail
+        for tol in ("inf", "nan", "0"):
+            result = _invoke("run", "--config", str(path), "--tol", tol)
+            assert result.exit_code == 2, (name, tol)
+            assert "--tol must be a positive finite number" in result.output
 
 
 def test_dyson1d_rows_match_the_api(tmp_path):

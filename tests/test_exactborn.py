@@ -16,7 +16,7 @@ from slabscat.exactborn import (
     ttv,
     x_function,
 )
-from slabscat.numerics import DomainError, QuadratureSpec
+from slabscat.numerics import AccuracyError, DomainError, QuadratureSpec
 from slabscat.profiles import Profile2D, ex1_profile, gaussian_slab_2d, moment_2d
 
 Z, ALPHA, LW = 0.3, 2.0, 1.0
@@ -83,6 +83,28 @@ def test_ttv_axial_zero_momentum_reduces_to_moment():
     got = ttv(PROF, 0.0, p_y, k, ell)
     expect = -(k * k) * ell * moment_2d(PROF, 0, p_y, k)
     assert_allclose(got, expect, rtol=1e-10)
+
+
+def _counted(w):
+    calls = []
+    return (lambda *args: calls.append(args) or w(*args)), calls
+
+
+def test_eval_only_ttv_matches_the_closed_transform():
+    # one sampler call over the transverse grid, then one transform at p_y
+    g = gaussian_slab_2d(0.5, 1.0)
+    w, calls = _counted(g.eval)
+    eval_only = Profile2D(eval=w, decay_radius=g.decay_radius)
+    for p_x, p_y, ell in ((0.3, 0.7, 0.4), (-1.2, 0.0, 0.9)):
+        closed = ttv(g, p_x, p_y, 1.0, ell)
+        calls.clear()
+        assert abs(ttv(eval_only, p_x, p_y, 1.0, ell) - closed) <= 1e-12 * abs(closed)
+        assert len(calls) <= 45
+    # the caller's subdivision limit holds on this route too
+    kinked = Profile2D(eval=lambda x, y, k: np.abs(x - 0.3) * g.eval(x, y, k), decay_radius=12.0)
+    ttv(kinked, 0.3, 0.7, 1.0, 0.4)
+    with pytest.raises(AccuracyError, match="within 1 subdivisions"):
+        ttv(kinked, 0.3, 0.7, 1.0, 0.4, QuadratureSpec(max_subdivisions=1))
 
 
 def test_ttv_small_thickness_expansion():

@@ -152,7 +152,7 @@ def test_integrate_moments_of_kinked_rows():
         for l in (0, 1, 2)
     ]
     f, seen = _counted(lambda x: np.abs(x - c))
-    got = _integrate_moments(f, (0, 1, 2), QuadratureSpec(rel_tol=1e-10))
+    got = _integrate_moments(f, (0, 1, 2), spec=QuadratureSpec(rel_tol=1e-10))
     assert got.shape == (3, 2)
     assert_allclose(got, exact, rtol=1e-9)
     # 15 rows for [0, 1], then per halving 15 for each half and 15 more to
@@ -161,7 +161,7 @@ def test_integrate_moments_of_kinked_rows():
 
     # panels that start at the kinks are polynomial: 15 rows each, no halving
     f, seen = _counted(lambda x: np.abs(x - c))
-    got = _integrate_moments(f, (0, 1, 2), QuadratureSpec(rel_tol=1e-10), breaks=c)
+    got = _integrate_moments(f, (0, 1, 2), c, QuadratureSpec(rel_tol=1e-10))
     assert_allclose(got, exact, rtol=1e-13)
     assert len(seen) == 45
 
@@ -210,9 +210,12 @@ def test_integrate_2d_non_finite_integrand_fails_after_one_level():
 def test_quadrature_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
-    for bad in (-1e-3, np.nan):
+    for bad in (-1e-3, np.nan, np.inf):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="positive and finite"):
+            QuadratureSpec(rel_tol=bad)
     for bad in (0, np.nan):
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=bad)

@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import dblquad
 
 from slabscat.amp2d import ScatteringConfig2D, f2_2d
+from slabscat.dyson1d import constant_slab_1d
+from slabscat.exactborn import BornExactProfile
 from slabscat.numerics import (
     AccuracyError,
     DomainError,
@@ -123,6 +125,34 @@ def test_moment_linearity_in_profile():
     got = moment_2d(combined, 0, p, 1.0)
     expect = moment_2d(p1, 0, p, 1.0) + moment_2d(p2, 0, p, 1.0)
     assert_allclose(got, expect, rtol=1e-8)
+
+
+def test_spatial_moment_y_integrates_every_y_at_once():
+    # one sampler call over all requested y: the same 15 rows at 1 and at
+    # 4,097 points, to 1e-9 of the largest |w_l| (here to rounding)
+    g = gaussian_slab_2d(0.5, 1.0)
+    seen = []
+    for y in (np.array([0.4]), np.linspace(-12.0, 12.0, 4097)):
+        prof, calls = _counted_eval(_eval_only(g))
+        for l in (0, 1, 2):
+            closed = g.moment_y(l, y, 1.0)
+            got = spatial_moment_y(prof, l, y, 1.0)
+            assert np.max(np.abs(got - closed)) <= 1e-12 * np.max(np.abs(closed))
+        seen.append(len(calls))
+    assert seen[0] == seen[1] == 3 * 15
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(c=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3), y0=st.floats(-3.0, 3.0))
+def test_separable_moments_match_its_eval_only_copy(c, y0):
+    closed = separable_profile(
+        lambda x: c[0] + c[1] * x + c[2] * x * x, lambda y: np.exp(-0.5 * y * y), 12.0
+    )
+    y = np.array([y0, 0.0, 2.5])
+    peak = max(abs(c[0]) + abs(c[1]) + abs(c[2]), 1e-300)
+    for l in (0, 1, 2):
+        got = spatial_moment_y(_eval_only(closed), l, y, 1.0)
+        assert np.max(np.abs(closed.moment_y(l, y, 1.0) - got)) <= 1e-12 * peak
 
 
 def test_spatial_moments():
@@ -308,6 +338,23 @@ def test_y_dependent_axial_jump_fails_fast():
         assert info.value.estimate is not None
         assert info.value.error_estimate > 0
         assert len(calls) == resolved + 15 + 45 * 101
+
+
+@pytest.mark.slow
+def test_spatial_moment_y_of_a_moving_jump():
+    # at one y the jump sits still and is resolved to g s^(l+1) / (l+1); over
+    # 121 y it moves, no shared partition resolves it, and the sampler fails
+    # after its 2,000 halvings rather than return values off at many y
+    prof = Profile2D(eval=lambda x, y, k: _tanh_jump(x, y), decay_radius=12.0)
+    y0 = 0.3
+    s = 0.5 + 0.25 * np.tanh(y0)
+    for l in (0, 1, 2):
+        expect = np.exp(-0.5 * y0 * y0) * s ** (l + 1) / (l + 1)
+        assert abs(spatial_moment_y(prof, l, y0, 1.0) - expect) <= 1e-8
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError, match="within 2000 subdivisions"):
+        spatial_moment_y(prof, 0, np.linspace(-3.0, 3.0, 121), 1.0)
+    assert time.perf_counter() - start < 10.0
 
 
 @pytest.mark.slow
@@ -585,6 +632,17 @@ def test_coated_piecewise_values_and_moments():
         assert_allclose(coated.moment_y(l, y0, 1.0), direct, rtol=1e-8)
 
 
+def test_coating_over_an_eval_only_slab_matches_the_closed_slab():
+    # the bare slab's spatial moments come from one sampler call per order
+    slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
+    geo = _const_geometry(1.0, 0.5, 0.25, 2.0)
+    closed = coated_profile(slab, geo, -0.6, 0.25)
+    sampled = coated_profile(_eval_only(slab), geo, -0.6, 0.25)
+    y = np.linspace(-slab.decay_radius, slab.decay_radius, slab.sample_count + 1)
+    for l in (0, 1, 2):
+        assert_allclose(sampled.moment_y(l, y, 1.0), closed.moment_y(l, y, 1.0), atol=1e-10)
+
+
 def test_coated_extent_check():
     slab = gaussian_slab_2d(0.8, 1.5)
     with pytest.raises(DomainError):
@@ -669,6 +727,9 @@ def test_profiles_are_frozen():
         slab,
         gaussian_slab_3d(1.0, 1.0),
         coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25),
+        # alpha stays the threshold the support was probed at
+        BornExactProfile(base=ex1_profile(0.3, 2.0, 1.0), alpha=2.0),
+        constant_slab_1d(1.5),
     ]
     for prof in built:
         for f in fields(prof):
