@@ -52,10 +52,10 @@ class ScatteringConfig2D:
     theta0: float
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise DomainError("k must be positive")
-        if not self.ell > 0:
-            raise DomainError("ell must be positive")
+        if not 0 < self.k < np.inf:
+            raise DomainError("k must be positive and finite")
+        if not 0 < self.ell < np.inf:
+            raise DomainError("ell must be positive and finite")
         if not np.isfinite(self.theta0):
             raise DomainError("theta0 must be finite")
         if abs(np.cos(self.theta0)) < _GRAZING_TOL:

@@ -69,10 +69,10 @@ class ScatteringConfig3D:
     phi0: float = 0.0
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise DomainError("k must be positive")
-        if not self.ell > 0:
-            raise DomainError("ell must be positive")
+        if not 0 < self.k < math.inf:
+            raise DomainError("k must be positive and finite")
+        if not 0 < self.ell < math.inf:
+            raise DomainError("ell must be positive and finite")
         if not (math.isfinite(self.theta0) and math.isfinite(self.phi0)):
             raise DomainError("theta0 and phi0 must be finite")
         if abs(math.cos(self.theta0)) < _GRAZING_TOL:

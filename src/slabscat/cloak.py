@@ -26,6 +26,7 @@ per-y and per-k; only real moments admit a design (the verification path
 accepts complex contrasts).
 """
 
+import cmath
 import json
 import warnings
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ import numpy as np
 
 from .amp2d import ScatteringConfig2D, f1_2d, f2_2d
 from .numerics import DomainError
-from .profiles import CoatedProfile2D, spatial_moment_y
+from .profiles import CoatedProfile2D
 
 __all__ = [
     "InfeasibleDesignError",
@@ -70,6 +71,8 @@ class CoatingMaterials:
     def __post_init__(self):
         object.__setattr__(self, "z1", complex(self.z1))
         object.__setattr__(self, "z2", complex(self.z2))
+        if not (cmath.isfinite(self.z1) and cmath.isfinite(self.z2)):
+            raise DomainError("coating contrasts must be finite")
         if self.z1 == self.z2:
             raise DomainError("coating contrasts must differ (z1 != z2)")
         if self.z1 == 0:
@@ -133,6 +136,10 @@ def _design_arrays(w0, w1, z1, z2, ell):
             why = message
         ok[mask & ok] = False
 
+    finite = np.isfinite(w0) & np.isfinite(w1)
+    fail(~finite, "slab moments must be finite")
+    # zeros in their place keep the arithmetic below free of inf - inf
+    w0, w1 = np.where(finite, w0, 0.0), np.where(finite, w1, 0.0)
     fail(
         (np.abs(w0.imag) > _IMAG_TOL * (1.0 + np.abs(w0)))
         | (np.abs(w1.imag) > _IMAG_TOL * (1.0 + np.abs(w1))),
@@ -167,8 +174,10 @@ def _design_arrays(w0, w1, z1, z2, ell):
 
 def design_bilayer(moments, materials, ell, y):
     """Layer thicknesses (ell1, ell2) nulling both moments at one y."""
-    if not ell > 0:
-        raise DomainError("ell must be positive")
+    if not 0 < ell < np.inf:
+        raise DomainError("ell must be positive and finite")
+    if not np.isfinite(y):
+        raise DomainError("y must be finite")
     w0 = complex(moments.w0bar(y))
     w1 = complex(moments.w1bar(y))
     ell1, ell2, ok, why = _design_arrays(w0, w1, materials.z1, materials.z2, ell)
@@ -188,11 +197,13 @@ def design_geometry(moments, materials, ell, y_grid, k=None):
     given and k*ell_c >= 0.3, a warning flags that the low-frequency
     premise is strained.
     """
-    if not ell > 0:
-        raise DomainError("ell must be positive")
+    if not 0 < ell < np.inf:
+        raise DomainError("ell must be positive and finite")
     y_grid = np.asarray(y_grid, dtype=float)
     if y_grid.ndim != 1 or y_grid.size == 0:
         raise DomainError("y_grid must be a nonempty 1D array")
+    if not np.all(np.isfinite(y_grid)):
+        raise DomainError("y_grid values must be finite")
     z1, z2 = materials.z1, materials.z2
 
     def _solve(y):
@@ -248,13 +259,12 @@ def verify_invisibility(coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THET
         raise DomainError("verify_invisibility expects a coated_profile result")
     ell_c = float(coated.geometry.ell_c)
     y_grid = np.asarray(y_grid, dtype=float)
-    m0 = np.atleast_1d(spatial_moment_y(coated, 0, y_grid, k))
-    m1 = np.atleast_1d(spatial_moment_y(coated, 1, y_grid, k))
+    m0, m1, _ = coated.moment_y(y_grid, k)
     if theta_grid is None:
         theta_grid = np.linspace(0.25, 2.0 * np.pi - 0.25, 10)
     theta_grid = np.asarray(theta_grid, dtype=float)
     config = ScatteringConfig2D(k=k, ell=ell_c, theta0=theta0)
-    f1 = np.array([f1_2d(coated, config, t) for t in theta_grid], dtype=complex)
+    f1 = np.asarray(f1_2d(coated, config, theta_grid), dtype=complex)
     f2 = np.array([f2_2d(coated, config, t) for t in theta_grid], dtype=complex)
     return InvisibilityReport(
         moment0_max=float(np.max(np.abs(m0))) * ell_c,

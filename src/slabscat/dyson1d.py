@@ -103,6 +103,18 @@ def h_check(profile, x_check, k, ell):
     return -0.5 * k * w * np.array([[1.0, down], [-up, -1.0]])
 
 
+def _integrate_across(rhs, start, what):
+    """The state at x_check = 1 of y' = rhs(x, y), y(0) = start, by adaptive DOP853."""
+    from scipy.integrate import solve_ivp  # imported on first use: it loads slowly
+
+    sol = solve_ivp(
+        rhs, (0.0, 1.0), start, method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, max_step=_MAX_STEP
+    )
+    if not sol.success:
+        raise AccuracyError(f"{what} integration failed: {sol.message}")
+    return sol.y[:, -1]
+
+
 def dyson_terms(profile, k, ell, n_terms):
     """Ordered-simplex series terms T_1..T_n at x_check = 1, shape (n, 2, 2).
 
@@ -114,8 +126,6 @@ def dyson_terms(profile, k, ell, n_terms):
         raise DomainError("n_terms must be at least 1")
     if not (k > 0 and ell > 0):
         raise DomainError("k and ell must be positive")
-    from scipy.integrate import solve_ivp  # imported on first use: it loads slowly
-
     eye = np.eye(2, dtype=complex)[None]
 
     def rhs(x, y):
@@ -124,18 +134,8 @@ def dyson_terms(profile, k, ell, n_terms):
         # T_m' = -i ell H T_{m-1} for every m at once, with T_0 = I
         return (-1j * ell * (h @ np.concatenate((eye, t[:-1])))).ravel()
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.zeros(4 * n_terms, dtype=complex),
-        method="DOP853",
-        rtol=_ODE_RTOL,
-        atol=_ODE_ATOL,
-        max_step=_MAX_STEP,
-    )
-    if not sol.success:
-        raise AccuracyError(f"series term integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(n_terms, 2, 2)
+    end = _integrate_across(rhs, np.zeros(4 * n_terms, dtype=complex), "series term")
+    return end.reshape(n_terms, 2, 2)
 
 
 def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"):
@@ -151,24 +151,12 @@ def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"
         raise DomainError("method must be 'series' or 'direct'")
 
     if method == "direct":
-        from scipy.integrate import solve_ivp
-
         def rhs(x, y):
             u = y.reshape(2, 2)
             return (-1j * ell * (h_check(profile, x, k, ell) @ u)).ravel()
 
-        sol = solve_ivp(
-            rhs,
-            (0.0, 1.0),
-            np.eye(2, dtype=complex).ravel(),
-            method="DOP853",
-            rtol=_ODE_RTOL,
-            atol=_ODE_ATOL,
-            max_step=_MAX_STEP,
-        )
-        if not sol.success:
-            raise AccuracyError(f"transfer-matrix integration failed: {sol.message}")
-        return TransferMatrix1D.from_array(sol.y[:, -1].reshape(2, 2))
+        end = _integrate_across(rhs, np.eye(2, dtype=complex).ravel(), "transfer-matrix")
+        return TransferMatrix1D.from_array(end.reshape(2, 2))
 
     terms = dyson_terms(profile, k, ell, max_terms)
     total = np.eye(2, dtype=complex)

@@ -35,7 +35,6 @@ from .numerics import (
     _integrate_moments,
     check_edge_decay,
     fourier_1d,
-    heaviside,
     integrate_1d,
     transform_samples_1d,
 )
@@ -68,10 +67,10 @@ class Ex1Params:
     L: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise DomainError("alpha must be positive")
-        if not self.L > 0:
-            raise DomainError("L must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError("alpha must be positive and finite")
+        if not 0 < self.L < math.inf:
+            raise DomainError("L must be positive and finite")
 
 
 # sampling grid of the one-sided support probe: momenta per side, x_frac
@@ -234,9 +233,9 @@ def x_function(sigma, sigma0, xi):
     sigma, sigma0, xi = np.broadcast_arrays(sigma, sigma0, xi)
 
     live = (
-        (heaviside(sigma - sigma0 - 2.0 * xi) > 0)
-        & (heaviside(sigma - xi + 1.0) > 0)
-        & (heaviside(1.0 - xi - sigma0) > 0)
+        (sigma - sigma0 - 2.0 * xi >= 0)
+        & (sigma - xi + 1.0 >= 0)
+        & (1.0 - xi - sigma0 >= 0)
     )
     a = np.clip(sigma - xi, -1.0, 1.0)
     b = np.clip(sigma0 + xi, -1.0, 1.0)

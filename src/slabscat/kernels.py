@@ -96,8 +96,8 @@ def momentum_grid(k, count=201):
 
     The substitution makes the weights absorb the endpoint measure.
     """
-    if not k > 0:
-        raise DomainError("k must be positive")
+    if not 0 < k < np.inf:
+        raise DomainError("k must be positive and finite")
     if count < 3:
         raise DomainError("a momentum grid needs at least 3 nodes")
     t, w = gauss_legendre(count)

@@ -7,8 +7,6 @@ Conventions used throughout the package:
       F(p) = INT exp(-i*p*y) f(y) dy,
 
   evaluated at arbitrary (off-grid) momenta ``p``.
-* The Heaviside step takes the value 1 at the origin, ``heaviside(0) == 1``.
-  Every step-gated formula in the package relies on this convention.
 * Quadrature routines accept complex-valued integrands, which are vectorized:
   they take an ndarray of abscissae and return the matching ndarray (or an
   array that broadcasts to it).  A 2-D integrand f(x, y) receives
@@ -49,7 +47,6 @@ __all__ = [
     "DomainError",
     "QuadratureSpec",
     "TransformSpec",
-    "heaviside",
     "check_edge_decay",
     "integrate_1d",
     "integrate_2d",
@@ -98,8 +95,9 @@ class QuadratureSpec:
             raise DomainError("rel_tol must be positive and finite")
         if not 0 <= self.abs_tol < np.inf:
             raise DomainError("abs_tol must be nonnegative and finite")
-        if not self.max_subdivisions >= 1:
-            raise DomainError("max_subdivisions must be at least 1")
+        n = self.max_subdivisions
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise DomainError("max_subdivisions must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -115,21 +113,11 @@ class TransformSpec:
     sample_count: int = 65536
 
     def __post_init__(self):
-        if not self.truncation_radius > 0:
-            raise DomainError("truncation_radius must be positive")
+        if not 0 < self.truncation_radius < np.inf:
+            raise DomainError("truncation_radius must be positive and finite")
         n = self.sample_count
         if not isinstance(n, (int, np.integer)) or n < 2 or (n & (n - 1)) != 0:
             raise DomainError("sample_count must be a power of two")
-
-
-def heaviside(x):
-    """Heaviside step function with the convention heaviside(0) == 1.
-
-    Accepts scalars or arrays; returns 1.0 where x >= 0 and 0.0 elsewhere.
-    """
-    if np.isscalar(x):
-        return 1.0 if x >= 0 else 0.0
-    return np.where(np.asarray(x) >= 0, 1.0, 0.0)
 
 
 _EDGE_REL_TOL = 1e-6

@@ -19,7 +19,9 @@ axial kink or jump (the x nodes of a sampled profile, the boundaries of a
 layered one).  Nested, it gives the simplex convolution C(y) of w with itself
 that the third-order kernel needs (see _convolution_moment).  A profile the
 sampler cannot resolve within its budget of evaluated points (an axial jump
-whose position moves with y, say) raises AccuracyError.
+whose position moves with y, say) raises AccuracyError.  For a 2D profile
+one private function, _spatial_moments, chooses between its closed
+``moment_y`` (w_0, w_1, w_2 in one call) and the sampler.
 
 ``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
 3D); ``profile_from_dict`` builds a profile from its JSON form
@@ -78,8 +80,8 @@ class Profile2D:
     * analytic_transform(x_frac, p, k): transverse Fourier transform,
       broadcasting x_frac against p,
     * analytic_moment(l, p, k): transform moment m_l(p; k), vectorized in p,
-    * moment_y(l, y, k): spatial moment w_l(y; k) for each l in {0, 1, 2},
-      vectorized in y.
+    * moment_y(y, k): the spatial moments (w_0, w_1, w_2)(y; k) in one call,
+      each shaped like y.
 
     Each closed-form builder here makes a w = a(x_frac) g(y) through one
     constructor.  Moments without a closed form are sampled on the
@@ -160,16 +162,29 @@ def _unit_mask(x_frac):
     return (x_frac >= 0.0) & (x_frac <= 1.0)
 
 
-def _moment_samples(profile, k, route="eval"):
-    """Spatial moment samples m_l on the profile's transverse grid, cached per route.
+def _spatial_moments(profile, y, k, orders):
+    """{l: w_l(y; k)} for each l in ``orders`` of a 2D profile, as complex arrays.
 
-    A 2D profile is sampled on the 1-D y grid for l = 0, 1, 2, a 3D profile
-    on the r1 x r2 mesh for l = 0, 1.  The "moment_y" route takes a 2D
-    profile's closed spatial moments; the "eval" route integrates
-    x_frac^l * w over the axial coordinate for the whole grid at once, by
-    the axial sampler (numerics._integrate_moments, to its own tolerances and
-    budget of evaluated points) from the profile's declared axial breaks.
-    The "convolution" route samples a 2D profile's
+    The one choice between closed and sampled spatial moments: a closed
+    ``moment_y`` when the profile has one, else one call of the axial sampler
+    (numerics._integrate_moments, to its own tolerances and budget of
+    evaluated points) over every y at once, from the declared axial breaks.
+    """
+    if profile.moment_y is not None:
+        closed = profile.moment_y(y, k)
+        return {l: np.asarray(closed[l], dtype=complex) for l in orders}
+    row = lambda xf: profile.eval(xf, y, k)
+    moments = _integrate_moments(row, orders, profile._axial_breaks)
+    return {l: np.asarray(vals, dtype=complex) for l, vals in zip(orders, moments)}
+
+
+def _moment_samples(profile, k, route="moments"):
+    """Spatial moment samples on the profile's transverse grid, cached per route.
+
+    The "moments" route samples m_l for l = 0, 1, 2 of a 2D profile on the
+    1-D y grid, by _spatial_moments (closed or sampled), and for l = 0, 1 of
+    a 3D profile on the r1 x r2 mesh, by the axial sampler.  The
+    "convolution" route samples a 2D profile's
 
         C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y)
 
@@ -181,31 +196,25 @@ def _moment_samples(profile, k, route="eval"):
         return profile._cache[key]
     r = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
 
-    if route == "moment_y":
-        # copies: the samples are made read-only below
-        samples = {l: np.array(profile.moment_y(l, r, k), dtype=complex) for l in (0, 1, 2)}
+    if isinstance(profile, Profile3D):
+        r1, r2 = np.meshgrid(r, r, indexing="ij")
+        layer = lambda zf: profile.eval(r1, r2, zf, k)
+        moments = dict(zip((0, 1), _integrate_moments(layer, (0, 1))))
+    elif route == "moments":
+        moments = _spatial_moments(profile, r, k, (0, 1, 2))
     else:
-        if isinstance(profile, Profile3D):
-            r1, r2 = np.meshgrid(r, r, indexing="ij")
-            orders, breaks = (0, 1), ()
-            layer = lambda xf: profile.eval(r1, r2, xf, k)
-        else:
-            orders, breaks = (0, 1, 2), profile._axial_breaks
-            layer = lambda xf: profile.eval(xf, r, k)
-        names = orders
-        if route == "convolution":
-            w_row = layer
+        breaks = profile._axial_breaks
+        w_row = lambda xf: profile.eval(xf, r, k)
 
-            def layer(x2):
-                # INT_0^1 dt (1 - t) w(x2 t, y), from the breaks below x2
-                t_breaks = [b / x2 for b in breaks if b < x2]
-                tail = lambda t: (1.0 - t) * w_row(x2 * t)
-                return _integrate_moments(tail, (0,), t_breaks)[0] * w_row(x2)
+        def layer(x2):
+            # INT_0^1 dt (1 - t) w(x2 t, y), from the breaks below x2
+            t_breaks = [b / x2 for b in breaks if b < x2]
+            tail = lambda t: (1.0 - t) * w_row(x2 * t)
+            return _integrate_moments(tail, (0,), t_breaks)[0] * w_row(x2)
 
-            orders, names = (2,), ("C",)
-        moments = _integrate_moments(layer, orders, breaks)
-        # complex copies owning their data, which transform_samples_1d caches
-        samples = {name: np.array(row, dtype=complex) for name, row in zip(names, moments)}
+        moments = {"C": _integrate_moments(layer, (2,), breaks)[0]}
+    # complex copies owning their data, which transform_samples_1d caches
+    samples = {name: np.array(row, dtype=complex) for name, row in moments.items()}
 
     # a moment that is uniformly negligible against the largest one (e.g. a
     # coating that nulls it to rounding level) has nothing left to truncate;
@@ -237,12 +246,12 @@ def moment_2d(profile, l, p, k):
     -------
     complex, or ndarray of complex when p is an array
 
-    A closed ``analytic_moment`` is used if present; else samples on the
-    profile's transverse grid are transformed: its ``moment_y`` when present,
-    or else ``eval`` integrated over x_frac, which raises AccuracyError if the
-    axial sampler cannot resolve the profile within its budget.  Samples that
-    are not finite raise AccuracyError, and an error ``moment_y`` or ``eval``
-    raises propagates.
+    A closed ``analytic_moment`` is used if present; else the spatial
+    moments on the profile's transverse grid (see _spatial_moments: its
+    ``moment_y``, or ``eval`` integrated over x_frac, which raises
+    AccuracyError if the axial sampler cannot resolve the profile within its
+    budget) are transformed.  Samples that are not finite raise
+    AccuracyError, and an error ``moment_y`` or ``eval`` raises propagates.
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
@@ -253,8 +262,7 @@ def moment_2d(profile, l, p, k):
         out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
         return out[0] if scalar else out
 
-    route = "eval" if profile.moment_y is None else "moment_y"
-    samples = _moment_samples(profile, k, route)
+    samples = _moment_samples(profile, k)
     out = transform_samples_1d(samples[l], profile.decay_radius, p_arr)
     return out[0] if scalar else out
 
@@ -294,21 +302,18 @@ def moment_3d(profile, l, pvec, k):
 def spatial_moment_y(profile, l, y, k):
     """Spatial moment w_l(y; k) = INT_0^1 x_frac^l w(x_frac, y; k) dx_frac.
 
-    A closed ``moment_y`` is used if present; without one ``eval`` at every
-    requested y is one call of the axial sampler, from the declared axial
-    breaks.  It meets 1e-9 of the largest |w_l| over the requested y, not a
-    tolerance per point, and a jump whose position moves with y, which no
-    shared partition resolves, raises AccuracyError.
+    By _spatial_moments: a closed ``moment_y`` is used if present; without
+    one ``eval`` at every requested y is one call of the axial sampler, for
+    order l alone, from the declared axial breaks.  It meets 1e-9 of the
+    largest |w_l| over the requested y, not a tolerance per point, and a jump
+    whose position moves with y, which no shared partition resolves, raises
+    AccuracyError.
     """
     if l not in (0, 1, 2):
         raise DomainError("spatial moment order l must be 0, 1, or 2")
     scalar = np.isscalar(y) or np.asarray(y).ndim == 0
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if profile.moment_y is not None:
-        out = np.asarray(profile.moment_y(l, y_arr, k), dtype=complex)
-    else:
-        row = lambda xf: profile.eval(xf, y_arr, k)
-        out = np.asarray(_integrate_moments(row, (l,), profile._axial_breaks)[0], dtype=complex)
+    out = _spatial_moments(profile, y_arr, k, (l,))[l]
     return out[0] if scalar else out
 
 
@@ -318,9 +323,9 @@ def spatial_moment_y(profile, l, y, k):
 
 
 def _separable_2d(
-    axial, axial_moment, transverse, transverse_transform, decay_radius, descriptor, breaks=()
+    axial, a_l, transverse, transverse_transform, decay_radius, descriptor, breaks=()
 ):
-    """Profile2D of w(x_frac, y) = a(x_frac) g(y), given a_l = axial_moment(l).
+    """Profile2D of w(x_frac, y) = a(x_frac) g(y), given its a_l for l = 0, 1, 2.
 
     Every moment closes through a_l = INT_0^1 x_frac^l a dx_frac: w_l = a_l g(y),
     and with the transverse transform g~ also w~ = a(x_frac) g~(p) and
@@ -348,15 +353,19 @@ def _separable_2d(
             return np.where(_unit_mask(x_frac), vals, 0.0)
 
         closed["analytic_transform"] = w_transform
-        closed["analytic_moment"] = lambda l, p, k: axial_moment(l) * np.asarray(
+        closed["analytic_moment"] = lambda l, p, k: a_l[l] * np.asarray(
             transverse_transform(p), dtype=complex
         )
+
+    def w_moment_y(y, k):
+        g = np.asarray(transverse(y), dtype=complex)
+        return tuple(a * g for a in a_l)
 
     return Profile2D(
         eval=w_eval,
         decay_radius=float(decay_radius),
         descriptor=descriptor,
-        moment_y=lambda l, y, k: axial_moment(l) * np.asarray(transverse(y), dtype=complex),
+        moment_y=w_moment_y,
         _axial_breaks=tuple(breaks),
         **closed,
     )
@@ -364,7 +373,7 @@ def _separable_2d(
 
 # a = 1 and a_l = 1 / (l + 1) for a slab with no axial variation
 _uniform = lambda x_frac: 1.0
-_uniform_moment = lambda l: 1.0 / (l + 1.0)
+_uniform_moments = tuple(1.0 / (l + 1.0) for l in (0, 1, 2))
 
 
 def ex1_profile(z, alpha, L):
@@ -392,7 +401,7 @@ def ex1_profile(z, alpha, L):
         return out
 
     return _separable_2d(
-        _uniform, _uniform_moment, g, g_hat, 2000.0 * L, f"ex1(z={z}, alpha={alpha}, L={L})"
+        _uniform, _uniform_moments, g, g_hat, 2000.0 * L, f"ex1(z={z}, alpha={alpha}, L={L})"
     )
 
 
@@ -411,7 +420,7 @@ def gaussian_slab_2d(z, L):
         return z * np.sqrt(2.0 * np.pi) * L * np.exp(-0.5 * (L * p) ** 2)
 
     return _separable_2d(
-        _uniform, _uniform_moment, g, g_hat, 12.0 * L, f"gaussian2d(z={z}, L={L})"
+        _uniform, _uniform_moments, g, g_hat, 12.0 * L, f"gaussian2d(z={z}, L={L})"
     )
 
 
@@ -460,9 +469,7 @@ def separable_profile(
     transverse transform upgrades it to fully analytic moments.
     """
     a = _integrate_moments(lambda xf: np.asarray(axial(xf), dtype=complex), (0, 1, 2))
-    return _separable_2d(
-        axial, lambda l: a[l], transverse, transverse_transform, decay_radius, descriptor
-    )
+    return _separable_2d(axial, a, transverse, transverse_transform, decay_radius, descriptor)
 
 
 def layered_profile(
@@ -493,12 +500,8 @@ def layered_profile(
         inside = (x_frac >= b[0]) & (x_frac <= b[-1])
         return np.where(inside, out, 0.0)
 
-    def ax_moment(l):
-        return np.sum(v * (b[1:] ** (l + 1) - b[:-1] ** (l + 1))) / (l + 1.0)
-
-    return _separable_2d(
-        axial, ax_moment, transverse, transverse_transform, decay_radius, descriptor, b
-    )
+    a_l = [np.sum(v * (b[1:] ** (l + 1) - b[:-1] ** (l + 1))) / (l + 1.0) for l in (0, 1, 2)]
+    return _separable_2d(axial, a_l, transverse, transverse_transform, decay_radius, descriptor, b)
 
 
 def sampled_profile(x_nodes, y_nodes, values, decay_radius, descriptor="sampled"):
@@ -546,7 +549,9 @@ def coated_profile(slab, geometry, z1, z2):
 
     ``geometry`` must provide ell (bare thickness), callables ell1/ell2 of y,
     and ell_c; a geometry whose extent ell + ell1 + ell2 exceeds ell_c at any
-    requested y raises a DomainError.
+    requested y raises a DomainError.  Its ``moment_y`` evaluates the layer
+    bounds once and takes the bare slab's w_0, w_1, w_2 together: from the
+    bare slab's own ``moment_y``, or else from one axial sampler call.
     """
     z1 = complex(z1)
     z2 = complex(z2)
@@ -583,17 +588,23 @@ def coated_profile(slab, geometry, z1, z2):
         out = np.where((x > ell + l1) & (x <= ell + l1 + l2), z2, out)
         return np.where(_unit_mask(x_frac), out, 0.0)
 
-    def w_moment_y(l, y, k):
+    def w_moment_y(y, k):
         # branch-wise: exact power integrals over the homogeneous layers plus
-        # the bare slab's own axial moment, all in physical x before rescaling
+        # the bare slab's own axial moments, all in physical x before rescaling
         l1, l2 = layer_bounds(y)
         a = ell
         b = ell + l1
         c = ell + l1 + l2
-        bare = ell ** (l + 1) * spatial_moment_y(slab, l, y, k)
-        layer1 = z1 * (b ** (l + 1) - a ** (l + 1)) / (l + 1.0)
-        layer2 = z2 * (c ** (l + 1) - b ** (l + 1)) / (l + 1.0)
-        return (bare + layer1 + layer2) / ell_c ** (l + 1)
+        bare = _spatial_moments(slab, y, k, (0, 1, 2))
+        return tuple(
+            (
+                ell ** (l + 1) * bare[l]
+                + z1 * (b ** (l + 1) - a ** (l + 1)) / (l + 1.0)
+                + z2 * (c ** (l + 1) - b ** (l + 1)) / (l + 1.0)
+            )
+            / ell_c ** (l + 1)
+            for l in (0, 1, 2)
+        )
 
     return CoatedProfile2D(
         eval=w_eval,

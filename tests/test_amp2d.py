@@ -45,6 +45,9 @@ def test_config_validation():
         ScatteringConfig2D(k=-1.0, ell=1.0, theta0=0.0)
     with pytest.raises(DomainError):
         ScatteringConfig2D(k=1.0, ell=0.0, theta0=0.0)
+    for k, ell in ((np.inf, 1.0), (1.0, np.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            ScatteringConfig2D(k=k, ell=ell, theta0=0.0)
     with pytest.raises(DomainError):
         ScatteringConfig2D(k=1.0, ell=1.0, theta0=np.pi / 2)
     for bad in (np.nan, np.inf):

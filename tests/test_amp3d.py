@@ -87,6 +87,8 @@ def test_direction_and_config_validation():
         ScatteringConfig3D(k=0.0, ell=1.0, theta0=0.0)
     with pytest.raises(DomainError):
         ScatteringConfig3D(k=1.0, ell=-1.0, theta0=0.0)
+    with pytest.raises(DomainError, match="finite"):
+        ScatteringConfig3D(k=np.inf, ell=1.0, theta0=0.0)
     with pytest.raises(DomainError):
         ScatteringConfig3D(k=1.0, ell=1.0, theta0=np.pi / 2)
     for theta0, phi0 in ((np.nan, 0.0), (0.3, np.nan), (0.3, -np.inf)):

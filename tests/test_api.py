@@ -34,10 +34,23 @@ POSITIONS = {
     ("cli", "execute"): ("cfg",),
     ("cli", "write_result"): ("result", "path", "out_format"),
     ("cloak", "verify_invisibility"): ("coated", "k", "y_grid", "theta_grid", "theta0"),
+    ("cloak", "design_geometry"): ("moments", "materials", "ell", "y_grid"),
+    ("amp2d", "amplitude_2d"): ("profile", "config", "theta"),
+    ("amp2d", "f1_2d"): ("profile", "config", "theta"),
+    ("amp2d", "f2_2d"): ("profile", "config", "theta"),
+    ("dyson1d", "transfer_matrix_1d"): ("profile", "k", "ell"),
+    ("dyson1d", "scattering_1d"): ("matrix",),
 }
-# keyword parameters the workloads pass by name
+# keyword parameters (and dataclass fields) the workloads pass by name
 KEYWORDS = {
     ("profiles", "separable_profile"): ("transverse_transform", "descriptor"),
+    ("amp2d", "amplitude_2d"): ("order",),
+    ("dyson1d", "transfer_matrix_1d"): ("method",),
+    ("profiles", "Profile2D"): ("eval", "decay_radius", "descriptor"),
+    ("cloak", "CoatingMaterials"): ("z1", "z2"),
+    ("cloak", "SlabMomentPair"): ("w0bar", "w1bar"),
+    ("amp2d", "ScatteringConfig2D"): ("k", "ell", "theta0"),
+    ("dyson1d", "Profile1D"): ("eval", "descriptor"),
 }
 
 
@@ -88,3 +101,22 @@ def test_import_does_not_load_the_ode_solver():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "False"
+
+
+def test_a_failing_property_fails_the_run_cleanly(tmp_path):
+    # under the suite's settings (warnings are errors) a failing hypothesis
+    # property is an ordinary failure: exit code 1, not an INTERNALERROR (3)
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n"
+    )
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "INTERNALERROR" not in out.stdout + out.stderr

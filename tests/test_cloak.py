@@ -44,6 +44,8 @@ def test_materials_validation():
         CoatingMaterials(z1=0.3, z2=0.3)
     with pytest.raises(DomainError):
         CoatingMaterials(z1=0.0, z2=0.3)
+    with pytest.raises(DomainError, match="finite"):
+        CoatingMaterials(np.nan, 0.4)
     mats = CoatingMaterials(z1=-1.0, z2=0.4)
     assert mats.z1 == -1.0 + 0j and mats.z2 == 0.4 + 0j
 
@@ -151,6 +153,30 @@ def test_geometry_on_the_gaussian_example():
     assert np.any(np.isnan(np.asarray(bad.ell1(y_grid))))
 
 
+def test_design_refuses_non_finite_moments_and_inputs():
+    mats = CoatingMaterials(z1=-1.0, z2=0.4)
+    ell = 0.4
+    good = _gaussian_moments(1.0, 2.0 * ell)
+    nan_at_zero = SlabMomentPair(
+        w0bar=lambda y: np.where(np.asarray(y) == 0.0, np.nan, good.w0bar(y)),
+        w1bar=good.w1bar,
+    )
+    y_grid = np.array([-1.0, 0.0, 1.0])
+    geom = design_geometry(nan_at_zero, mats, ell, y_grid)
+    assert not geom.feasible
+    assert geom.reason.startswith("slab moments must be finite")
+    assert geom.reason.endswith("y = 0)")
+    assert np.isnan(geom.ell1(0.0)) and np.isfinite(geom.ell1(1.0))
+    with pytest.raises(InfeasibleDesignError, match="slab moments must be finite"):
+        design_bilayer(nan_at_zero, mats, ell, 0.0)
+    for bad_ell, grid in ((np.inf, y_grid), (ell, [0.0, np.nan, 1.0]), (ell, [0.0, np.inf])):
+        with pytest.raises(DomainError, match="finite"):
+            design_geometry(good, mats, bad_ell, grid)
+    for bad_ell, y in ((np.inf, 0.0), (ell, np.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            design_bilayer(good, mats, bad_ell, y)
+
+
 def test_designed_cloak_is_invisible():
     ell = 0.01
     L = 2.0 * ell
@@ -214,7 +240,7 @@ def test_verify_zero_thickness_and_k_mismatch():
             (np.asarray(x) >= 0) & (np.asarray(x) <= 1), zk(k) * g(y), 0.0
         ),
         decay_radius=12.0 * L,
-        moment_y=lambda l, y, k: zk(k) * g(y) / (l + 1.0),
+        moment_y=lambda y, k: tuple(zk(k) * g(y) / (l + 1.0) for l in (0, 1, 2)),
         k_dependent=True,
     )
     k1, k2 = 1.0, 2.0

@@ -72,6 +72,9 @@ def test_ex1_params_validation():
         Ex1Params(z=0.1, alpha=-1.0, L=1.0)
     with pytest.raises(DomainError):
         Ex1Params(z=0.1, alpha=1.0, L=0.0)
+    for alpha, L in ((1.0, np.inf), (np.inf, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            Ex1Params(z=0.1, alpha=alpha, L=L)
 
 
 def test_ttv_zero_profile():

@@ -63,6 +63,8 @@ def test_momentum_grid_invariants():
         momentum_grid(k, count=2)
     with pytest.raises(DomainError):
         momentum_grid(-1.0)
+    with pytest.raises(DomainError, match="finite"):
+        momentum_grid(np.inf)
     # very fine sine grids push nodes too close to the |p| = k endpoints
     with pytest.raises(DomainError):
         momentum_grid(k, count=601)

@@ -14,7 +14,6 @@ from slabscat.numerics import (
     check_edge_decay,
     fourier_1d,
     gauss_legendre,
-    heaviside,
     integrate_1d,
     integrate_2d,
     transform_samples_1d,
@@ -28,13 +27,6 @@ from slabscat.numerics import (
     _transform_samples_1d_direct,
 )
 from slabscat.profiles import ex1_profile, gaussian_slab_2d, moment_2d
-
-
-def test_heaviside_convention():
-    assert heaviside(0.0) == 1.0
-    assert heaviside(3.2) == 1.0
-    assert heaviside(-1e-300) == 0.0
-    assert_allclose(heaviside(np.array([-1.0, 0.0, 2.0])), [0.0, 1.0, 1.0])
 
 
 def test_gk_constants_consistent():
@@ -216,14 +208,15 @@ def test_quadrature_spec_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="positive and finite"):
             QuadratureSpec(rel_tol=bad)
-    for bad in (0, np.nan):
+    for bad in (0, np.nan, np.inf, 2.5):
         with pytest.raises(DomainError):
             QuadratureSpec(max_subdivisions=bad)
 
 
 def test_transform_spec_validation():
-    with pytest.raises(DomainError):
-        TransformSpec(truncation_radius=-1.0)
+    for radius in (-1.0, np.inf):
+        with pytest.raises(DomainError):
+            TransformSpec(truncation_radius=radius)
     for count in (1000, 1024.0):
         with pytest.raises(DomainError):
             TransformSpec(truncation_radius=1.0, sample_count=count)
@@ -338,7 +331,7 @@ def test_non_finite_samples_fail_the_truncation_check():
     with pytest.raises(AccuracyError, match="integrand is not finite"):
         fourier_1d(inf_core, 0.5, TransformSpec(truncation_radius=12.0, sample_count=1024))
     # a NaN closed moment_y, on the sampled route
-    nan_core = lambda l, y, k: np.where(np.abs(y) < 1.0, np.nan, np.exp(-y * y))
+    nan_core = lambda y, k: (np.where(np.abs(y) < 1.0, np.nan, np.exp(-y * y)),) * 3
     prof = replace(gaussian_slab_2d(1.0, 1.0), analytic_moment=None, moment_y=nan_core)
     with pytest.raises(AccuracyError, match="profile moment is not finite"):
         moment_2d(prof, 0, 0.5, 1.0)

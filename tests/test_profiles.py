@@ -135,7 +135,7 @@ def test_spatial_moment_y_integrates_every_y_at_once():
     for y in (np.array([0.4]), np.linspace(-12.0, 12.0, 4097)):
         prof, calls = _counted_eval(_eval_only(g))
         for l in (0, 1, 2):
-            closed = g.moment_y(l, y, 1.0)
+            closed = g.moment_y(y, 1.0)[l]
             got = spatial_moment_y(prof, l, y, 1.0)
             assert np.max(np.abs(got - closed)) <= 1e-12 * np.max(np.abs(closed))
         seen.append(len(calls))
@@ -152,7 +152,7 @@ def test_separable_moments_match_its_eval_only_copy(c, y0):
     peak = max(abs(c[0]) + abs(c[1]) + abs(c[2]), 1e-300)
     for l in (0, 1, 2):
         got = spatial_moment_y(_eval_only(closed), l, y, 1.0)
-        assert np.max(np.abs(closed.moment_y(l, y, 1.0) - got)) <= 1e-12 * peak
+        assert np.max(np.abs(closed.moment_y(y, 1.0)[l] - got)) <= 1e-12 * peak
 
 
 def test_spatial_moments():
@@ -609,7 +609,7 @@ def test_coated_zero_thickness_equals_rescaled_bare():
             coated.eval(xf, yi, 1.0), slab.eval(xf, yi, 1.0), rtol=1e-14
         )
     assert_allclose(
-        coated.moment_y(1, y, 1.0), slab.moment_y(1, y, 1.0), rtol=1e-14
+        coated.moment_y(y, 1.0)[1], slab.moment_y(y, 1.0)[1], rtol=1e-14
     )
 
 
@@ -629,18 +629,57 @@ def test_coated_piecewise_values_and_moments():
     raw = Profile2D(eval=coated.eval, decay_radius=coated.decay_radius)
     for l in (0, 1):
         direct = spatial_moment_y(raw, l, y0, 1.0)
-        assert_allclose(coated.moment_y(l, y0, 1.0), direct, rtol=1e-8)
+        assert_allclose(coated.moment_y(y0, 1.0)[l], direct, rtol=1e-8)
 
 
 def test_coating_over_an_eval_only_slab_matches_the_closed_slab():
-    # the bare slab's spatial moments come from one sampler call per order
+    # the bare slab's spatial moments come from one sampler call for all orders
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     geo = _const_geometry(1.0, 0.5, 0.25, 2.0)
     closed = coated_profile(slab, geo, -0.6, 0.25)
     sampled = coated_profile(_eval_only(slab), geo, -0.6, 0.25)
     y = np.linspace(-slab.decay_radius, slab.decay_radius, slab.sample_count + 1)
     for l in (0, 1, 2):
-        assert_allclose(sampled.moment_y(l, y, 1.0), closed.moment_y(l, y, 1.0), atol=1e-10)
+        assert_allclose(sampled.moment_y(y, 1.0)[l], closed.moment_y(y, 1.0)[l], atol=1e-10)
+
+
+def _tapered_geometry(counts):
+    # layers of thickness 0.5 and 0.25 at y = 0 under a Gaussian taper, so
+    # that the coating's moments decay within the grid; counts their calls
+    def layer(name, scale):
+        def thickness(y):
+            counts[name] += 1
+            return scale * np.exp(-0.5 * (np.asarray(y, dtype=float) / 1.5) ** 2)
+
+        return thickness
+
+    return types.SimpleNamespace(
+        ell=1.0, ell1=layer("ell1", 0.5), ell2=layer("ell2", 0.25), ell_c=2.0, max_extent=1.75
+    )
+
+
+def test_coating_samples_an_eval_only_bare_slab_in_one_call():
+    # the bare slab's w_0, w_1, w_2 come from one sampler call of 15 rows
+    slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
+    bare, calls = _counted_eval(_eval_only(slab))
+    coated = coated_profile(bare, _tapered_geometry({"ell1": 0, "ell2": 0}), -0.6, 0.25)
+    closed = coated_profile(slab, _tapered_geometry({"ell1": 0, "ell2": 0}), -0.6, 0.25)
+    p = np.array([0.0, 0.7, -1.3])
+    got = moment_2d(coated, 0, p, 1.0)
+    assert len(calls) == 15
+    assert_allclose(got, moment_2d(closed, 0, p, 1.0), rtol=1e-9)
+    for l in (1, 2):
+        assert_allclose(moment_2d(coated, l, p, 1.0), moment_2d(closed, l, p, 1.0), rtol=1e-9)
+    assert len(calls) == 15
+
+
+def test_coated_moments_evaluate_the_layer_bounds_once():
+    counts = {"ell1": 0, "ell2": 0}
+    slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
+    coated = coated_profile(slab, _tapered_geometry(counts), -0.6, 0.25)
+    for l in (0, 1, 2):
+        moment_2d(coated, l, 0.4, 1.0)
+    assert counts == {"ell1": 1, "ell2": 1}
 
 
 def test_coated_extent_check():
@@ -691,7 +730,7 @@ def test_moment_y_errors_propagate_without_sampling_eval():
         calls.append(x)
         return np.exp(-0.5 * np.asarray(y, dtype=float) ** 2) * np.ones_like(x)
 
-    def rejects(l, y, k):
+    def rejects(y, k):
         raise DomainError("no closed moment here")
 
     prof = Profile2D(eval=w, decay_radius=12.0, moment_y=rejects)
@@ -712,9 +751,11 @@ def test_profiles_own_a_validated_grid():
         Profile2D(eval=w2, decay_radius=12.0, sample_count=1000)
     with pytest.raises(DomainError, match="at most 4096"):
         Profile3D(eval=w3, decay_radius=12.0, sample_count=8192)
-    for radius in (0.0, -1.0, float("nan")):
+    for radius in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="radius must be positive"):
             Profile2D(eval=w2, decay_radius=radius)
+    with pytest.raises(DomainError, match="radius must be positive"):
+        gaussian_slab_2d(0.5, np.inf)
     # a coating samples on its bare slab's grid
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     coated = coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25)
