@@ -88,10 +88,6 @@ def _fmt(value):
     return "%.17g" % float(value)
 
 
-def _round17(value):
-    return float(_fmt(value))
-
-
 # ---------------------------------------------------------------------------
 # config loading and validation
 
@@ -653,7 +649,7 @@ def write_result(result, path, out_format):
             payload = {
                 "columns": [result.variable, "re_f", "im_f", "abs2_f", "order", "method"],
                 "rows": [
-                    [_round17(var), _round17(re), _round17(im), _round17(a2), order, method]
+                    [float(var), float(re), float(im), float(a2), order, method]
                     for var, re, im, a2, order, method in result.rows
                 ],
             }
@@ -666,17 +662,16 @@ def write_result(result, path, out_format):
     if out_format == "csv":
         export_geometry(result, path)
         return
-    ell1 = result.ell1(result.y_grid)
-    ell2 = result.ell2(result.y_grid)
+    ell1, ell2 = result.thicknesses(result.y_grid)
     payload = {
-        "ell": _round17(result.ell),
-        "ell_c": _round17(result.ell_c),
+        "ell": float(result.ell),
+        "ell_c": float(result.ell_c),
         "feasible": bool(result.feasible),
         "reason": result.reason,
-        "z1": [_round17(result.materials.z1.real), _round17(result.materials.z1.imag)],
-        "z2": [_round17(result.materials.z2.real), _round17(result.materials.z2.imag)],
+        "z1": [float(result.materials.z1.real), float(result.materials.z1.imag)],
+        "z2": [float(result.materials.z2.real), float(result.materials.z2.imag)],
         "rows": [
-            [_round17(y), _round17(l1), _round17(l2)]
+            [float(y), float(l1), float(l2)]
             for y, l1, l2 in zip(result.y_grid, ell1, ell2)
         ],
     }

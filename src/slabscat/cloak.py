@@ -31,7 +31,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -93,17 +93,22 @@ class SlabMomentPair:
 
 @dataclass(frozen=True)
 class BilayerGeometry:
-    """A designed coating: layer thicknesses over y and the overall extent."""
+    """A designed coating: the materials, the bare thickness and the extent.
 
-    ell1: Callable
-    ell2: Callable
+    ``thicknesses(y)`` returns (ell1, ell2), each shaped like y and NaN
+    where the design fails, from one closed-form solve.  ``ell_c`` is the
+    largest ell + ell1 + ell2 over ``y_grid``; ``feasible`` says whether
+    every point of the grid admits a design, and ``reason`` names the
+    first that does not.
+    """
+
+    thicknesses: Callable
     ell: float
     ell_c: float
     feasible: bool
-    reason: str = ""
-    materials: Optional[CoatingMaterials] = None
-    y_grid: Optional[np.ndarray] = None
-    max_extent: Optional[float] = None
+    reason: str
+    materials: CoatingMaterials
+    y_grid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,28 +167,40 @@ def _design_arrays(w0, w1, z1, z2, ell):
         np.abs(ell1c.imag) > _IMAG_TOL * (1.0 + np.abs(ell1c)),
         "inner thickness is not real; the bilayer method is not applicable",
     )
-    ell1 = np.where(ok, np.clip(ell1c.real, 0.0, None), np.nan)
     fail(
         ell1c.real < -_NEG_TOL * ell,
         "inner thickness comes out negative; the bilayer method is not applicable",
     )
-    ell1 = np.where(ok, ell1, np.nan)
-    ell2 = np.where(ok, ell2, np.nan)
-    return ell1, ell2, ok, why
+    ell1 = np.where(ok, np.clip(ell1c.real, 0.0, None), np.nan)
+    return ell1, np.where(ok, ell2, np.nan), ok, why
+
+
+def _check_inputs(ell, y, what):
+    """Refuse a bare thickness that is not positive and finite, or a non-finite y."""
+    if not 0 < ell < np.inf:
+        raise DomainError("ell must be positive and finite")
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"{what} must be finite")
+
+
+def _solve(moments, materials, ell, y):
+    """The closed-form design at every y: (ell1, ell2, ok, why), each shaped like y."""
+    y = np.asarray(y, dtype=float)
+    w0, w1 = (
+        np.broadcast_to(np.asarray(w(y), dtype=complex), y.shape)
+        for w in (moments.w0bar, moments.w1bar)
+    )
+    ell1, ell2, ok, why = _design_arrays(w0, w1, materials.z1, materials.z2, ell)
+    return ell1.reshape(y.shape), ell2.reshape(y.shape), ok.reshape(y.shape), why
 
 
 def design_bilayer(moments, materials, ell, y):
     """Layer thicknesses (ell1, ell2) nulling both moments at one y."""
-    if not 0 < ell < np.inf:
-        raise DomainError("ell must be positive and finite")
-    if not np.isfinite(y):
-        raise DomainError("y must be finite")
-    w0 = complex(moments.w0bar(y))
-    w1 = complex(moments.w1bar(y))
-    ell1, ell2, ok, why = _design_arrays(w0, w1, materials.z1, materials.z2, ell)
-    if not bool(ok[0]):
+    _check_inputs(ell, y, "y")
+    ell1, ell2, ok, why = _solve(moments, materials, ell, y)
+    if not ok:
         raise InfeasibleDesignError(f"{why} (at y = {y:.6g})")
-    return float(ell1[0]), float(ell2[0])
+    return float(ell1), float(ell2)
 
 
 def design_geometry(moments, materials, ell, y_grid, k=None):
@@ -191,55 +208,34 @@ def design_geometry(moments, materials, ell, y_grid, k=None):
 
     Feasibility is reported per grid: the geometry is feasible only if every
     sampled y admits real nonnegative thicknesses, and ``reason`` names the
-    first failing point otherwise.  The thickness callables re-evaluate the
-    closed-form design (infeasible y yield NaN).  ell_c is the smallest
-    overall extent covering ell + ell1 + ell2 on the grid; when ``k`` is
-    given and k*ell_c >= 0.3, a warning flags that the low-frequency
-    premise is strained.
+    first failing point otherwise.  ``thicknesses(y)`` re-evaluates the
+    closed-form design once per call (infeasible y yield NaN).  ell_c is the
+    smallest overall extent covering ell + ell1 + ell2 on the grid; when
+    ``k`` is given and k*ell_c >= 0.3, a warning flags that the
+    low-frequency premise is strained.
     """
-    if not 0 < ell < np.inf:
-        raise DomainError("ell must be positive and finite")
     y_grid = np.asarray(y_grid, dtype=float)
+    _check_inputs(ell, y_grid, "y_grid values")
     if y_grid.ndim != 1 or y_grid.size == 0:
         raise DomainError("y_grid must be a nonempty 1D array")
-    if not np.all(np.isfinite(y_grid)):
-        raise DomainError("y_grid values must be finite")
-    z1, z2 = materials.z1, materials.z2
-
-    def _solve(y):
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        w0 = np.asarray(moments.w0bar(y), dtype=complex)
-        w1 = np.asarray(moments.w1bar(y), dtype=complex)
-        ell1, ell2, ok, why = _design_arrays(w0, w1, z1, z2, ell)
-        if scalar:
-            return ell1[0], ell2[0], ok[0], why
-        return ell1, ell2, ok, why
-
-    l1, l2, ok, why = _solve(y_grid)
-    feasible = bool(np.all(ok))
-    reason = ""
-    if not feasible:
-        bad = y_grid[np.nonzero(~ok)[0][0]]
-        reason = f"{why} (first failing grid point y = {bad:.6g})"
-    extent = ell + l1 + l2
-    max_extent = float(np.nanmax(extent)) if np.any(ok) else ell
-    if k is not None and k * max_extent >= _KL_WARN:
+    l1, l2, ok, why = _solve(moments, materials, ell, y_grid)
+    bad = y_grid[~ok]
+    reason = f"{why} (first failing grid point y = {bad[0]:.6g})" if bad.size else ""
+    ell_c = float(np.nanmax(ell + l1 + l2)) if np.any(ok) else ell
+    if k is not None and k * ell_c >= _KL_WARN:
         warnings.warn(
-            f"k*ell_c = {k * max_extent:.3g} is not small; the design only "
+            f"k*ell_c = {k * ell_c:.3g} is not small; the design only "
             "nulls the first two orders in k*ell_c",
             stacklevel=2,
         )
     return BilayerGeometry(
-        ell1=lambda y: _solve(y)[0],
-        ell2=lambda y: _solve(y)[1],
+        thicknesses=lambda y: _solve(moments, materials, ell, y)[:2],
         ell=float(ell),
-        ell_c=max_extent,
-        feasible=feasible,
+        ell_c=ell_c,
+        feasible=not bad.size,
         reason=reason,
         materials=materials,
         y_grid=y_grid,
-        max_extent=max_extent,
     )
 
 
@@ -279,23 +275,17 @@ def verify_invisibility(coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THET
 
 def export_geometry(geometry, path):
     """Write the coating outline as CSV (y, ell1, ell2) with a JSON header."""
-    if geometry.y_grid is None:
-        raise DomainError("geometry carries no sample grid to export")
-
-    def _pair(z):
-        return None if z is None else [z.real, z.imag]
-
+    z1, z2 = geometry.materials.z1, geometry.materials.z2
     header = {
         "ell": geometry.ell,
         "ell_c": geometry.ell_c,
         "feasible": geometry.feasible,
         "reason": geometry.reason,
-        "z1": _pair(geometry.materials.z1 if geometry.materials else None),
-        "z2": _pair(geometry.materials.z2 if geometry.materials else None),
+        "z1": [z1.real, z1.imag],
+        "z2": [z2.real, z2.imag],
     }
     y = geometry.y_grid
-    l1 = np.asarray(geometry.ell1(y), dtype=float)
-    l2 = np.asarray(geometry.ell2(y), dtype=float)
+    l1, l2 = geometry.thicknesses(y)
     path = Path(path)
     lines = ["# " + json.dumps(header, sort_keys=True), "y,ell1,ell2"]
     for yi, a, b in zip(y, l1, l2):

@@ -86,6 +86,8 @@ class Profile1D:
 
 def constant_slab_1d(n):
     """Homogeneous slab of refractive index n: w = n^2 - 1 inside the slab."""
+    if not np.isfinite(n):
+        raise DomainError("n must be finite")
     w0 = complex(n) ** 2 - 1.0
 
     def w_eval(x_check, k):
@@ -145,8 +147,12 @@ def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"
     Frobenius norm (raising if max_terms is exhausted first); "direct" steps
     the evolution U' = -i ell H U across the slab in a single integration.
     """
-    if max_terms < 1:
-        raise DomainError("max_terms must be at least 1")
+    if not (0 < k < np.inf and 0 < ell < np.inf):
+        raise DomainError("k and ell must be positive and finite")
+    if not isinstance(max_terms, (int, np.integer)) or isinstance(max_terms, bool) or max_terms < 1:
+        raise DomainError("max_terms must be an integer of at least 1")
+    if not 0 < tol < np.inf:
+        raise DomainError("tol must be positive and finite")
     if method not in ("series", "direct"):
         raise DomainError("method must be 'series' or 'direct'")
 

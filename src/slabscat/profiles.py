@@ -141,12 +141,12 @@ class Profile3D:
 
 @dataclass(frozen=True, kw_only=True)
 class CoatedProfile2D(Profile2D):
-    """A bare slab wrapped in two homogeneous coating layers; see coated_profile."""
+    """A bare slab wrapped in two homogeneous coating layers; see coated_profile.
 
-    bare: Profile2D
+    ``geometry`` is the BilayerGeometry the layers were built from.
+    """
+
     geometry: "BilayerGeometry"
-    z1: complex
-    z2: complex
 
 
 def _check_grid(profile, max_samples=None):
@@ -386,6 +386,8 @@ def ex1_profile(z, alpha, L):
     z = complex(z)
     alpha = float(alpha)
     L = float(L)
+    if not (np.isfinite(z) and np.isfinite(alpha)):
+        raise DomainError("z and alpha must be finite")
     if L <= 0:
         raise DomainError("L must be positive")
 
@@ -409,6 +411,8 @@ def gaussian_slab_2d(z, L):
     """Slab with w(x_frac, y) = z e^{-y^2 / 2 L^2} (no axial variation)."""
     z = complex(z)
     L = float(L)
+    if not np.isfinite(z):
+        raise DomainError("z must be finite")
     if L <= 0:
         raise DomainError("L must be positive")
 
@@ -428,6 +432,8 @@ def gaussian_slab_3d(z, L):
     """3D slab with w(r1, r2, z_frac) = z e^{-(r1^2 + r2^2) / 2 L^2}."""
     z = complex(z)
     L = float(L)
+    if not np.isfinite(z):
+        raise DomainError("z must be finite")
     if L <= 0:
         raise DomainError("L must be positive")
 
@@ -490,6 +496,8 @@ def layered_profile(
     v = np.asarray(values, dtype=complex)
     if b.ndim != 1 or v.ndim != 1 or b.size != v.size + 1:
         raise DomainError("boundaries must have exactly one more entry than values")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
+        raise DomainError("boundaries and values must be finite")
     if np.any(np.diff(b) < 0) or b[0] < 0 or b[-1] > 1:
         raise DomainError("boundaries must increase within [0, 1]")
 
@@ -543,15 +551,16 @@ def coated_profile(slab, geometry, z1, z2):
     The coated slab occupies [0, ell_c]: the bare profile on [0, ell], the
     first layer (permittivity 1 + z1) on a further thickness ell1(y), the
     second (1 + z2) on ell2(y), and vacuum up to ell_c.  The result is a
-    CoatedProfile2D in the coordinate rescaled by ell_c that also carries
-    the bare slab, the geometry and both contrasts, and samples on the bare
-    slab's transverse grid.
+    CoatedProfile2D in the coordinate rescaled by ell_c that carries the
+    geometry, names both contrasts in its descriptor, and samples on the
+    bare slab's transverse grid.
 
-    ``geometry`` must provide ell (bare thickness), callables ell1/ell2 of y,
-    and ell_c; a geometry whose extent ell + ell1 + ell2 exceeds ell_c at any
-    requested y raises a DomainError.  Its ``moment_y`` evaluates the layer
-    bounds once and takes the bare slab's w_0, w_1, w_2 together: from the
-    bare slab's own ``moment_y``, or else from one axial sampler call.
+    ``geometry`` must provide ell (bare thickness), ell_c and a callable
+    thicknesses(y) returning (ell1, ell2); a geometry whose extent
+    ell + ell1 + ell2 exceeds ell_c at any requested y raises a DomainError
+    when those y are evaluated.  Its ``moment_y`` evaluates the layer bounds
+    once and takes the bare slab's w_0, w_1, w_2 together: from the bare
+    slab's own ``moment_y``, or else from one axial sampler call.
     """
     z1 = complex(z1)
     z2 = complex(z2)
@@ -559,15 +568,9 @@ def coated_profile(slab, geometry, z1, z2):
     ell_c = float(geometry.ell_c)
     if ell <= 0 or ell_c < ell:
         raise DomainError("geometry must satisfy 0 < ell <= ell_c")
-    max_extent = getattr(geometry, "max_extent", None)
-    if max_extent is not None and max_extent > ell_c * (1.0 + 1e-12):
-        raise DomainError(
-            f"coating extent {max_extent:.6g} exceeds ell_c = {ell_c:.6g}"
-        )
 
     def layer_bounds(y):
-        l1 = np.asarray(geometry.ell1(y), dtype=float)
-        l2 = np.asarray(geometry.ell2(y), dtype=float)
+        l1, l2 = (np.asarray(t, dtype=float) for t in geometry.thicknesses(y))
         extent = ell + l1 + l2
         if np.any(extent > ell_c * (1.0 + 1e-12)):
             raise DomainError(
@@ -613,10 +616,7 @@ def coated_profile(slab, geometry, z1, z2):
         descriptor=f"coated({slab.descriptor}; z1={z1}, z2={z2})",
         moment_y=w_moment_y,
         k_dependent=slab.k_dependent,
-        bare=slab,
         geometry=geometry,
-        z1=z1,
-        z2=z2,
     )
 
 

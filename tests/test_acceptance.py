@@ -246,7 +246,7 @@ def test_criterion_6_cloak_nulling():
     geometry = design_geometry(moments, materials, ell, y_grid)
     assert geometry.feasible, geometry.reason
 
-    l2_center = float(np.atleast_1d(geometry.ell2(0.0))[0]) / ell
+    l2_center = float(geometry.thicknesses(0.0)[1]) / ell
     gap_l2 = abs(l2_center - np.sqrt(25.0 / 7.0))
 
     slab = gaussian_slab_2d(z0, Lg)

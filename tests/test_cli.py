@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from slabscat.numerics import DomainError
 from slabscat.profiles import ex1_profile, gaussian_slab_2d, gaussian_slab_3d
 
 PRESETS = ("fig3", "fig4", "fig6", "fig7", "fig8")
+# the benchmark's reference tables; fig6-fig8 match them only within rel_tol
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def _invoke(*args):
@@ -149,6 +152,11 @@ def test_fig4_run_is_deterministic_and_exact(tmp_path):
         result = _invoke("run", "--preset", "fig4", "--out", str(out))
         assert result.exit_code == 0, result.output
     assert out1.read_bytes() == out2.read_bytes()
+    assert out1.read_bytes() == (REFERENCE / "fig4.csv").read_bytes()
+    fig3 = tmp_path / "fig3.csv"
+    result = _invoke("run", "--preset", "fig3", "--out", str(fig3))
+    assert result.exit_code == 0, result.output
+    assert fig3.read_bytes() == (REFERENCE / "fig3.csv").read_bytes()
     header = json.loads(out1.read_text().splitlines()[0][2:])
     assert header["feasible"] is True
     assert_allclose(header["ell_c"], 2.0 + np.sqrt(7.0), rtol=1e-12)

@@ -12,7 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
+from slabscat import cloak
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
+from slabscat.cli import write_result
 from slabscat.cloak import (
     BilayerGeometry,
     CoatingMaterials,
@@ -131,8 +133,7 @@ def test_geometry_on_the_gaussian_example():
     assert geom.reason == ""
     # the overall extent peaks at y = 0: ell_c = ell (2 + sqrt(7))
     assert geom.ell_c == pytest.approx(ell * (2.0 + np.sqrt(7.0)), rel=1e-12)
-    l1 = np.asarray(geom.ell1(y_grid))
-    l2 = np.asarray(geom.ell2(y_grid))
+    l1, l2 = geom.thicknesses(y_grid)
     assert l1[40] == pytest.approx(ell * (1.0 + 0.4 * FIG_RATIO), rel=1e-12)
     assert l2[40] == pytest.approx(ell * FIG_RATIO, rel=1e-12)
     # thicknesses shrink monotonically away from the peak
@@ -150,7 +151,7 @@ def test_geometry_on_the_gaussian_example():
     bad = design_geometry(moments, CoatingMaterials(z1=1.0, z2=2.0), ell, y_grid)
     assert not bad.feasible
     assert bad.reason != ""
-    assert np.any(np.isnan(np.asarray(bad.ell1(y_grid))))
+    assert np.any(np.isnan(bad.thicknesses(y_grid)[0]))
 
 
 def test_design_refuses_non_finite_moments_and_inputs():
@@ -166,7 +167,7 @@ def test_design_refuses_non_finite_moments_and_inputs():
     assert not geom.feasible
     assert geom.reason.startswith("slab moments must be finite")
     assert geom.reason.endswith("y = 0)")
-    assert np.isnan(geom.ell1(0.0)) and np.isfinite(geom.ell1(1.0))
+    assert np.isnan(geom.thicknesses(0.0)[0]) and np.isfinite(geom.thicknesses(1.0)[0])
     with pytest.raises(InfeasibleDesignError, match="slab moments must be finite"):
         design_bilayer(nan_at_zero, mats, ell, 0.0)
     for bad_ell, grid in ((np.inf, y_grid), (ell, [0.0, np.nan, 1.0]), (ell, [0.0, np.inf])):
@@ -219,7 +220,13 @@ def test_verify_zero_thickness_and_k_mismatch():
     slab = gaussian_slab_2d(z0, L)
     zero = lambda y: np.zeros(np.shape(np.asarray(y, dtype=float)))
     geom = BilayerGeometry(
-        ell1=zero, ell2=zero, ell=ell, ell_c=ell, feasible=True, max_extent=ell
+        thicknesses=lambda y: (zero(y), zero(y)),
+        ell=ell,
+        ell_c=ell,
+        feasible=True,
+        reason="",
+        materials=CoatingMaterials(z1=-z0, z2=0.4 * z0),
+        y_grid=np.array([0.0]),
     )
     coated = coated_profile(slab, geom, -z0, 0.4 * z0)
     report = verify_invisibility(coated, 1.0, np.linspace(-5 * L, 5 * L, 21))
@@ -274,11 +281,24 @@ def test_export_geometry(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     assert data.shape == (33, 3)
     np.testing.assert_allclose(data[:, 0], y_grid)
-    np.testing.assert_allclose(data[:, 1], geom.ell1(y_grid), rtol=1e-15)
-    np.testing.assert_allclose(data[:, 2], geom.ell2(y_grid), rtol=1e-15)
+    l1, l2 = geom.thicknesses(y_grid)
+    np.testing.assert_allclose(data[:, 1], l1, rtol=1e-15)
+    np.testing.assert_allclose(data[:, 2], l2, rtol=1e-15)
 
-    bare = BilayerGeometry(
-        ell1=lambda y: 0.0, ell2=lambda y: 0.0, ell=1.0, ell_c=1.0, feasible=True
-    )
-    with pytest.raises(DomainError):
-        export_geometry(bare, tmp_path / "nope.csv")
+
+def test_a_designed_coating_solves_once_per_y_array(tmp_path, monkeypatch):
+    ell = 1.0
+    mats = CoatingMaterials(z1=-1.0, z2=0.4)
+    moments = _gaussian_moments(1.0, 2.0 * ell)
+    y_grid = np.linspace(-8.0, 8.0, 33)
+    geom = design_geometry(moments, mats, ell, y_grid)
+    coated = coated_profile(gaussian_slab_2d(1.0, 2.0 * ell), geom, mats.z1, mats.z2)
+    calls = []
+    solve = cloak._design_arrays
+    monkeypatch.setattr(cloak, "_design_arrays", lambda *a: calls.append(1) or solve(*a))
+    coated.moment_y(y_grid, 0.1)
+    assert len(calls) == 1
+    export_geometry(geom, tmp_path / "coating.csv")
+    assert len(calls) == 2
+    write_result(geom, tmp_path / "coating.json", "json")
+    assert len(calls) == 3

@@ -165,8 +165,18 @@ def test_series_stop_and_error_paths():
     strong = Profile1D(eval=lambda x, k: 40.0 if 0.0 <= x <= 1.0 else 0.0)
     with pytest.raises(AccuracyError, match="increment"):
         transfer_matrix_1d(strong, 1.0, 0.5, max_terms=3, tol=1e-15)
-    with pytest.raises(DomainError):
-        transfer_matrix_1d(VACUUM, 1.0, 0.5, max_terms=0)
+    for k, ell, options in (
+        (1.0, 0.5, {"max_terms": 0}),
+        (1.0, 0.5, {"max_terms": 2.5}),
+        (1.0, 0.5, {"tol": np.nan}),
+        (-1.0, 0.5, {"method": "direct"}),
+        (0.0, 0.5, {"method": "direct"}),
+        (1.0, -1.0, {"method": "direct"}),
+        (np.inf, 0.5, {}),
+        (1.0, np.nan, {}),
+    ):
+        with pytest.raises(DomainError):
+            transfer_matrix_1d(VACUUM, k, ell, **options)
     with pytest.raises(DomainError):
         transfer_matrix_1d(VACUUM, 1.0, 0.5, method="euler")
     with pytest.raises(DomainError):

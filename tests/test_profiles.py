@@ -583,15 +583,24 @@ def test_profile_from_dict_round_trip():
         profile_from_dict({"catalog": "nope"})
     with pytest.raises(DomainError):
         profile_from_dict({"catalog": "gaussian2d", "z": 1.0})  # L missing
+    for bad in (
+        {"catalog": "ex1", "z": 1.0, "alpha": np.nan, "L": 1.0},
+        {"catalog": "gaussian2d", "z": np.nan, "L": 1.0},
+        {"catalog": "gaussian3d", "z": np.nan, "L": 1.0},
+        {"catalog": "uniform1d", "n": np.nan},
+    ):
+        with pytest.raises(DomainError, match="must be finite"):
+            profile_from_dict(bad)
 
 
 def _const_geometry(ell, l1, l2, ell_c):
     return types.SimpleNamespace(
         ell=ell,
-        ell1=lambda y: np.full(np.shape(y) or (), l1, dtype=float),
-        ell2=lambda y: np.full(np.shape(y) or (), l2, dtype=float),
+        thicknesses=lambda y: (
+            np.full(np.shape(y) or (), l1, dtype=float),
+            np.full(np.shape(y) or (), l2, dtype=float),
+        ),
         ell_c=ell_c,
-        max_extent=ell + l1 + l2,
     )
 
 
@@ -600,8 +609,7 @@ def test_coated_zero_thickness_equals_rescaled_bare():
     geo = _const_geometry(2.0, 0.0, 0.0, 2.0)
     coated = coated_profile(slab, geo, -1.0, 0.4)
     assert isinstance(coated, CoatedProfile2D)
-    assert coated.bare is slab and coated.geometry is geo
-    assert (coated.z1, coated.z2) == (-1.0, 0.4)
+    assert coated.geometry is geo
     xf = np.linspace(0.0, 1.0, 11)
     y = np.linspace(-3.0, 3.0, 5)
     for yi in y:
@@ -645,25 +653,21 @@ def test_coating_over_an_eval_only_slab_matches_the_closed_slab():
 
 def _tapered_geometry(counts):
     # layers of thickness 0.5 and 0.25 at y = 0 under a Gaussian taper, so
-    # that the coating's moments decay within the grid; counts their calls
-    def layer(name, scale):
-        def thickness(y):
-            counts[name] += 1
-            return scale * np.exp(-0.5 * (np.asarray(y, dtype=float) / 1.5) ** 2)
+    # that the coating's moments decay within the grid; counts the calls
+    def thicknesses(y):
+        counts.append(y)
+        taper = np.exp(-0.5 * (np.asarray(y, dtype=float) / 1.5) ** 2)
+        return 0.5 * taper, 0.25 * taper
 
-        return thickness
-
-    return types.SimpleNamespace(
-        ell=1.0, ell1=layer("ell1", 0.5), ell2=layer("ell2", 0.25), ell_c=2.0, max_extent=1.75
-    )
+    return types.SimpleNamespace(ell=1.0, thicknesses=thicknesses, ell_c=2.0)
 
 
 def test_coating_samples_an_eval_only_bare_slab_in_one_call():
     # the bare slab's w_0, w_1, w_2 come from one sampler call of 15 rows
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     bare, calls = _counted_eval(_eval_only(slab))
-    coated = coated_profile(bare, _tapered_geometry({"ell1": 0, "ell2": 0}), -0.6, 0.25)
-    closed = coated_profile(slab, _tapered_geometry({"ell1": 0, "ell2": 0}), -0.6, 0.25)
+    coated = coated_profile(bare, _tapered_geometry([]), -0.6, 0.25)
+    closed = coated_profile(slab, _tapered_geometry([]), -0.6, 0.25)
     p = np.array([0.0, 0.7, -1.3])
     got = moment_2d(coated, 0, p, 1.0)
     assert len(calls) == 15
@@ -674,18 +678,19 @@ def test_coating_samples_an_eval_only_bare_slab_in_one_call():
 
 
 def test_coated_moments_evaluate_the_layer_bounds_once():
-    counts = {"ell1": 0, "ell2": 0}
+    counts = []
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     coated = coated_profile(slab, _tapered_geometry(counts), -0.6, 0.25)
     for l in (0, 1, 2):
         moment_2d(coated, l, 0.4, 1.0)
-    assert counts == {"ell1": 1, "ell2": 1}
+    assert len(counts) == 1
 
 
 def test_coated_extent_check():
     slab = gaussian_slab_2d(0.8, 1.5)
+    coated = coated_profile(slab, _const_geometry(1.0, 1.0, 1.0, 2.5), -1.0, 0.4)
     with pytest.raises(DomainError):
-        coated_profile(slab, _const_geometry(1.0, 1.0, 1.0, 2.5), -1.0, 0.4)
+        coated.moment_y(np.array([0.0]), 1.0)
 
 
 def test_gaussian3d_moments():
@@ -756,6 +761,9 @@ def test_profiles_own_a_validated_grid():
             Profile2D(eval=w2, decay_radius=radius)
     with pytest.raises(DomainError, match="radius must be positive"):
         gaussian_slab_2d(0.5, np.inf)
+    for boundaries, values in (([0.0, np.nan, 1.0], [1.0, 2.0]), ([0.0, 1.0], [np.inf])):
+        with pytest.raises(DomainError, match="must be finite"):
+            layered_profile(boundaries, values, np.exp, 1.0)
     # a coating samples on its bare slab's grid
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     coated = coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25)
