@@ -15,17 +15,19 @@ the coefficient pair across the slab is the x-ordered exponential
     M = sum_n (-i ell)^n INT_{0<x1<...<xn<1} H(xn) ... H(x1) dx1 ... dxn,
 
 whose n-th term scales as (k ell)^n: each H carries one factor of k.  The
-ordered-simplex integrals are evaluated by the equivalent initial-value
-cascade T_n'(x) = -i ell H(x) T_{n-1}(x), T_0 = I, T_n(0) = 0, stepped with
-an adaptive high-order Runge-Kutta method; the partial-sum ("series") mode
-keeps the individual term matrices so convergence can be inspected, while
-the "direct" mode steps U' = -i ell H U in one go.
+ordered-simplex integrals are evaluated by the equivalent cascade
+T_n(x) = -i ell INT_0^x H T_{n-1}, T_0 = I, collocated on adaptive Chebyshev-
+Lobatto panels [a, b] as T_n = T_n(a) + Q (A T_{n-1}), with Q the spectral
+integration matrix and A = -i ell (b - a) H (Greengard 1991, SIAM J. Numer.
+Anal. 28(4)); the partial-sum ("series") mode keeps the individual term
+matrices so convergence can be inspected, while the "direct" mode solves
+U = U(a) + Q (A U) on each panel as one linear system.
 
 Reflection/transmission follow from the matrix entries: R_left = -M21/M22,
 R_right = M12/M22, and T = 1/M22 on both sides since det M = 1.
 """
 
-import math
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -44,9 +46,10 @@ __all__ = [
     "scattering_1d",
 ]
 
-_ODE_RTOL = 1e-12
-_ODE_ATOL = 1e-14
-_MAX_STEP = 1.0 / 16.0
+_NODES = 16  # a panel's coarse step; its fine step has 2 * _NODES intervals
+_AGREE = 1e-14  # relative gap at which the two steps accept the panel
+_MIN_WIDTH = 2.0**-50
+_MAX_PANELS = 256  # an interior jump in w takes about 80
 # |M22| below which scattering_1d warns of a nearby spectral singularity
 _SINGULAR_TOL = 1e-8
 
@@ -78,7 +81,10 @@ class TransferMatrix1D:
 
 @dataclass(frozen=True)
 class Profile1D:
-    """Bounded 1D profile w(x_check; k), zero outside x_check in [0, 1]; frozen."""
+    """Bounded 1D profile w(x_check; k), zero outside x_check in [0, 1]; frozen.
+
+    eval takes an array of x_check and returns values broadcastable to its shape.
+    """
 
     eval: Callable
     descriptor: str = ""
@@ -98,71 +104,105 @@ def constant_slab_1d(n):
 
 
 def h_check(profile, x_check, k, ell):
-    """Evolution generator at rescaled position x_check (a 2x2 array)."""
-    w = complex(np.asarray(profile.eval(x_check, k)).item())
-    up = np.exp(2j * k * ell * x_check)
-    down = np.exp(-2j * k * ell * x_check)
-    return -0.5 * k * w * np.array([[1.0, down], [-up, -1.0]])
+    """Evolution generator at x_check, shape x_check.shape + (2, 2), from one eval call."""
+    x = np.asarray(x_check, dtype=float)
+    w = np.broadcast_to(profile.eval(x, k), x.shape)
+    up, down = np.exp(2j * k * ell * x), np.exp(-2j * k * ell * x)
+    h = np.stack([np.ones_like(up), down, -up, -np.ones_like(up)], -1)
+    return (-0.5 * k * w)[..., None, None] * h.reshape(x.shape + (2, 2))
 
 
-def _integrate_across(rhs, start, what):
-    """The state at x_check = 1 of y' = rhs(x, y), y(0) = start, by adaptive DOP853."""
-    from scipy.integrate import solve_ivp  # imported on first use: it loads slowly
+@functools.lru_cache(maxsize=None)
+def _lobatto(n):
+    """Chebyshev-Lobatto nodes x on [0, 1] and their integration matrix Q, read-only.
 
-    sol = solve_ivp(
-        rhs, (0.0, 1.0), start, method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, max_step=_MAX_STEP
-    )
-    if not sol.success:
-        raise AccuracyError(f"{what} integration failed: {sol.message}")
-    return sol.y[:, -1]
+    (Q f)_i integrates f's interpolant from 0 to x_i; n's nodes are every other of 2n's.
+    """
+    cheb = np.polynomial.chebyshev
+    t = -np.cos(np.pi * np.arange(n + 1) / n)
+    to_coefficients = np.linalg.inv(cheb.chebvander(t, n))
+    q = cheb.chebvander(t, n + 1) @ cheb.chebint(to_coefficients, lbnd=-1, scl=0.5)
+    x = 0.5 * (1.0 + t)
+    for array in (x, q):
+        array.setflags(write=False)
+    return x, q
+
+
+def _series_step(kernel, terms):
+    """Carry T_0 = I, T_1, ... across a panel: T_m = T_m(start) + Q (A T_{m-1})."""
+    starts = np.tile(terms, (1, len(kernel) // 2, 1))
+    path, ends = starts[0], terms.astype(complex)
+    for m in range(1, len(terms)):
+        path = kernel @ path + starts[m]
+        ends[m] = path[-2:]
+    return ends
+
+
+def _direct_step(kernel, u):
+    """Carry U across a panel by solving U = U(start) + Q (A U) as one system."""
+    return np.linalg.solve(np.eye(len(kernel)) - kernel, np.tile(u, (len(kernel) // 2, 1)))[-2:]
+
+
+def _sweep(step, state, profile, k, ell):
+    """The state at x_check = 1 of the collocated evolution from state at 0.
+
+    Panels are taken left to right from a stack; step(kernel, state) carries the
+    state across one, with kernel = Q (x) A, block (i, j) = Q_ij A(x_j).  A panel
+    whose fine and coarse steps disagree is halved.
+    """
+    x, q = _lobatto(2 * _NODES)
+    qc = _lobatto(_NODES)[1]
+    stack, budget = [(0.0, 1.0)], _MAX_PANELS
+    while stack:
+        lo, hi = stack.pop()
+        budget -= 1
+        h = h_check(profile, lo + (hi - lo) * x, k, ell)
+        if not np.all(np.isfinite(h)):
+            raise AccuracyError(f"profile is not finite on [{lo:.17g}, {hi:.17g}]")
+        a = (-1j * ell * (hi - lo) * h).transpose(1, 0, 2)
+        fine = step((q[:, None, :, None] * a).reshape(2 * len(q), -1), state)
+        coarse = step((qc[:, None, :, None] * a[:, ::2]).reshape(2 * len(qc), -1), state)
+        if np.linalg.norm(fine - coarse) <= _AGREE * np.linalg.norm(fine):
+            state = fine
+        elif hi - lo > _MIN_WIDTH and budget > 0:
+            stack += [(0.5 * (lo + hi), hi), (lo, 0.5 * (lo + hi))]
+        else:
+            raise AccuracyError(f"collocation did not converge on [{lo:.17g}, {hi:.17g}]")
+    return state
+
+
+def _check_inputs(k, ell, count, name):
+    if not (0 < k < np.inf and 0 < ell < np.inf):
+        raise DomainError("k and ell must be positive and finite")
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+        raise DomainError(f"{name} must be an integer of at least 1")
 
 
 def dyson_terms(profile, k, ell, n_terms):
     """Ordered-simplex series terms T_1..T_n at x_check = 1, shape (n, 2, 2).
 
-    The whole cascade T_m' = -i ell H T_{m-1} is integrated simultaneously:
-    the dependency is strictly lower triangular, so a single adaptive pass
-    produces every term on shared steps.
+    The whole cascade crosses each panel at once, so all terms share its values.
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
-    if not (k > 0 and ell > 0):
-        raise DomainError("k and ell must be positive")
-    eye = np.eye(2, dtype=complex)[None]
-
-    def rhs(x, y):
-        t = y.reshape(n_terms, 2, 2)
-        h = h_check(profile, x, k, ell)
-        # T_m' = -i ell H T_{m-1} for every m at once, with T_0 = I
-        return (-1j * ell * (h @ np.concatenate((eye, t[:-1])))).ravel()
-
-    end = _integrate_across(rhs, np.zeros(4 * n_terms, dtype=complex), "series term")
-    return end.reshape(n_terms, 2, 2)
+    _check_inputs(k, ell, n_terms, "n_terms")
+    start = np.concatenate(([np.eye(2)], np.zeros((n_terms, 2, 2))))
+    return _sweep(_series_step, start, profile, k, ell)[1:]
 
 
 def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"):
     """Transfer matrix of the slab profile.
 
     "series" accumulates ordered-simplex terms until one falls below tol in
-    Frobenius norm (raising if max_terms is exhausted first); "direct" steps
-    the evolution U' = -i ell H U across the slab in a single integration.
+    Frobenius norm (raising if max_terms is exhausted first); "direct"
+    collocates the evolution U' = -i ell H U across the slab in one sweep.
     """
-    if not (0 < k < np.inf and 0 < ell < np.inf):
-        raise DomainError("k and ell must be positive and finite")
-    if not isinstance(max_terms, (int, np.integer)) or isinstance(max_terms, bool) or max_terms < 1:
-        raise DomainError("max_terms must be an integer of at least 1")
+    _check_inputs(k, ell, max_terms, "max_terms")
     if not 0 < tol < np.inf:
         raise DomainError("tol must be positive and finite")
     if method not in ("series", "direct"):
         raise DomainError("method must be 'series' or 'direct'")
 
     if method == "direct":
-        def rhs(x, y):
-            u = y.reshape(2, 2)
-            return (-1j * ell * (h_check(profile, x, k, ell) @ u)).ravel()
-
-        end = _integrate_across(rhs, np.eye(2, dtype=complex).ravel(), "transfer-matrix")
-        return TransferMatrix1D.from_array(end.reshape(2, 2))
+        return TransferMatrix1D.from_array(_sweep(_direct_step, np.eye(2), profile, k, ell))
 
     terms = dyson_terms(profile, k, ell, max_terms)
     total = np.eye(2, dtype=complex)

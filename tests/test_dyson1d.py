@@ -1,8 +1,11 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 from slabscat.dyson1d import (
     Profile1D,
@@ -28,15 +31,35 @@ def _wavefront_matrix(x, kk):
     )
 
 
-def _slab_oracle(n, k, ell):
-    # match psi, psi' at both faces of a homogeneous slab of index n
-    kn = k * n
-    return (
-        np.linalg.inv(_wavefront_matrix(ell, k))
-        @ _wavefront_matrix(ell, kn)
-        @ np.linalg.inv(_wavefront_matrix(0.0, kn))
-        @ _wavefront_matrix(0.0, k)
+def _layers_oracle(k, faces, indices):
+    # match psi, psi' at every face; layer j, of index indices[j], lies
+    # between faces j and j + 1, with vacuum outside the first and last face
+    outer = [1.0, *indices, 1.0]
+    m = np.eye(2)
+    for x, left, right in zip(faces, outer, outer[1:]):
+        m = np.linalg.inv(_wavefront_matrix(x, k * right)) @ _wavefront_matrix(x, k * left) @ m
+    return m
+
+
+def _dop853_terms(profile, k, ell, n_terms):
+    # the series terms by stepping the cascade T_m' = -i ell H T_{m-1} with an
+    # adaptive Runge-Kutta method: an independent route to the collocated terms
+    eye = np.eye(2, dtype=complex)[None]
+
+    def rhs(x, y):
+        t = y.reshape(n_terms, 2, 2)
+        return (-1j * ell * (h_check(profile, x, k, ell) @ np.concatenate((eye, t[:-1])))).ravel()
+
+    sol = solve_ivp(
+        rhs, (0.0, 1.0), np.zeros(4 * n_terms, dtype=complex), method="DOP853",
+        rtol=1e-12, atol=1e-14, max_step=1.0 / 16.0,
     )
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(n_terms, 2, 2)
+
+
+def _on_slab(x, values):
+    return np.where((x >= 0.0) & (x <= 1.0), values, 0.0)
 
 
 def test_h_check_structure():
@@ -66,7 +89,7 @@ def test_constant_slab_against_wavefront_matching():
     n, k, ell = 1.5, 1.0, 0.1  # k ell = 0.1
     prof = constant_slab_1d(n)
     m = transfer_matrix_1d(prof, k, ell)
-    oracle = _slab_oracle(n, k, ell)
+    oracle = _layers_oracle(k, [0.0, ell], [n])
     assert np.max(np.abs(m.as_array() - oracle)) < 1e-8
     assert abs(m.det - 1.0) < 1e-10
 
@@ -91,9 +114,7 @@ def test_unimodularity_for_random_bounded_profiles():
         c = (rng.normal(size=5) + 1j * rng.normal(size=5)) / 4.0
 
         def w(x, k, c=c):
-            if not 0.0 <= x <= 1.0:
-                return 0.0
-            return sum(cj * np.exp(2j * np.pi * j * x) for j, cj in enumerate(c))
+            return _on_slab(x, sum(cj * np.exp(2j * np.pi * j * x) for j, cj in enumerate(c)))
 
         prof = Profile1D(eval=w, descriptor="random trig")
         m = transfer_matrix_1d(prof, 1.3, 0.2)
@@ -110,15 +131,17 @@ def test_series_is_unimodular_matches_direct_and_conserves_flux(a, lossy, kl):
     scale = 1.0 + 0.3j if lossy else 1.0
 
     def w(x, k):
-        if not 0.0 <= x <= 1.0:
-            return 0.0
-        return scale * (a[0] + a[1] * np.cos(2 * np.pi * x) + a[2] * np.sin(np.pi * x))
+        values = a[0] + a[1] * np.cos(2 * np.pi * x) + a[2] * np.sin(np.pi * x)
+        return _on_slab(x, scale * values)
 
     prof = Profile1D(eval=w, descriptor="trig")
     m = transfer_matrix_1d(prof, kl, 1.0)
     assert abs(m.det - 1.0) <= 1e-10
     direct = transfer_matrix_1d(prof, kl, 1.0, method="direct").as_array()
-    assert np.linalg.norm(m.as_array() - direct) <= 1e-9 * np.linalg.norm(direct)
+    assert np.linalg.norm(m.as_array() - direct) <= 1e-13 * np.linalg.norm(direct)
+    oracle = np.eye(2) + _dop853_terms(prof, kl, 1.0, 24).sum(axis=0)
+    for got in (m.as_array(), direct):
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
     if not lossy:  # a real w neither absorbs nor amplifies
         r_left, r_right, t = scattering_1d(m)
         for r in (r_left, r_right):
@@ -138,7 +161,7 @@ def test_term_decay_and_kl_scaling():
 
 def test_weak_contrast_first_order_reflection():
     w0, k, ell = 1e-4, 1.0, 0.35
-    prof = Profile1D(eval=lambda x, kk: w0 if 0.0 <= x <= 1.0 else 0.0)
+    prof = Profile1D(eval=lambda x, kk: _on_slab(x, w0))
     r_left, r_right, t = scattering_1d(transfer_matrix_1d(prof, k, ell))
     # the slab sits on [0, ell], so the two sides differ by a round-trip phase
     assert_allclose(r_left, w0 * (np.exp(2j * k * ell) - 1.0) / 4.0, rtol=2e-4)
@@ -162,7 +185,7 @@ def test_scattering_relations_and_guards():
 
 
 def test_series_stop_and_error_paths():
-    strong = Profile1D(eval=lambda x, k: 40.0 if 0.0 <= x <= 1.0 else 0.0)
+    strong = Profile1D(eval=lambda x, k: _on_slab(x, 40.0))
     with pytest.raises(AccuracyError, match="increment"):
         transfer_matrix_1d(strong, 1.0, 0.5, max_terms=3, tol=1e-15)
     for k, ell, options in (
@@ -179,7 +202,39 @@ def test_series_stop_and_error_paths():
             transfer_matrix_1d(VACUUM, k, ell, **options)
     with pytest.raises(DomainError):
         transfer_matrix_1d(VACUUM, 1.0, 0.5, method="euler")
-    with pytest.raises(DomainError):
-        dyson_terms(VACUUM, 1.0, 0.5, 0)
-    with pytest.raises(DomainError):
-        dyson_terms(VACUUM, -1.0, 0.5, 3)
+    for k, ell, n_terms in (
+        (1.0, 0.5, 0),
+        (-1.0, 0.5, 3),
+        (np.inf, 0.5, 3),
+        (1.0, np.inf, 3),
+        (1.0, 0.5, 2.5),
+        (1.0, 0.5, True),
+    ):
+        with pytest.raises(DomainError):
+            dyson_terms(VACUUM, k, ell, n_terms)
+
+
+def test_two_layer_slab_against_wavefront_matching():
+    # w jumps inside the slab, so panels close in on x_check = 0.37 from both sides
+    k, ell = 1.0, 1.0
+    prof = Profile1D(eval=lambda x, kk: _on_slab(x, np.where(x < 0.37, 0.5, 1.2)))
+    oracle = _layers_oracle(k, [0.0, 0.37 * ell, ell], [np.sqrt(1.5), np.sqrt(2.2)])
+    for method in ("series", "direct"):
+        m = transfer_matrix_1d(prof, k, ell, method=method).as_array()
+        assert np.linalg.norm(m - oracle) <= 1e-12 * np.linalg.norm(oracle), method
+
+
+def test_unusable_profiles_fail_fast():
+    nan = Profile1D(eval=lambda x, k: np.full(np.shape(x), np.nan))
+    rng = np.random.default_rng(5)
+    noise = Profile1D(eval=lambda x, k: rng.normal(size=np.shape(x)))
+    for method in ("series", "direct"):
+        # a non-finite value fails the first panel, before any halving
+        with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\]"):
+            transfer_matrix_1d(nan, 1.0, 1.0, method=method)
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="did not converge"):
+            transfer_matrix_1d(noise, 1.0, 1.0, method=method)
+        assert time.perf_counter() - start < 1.0, method
+    with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\]"):
+        dyson_terms(nan, 1.0, 1.0, 3)
