@@ -87,6 +87,12 @@ class AmplitudeResult:
     order: int
 
 
+def _truncate(f1, f2, kl, order):
+    """The AmplitudeResult of f1 and f2 at ``order``; order 1 drops f2."""
+    f2 = f2 if order == 2 else 0j
+    return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
+
+
 def s_factor(theta, theta0):
     """sin(theta) - sin(theta0)."""
     return np.sin(theta) - np.sin(theta0)
@@ -140,8 +146,5 @@ def amplitude_2d(profile, config, theta, order=2, spec=None):
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
     f1 = complex(f1_2d(profile, config, theta))
-    f2 = 0j
-    if order == 2:
-        f2 = complex(f2_2d(profile, config, theta, spec=spec))
-    kl = config.kl
-    return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
+    f2 = complex(f2_2d(profile, config, theta, spec=spec)) if order == 2 else 0j
+    return _truncate(f1, f2, config.kl, order)

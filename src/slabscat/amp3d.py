@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp2d import _GRAZING_TOL, AmplitudeResult
+from .amp2d import _GRAZING_TOL, _truncate
 from .numerics import DomainError, integrate_2d
 from .profiles import moment_3d
 
@@ -131,46 +131,88 @@ def gaussian_Y(theta, phi, theta0, phi0, K):
     return float(val.real) / (2.0 * np.pi)
 
 
+_level_trig = {}  # n -> sin a, sin a cos b, sin a sin b at f2's tensor-level nodes
+
+
+def _direction_trig(alpha, beta):
+    """sin a, sin a cos b and sin a sin b; at tensor-level nodes, once per n, read only."""
+    n = np.shape(alpha)[0] if np.ndim(alpha) == 2 else None  # None: nested-scheme points
+    if n in _level_trig:
+        return _level_trig[n]
+    sin_a = np.sin(alpha)
+    trig = (sin_a, sin_a * np.cos(beta), sin_a * np.sin(beta))
+    if n is not None:
+        for array in trig:
+            array.setflags(write=False)
+        _level_trig[n] = trig
+    return trig
+
+
+def _runs(k):
+    """(slice, value) of every run of equal values in the 1-D array k."""
+    edges = [0, *(np.flatnonzero(np.diff(k)) + 1), k.size]
+    return [(slice(a, b), k[a]) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _sweep_3d(profile, configs, directions, order=2, spec=None):
+    """f1 and f2 (0j at order 1) lists at the points (configs[j], directions[j]).
+
+    The curve route of f1_3d, f2_3d and amplitude_3d: one integrate_2d batch
+    for every f2 integral, and m_0 of the incoming momenta once per run of k.
+    Every point has the theta0 and phi0 of configs[0].
+    """
+    theta0, phi0 = configs[0].theta0, configs[0].phi0
+    k = np.array([c.k for c in configs])
+    theta = np.array([d.theta for d in directions])
+    phi = np.array([d.phi for d in directions])
+    momenta = k[:, None] * np.stack(g_vector(theta, phi, theta0, phi0), axis=-1)
+    m = np.empty((order, k.size), dtype=complex)  # m_0 and m_1 at momenta
+    for run, kj in _runs(k):
+        for l in range(order):
+            m[l, run] = moment_3d(profile, l, momenta[run], kj)
+    f1 = [complex(c.k * _PREF * m0_j) for c, m0_j in zip(configs, m[0])]
+    if order == 1:
+        return f1, [0j] * k.size
+    out1, out2 = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)
+    in1, in2 = np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0)
+
+    def integrand(live, alpha, beta):
+        sin_a, a1, a2 = _direction_trig(alpha, beta)
+        column = (-1,) + (1,) * a1.ndim
+        out = np.stack([out1[live].reshape(column) - a1, out2[live].reshape(column) - a2], -1)
+        incoming = np.stack([a1 - in1, a2 - in2], -1).reshape(-1, 2)
+        m0 = np.empty((2,) + out.shape[:-1], dtype=complex)  # outgoing, incoming
+        for run, kj in _runs(k[live]):
+            outgoing = moment_3d(profile, 0, (kj * out[run]).reshape(-1, 2), kj)
+            m0[0, run] = outgoing.reshape(m0[0, run].shape)
+            m0[1, run] = moment_3d(profile, 0, kj * incoming, kj).reshape(a1.shape)
+        return sin_a * (m0[0] * m0[1])
+
+    integrals = integrate_2d(integrand, 0.0, 0.5 * np.pi, 0.0, 2.0 * np.pi, spec, k.size)
+    f2 = []
+    for c, d, m1, integral in zip(configs, directions, m[1], integrals):
+        term1 = (math.cos(theta0) - math.cos(d.theta)) * m1
+        term2 = c.k * c.k / (8.0 * np.pi**2) * integral
+        f2.append(complex(1j * c.k * _PREF * (term1 + term2)))
+    return f1, f2
+
+
 def f1_3d(profile, config, direction):
     """First-order 3D amplitude coefficient (units of length)."""
-    k = config.k
-    g1, g2 = g_vector(direction.theta, direction.phi, config.theta0, config.phi0)
-    m0 = moment_3d(profile, 0, np.array([k * g1, k * g2]), k)
-    return k * _PREF * m0
+    return _sweep_3d(profile, [config], [direction], order=1)[0][0]
 
 
 def f2_3d(profile, config, direction, spec=None):
     """Second-order 3D amplitude coefficient (units of length)."""
-    k = config.k
-    g1, g2 = g_vector(direction.theta, direction.phi, config.theta0, config.phi0)
-    m1 = moment_3d(profile, 1, np.array([k * g1, k * g2]), k)
-    term1 = (math.cos(config.theta0) - math.cos(direction.theta)) * m1
-
-    def integrand(alpha, beta):
-        alpha, beta = np.broadcast_arrays(
-            np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-        )
-        out1, out2 = g_vector(direction.theta, direction.phi, alpha, beta)
-        in1, in2 = g_vector(alpha, beta, config.theta0, config.phi0)
-        m_out = moment_3d(profile, 0, k * np.stack([out1.ravel(), out2.ravel()], axis=-1), k)
-        m_in = moment_3d(profile, 0, k * np.stack([in1.ravel(), in2.ravel()], axis=-1), k)
-        return (np.sin(alpha) * (m_out * m_in).reshape(alpha.shape))
-
-    integral = integrate_2d(integrand, 0.0, 0.5 * np.pi, 0.0, 2.0 * np.pi, spec)
-    term2 = k * k / (8.0 * np.pi**2) * integral
-    return 1j * k * _PREF * (term1 + term2)
+    return _sweep_3d(profile, [config], [direction], spec=spec)[1][0]
 
 
 def amplitude_3d(profile, config, direction, order=2, spec=None):
     """Assemble the truncated 3D amplitude f1*(kl) + f2*(kl)^2."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    f1 = complex(f1_3d(profile, config, direction))
-    f2 = 0j
-    if order == 2:
-        f2 = complex(f2_3d(profile, config, direction, spec=spec))
-    kl = config.kl
-    return AmplitudeResult(f1=f1, f2=f2, truncated=f1 * kl + f2 * kl * kl, order=order)
+    (f1,), (f2,) = _sweep_3d(profile, [config], [direction], order, spec)
+    return _truncate(f1, f2, config.kl, order)
 
 
 def normalized_cross_section(profile, config, direction, order=2):

@@ -43,12 +43,14 @@ grid, of observation angle theta or of k*ell.  Per-command physics:
   width is derived per curve), orders selecting the truncation
 
 Sweeps emit one row per grid point per curve with the columns (variable,
-re_f, im_f, abs2_f, order, method); rows are assembled in grid-major
-deterministic order no matter how many worker threads evaluate them,
-floats are printed with 17 significant digits, and repeated runs, at any
-thread count and for kernels-check too, are byte-identical.  Exit codes: 0
-on success, 2 on validation failure, 3 on numerical failure; failures put a
-machine-readable JSON diagnostic on standard error.
+re_f, im_f, abs2_f, order, method).  A chunk function per domain evaluates
+every curve over a contiguous slice of the grid; ``--threads N`` splits the
+grid into N such slices (fewer if the grid is shorter).  Rows are grid-major
+at any thread count, floats are printed with 17 significant digits, and
+repeated runs, at any thread count and for kernels-check too, are
+byte-identical.  Exit codes: 0 on success, 2 on validation failure, 3 on
+numerical failure; failures put a machine-readable JSON diagnostic on
+standard error.
 """
 
 import json
@@ -61,8 +63,8 @@ from importlib import resources
 import click
 import numpy as np
 
-from .amp2d import _GRAZING_TOL, ScatteringConfig2D, amplitude_2d
-from .amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
+from .amp2d import _GRAZING_TOL, ScatteringConfig2D, _truncate, amplitude_2d
+from .amp3d import Direction3D, ScatteringConfig3D, _sweep_3d
 from .cloak import CoatingMaterials, SlabMomentPair, design_geometry, export_geometry
 from .dyson1d import scattering_1d, transfer_matrix_1d
 from .exactborn import Ex1Params, ex1_exact
@@ -265,7 +267,7 @@ def _validate_profile(prof, dimension, violations, derived=()):
 class Sweep:
     """Curves evaluated along one grid; every command but cloak is one.
 
-    ``domain`` selects the point function and the shape of a curve: in 2D
+    ``domain`` selects the chunk function and the shape of a curve: in 2D
     (method, order tag), method one of order1, order2, exact, kernels,
     closed; in 3D (profile overrides, fixed theta or None, order, label);
     in 1D (channel, order tag).  Rows are grid-major, curves in list order.
@@ -486,11 +488,13 @@ class SweepResult:
     rows: list
 
 
-def _map_ordered(fn, values, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
+def _map_chunks(fn, values, threads):
+    """fn over contiguous chunks of values, one per thread; their rows in order."""
+    chunks = np.array_split(values, min(threads, len(values)))
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            return [row for rows in pool.map(fn, chunks) for row in rows]
+    return fn(values)
 
 
 def execute(cfg, threads=1):
@@ -498,11 +502,10 @@ def execute(cfg, threads=1):
     if cfg.sweep is None:
         return _run_cloak(cfg)
     sweep = cfg.sweep
-    point = _POINTS[sweep.domain](cfg)
+    chunk = _CHUNKS[sweep.domain](cfg)
     rows = [
         (x, value.real, value.imag, abs(value) ** 2, order, label)
-        for chunk in _map_ordered(point, sweep.grid, threads)
-        for x, value, order, label in chunk
+        for x, value, order, label in _map_chunks(chunk, sweep.grid, threads)
     ]
     result = SweepResult(variable=sweep.variable, rows=rows)
     if cfg.command == "kernels-check":
@@ -519,8 +522,8 @@ def _wavenumber(cfg, x):
     return cfg.physics["k"] if cfg.sweep.variable == "theta" else x / cfg.physics["ell"]
 
 
-def _point_2d(cfg):
-    """Point function of a 2D sweep: x -> rows of every (method, order) curve."""
+def _chunk_2d(cfg):
+    """Chunk function of a 2D sweep: grid slice -> rows of every (method, order) curve."""
     prof = profile_from_dict(cfg.profile)
     phys = cfg.physics
     spec = _quad_spec(cfg)
@@ -528,7 +531,7 @@ def _point_2d(cfg):
     if cfg.profile["catalog"] == "ex1":
         params = Ex1Params(**{key: cfg.profile[key] for key in ("z", "alpha", "L")})
 
-    def point(x):
+    def point(x, kernels):
         config = ScatteringConfig2D(
             k=_wavenumber(cfg, x), ell=phys["ell"], theta0=phys["theta0"]
         )
@@ -540,42 +543,56 @@ def _point_2d(cfg):
                     continue  # the exact formula stops being valid above alpha
                 value = ex1_exact(params, config, theta)
             elif method == "kernels":
-                value = amplitude_from_kernels(
-                    prof, config, theta, truncation=2,
-                    node_count=cfg.numerics["node_count"],
-                )
+                value = kernels[x]
             else:  # order1, order2, closed
                 value = amplitude_2d(prof, config, theta, order=order, spec=spec).truncated
             out.append((x, value, order, method))
         return out
 
-    return point
+    def chunk(xs):
+        kernels = {}  # a kernels-check sweeps theta at one k: every angle in one call
+        if ("kernels", 2) in cfg.sweep.curves:
+            config = ScatteringConfig2D(k=phys["k"], ell=phys["ell"], theta0=phys["theta0"])
+            values = amplitude_from_kernels(prof, config, xs, 2, cfg.numerics["node_count"])
+            kernels = dict(zip(xs, values))
+        return [row for x in xs for row in point(x, kernels)]
+
+    return chunk
 
 
-def _point_3d(cfg):
-    """Point function of a 3D sweep: x -> rows of every curve."""
+def _chunk_3d(cfg):
+    """Chunk function of a 3D sweep: one _sweep_3d call per profile, for all its curves."""
     phys = cfg.physics
-    spec = _quad_spec(cfg)
-    keys = [tuple(curve[0].items()) for curve in cfg.sweep.curves]
-    built = {key: profile_from_dict(dict(cfg.profile, **dict(key))) for key in set(keys)}
-    profiles = [built[key] for key in keys]
+    curves = cfg.sweep.curves
+    keys = [tuple(curve[0].items()) for curve in curves]
+    built = {key: profile_from_dict(dict(cfg.profile, **dict(key))) for key in keys}
 
-    def point(x):
-        config = ScatteringConfig3D(
-            k=_wavenumber(cfg, x), ell=phys["ell"], theta0=phys["theta0"], phi0=phys["phi0"]
-        )
-        out = []
-        for prof, (_, theta, order, label) in zip(profiles, cfg.sweep.curves):
-            direction = Direction3D(x if theta is None else theta, phys["phi"])
-            res = amplitude_3d(prof, config, direction, order=order, spec=spec)
-            out.append((x, res.truncated, order, label))
-        return out
+    def chunk(xs):
+        found = {}  # (profile key, fixed theta, grid index) -> (f1, f2, kl)
+        for key, prof in built.items():
+            mine = [curve for k, curve in zip(keys, curves) if k == key]
+            points = [(j, t) for j in range(len(xs)) for t in dict.fromkeys(c[1] for c in mine)]
+            configs = [
+                ScatteringConfig3D(k=_wavenumber(cfg, xs[j]), ell=phys["ell"],
+                                   theta0=phys["theta0"], phi0=phys["phi0"])
+                for j, _ in points
+            ]
+            directions = [Direction3D(xs[j] if t is None else t, phys["phi"]) for j, t in points]
+            top = max(curve[2] for curve in mine)  # order1 rows take f1 of the order2 call
+            f1, f2 = _sweep_3d(prof, configs, directions, top, _quad_spec(cfg))
+            coefficients = zip(f1, f2, [c.kl for c in configs])
+            found.update(zip([(key, t, j) for j, t in points], coefficients))
+        return [
+            (x, _truncate(*found[key, theta, j], order).truncated, order, label)
+            for j, x in enumerate(xs)
+            for key, (_, theta, order, label) in zip(keys, curves)
+        ]
 
-    return point
+    return chunk
 
 
-def _point_1d(cfg):
-    """Point function of a 1D sweep: kl -> rows of the R_left, R_right, T curves."""
+def _chunk_1d(cfg):
+    """Chunk function of a 1D sweep: kl slice -> rows of the R_left, R_right, T curves."""
     prof = profile_from_dict(cfg.profile)
     ell = cfg.physics["ell"]
 
@@ -590,10 +607,10 @@ def _point_1d(cfg):
         channels = dict(zip(("R_left", "R_right", "T"), scattering_1d(matrix)))
         return [(kl, channels[name], order, name) for name, order in cfg.sweep.curves]
 
-    return point
+    return lambda kls: [row for kl in kls for row in point(kl)]
 
 
-_POINTS = {"1d": _point_1d, "2d": _point_2d, "3d": _point_3d}
+_CHUNKS = {"1d": _chunk_1d, "2d": _chunk_2d, "3d": _chunk_3d}
 
 
 def _kernel_deviation(rows, check_tol):

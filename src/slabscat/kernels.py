@@ -207,8 +207,12 @@ def _chain_sum(block, chains, truncation, kl, weights):
                 continue
             vec = block(orders[-1], chain[-1], "p" if m == 1 else "nodes", "p0")
             for i in reversed(range(m - 1)):
-                rows = "p" if i == 0 else "nodes"
-                vec = block(orders[i], chain[i], rows, "nodes") @ (weights[:, None] * vec)
+                matrix = block(orders[i], chain[i], "p" if i == 0 else "nodes", "nodes")
+                # the rows p one by one: BLAS blocks rows, so their bits would
+                # depend on how many angles share the call
+                weighted = weights[:, None] * vec
+                rows = matrix[:, None] if i == 0 else [matrix]
+                vec = np.concatenate([row @ weighted for row in rows])
             total = total + kl ** sum(orders) * vec[:, 0]
     return total
 
@@ -248,16 +252,18 @@ def assemble_channels(profile, config, p, truncation, grid):
 
 
 def amplitude_from_kernels(profile, config, theta, truncation=2, node_count=201):
-    """Amplitude at observation angle theta via the discretized kernel route.
+    """Amplitude at observation angle(s) theta via the discretized kernel route.
 
     Assembles the channels up to ``truncation`` in total k*ell power at
-    p = k sin theta and reads the A+ channel for cos theta > 0, B- otherwise.
+    p = k sin theta, once for an array of angles, and reads the A+ channel
+    for cos theta > 0, B- otherwise.  Each angle's bits are its own call's.
     """
-    if abs(math.cos(theta)) < _GRAZING_TOL:
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    if any(abs(math.cos(t)) < _GRAZING_TOL for t in thetas):
         raise DomainError("theta = +-pi/2 is excluded")
     grid = momentum_grid(config.k, count=node_count)
-    b_minus, a_plus = assemble_channels(
-        profile, config, config.k * math.sin(theta), truncation, grid
-    )
-    smooth = a_plus[0] if math.cos(theta) > 0 else b_minus[0]
-    return -1j / math.sqrt(2.0 * math.pi) * complex(smooth)
+    p = [config.k * math.sin(t) for t in thetas]
+    b_minus, a_plus = assemble_channels(profile, config, p, truncation, grid)
+    pref = -1j / math.sqrt(2.0 * math.pi)
+    out = [pref * complex(a if math.cos(t) > 0 else b) for t, a, b in zip(thetas, a_plus, b_minus)]
+    return np.array(out) if np.ndim(theta) else out[0]

@@ -11,8 +11,9 @@ Conventions used throughout the package:
   they take an ndarray of abscissae and return the matching ndarray (or an
   array that broadcasts to it).  A 2-D integrand f(x, y) receives
   broadcastable arrays of shapes (n, 1) and (1, 2n) and returns the (n, 2n)
-  values; on the nested path it receives a scalar x and a 1-D ndarray of y
-  values.  An exception an integrand raises propagates.
+  values (a batch integrand gets the indices of its live integrands first);
+  on the nested path it receives a scalar x and a 1-D ndarray of y values.
+  An exception an integrand raises propagates.
 * Every transform of sampled data truncated to a finite window is guarded by
   ``check_edge_decay``, the package's single truncation check.
 
@@ -22,14 +23,16 @@ also drives _integrate_moments, the one axial sampler of eval-only profiles.
 integrate_2d is a tensor Gauss-Legendre rule whose order doubles until two
 levels agree (exponentially convergent for smooth integrands, Trefethen &
 Weideman, SIAM Rev. 56(3), 2014); integrands it does not resolve by n = 256
-fall back to nested integrate_1d calls.
+fall back to nested integrate_1d calls; a batch of them (a sweep curve) is
+evaluated in blocks of at most 2^14 values.
 
 transform_samples_1d evaluates the trapezoid sum over uniform samples at
 off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
-14(6), 1993): one FFT per sample set on a twice-finer grid, then a short
-kernel sum per momentum.  It matches the direct sum to rounding.  The FFT
-runs once per read-only sample set (such as the cached axial moments of a
-profile); only the fine-grid bins its momenta reach are kept.
+14(6), 1993): one numpy FFT per sample set on a twice-finer 11-smooth grid,
+then a short kernel sum per momentum.  It matches the direct sum to
+rounding.  The FFT runs once per read-only sample set (such as the cached
+axial moments of a profile); only the fine-grid bins its momenta reach are
+kept.
 transform_samples_2d sums with explicit phase factors.
 """
 
@@ -38,7 +41,6 @@ import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "SlabscatError",
@@ -368,26 +370,32 @@ def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC):
 
 # Orders n of the doubling tensor rule: n nodes in x times 2n nodes in y.
 _TENSOR_ORDERS = (16, 32, 64, 128, 256)
+# A level hands a batch integrand blocks of max(1, _TENSOR_BLOCK // 2n^2) integrands.
+_TENSOR_BLOCK = 1 << 14
 
 
-def _tensor_level(f, a, b, c, d, n):
-    """The n x 2n tensor Gauss-Legendre sum of f over [a, b] x [c, d]."""
+def _tensor_level(f, live, a, b, c, d, n):
+    """The n x 2n tensor Gauss-Legendre sums over [a, b] x [c, d] of f's integrands ``live``."""
     tx, wx = gauss_legendre(n)
     ty, wy = gauss_legendre(2 * n)
     hx = 0.5 * (b - a)
     hy = 0.5 * (d - c)
     x = 0.5 * (a + b) + hx * tx
     y = 0.5 * (c + d) + hy * ty
-    fxy = _sample(f, (n, 2 * n), x[:, None], y[None, :])
-    total = hx * hy * (wx @ fxy @ wy)
-    if not np.isfinite(total):
-        raise AccuracyError(
-            f"integrand is not finite on [{a:.17g}, {b:.17g}] x [{c:.17g}, {d:.17g}]"
-        )
-    return total
+    size = max(1, _TENSOR_BLOCK // (2 * n * n))
+    totals = []
+    for start in range(0, live.size, size):
+        block = live[start : start + size]
+        for fxy in _sample(f, (block.size, n, 2 * n), block, x[:, None], y[None, :]):
+            totals.append(hx * hy * (wx @ fxy @ wy))
+            if not np.isfinite(totals[-1]):
+                raise AccuracyError(
+                    f"integrand is not finite on [{a:.17g}, {b:.17g}] x [{c:.17g}, {d:.17g}]"
+                )
+    return np.array(totals)
 
 
-def integrate_2d(f, a, b, c, d, spec=None):
+def integrate_2d(f, a, b, c, d, spec=None, batch=None):
     """Integrate a complex-valued f(x, y) over [a, b] x [c, d].
 
     A tensor Gauss-Legendre rule with n nodes in x and 2n in y doubles its
@@ -397,9 +405,15 @@ def integrate_2d(f, a, b, c, d, spec=None):
     and (1, 2n), which must return the (n, 2n) values (or an array that
     broadcasts to them).
 
+    With ``batch`` = m, f is m integrands, and the ndarray of their integrals
+    is returned: f(live, x, y) returns the (live.size, n, 2n) values of the
+    integrands ``live`` still running, called once per block of at most
+    max(1, 2^14 // 2n^2).  Each stops at its own level, bit for bit as alone.
+
     If the rule has not converged at n = 256 (a kinked integrand), the
-    nested adaptive scheme takes over.  There f is called with a scalar x
-    and a 1-D ndarray of y values.  An exception f raises propagates.
+    nested adaptive scheme takes over, for that integrand alone.  There f
+    is called with a scalar x and a 1-D ndarray of y values (in a batch,
+    with one index in ``live``).  An exception f raises propagates.
 
     Raises
     ------
@@ -410,15 +424,20 @@ def integrate_2d(f, a, b, c, d, spec=None):
         If f returns values that do not broadcast to its abscissae.
     """
     spec = spec or _DEFAULT_QUAD
-    previous = None
+    g = f if batch is not None else (lambda live, x, y: np.asarray(f(x, y))[None])
+    out = np.empty(1 if batch is None else batch, dtype=complex)
+    live, previous = np.arange(out.size), np.full(out.size, np.nan)
     for n in _TENSOR_ORDERS:
-        total = _tensor_level(f, a, b, c, d, n)
-        if previous is not None and abs(total - previous) <= max(
-            spec.abs_tol, spec.rel_tol * abs(total)
-        ):
-            return total
-        previous = total
-    return _integrate_2d_nested(f, a, b, c, d, spec)
+        if not live.size:
+            break
+        totals = _tensor_level(g, live, a, b, c, d, n)
+        tol = [max(spec.abs_tol, spec.rel_tol * abs(total)) for total in totals]
+        done = np.array([abs(t - p) <= e for t, p, e in zip(totals, previous, tol)])
+        out[live[done]] = totals[done]
+        live, previous = live[~done], totals[~done]
+    for j in live:  # unconverged at n = 256
+        out[j] = _integrate_2d_nested(lambda x, y: g(np.array([j]), x, y)[0], a, b, c, d, spec)
+    return out if batch is not None else out[0]
 
 
 def _integrate_2d_nested(f, a, b, c, d, spec):
@@ -488,6 +507,17 @@ def _es_kernel(z):
     return np.where(inside, np.exp(_NUFFT_BETA * (root - 1.0)), 0.0)
 
 
+def _next_fast_len(n):
+    """The least m >= n (n >= 1) with no prime factor above 11, a fast FFT length.
+
+    The product below is divisible by every such number under 2^64, and by
+    no number with a larger prime factor.
+    """
+    while (2**64 * 3**41 * 5**28 * 7**23 * 11**19) % n:
+        n += 1
+    return n
+
+
 def _nufft_plan(count):
     """(fine-grid length, kernel transform at each sample offset) for count samples.
 
@@ -497,7 +527,7 @@ def _nufft_plan(count):
     """
     plan = _nufft_plans.get(count)
     if plan is None:
-        n_fine = scipy.fft.next_fast_len(2 * count)
+        n_fine = _next_fast_len(2 * count)
         offsets = np.arange(count) - (count - 1) // 2
         scale = np.pi * _NUFFT_W / n_fine * np.arange(offsets[-1] + 1)
         t, wq = gauss_legendre(_NUFFT_KERNEL_NODES)
@@ -518,7 +548,7 @@ def _fine_grid(values):
     padded = np.zeros(n_fine, dtype=complex)
     padded[: count - half] = a[half:]
     padded[n_fine - half :] = a[:half]
-    return scipy.fft.fft(padded)
+    return np.fft.fft(padded)
 
 
 def _window(values, half_width):

@@ -165,12 +165,12 @@ def test_fig6_f2_evaluates_two_tensor_levels(monkeypatch):
     # fig6 at its largest k: gaussian3d z = L = 10, ell = 1, kl = 0.2 (K = 2)
     nodes = []
 
-    def counting(f, *args):
-        def counted(alpha, beta):
-            nodes.append(np.broadcast(alpha, beta).size)
-            return f(alpha, beta)
+    def counting(f, *args, **kwargs):
+        def counted(live, alpha, beta):
+            nodes.append(live.size * np.broadcast(alpha, beta).size)
+            return f(live, alpha, beta)
 
-        return integrate_2d(counted, *args)
+        return integrate_2d(counted, *args, **kwargs)
 
     monkeypatch.setattr(amp3d, "integrate_2d", counting)
     prof = gaussian_slab_3d(10.0, 10.0)
@@ -302,3 +302,20 @@ def test_amplitude_assembly_and_normalized_cross_section():
         abs(res2.truncated) ** 2 / abs(fwd.truncated) ** 2,
         rtol=1e-9,
     )
+
+
+def test_sweep_points_match_one_point_calls():
+    # a batch over points with runs of one k and mixed directions gives each
+    # point's one-point coefficients, bit for bit
+    prof = gaussian_slab_3d(2.0 + 0.5j, 1.5)
+    ks = [0.3, 0.3, 0.8, 0.8, 0.3]
+    directions = [Direction3D(t, p) for t, p in ((0.2, 0.0), (2.5, 1.0), (1.0, 4.0),
+                                                (2.9, 0.3), (0.0, 6.0))]
+    configs = [ScatteringConfig3D(k=k, ell=0.2, theta0=0.4, phi0=0.7) for k in ks]
+    spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14)
+    f1, f2 = amp3d._sweep_3d(prof, configs, directions, 2, spec)
+    for c, d, a, b in zip(configs, directions, f1, f2):
+        assert a == f1_3d(prof, c, d) and b == f2_3d(prof, c, d, spec=spec)
+        res = amplitude_3d(prof, c, d, 2, spec)
+        assert (res.f1, res.f2) == (a, b)
+    assert amp3d._sweep_3d(prof, configs, directions, 1) == (f1, [0j] * len(ks))

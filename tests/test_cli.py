@@ -8,10 +8,11 @@ from numpy.testing import assert_allclose
 
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
 from slabscat.amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
-from slabscat.cli import load_config, main, validate_config
+from slabscat import amp3d
+from slabscat.cli import execute, load_config, main, validate_config
 from slabscat.dyson1d import constant_slab_1d, scattering_1d, transfer_matrix_1d
 from slabscat.exactborn import Ex1Params, ex1_exact
-from slabscat.numerics import DomainError
+from slabscat.numerics import DomainError, integrate_2d
 from slabscat.profiles import ex1_profile, gaussian_slab_2d, gaussian_slab_3d
 
 PRESETS = ("fig3", "fig4", "fig6", "fig7", "fig8")
@@ -426,6 +427,13 @@ THREAD_CASES = {
         "physics": {"variable": "kl", "grid": [0.05, 0.1, 0.2], "ell": 1.0,
                     "theta0": 0.0, "theta_values": [0.0, 2.0], "orders": [1, 2]},
     },
+    "sweep3d_one_point": {  # fewer grid values than threads
+        "command": "sweep",
+        "domain": "3d",
+        "profile": {"catalog": "gaussian3d", "z": 3.0, "L": 2.0},
+        "physics": {"variable": "kl", "grid": [0.1], "ell": 1.0,
+                    "theta0": 0.3, "phi0": 0.2, "phi": 1.0, "theta_values": [0.0, 2.0]},
+    },
     "sweep3d_theta": {
         "command": "sweep",
         "domain": "3d",
@@ -454,3 +462,29 @@ def test_threads_do_not_change_bytes(tmp_path, case):
         result = _invoke("run", "--config", str(path), "--threads", threads, "--out", str(out))
         assert result.exit_code == 0, result.output
         assert (tmp_path / "t1.csv").read_bytes() == out.read_bytes()
+
+
+def test_fig6_batches_each_level_in_capped_blocks(monkeypatch):
+    # one thread: the grid is one chunk, and fig6's 4 curves (160 second-order
+    # points) are one batch, every point stopping at n = 32 as it did alone
+    calls = []  # (integrands, n) per integrand call
+
+    def counting(f, *args, **kwargs):
+        def counted(live, alpha, beta):
+            calls.append((live.size, np.shape(alpha)[0]))
+            return f(live, alpha, beta)
+
+        return integrate_2d(counted, *args, **kwargs)
+
+    monkeypatch.setattr(amp3d, "integrate_2d", counting)
+    cfg, _ = validate_config(load_config(preset="fig6"))
+    rows = execute(cfg)[0].rows
+    assert len(rows) == 320
+    cap = 2**14
+    for n in (16, 32):
+        level = [size for size, level_n in calls if level_n == n]
+        assert sum(level) == 160
+        assert len(level) <= -(-160 * 2 * n * n // cap)
+    assert {n for _, n in calls} == {16, 32}
+    assert len(calls) <= 28  # 7 per curve; one call per point and level was 320
+    assert sum(size * 2 * n * n for size, n in calls) == 160 * (512 + 2048)

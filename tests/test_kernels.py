@@ -364,3 +364,29 @@ def test_sampled_route_matches_closed_with_linear_work(monkeypatch):
         assert sum(momenta) <= bound
         want = amplitude_from_kernels(closed, config, 2.5, truncation, 201)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_angle_array_assembles_once_with_each_angle_bits(monkeypatch):
+    # an array of angles gives each angle's own value and evaluates the
+    # theta-independent p0 columns once, not once per angle
+    prof = gaussian_slab_2d(0.3 + 0.05j, 1.2)
+    thetas = np.array([0.4, 2.5, -1.0, 3.0])
+    momenta = []
+
+    def counting(profile, l, p, *args, **kwargs):
+        momenta.append(np.size(p))
+        return moment_2d(profile, l, p, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "moment_2d", counting)
+    for theta0 in (-np.pi / 5, 4 * np.pi / 3):  # left and right incidence
+        config = ScatteringConfig2D(k=1.1, ell=0.05, theta0=theta0)
+        for truncation in (1, 2, 3):
+            momenta.clear()
+            each = [amplitude_from_kernels(prof, config, t, truncation, 41) for t in thetas]
+            apart = sum(momenta)
+            momenta.clear()
+            together = amplitude_from_kernels(prof, config, thetas, truncation, 41)
+            assert together.shape == thetas.shape
+            np.testing.assert_allclose(together, each, rtol=1e-14, atol=0)
+            assert together.tobytes() == np.array(each).tobytes()
+            assert truncation == 1 or sum(momenta) < apart

@@ -24,6 +24,7 @@ from slabscat.numerics import (
     _G_WEIGHTS,
     _WG,
     _integrate_moments,
+    _next_fast_len,
     _transform_samples_1d_direct,
 )
 from slabscat.profiles import ex1_profile, gaussian_slab_2d, moment_2d
@@ -199,6 +200,70 @@ def test_integrate_2d_non_finite_integrand_fails_after_one_level():
     assert shapes == [(16, 1)]
 
 
+def _batch(integrands):
+    """The batch form of ``integrands``, plus a list of (live, x shape) per call."""
+    calls = []
+
+    def batch(live, x, y):
+        calls.append((live.tolist(), np.shape(x)))
+        shape = np.broadcast(x, y).shape
+        return np.stack([np.broadcast_to(integrands[j](x, y), shape) for j in live])
+
+    return batch, calls
+
+
+# cos(w (x + 2y)) on the unit square stops at n = 32 for w <= 20, 64 at 40, 128 at 80
+_WAVES = [lambda x, y, w=w: np.cos(w * (x + 2.0 * y)) for w in (1.0, 80.0, 5.0, 40.0, 20.0)]
+
+
+def test_integrate_2d_batch_matches_single_calls_bit_for_bit():
+    batch, calls = _batch(_WAVES)
+    got = integrate_2d(batch, 0.0, 1.0, 0.0, 1.0, batch=len(_WAVES))
+    assert got.shape == (len(_WAVES),)
+    for f, value in zip(_WAVES, got):
+        single = integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
+        assert value.tobytes() == np.complex128(single).tobytes()
+    # each integrand runs until its own level: the w = 80 one alone reaches 128
+    assert calls == [
+        ([0, 1, 2, 3, 4], (16, 1)),
+        ([0, 1, 2, 3, 4], (32, 1)),
+        ([1, 3], (64, 1)),
+        ([1], (128, 1)),
+    ]
+
+
+def test_integrate_2d_batch_blocks_are_capped():
+    many = [lambda x, y, c=c: np.exp(-c * x * y) for c in np.linspace(0.5, 3.0, 40)]
+    batch, calls = _batch(many)
+    got = integrate_2d(batch, 0.0, 1.0, 0.0, 1.0, batch=len(many))
+    for f, value in zip(many, got):
+        assert value == integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
+    # 2^14 values a call: 32 integrands of 16 x 32 nodes, 8 of 32 x 64
+    assert [len(live) for live, _ in calls] == [32, 8] + [8] * 5
+    assert all(len(live) * 2 * shape[0] ** 2 <= 2**14 for live, shape in calls)
+
+
+def test_integrate_2d_batch_non_finite_point_raises():
+    broken = _WAVES[:2] + [lambda x, y: np.where(x > 0.9, np.nan, x * y)] + _WAVES[2:]
+    batch, calls = _batch(broken)
+    with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\] x \[0, 2\]"):
+        integrate_2d(batch, 0.0, 1.0, 0.0, 2.0, batch=len(broken))
+    assert [shape for _, shape in calls] == [(16, 1)]
+
+
+def test_integrate_2d_batch_kinked_point_falls_back_alone():
+    kinked = lambda x, y: np.abs(x - 0.3) * np.abs(y - 0.7)
+    mixed = [_WAVES[0], kinked, _WAVES[2]]
+    batch, calls = _batch(mixed)
+    got = integrate_2d(batch, 0.0, 1.0, 0.0, 1.0, batch=3)
+    for f, value in zip(mixed, got):
+        assert value == integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
+    assert_allclose(got[1], 0.29 * 0.29, rtol=1e-8)
+    tensor, nested = calls[:5], calls[5:]
+    assert [live for live, _ in tensor] == [[0, 1, 2], [0, 1, 2], [1], [1], [1]]
+    assert nested and all(call == ([1], ()) for call in nested)
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(rel_tol=0.0)
@@ -349,6 +414,13 @@ def test_fourier_2d_gaussian():
         assert_allclose(got, expect, rtol=1e-8, atol=1e-10)
     batch = transform_samples_2d(values, radius, np.array([[0.0, 0.0], [1.0, -0.5]]))
     assert batch.shape == (2,)
+
+
+def test_next_fast_len_matches_scipy():
+    scipy_fft = pytest.importorskip("scipy.fft")
+    assert [_next_fast_len(n) for n in range(1, 20_000)] == [
+        scipy_fft.next_fast_len(n) for n in range(1, 20_000)
+    ]
 
 
 def test_gauss_legendre_cached_and_exact():
