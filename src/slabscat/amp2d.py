@@ -133,9 +133,10 @@ def f2_2d(profile, config, theta, spec=None):
     term1 = -c_factor(theta, theta0) * moment_2d(profile, 1, k * s, k)
 
     def integrand(phi):
-        left = moment_2d(profile, 0, k * s_factor(theta, phi), k)
-        right = moment_2d(profile, 0, k * s_factor(phi, theta0), k)
-        return np.asarray(left, dtype=complex) * np.asarray(right, dtype=complex)
+        # one transform of the panel's left and right momenta together
+        momenta = np.concatenate((k * s_factor(theta, phi), k * s_factor(phi, theta0)))
+        left, right = np.asarray(moment_2d(profile, 0, momenta, k), dtype=complex).reshape(2, -1)
+        return left * right
 
     term2 = k / (4.0 * np.pi) * integrate_1d(integrand, -np.pi / 2.0, np.pi / 2.0, spec)
     return 1j * k / (2.0 * np.sqrt(2.0 * np.pi)) * (term1 + term2)

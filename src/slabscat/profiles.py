@@ -237,14 +237,14 @@ def moment_2d(profile, l, p, k):
     ----------
     profile : Profile2D
     l : int in {0, 1, 2}
-    p : float or 1D ndarray
-        Transverse momentum (vectorized).
+    p : float or ndarray
+        Transverse momentum (vectorized, any shape).
     k : float
         Wavenumber (enters only through k-dependent profiles).
 
     Returns
     -------
-    complex, or ndarray of complex when p is an array
+    complex, or ndarray of complex of p's shape when p is an array
 
     A closed ``analytic_moment`` is used if present; else the spatial
     moments on the profile's transverse grid (see _spatial_moments: its

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from slabscat import amp2d
 from slabscat.amp2d import (
     AmplitudeResult,
     ScatteringConfig2D,
@@ -13,7 +14,7 @@ from slabscat.amp2d import (
     f2_2d,
     s_factor,
 )
-from slabscat.numerics import DomainError
+from slabscat.numerics import DomainError, QuadratureSpec, integrate_1d
 from slabscat.profiles import (
     Profile2D,
     ex1_profile,
@@ -264,3 +265,47 @@ def test_amplitude_assembly_and_orders():
     assert res1.truncated == res2.truncated - res2.f2 * kl * kl
     with pytest.raises(DomainError):
         amplitude_2d(prof, cfg, 0.9, order=3)
+
+
+def _f2_two_calls(profile, cfg, theta):
+    """f2_2d with each integrand panel's left and right moments taken by separate calls."""
+    k, theta0 = cfg.k, cfg.theta0
+    term1 = -c_factor(theta, theta0) * moment_2d(profile, 1, k * s_factor(theta, theta0), k)
+
+    def integrand(phi):
+        left = moment_2d(profile, 0, k * s_factor(theta, phi), k)
+        right = moment_2d(profile, 0, k * s_factor(phi, theta0), k)
+        return np.asarray(left, dtype=complex) * np.asarray(right, dtype=complex)
+
+    term2 = k / (4.0 * np.pi) * integrate_1d(integrand, -np.pi / 2, np.pi / 2, QuadratureSpec())
+    return 1j * k / (2.0 * np.sqrt(2.0 * np.pi)) * (term1 + term2)
+
+
+def test_f2_takes_one_moment_call_per_panel(monkeypatch):
+    # the panel's left and right momenta go to moment_2d as one array, with
+    # the bits of two separate calls, on the sampled and the closed routes
+    cfg = ScatteringConfig2D(k=0.8, ell=0.1, theta0=-0.4)
+    calls, panels = [], []
+
+    def counting_moment(*args):
+        calls.append(args[1])
+        return moment_2d(*args)
+
+    def counting_integrate(f, *args):
+        return integrate_1d(lambda phi: panels.append(phi) or f(phi), *args)
+
+    monkeypatch.setattr(amp2d, "moment_2d", counting_moment)
+    monkeypatch.setattr(amp2d, "integrate_1d", counting_integrate)
+    for prof in (
+        _eval_only("gaussian", 0.6 + 0.2j, 1.1),
+        _eval_only("separable", 0.9, 0.7),
+        gaussian_slab_2d(0.6 + 0.2j, 1.1),
+        ex1_profile(Z, ALPHA, LW),
+    ):
+        for theta in (0.5, 2.6):
+            calls.clear()
+            panels.clear()
+            got = f2_2d(prof, cfg, theta)
+            assert calls == [1] + [0] * len(panels)
+            want = _f2_two_calls(prof, cfg, theta)
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()

@@ -366,6 +366,25 @@ def test_sampled_route_matches_closed_with_linear_work(monkeypatch):
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_two_dimensional_momenta_take_either_route():
+    # a (7, 5) momentum array keeps its shape on the closed and the sampled
+    # route, and the routes agree
+    closed = gaussian_slab_2d(0.3 + 0.05j, 1.2)
+    sampled = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
+    k = 1.1
+    p = np.linspace(-1.0, 1.0, 35).reshape(7, 5)
+    pp = -0.8 * p.T[::-1].reshape(7, 5)
+    pairs = [(lambda prof, l=l: moment_2d(prof, l, p - pp, k)) for l in (0, 1, 2)]
+    pairs += [
+        (lambda prof, kernel=kernel: kernel(prof, 1, 2, p, pp, k))
+        for kernel in (kernel_n1, kernel_n2, kernel_n3)
+    ]
+    for evaluate in pairs:
+        want, got = evaluate(closed), evaluate(sampled)
+        assert want.shape == got.shape == (7, 5)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def test_angle_array_assembles_once_with_each_angle_bits(monkeypatch):
     # an array of angles gives each angle's own value and evaluates the
     # theta-independent p0 columns once, not once per angle

@@ -27,7 +27,9 @@ from slabscat.numerics import (
     _next_fast_len,
     _transform_samples_1d_direct,
 )
-from slabscat.profiles import ex1_profile, gaussian_slab_2d, moment_2d
+from slabscat import numerics
+from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
+from slabscat.profiles import Profile2D, _moment_samples, ex1_profile, gaussian_slab_2d, moment_2d
 
 
 def test_gk_constants_consistent():
@@ -366,6 +368,55 @@ def test_transform_samples_matches_the_direct_sum():
         assert abs(scalar - _transform_samples_1d_direct(values, radius, 1.3)) <= bound
         assert transform_samples_1d(values, radius, np.array([])).shape == (0,)
         assert not np.any(transform_samples_1d(np.zeros(n + 1), radius, p))
+
+
+def test_transform_block_form_keeps_each_momentum_bits():
+    # one call on m momenta (4,097 crosses a block edge) gives each momentum
+    # the bits of its own one-momentum call, on cached and uncached rows
+    rng = np.random.default_rng(20261019)
+    radius, n = 3.0, 1024
+    values = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    frozen = values.copy()
+    frozen.setflags(write=False)
+    h = 2.0 * radius / n
+    bound = 1e-13 * h * np.sum(np.abs(values))
+    for m in (1, 15, 30, 4097):
+        p = rng.uniform(-2.5, 2.5, m) * np.pi / h
+        for row in (values, frozen):
+            got = transform_samples_1d(row, radius, p)
+            alone = np.array([transform_samples_1d(row, radius, pi) for pi in p])
+            assert got.tobytes() == alone.tobytes(), m
+        assert np.max(np.abs(got - _transform_samples_1d_direct(values, radius, p))) <= bound
+
+
+def test_transform_keeps_the_shape_of_the_momenta():
+    values = gaussian(np.linspace(-12.0, 12.0, 1025))
+    p = np.linspace(-3.0, 3.0, 35).reshape(7, 5)
+    got = transform_samples_1d(values, 12.0, p)
+    assert got.shape == (7, 5)
+    assert got.tobytes() == transform_samples_1d(values, 12.0, p.ravel()).tobytes()
+    assert transform_samples_1d(values, 12.0, np.empty((0, 3))).shape == (0, 3)
+
+
+def test_read_only_row_takes_one_fft(monkeypatch):
+    # the cached window starts wide enough for every momentum f1 and f2 ask
+    # of a slab: one FFT per transformed row (m_0 and m_1), however many angles
+    closed = gaussian_slab_2d(0.6 + 0.1j, 1.1)
+    prof = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
+    cfg = ScatteringConfig2D(k=0.9, ell=0.1, theta0=0.3)
+    ffts = []
+    fine_grid = numerics._fine_grid
+    monkeypatch.setattr(numerics, "_fine_grid", lambda v: ffts.append(v.size) or fine_grid(v))
+    for theta in (0.7, 2.0, -2.9):
+        amplitude_2d(prof, cfg, theta)
+    assert len(ffts) == 2
+    # a momentum beyond the floor still grows the window, to a fresh row's bits
+    row = _moment_samples(prof, cfg.k)[0]
+    far = np.array([0.4, 60.0, -75.0])
+    got = transform_samples_1d(row, prof.decay_radius, far)
+    assert len(ffts) == 3
+    assert got.tobytes() == transform_samples_1d(row.copy(), prof.decay_radius, far).tobytes()
+    assert transform_samples_1d(row, prof.decay_radius, 0.4) == got[0]
 
 
 def test_transform_samples_rejects_non_finite_momenta():
