@@ -38,9 +38,7 @@ from .amp3d import (
 from .cloak import (
     BilayerGeometry,
     CoatingMaterials,
-    InfeasibleDesignError,
     SlabMomentPair,
-    design_bilayer,
     design_geometry,
     export_geometry,
     verify_invisibility,
@@ -137,8 +135,6 @@ __all__ = [
     "CoatingMaterials",
     "SlabMomentPair",
     "BilayerGeometry",
-    "InfeasibleDesignError",
-    "design_bilayer",
     "design_geometry",
     "verify_invisibility",
     "export_geometry",

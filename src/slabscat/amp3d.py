@@ -131,23 +131,6 @@ def gaussian_Y(theta, phi, theta0, phi0, K):
     return float(val.real) / (2.0 * np.pi)
 
 
-_level_trig = {}  # n -> sin a, sin a cos b, sin a sin b at f2's tensor-level nodes
-
-
-def _direction_trig(alpha, beta):
-    """sin a, sin a cos b and sin a sin b; at tensor-level nodes, once per n, read only."""
-    n = np.shape(alpha)[0] if np.ndim(alpha) == 2 else None  # None: nested-scheme points
-    if n in _level_trig:
-        return _level_trig[n]
-    sin_a = np.sin(alpha)
-    trig = (sin_a, sin_a * np.cos(beta), sin_a * np.sin(beta))
-    if n is not None:
-        for array in trig:
-            array.setflags(write=False)
-        _level_trig[n] = trig
-    return trig
-
-
 def _runs(k):
     """(slice, value) of every run of equal values in the 1-D array k."""
     edges = [0, *(np.flatnonzero(np.diff(k)) + 1), k.size]
@@ -177,7 +160,8 @@ def _sweep_3d(profile, configs, directions, order=2, spec=None):
     in1, in2 = np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0)
 
     def integrand(live, alpha, beta):
-        sin_a, a1, a2 = _direction_trig(alpha, beta)
+        sin_a = np.sin(alpha)
+        a1, a2 = sin_a * np.cos(beta), sin_a * np.sin(beta)
         column = (-1,) + (1,) * a1.ndim
         out = np.stack([out1[live].reshape(column) - a1, out2[live].reshape(column) - a2], -1)
         incoming = np.stack([a1 - in1, a2 - in2], -1).reshape(-1, 2)

@@ -65,9 +65,15 @@ import numpy as np
 
 from .amp2d import _GRAZING_TOL, ScatteringConfig2D, _truncate, amplitude_2d
 from .amp3d import Direction3D, ScatteringConfig3D, _sweep_3d
-from .cloak import CoatingMaterials, SlabMomentPair, design_geometry, export_geometry
+from .cloak import (
+    CoatingMaterials,
+    SlabMomentPair,
+    _geometry_header,
+    design_geometry,
+    export_geometry,
+)
 from .dyson1d import scattering_1d, transfer_matrix_1d
-from .exactborn import Ex1Params, ex1_exact
+from .exactborn import Ex1Params, _beyond_support, ex1_exact
 from .kernels import amplitude_from_kernels
 from .numerics import AccuracyError, DomainError, QuadratureSpec
 from .profiles import CATALOG, profile_from_dict
@@ -402,7 +408,7 @@ def _validate_command(command, prof, phys, raw, violations):
             curves = [("kernels", 2), ("closed", 2)]
         elif command == "exact2d":
             curves.insert(0, ("exact", 0))
-            if profile is not None and physics["k"] > profile["alpha"] * (1.0 + 1e-12):
+            if profile is not None and _beyond_support(physics["k"], profile["alpha"]):
                 violations.append("exact2d requires k <= profile alpha")
         return profile, physics, Sweep("2d", "theta", thetas, curves)
 
@@ -539,7 +545,7 @@ def _chunk_2d(cfg):
         out = []
         for method, order in cfg.sweep.curves:
             if method == "exact":
-                if config.k > params.alpha * (1.0 + 1e-12):
+                if _beyond_support(config.k, params.alpha):
                     continue  # the exact formula stops being valid above alpha
                 value = ex1_exact(params, config, theta)
             elif method == "kernels":
@@ -681,12 +687,7 @@ def write_result(result, path, out_format):
         return
     ell1, ell2 = result.thicknesses(result.y_grid)
     payload = {
-        "ell": float(result.ell),
-        "ell_c": float(result.ell_c),
-        "feasible": bool(result.feasible),
-        "reason": result.reason,
-        "z1": [float(result.materials.z1.real), float(result.materials.z1.imag)],
-        "z2": [float(result.materials.z2.real), float(result.materials.z2.imag)],
+        **_geometry_header(result),
         "rows": [
             [float(y), float(l1), float(l2)]
             for y, l1, l2 in zip(result.y_grid, ell1, ell2)

@@ -40,12 +40,10 @@ from .numerics import DomainError
 from .profiles import CoatedProfile2D
 
 __all__ = [
-    "InfeasibleDesignError",
     "CoatingMaterials",
     "SlabMomentPair",
     "BilayerGeometry",
     "InvisibilityReport",
-    "design_bilayer",
     "design_geometry",
     "verify_invisibility",
     "export_geometry",
@@ -55,10 +53,6 @@ _IMAG_TOL = 1e-12
 _NEG_TOL = 1e-12
 # k*ell_c from which design_geometry warns that the low-frequency premise is strained
 _KL_WARN = 0.3
-
-
-class InfeasibleDesignError(DomainError):
-    """No real, nonnegative layer thicknesses exist for the requested design."""
 
 
 @dataclass(frozen=True)
@@ -175,14 +169,6 @@ def _design_arrays(w0, w1, z1, z2, ell):
     return ell1, np.where(ok, ell2, np.nan), ok, why
 
 
-def _check_inputs(ell, y, what):
-    """Refuse a bare thickness that is not positive and finite, or a non-finite y."""
-    if not 0 < ell < np.inf:
-        raise DomainError("ell must be positive and finite")
-    if not np.all(np.isfinite(y)):
-        raise DomainError(f"{what} must be finite")
-
-
 def _solve(moments, materials, ell, y):
     """The closed-form design at every y: (ell1, ell2, ok, why), each shaped like y."""
     y = np.asarray(y, dtype=float)
@@ -192,15 +178,6 @@ def _solve(moments, materials, ell, y):
     )
     ell1, ell2, ok, why = _design_arrays(w0, w1, materials.z1, materials.z2, ell)
     return ell1.reshape(y.shape), ell2.reshape(y.shape), ok.reshape(y.shape), why
-
-
-def design_bilayer(moments, materials, ell, y):
-    """Layer thicknesses (ell1, ell2) nulling both moments at one y."""
-    _check_inputs(ell, y, "y")
-    ell1, ell2, ok, why = _solve(moments, materials, ell, y)
-    if not ok:
-        raise InfeasibleDesignError(f"{why} (at y = {y:.6g})")
-    return float(ell1), float(ell2)
 
 
 def design_geometry(moments, materials, ell, y_grid, k=None):
@@ -215,7 +192,10 @@ def design_geometry(moments, materials, ell, y_grid, k=None):
     low-frequency premise is strained.
     """
     y_grid = np.asarray(y_grid, dtype=float)
-    _check_inputs(ell, y_grid, "y_grid values")
+    if not 0 < ell < np.inf:
+        raise DomainError("ell must be positive and finite")
+    if not np.all(np.isfinite(y_grid)):
+        raise DomainError("y_grid values must be finite")
     if y_grid.ndim != 1 or y_grid.size == 0:
         raise DomainError("y_grid must be a nonempty 1D array")
     l1, l2, ok, why = _solve(moments, materials, ell, y_grid)
@@ -273,21 +253,25 @@ def verify_invisibility(coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THET
     )
 
 
+def _geometry_header(geometry):
+    """A geometry's scalar fields as plain JSON values, for the CSV header and the JSON output."""
+    z1, z2 = geometry.materials.z1, geometry.materials.z2
+    return {
+        "ell": float(geometry.ell),
+        "ell_c": float(geometry.ell_c),
+        "feasible": bool(geometry.feasible),
+        "reason": geometry.reason,
+        "z1": [float(z1.real), float(z1.imag)],
+        "z2": [float(z2.real), float(z2.imag)],
+    }
+
+
 def export_geometry(geometry, path):
     """Write the coating outline as CSV (y, ell1, ell2) with a JSON header."""
-    z1, z2 = geometry.materials.z1, geometry.materials.z2
-    header = {
-        "ell": geometry.ell,
-        "ell_c": geometry.ell_c,
-        "feasible": geometry.feasible,
-        "reason": geometry.reason,
-        "z1": [z1.real, z1.imag],
-        "z2": [z2.real, z2.imag],
-    }
     y = geometry.y_grid
     l1, l2 = geometry.thicknesses(y)
     path = Path(path)
-    lines = ["# " + json.dumps(header, sort_keys=True), "y,ell1,ell2"]
+    lines = ["# " + json.dumps(_geometry_header(geometry), sort_keys=True), "y,ell1,ell2"]
     for yi, a, b in zip(y, l1, l2):
         lines.append("%.17g,%.17g,%.17g" % (yi, a, b))
     path.write_text("\n".join(lines) + "\n")

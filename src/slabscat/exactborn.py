@@ -150,9 +150,14 @@ def ttv(profile, p_x, p_y, k, ell, quadrature=None):
     return -(k * k) * ell * transform_samples_1d(values, profile.decay_radius, p_y)
 
 
+def _beyond_support(k, alpha):
+    """Whether k lies above the support threshold alpha, past the exact formula's reach."""
+    return k > alpha * _VALIDITY_SLACK
+
+
 def _check_validity(k, alpha):
     """Refuse k above the support threshold alpha rather than extrapolate."""
-    if k > alpha * _VALIDITY_SLACK:
+    if _beyond_support(k, alpha):
         raise DomainError(f"exact amplitude is only valid for k <= alpha = {alpha}; got k = {k}")
 
 

@@ -37,6 +37,7 @@ zero, are kept.
 transform_samples_2d sums with explicit phase factors.
 """
 
+import functools
 import threading
 import weakref
 from dataclasses import dataclass, replace
@@ -501,7 +502,6 @@ _NUFFT_BLOCK = 4096
 # so that the later momenta of a row seldom make it transform the row again.
 _NUFFT_WINDOW_FLOOR = 256
 
-_nufft_plans = {}
 # id(values) -> [weakref to values, half-width W, fine-grid bins -W .. W-1]
 _nufft_windows = {}
 _nufft_windows_lock = threading.Lock()
@@ -525,25 +525,26 @@ def _next_fast_len(n):
     return n
 
 
+@functools.lru_cache(maxsize=None)
 def _nufft_plan(count):
     """(fine-grid length, kernel transform at each sample offset) for count samples.
 
     The kernel transform is even in both the kernel's argument and the
     offset; it is accumulated one quadrature node at a time over the
-    nonnegative offsets, so no count x nodes matrix is ever formed.
+    nonnegative offsets, so no count x nodes matrix is ever formed.  The
+    array is read-only.
     """
-    plan = _nufft_plans.get(count)
-    if plan is None:
-        n_fine = _next_fast_len(2 * count)
-        offsets = np.arange(count) - (count - 1) // 2
-        scale = np.pi * _NUFFT_W / n_fine * np.arange(offsets[-1] + 1)
-        t, wq = gauss_legendre(_NUFFT_KERNEL_NODES)
-        z = 0.5 * (t + 1.0)
-        correction = np.zeros(scale.size)
-        for zq, weight in zip(z, 0.5 * wq * _es_kernel(z)):
-            correction += weight * np.cos(scale * zq)
-        plan = _nufft_plans[count] = (n_fine, _NUFFT_W * correction[np.abs(offsets)])
-    return plan
+    n_fine = _next_fast_len(2 * count)
+    offsets = np.arange(count) - (count - 1) // 2
+    scale = np.pi * _NUFFT_W / n_fine * np.arange(offsets[-1] + 1)
+    t, wq = gauss_legendre(_NUFFT_KERNEL_NODES)
+    z = 0.5 * (t + 1.0)
+    correction = np.zeros(scale.size)
+    for zq, weight in zip(z, 0.5 * wq * _es_kernel(z)):
+        correction += weight * np.cos(scale * zq)
+    correction = _NUFFT_W * correction[np.abs(offsets)]
+    correction.setflags(write=False)
+    return n_fine, correction
 
 
 def _fine_grid(values):
@@ -690,11 +691,10 @@ def transform_samples_2d(values, radius, pvec):
     return out[0] if single else out
 
 
-_leggauss_cache = {}
-
-
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n):
-    """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    if n not in _leggauss_cache:
-        _leggauss_cache[n] = np.polynomial.legendre.leggauss(n)
-    return _leggauss_cache[n]
+    """Cached Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    for array in (nodes, weights):
+        array.setflags(write=False)
+    return nodes, weights

@@ -88,11 +88,11 @@ class Profile2D:
     profile's transverse grid: ``sample_count`` uniform panels (a power of
     two) on [-decay_radius, decay_radius], a radius that bounds the support
     well enough for transforms truncated there to pass the edge-decay check.
-    With ``k_dependent`` False (the default) samples taken at one k are
-    reused at every k.  A profile is frozen (assigning to a field raises
-    FrozenInstanceError); ``dataclasses.replace`` derives a variant with a
-    cache of its own: ``analytic_moment=None, moment_y=None`` for the
-    sampled route, another ``sample_count``, or a wrapped ``eval``.
+    Those samples are cached per k, since w may depend on k.  A profile is
+    frozen (assigning to a field raises FrozenInstanceError);
+    ``dataclasses.replace`` derives a variant with a cache of its own:
+    ``analytic_moment=None, moment_y=None`` for the sampled route, another
+    ``sample_count``, or a wrapped ``eval``.
     """
 
     eval: Callable
@@ -101,7 +101,6 @@ class Profile2D:
     analytic_transform: Optional[Callable] = None
     analytic_moment: Optional[Callable] = None
     moment_y: Optional[Callable] = None
-    k_dependent: bool = False
     sample_count: int = 65536
     # interior x_frac where eval may kink or jump, set by the builders that
     # know them; the axial sampler starts its panels there
@@ -123,15 +122,14 @@ class Profile3D:
     ``eval`` takes (r1, r2, z_frac, k); ``analytic_moment`` takes
     (l, p1, p2, k).  The sampled route takes a (sample_count + 1)^2 mesh on
     [-decay_radius, decay_radius]^2, so ``sample_count`` is at most 4096.
-    Like a Profile2D it is frozen, reuses samples at every k unless
-    ``k_dependent``, and is varied by ``dataclasses.replace``.
+    Like a Profile2D it is frozen, caches its samples per k, and is varied
+    by ``dataclasses.replace``.
     """
 
     eval: Callable
     decay_radius: float
     descriptor: str = ""
     analytic_moment: Optional[Callable] = None
-    k_dependent: bool = False
     sample_count: int = 1024
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -179,7 +177,7 @@ def _spatial_moments(profile, y, k, orders):
 
 
 def _moment_samples(profile, k, route="moments"):
-    """Spatial moment samples on the profile's transverse grid, cached per route.
+    """Spatial moment samples on the profile's transverse grid, cached per route and k.
 
     The "moments" route samples m_l for l = 0, 1, 2 of a 2D profile on the
     1-D y grid, by _spatial_moments (closed or sampled), and for l = 0, 1 of
@@ -191,7 +189,7 @@ def _moment_samples(profile, k, route="moments"):
     under the key "C", by the same sampler nested: over x2 from the declared
     breaks, and at each x2 over t from the breaks b/x2 with b < x2.
     """
-    key = (route, float(k) if profile.k_dependent else None)
+    key = (route, float(k))
     if key in profile._cache:
         return profile._cache[key]
     r = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
@@ -240,7 +238,7 @@ def moment_2d(profile, l, p, k):
     p : float or ndarray
         Transverse momentum (vectorized, any shape).
     k : float
-        Wavenumber (enters only through k-dependent profiles).
+        Wavenumber: w may depend on it, so sampled moments are cached per k.
 
     Returns
     -------
@@ -615,7 +613,6 @@ def coated_profile(slab, geometry, z1, z2):
         sample_count=slab.sample_count,
         descriptor=f"coated({slab.descriptor}; z1={z1}, z2={z2})",
         moment_y=w_moment_y,
-        k_dependent=slab.k_dependent,
         geometry=geometry,
     )
 

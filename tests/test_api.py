@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import slabscat
 
 MODULES = (
@@ -110,6 +112,7 @@ def test_import_does_not_load_the_ode_solver():
     assert out.stdout.split() == ["False"] * 4
 
 
+@pytest.mark.slow
 def test_a_failing_property_fails_the_run_cleanly(tmp_path):
     # under the suite's settings (warnings are errors) a failing hypothesis
     # property is an ordinary failure: exit code 1, not an INTERNALERROR (3)

@@ -18,9 +18,7 @@ from slabscat.cli import write_result
 from slabscat.cloak import (
     BilayerGeometry,
     CoatingMaterials,
-    InfeasibleDesignError,
     SlabMomentPair,
-    design_bilayer,
     design_geometry,
     export_geometry,
     verify_invisibility,
@@ -41,6 +39,13 @@ def _gaussian_moments(z0, L):
     return SlabMomentPair(w0bar=lambda y: z0 * g(y), w1bar=lambda y: 0.5 * z0 * g(y))
 
 
+def _design_at(moments, materials, ell, y=0.0):
+    """design_geometry on the one-point grid [y]: the geometry and (ell1, ell2) there."""
+    geom = design_geometry(moments, materials, ell, [y])
+    l1, l2 = geom.thicknesses(geom.y_grid)
+    return geom, (float(l1[0]), float(l2[0]))
+
+
 def test_materials_validation():
     with pytest.raises(DomainError):
         CoatingMaterials(z1=0.3, z2=0.3)
@@ -55,12 +60,14 @@ def test_materials_validation():
 def test_design_trivial_and_pinned_values():
     mats = CoatingMaterials(z1=-1.0, z2=0.4)
     zero = SlabMomentPair(w0bar=lambda y: 0.0, w1bar=lambda y: 0.0)
-    assert design_bilayer(zero, mats, 0.37, 0.0) == (0.0, 0.0)
+    geom, thicknesses = _design_at(zero, mats, 0.37)
+    assert geom.feasible and thicknesses == (0.0, 0.0)
 
     # unit-amplitude Gaussian profile at its peak: hand-evaluated thicknesses
     ell = 0.37
     moments = _gaussian_moments(1.0, 2.0 * ell)
-    l1, l2 = design_bilayer(moments, mats, ell, 0.0)
+    geom, (l1, l2) = _design_at(moments, mats, ell)
+    assert geom.feasible
     assert l2 == pytest.approx(ell * FIG_RATIO, rel=1e-12)
     assert l1 == pytest.approx(ell * (1.0 + 0.4 * FIG_RATIO), rel=1e-12)
 
@@ -73,8 +80,8 @@ def test_design_nulls_the_moment_equations():
         w0 = rng.uniform(0.0, 1.5)
         w1 = rng.uniform(0.0, w0) if w0 > 0 else 0.0
         pair = SlabMomentPair(w0bar=lambda y: w0, w1bar=lambda y: w1)
-        l1, l2 = design_bilayer(pair, mats, ell, 0.0)
-        assert l1 >= 0.0 and l2 >= 0.0
+        geom, (l1, l2) = _design_at(pair, mats, ell)
+        assert geom.feasible and l1 >= 0.0 and l2 >= 0.0
         r1 = mats.z1 * l1 + mats.z2 * l2 + ell * w0
         r2 = (
             mats.z1 * l1 * (l1 + 2 * ell)
@@ -88,18 +95,21 @@ def test_design_nulls_the_moment_equations():
 def test_design_infeasible_paths():
     mats = CoatingMaterials(z1=-1.0, z2=0.4)
     complex_pair = SlabMomentPair(w0bar=lambda y: 0.5 + 0.2j, w1bar=lambda y: 0.25)
-    with pytest.raises(DomainError):
-        design_bilayer(complex_pair, mats, 1.0, 0.0)
     negative_radicand = SlabMomentPair(w0bar=lambda y: 0.1, w1bar=lambda y: 5.0)
-    with pytest.raises(InfeasibleDesignError):
-        design_bilayer(negative_radicand, mats, 1.0, 0.0)
+    pair = SlabMomentPair(w0bar=lambda y: 1.0, w1bar=lambda y: 1.0)
     # positive z1 makes the inner thickness negative
     mats_pos = CoatingMaterials(z1=1.0, z2=2.0)
-    pair = SlabMomentPair(w0bar=lambda y: 1.0, w1bar=lambda y: 1.0)
-    with pytest.raises(InfeasibleDesignError):
-        design_bilayer(pair, mats_pos, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        design_bilayer(pair, mats, -1.0, 0.0)
+    for moments, materials, why in (
+        (complex_pair, mats, "slab moments must be real-valued"),
+        (negative_radicand, mats, "square-root argument is negative"),
+        (pair, mats_pos, "inner thickness comes out negative"),
+    ):
+        geom, (l1, l2) = _design_at(moments, materials, 1.0)
+        assert not geom.feasible
+        assert geom.reason.startswith(why) and geom.reason.endswith("y = 0)")
+        assert np.isnan(l1) and np.isnan(l2)
+    with pytest.raises(DomainError, match="ell must be positive"):
+        design_geometry(pair, mats, -1.0, [0.0])
 
 
 def test_design_profiled_matches_bilayer():
@@ -111,13 +121,15 @@ def test_design_profiled_matches_bilayer():
     for y in (-1.3, -0.2, 0.0, 0.45, 2.0):
         zg = profiled.w0bar(y)
         X = zg * (zg - z1) / (z2 * (z2 - z1))
-        l1, l2 = design_bilayer(profiled, CoatingMaterials(z1=z1, z2=z2), ell, y)
+        geom, (l1, l2) = _design_at(profiled, CoatingMaterials(z1=z1, z2=z2), ell, y)
+        assert geom.feasible
         assert l2 == pytest.approx(ell * np.sqrt(X), rel=1e-12, abs=1e-15)
         assert l1 == pytest.approx(-ell * (z2 * np.sqrt(X) + zg) / z1, rel=1e-12, abs=1e-15)
 
     # a zero profile needs no coating
     zero = _gaussian_moments(0.0, 2.0 * ell)
-    assert design_bilayer(zero, CoatingMaterials(z1=z1, z2=z2), ell, 0.0) == (0.0, 0.0)
+    geom, thicknesses = _design_at(zero, CoatingMaterials(z1=z1, z2=z2), ell)
+    assert geom.feasible and thicknesses == (0.0, 0.0)
 
 
 def test_geometry_on_the_gaussian_example():
@@ -168,14 +180,18 @@ def test_design_refuses_non_finite_moments_and_inputs():
     assert geom.reason.startswith("slab moments must be finite")
     assert geom.reason.endswith("y = 0)")
     assert np.isnan(geom.thicknesses(0.0)[0]) and np.isfinite(geom.thicknesses(1.0)[0])
-    with pytest.raises(InfeasibleDesignError, match="slab moments must be finite"):
-        design_bilayer(nan_at_zero, mats, ell, 0.0)
-    for bad_ell, grid in ((np.inf, y_grid), (ell, [0.0, np.nan, 1.0]), (ell, [0.0, np.inf])):
+    geom, (l1, _) = _design_at(nan_at_zero, mats, ell)
+    assert not geom.feasible and np.isnan(l1)
+    assert geom.reason.startswith("slab moments must be finite")
+    for bad_ell, grid in (
+        (np.inf, y_grid),
+        (ell, [0.0, np.nan, 1.0]),
+        (ell, [0.0, np.inf]),
+        (np.inf, [0.0]),
+        (ell, [np.nan]),
+    ):
         with pytest.raises(DomainError, match="finite"):
             design_geometry(good, mats, bad_ell, grid)
-    for bad_ell, y in ((np.inf, 0.0), (ell, np.nan)):
-        with pytest.raises(DomainError, match="finite"):
-            design_bilayer(good, mats, bad_ell, y)
 
 
 def test_designed_cloak_is_invisible():
@@ -248,7 +264,6 @@ def test_verify_zero_thickness_and_k_mismatch():
         ),
         decay_radius=12.0 * L,
         moment_y=lambda y, k: tuple(zk(k) * g(y) / (l + 1.0) for l in (0, 1, 2)),
-        k_dependent=True,
     )
     k1, k2 = 1.0, 2.0
     moments = _gaussian_moments(zk(k1), L)

@@ -25,6 +25,7 @@ from slabscat.numerics import (
     _WG,
     _integrate_moments,
     _next_fast_len,
+    _nufft_plan,
     _transform_samples_1d_direct,
 )
 from slabscat import numerics
@@ -480,3 +481,9 @@ def test_gauss_legendre_cached_and_exact():
     assert_allclose(np.dot(w, x**8), 2.0 / 9.0, rtol=1e-13)
     x2, w2 = gauss_legendre(5)
     assert x2 is x and w2 is w
+    # cached arrays are shared, so no caller may write to them
+    correction = _nufft_plan(257)[1]
+    for array in (x, w, correction):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0

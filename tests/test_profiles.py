@@ -191,6 +191,7 @@ def test_analytic_vs_numeric_transform_gaussian():
     assert prof.analytic_transform(1.7, 0.5, 1.0) == 0.0
 
 
+@pytest.mark.slow
 def test_analytic_vs_numeric_transform_ex1():
     # the 1/y^2 tail makes this the hard catalog case: wide window, dense grid
     rng = np.random.default_rng(99)
@@ -487,6 +488,30 @@ def test_numeric_moments_share_the_sample_cache():
     assert sampled > 0
     moment_2d(bare, 2, 0.4, 1.0)
     assert len(calls) == sampled  # every order comes from the same samples
+
+
+def test_sampled_moments_are_cached_per_k():
+    # w = k e^{-|r|^2 / 2} / 2: samples taken at one k must not stand in for
+    # another, so a profile asked at k = 1 and then at k = 2 (or the other way
+    # round) gives at each k what a fresh profile gives there
+    def w2(x, y, k):
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        return np.where((x >= 0) & (x <= 1), 0.5 * k * np.exp(-0.5 * y * y), 0.0)
+
+    def w3(r1, r2, z, k):
+        r1, r2, z = np.broadcast_arrays(r1, r2, np.asarray(z, float))
+        g = np.exp(-0.5 * (r1 * r1 + r2 * r2))
+        return np.where((z >= 0) & (z <= 1), 0.5 * k * g, 0.0)
+
+    for build, moment, p in (
+        (lambda: Profile2D(eval=w2, decay_radius=12.0, sample_count=1024), moment_2d, 0.4),
+        (lambda: Profile3D(eval=w3, decay_radius=12.0, sample_count=64), moment_3d, (0.4, 0.2)),
+    ):
+        fresh = {k: moment(build(), 0, p, k) for k in (1.0, 2.0)}
+        assert_allclose(fresh[2.0], 2.0 * fresh[1.0], rtol=1e-12)
+        for order in ((1.0, 2.0), (2.0, 1.0)):
+            prof = build()
+            assert [moment(prof, 0, p, k) for k in order] == [fresh[k] for k in order]
 
 
 def test_sampled_moments_do_not_depend_on_call_order_or_threads():
