@@ -1,8 +1,8 @@
 """Low-frequency scattering by inhomogeneous planar slabs.
 
 Closed-form first- and second-order scattering amplitudes in two and three
-dimensions, an independent operator-kernel evaluation path, an exactly
-solvable profile class, bilayer invisibility-cloak design, and a 1D
+dimensions, an independent operator-kernel evaluation path, the exactly
+solvable one-sided profile ex1, bilayer invisibility-cloak design, and a 1D
 transfer-matrix series.
 
 The usual entry points are re-exported here; the implementation lives in
@@ -11,7 +11,7 @@ The usual entry points are re-exported here; the implementation lives in
 * :mod:`slabscat.profiles`  - permittivity profiles and their moments
 * :mod:`slabscat.amp2d`     - 2D amplitude coefficients f1, f2
 * :mod:`slabscat.amp3d`     - 3D amplitude coefficients and cross sections
-* :mod:`slabscat.exactborn` - exactly solvable one-sided profile class
+* :mod:`slabscat.exactborn` - the exactly solvable one-sided profile ex1
 * :mod:`slabscat.kernels`   - discretized operator-kernel cross-check route
 * :mod:`slabscat.cloak`     - bilayer coating design and verification
 * :mod:`slabscat.dyson1d`   - 1D transfer matrix as an ordered series
@@ -52,14 +52,11 @@ from .dyson1d import (
     transfer_matrix_1d,
 )
 from .exactborn import (
-    BornExactProfile,
     Ex1Params,
     ex1_exact,
     ex1_f1,
     ex1_f2,
-    exact_amplitude,
     extract_series_coefficients,
-    is_born_exact,
     x_function,
 )
 from .kernels import amplitude_from_kernels, momentum_grid
@@ -118,11 +115,8 @@ __all__ = [
     "normalized_cross_section",
     "gaussian_h",
     "gaussian_Y",
-    # exactly solvable class
-    "BornExactProfile",
+    # the exactly solvable profile ex1
     "Ex1Params",
-    "is_born_exact",
-    "exact_amplitude",
     "ex1_exact",
     "ex1_f1",
     "ex1_f2",

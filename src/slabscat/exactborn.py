@@ -1,4 +1,4 @@
-"""Profiles whose first Born approximation is the exact amplitude.
+"""The exactly solvable one-sided profile class.
 
 If the transverse spectrum of the profile is one-sided,
 
@@ -11,41 +11,27 @@ scattering amplitude,
     vv(p_x, p_y; k) = -k^2 INT_0^ell dx e^{-i x p_x} w~(x/ell, p_y; k),
 
 and such slabs are perfectly invisible for k <= alpha/2 (the momentum
-transfer k*s never reaches the support edge).  The module provides the
-support-condition predicate, the exact amplitude, the worked one-sided
-example
+transfer k*s never reaches the support edge).  The module provides the worked
+one-sided example
 
     w(x_frac, y) = z e^{i alpha y} / (y/L + i)^2
 
-with its closed-form coefficients (including the arcsine bracket
-x_function), and a Richardson extractor that recovers the series
-coefficients from any amplitude-of-thickness function.
+with its exact amplitude ex1_exact, its closed-form coefficients (including
+the arcsine bracket x_function), and a Richardson extractor that recovers the
+series coefficients from any amplitude-of-thickness function.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .amp2d import c_factor, s_factor
-from .numerics import (
-    DomainError,
-    QuadratureSpec,
-    TransformSpec,
-    _integrate_moments,
-    check_edge_decay,
-    fourier_1d,
-    integrate_1d,
-    transform_samples_1d,
-)
-from .profiles import Profile2D
+from .numerics import DomainError
 
 __all__ = [
-    "BornExactProfile",
     "Ex1Params",
-    "is_born_exact",
-    "ttv",
-    "exact_amplitude",
     "ex1_exact",
     "ex1_f1",
     "ex1_f2",
@@ -67,87 +53,12 @@ class Ex1Params:
     L: float
 
     def __post_init__(self):
+        if not cmath.isfinite(self.z):
+            raise DomainError("z must be finite")
         if not 0 < self.alpha < math.inf:
             raise DomainError("alpha must be positive and finite")
         if not 0 < self.L < math.inf:
             raise DomainError("L must be positive and finite")
-
-
-# sampling grid of the one-sided support probe: momenta per side, x_frac
-# slices, the tolerated below/above magnitude ratio, and the probing k
-_SUPPORT_P_COUNT = 25
-_SUPPORT_X_COUNT = 5
-_SUPPORT_REL_TOL = 1e-9
-_SUPPORT_K = 1.0
-
-
-def _transform_slice(profile, x_frac, p, k):
-    """w~(x_frac, p; k) on a 1-D array of momenta p; a closed w~ also broadcasts x_frac."""
-    if profile.analytic_transform is not None:
-        return np.asarray(profile.analytic_transform(x_frac, p, k), dtype=complex)
-    spec = TransformSpec(profile.decay_radius, profile.sample_count)
-    return fourier_1d(lambda y: profile.eval(x_frac, y, k), p, spec)
-
-
-def is_born_exact(profile, alpha):
-    """Probe whether w~(x_frac, p; k) vanishes for all p <= alpha.
-
-    The transform is sampled on a grid of x_frac slices and momenta below
-    alpha; the largest magnitude found there is compared against the largest
-    magnitude on the mirrored grid above alpha.  Each slice is transformed
-    once, at all of its momenta.  A profile that is zero everywhere passes
-    vacuously.
-    """
-    k = _SUPPORT_K
-    # momentum span: wide enough to cover both the reflected support window
-    # and the spectral width suggested by the decay radius
-    span = 2.0 * abs(alpha) + 100.0 / profile.decay_radius
-    offsets = span * np.linspace(0.0, 1.0, _SUPPORT_P_COUNT) ** 2
-    momenta = np.concatenate((alpha - offsets, alpha + offsets[1:]))
-    xs = np.linspace(0.05, 0.95, _SUPPORT_X_COUNT)
-    below = 0.0
-    above = 0.0
-    for xf in xs:
-        magnitude = np.abs(_transform_slice(profile, xf, momenta, k))
-        below = max(below, np.max(magnitude[:_SUPPORT_P_COUNT]))
-        above = max(above, np.max(magnitude[_SUPPORT_P_COUNT:]))
-    return below <= _SUPPORT_REL_TOL * max(above, below)
-
-
-@dataclass(frozen=True)
-class BornExactProfile:
-    """A profile paired with its verified support threshold alpha (frozen)."""
-
-    base: Profile2D
-    alpha: float
-
-    def __post_init__(self):
-        if not is_born_exact(self.base, self.alpha):
-            raise DomainError(
-                "the profile's transform does not vanish below the support "
-                f"threshold alpha = {self.alpha}"
-            )
-
-
-def ttv(profile, p_x, p_y, k, ell, quadrature=None):
-    """Interaction transform -k^2 INT_0^ell dx e^{-i x p_x} w~(x/ell, p_y; k).
-
-    ``ell`` is the slab thickness; the axial integral is adaptive in the
-    scaled coordinate, to ``quadrature`` (default QuadratureSpec()): by
-    integrate_1d of a closed transform, else by the axial sampler over the
-    rows e^{-i ell p_x x_frac} w(x_frac, y) on the transverse grid, whose
-    one integrated row is checked for edge decay and transformed at p_y.
-    """
-    spec = quadrature or QuadratureSpec()
-    phase = lambda xf: np.exp(-1j * ell * p_x * xf)
-    if profile.analytic_transform is not None:
-        integrand = lambda xf: phase(xf) * _transform_slice(profile, xf, p_y, k)
-        return -(k * k) * ell * integrate_1d(integrand, 0.0, 1.0, spec)
-    y = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
-    row = lambda xf: phase(xf) * profile.eval(xf, y, k)
-    values = _integrate_moments(row, (0,), profile._axial_breaks, spec)[0]
-    check_edge_decay(values, "integrand")
-    return -(k * k) * ell * transform_samples_1d(values, profile.decay_radius, p_y)
 
 
 def _beyond_support(k, alpha):
@@ -159,20 +70,6 @@ def _check_validity(k, alpha):
     """Refuse k above the support threshold alpha rather than extrapolate."""
     if _beyond_support(k, alpha):
         raise DomainError(f"exact amplitude is only valid for k <= alpha = {alpha}; got k = {k}")
-
-
-def exact_amplitude(profile, config, theta, quadrature=None):
-    """Exact amplitude of a Born-exact profile for k <= alpha.
-
-    ``profile`` is a BornExactProfile; requesting k above its support
-    threshold is refused rather than extrapolated.
-    """
-    _check_validity(config.k, profile.alpha)
-    k = config.k
-    c = c_factor(theta, config.theta0)
-    s = s_factor(theta, config.theta0)
-    value = ttv(profile.base, k * c, k * s, k, config.ell, quadrature)
-    return -value / (2.0 * math.sqrt(2.0 * math.pi))
 
 
 def ex1_f1(params, config, theta):

@@ -11,8 +11,7 @@ Conventions used throughout the package:
   they take an ndarray of abscissae and return the matching ndarray (or an
   array that broadcasts to it).  A 2-D integrand f(x, y) receives
   broadcastable arrays of shapes (n, 1) and (1, 2n) and returns the (n, 2n)
-  values (a batch integrand gets the indices of its live integrands first);
-  on the nested path it receives a scalar x and a 1-D ndarray of y values.
+  values (a batch integrand gets the indices of its live integrands first).
   An exception an integrand raises propagates.
 * Every transform of sampled data truncated to a finite window is guarded by
   ``check_edge_decay``, the package's single truncation check.
@@ -22,9 +21,9 @@ per-panel error estimates (the classic QUADPACK 15-point constants); its loop
 also drives _integrate_moments, the one axial sampler of eval-only profiles.
 integrate_2d is a tensor Gauss-Legendre rule whose order doubles until two
 levels agree (exponentially convergent for smooth integrands, Trefethen &
-Weideman, SIAM Rev. 56(3), 2014); integrands it does not resolve by n = 256
-fall back to nested integrate_1d calls; a batch of them (a sweep curve) is
-evaluated in blocks of at most 2^14 values.
+Weideman, SIAM Rev. 56(3), 2014); an integrand it does not resolve by
+n = 256 raises AccuracyError; a batch of them (a sweep curve) is evaluated in
+blocks of at most 2^14 values.
 
 transform_samples_1d evaluates the trapezoid sum over uniform samples at
 off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
@@ -411,17 +410,15 @@ def integrate_2d(f, a, b, c, d, spec=None, batch=None):
     is returned: f(live, x, y) returns the (live.size, n, 2n) values of the
     integrands ``live`` still running, called once per block of at most
     max(1, 2^14 // 2n^2).  Each stops at its own level, bit for bit as alone.
-
-    If the rule has not converged at n = 256 (a kinked integrand), the
-    nested adaptive scheme takes over, for that integrand alone.  There f
-    is called with a scalar x and a 1-D ndarray of y values (in a batch,
-    with one index in ``live``).  An exception f raises propagates.
+    An exception f raises propagates.
 
     Raises
     ------
     AccuracyError
-        At once if a level's sum is not finite (the message names the
-        rectangle); or if the nested adaptive scheme fails to converge.
+        At once if a level's sum is not finite; or if an integrand has not
+        converged at n = 256 (a kinked one, say), with the n = 256 sum as
+        ``estimate`` and its gap to the n = 128 sum as ``error_estimate``.
+        The message names the rectangle, and in a batch the integrand.
     ValueError
         If f returns values that do not broadcast to its abscissae.
     """
@@ -433,31 +430,19 @@ def integrate_2d(f, a, b, c, d, spec=None, batch=None):
         if not live.size:
             break
         totals = _tensor_level(g, live, a, b, c, d, n)
-        tol = [max(spec.abs_tol, spec.rel_tol * abs(total)) for total in totals]
-        done = np.array([abs(t - p) <= e for t, p, e in zip(totals, previous, tol)])
+        gaps = np.abs(totals - previous)
+        done = gaps <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(totals))
         out[live[done]] = totals[done]
-        live, previous = live[~done], totals[~done]
-    for j in live:  # unconverged at n = 256
-        out[j] = _integrate_2d_nested(lambda x, y: g(np.array([j]), x, y)[0], a, b, c, d, spec)
-    return out if batch is not None else out[0]
-
-
-def _integrate_2d_nested(f, a, b, c, d, spec):
-    """Iterated adaptive integration of f(x, y) over [a, b] x [c, d].
-
-    The inner (y) integral runs at a tenth of the requested tolerances so the
-    outer adaptive pass sees a consistent integrand ("tolerance splitting").
-    f is called as f(x, y) with a scalar x and an ndarray of y values.
-    """
-    inner_spec = replace(spec, rel_tol=0.1 * spec.rel_tol, abs_tol=0.1 * spec.abs_tol)
-
-    def outer(xs):
-        return np.array(
-            [integrate_1d(lambda y: f(x, y), c, d, inner_spec) for x in xs],
-            dtype=complex,
+        live, previous, gaps = live[~done], totals[~done], gaps[~done]
+    if live.size:
+        which = f" (integrand {live[0]})" if batch is not None else ""
+        raise AccuracyError(
+            f"integrate_2d did not converge by n = {_TENSOR_ORDERS[-1]} on [{a:.17g}, {b:.17g}]"
+            f" x [{c:.17g}, {d:.17g}]{which} (error estimate {gaps[0]:.3e})",
+            estimate=previous[0],
+            error_estimate=gaps[0],
         )
-
-    return integrate_1d(outer, a, b, spec)
+    return out if batch is not None else out[0]
 
 
 def _trapezoid_weights(n_panels, h):
@@ -465,26 +450,6 @@ def _trapezoid_weights(n_panels, h):
     w[0] = 0.5 * h
     w[-1] = 0.5 * h
     return w
-
-
-def _transform_samples_1d_direct(values, radius, p):
-    """transform_samples_1d as the explicit sum over every sample (test oracle)."""
-    values = np.asarray(values, dtype=complex)
-    n = values.size - 1
-    wf = _trapezoid_weights(n, 2.0 * radius / n) * values
-    wfr = wf.real.copy()
-    wfi = wf.imag.copy()
-    y = np.linspace(-radius, radius, n + 1)
-
-    scalar = np.isscalar(p) or np.asarray(p).ndim == 0
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
-    out = np.empty(p_arr.size, dtype=complex)
-    for i, pi in enumerate(p_arr):
-        ph = pi * y
-        cs = np.cos(ph)
-        sn = np.sin(ph)
-        out[i] = (cs @ wfr + sn @ wfi) + 1j * (cs @ wfi - sn @ wfr)
-    return out[0] if scalar else out
 
 
 # Type-2 NUFFT: the "exponential of semicircle" kernel exp(beta (sqrt(1 - z^2)

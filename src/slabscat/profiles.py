@@ -77,8 +77,6 @@ class Profile2D:
     returns w, already zero outside x_frac in [0, 1].  The optional closed
     forms, when present, must agree with ``eval``:
 
-    * analytic_transform(x_frac, p, k): transverse Fourier transform,
-      broadcasting x_frac against p,
     * analytic_moment(l, p, k): transform moment m_l(p; k), vectorized in p,
     * moment_y(y, k): the spatial moments (w_0, w_1, w_2)(y; k) in one call,
       each shaped like y.
@@ -98,7 +96,6 @@ class Profile2D:
     eval: Callable
     decay_radius: float
     descriptor: str = ""
-    analytic_transform: Optional[Callable] = None
     analytic_moment: Optional[Callable] = None
     moment_y: Optional[Callable] = None
     sample_count: int = 65536
@@ -326,8 +323,8 @@ def _separable_2d(
     """Profile2D of w(x_frac, y) = a(x_frac) g(y), given its a_l for l = 0, 1, 2.
 
     Every moment closes through a_l = INT_0^1 x_frac^l a dx_frac: w_l = a_l g(y),
-    and with the transverse transform g~ also w~ = a(x_frac) g~(p) and
-    m_l = a_l g~(p).  ``breaks`` are the x_frac where a kinks or jumps.
+    and with the transverse transform g~ also m_l = a_l g~(p).  ``breaks`` are
+    the x_frac where a kinks or jumps.
     """
 
     def w_eval(x_frac, y, k):
@@ -339,19 +336,9 @@ def _separable_2d(
         )
         return np.where(_unit_mask(x_frac), vals, 0.0)
 
-    closed = {}
+    analytic_moment = None
     if transverse_transform is not None:
-        def w_transform(x_frac, p, k):
-            x_frac, p = np.broadcast_arrays(
-                np.asarray(x_frac, dtype=float), np.asarray(p, dtype=float)
-            )
-            vals = np.asarray(axial(x_frac), dtype=complex) * np.asarray(
-                transverse_transform(p), dtype=complex
-            )
-            return np.where(_unit_mask(x_frac), vals, 0.0)
-
-        closed["analytic_transform"] = w_transform
-        closed["analytic_moment"] = lambda l, p, k: a_l[l] * np.asarray(
+        analytic_moment = lambda l, p, k: a_l[l] * np.asarray(
             transverse_transform(p), dtype=complex
         )
 
@@ -363,9 +350,9 @@ def _separable_2d(
         eval=w_eval,
         decay_radius=float(decay_radius),
         descriptor=descriptor,
+        analytic_moment=analytic_moment,
         moment_y=w_moment_y,
         _axial_breaks=tuple(breaks),
-        **closed,
     )
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from slabscat.profiles import (
     Profile2D,
     ex1_profile,
     gaussian_slab_2d,
+    layered_profile,
     moment_2d,
     separable_profile,
 )
@@ -251,6 +254,51 @@ def test_dimensionless_scaling_on_the_sampled_route(kind, z, L, k, s, theta, the
             rtol=1e-10,
             atol=1e-12 * scale * (1.0 + scale),
         )
+
+
+def _real_slab(kind, z, L):
+    """A real 2D slab of transverse width L with closed moments: a Gaussian, a
+    separable slab and a three-layer slab, the last two asymmetric in x and y."""
+    if kind == "gaussian":
+        return gaussian_slab_2d(z, L)
+
+    def transverse(y):
+        u = np.asarray(y) / L
+        return z * (1.0 + 0.4 * u) * np.exp(-0.5 * u * u)
+
+    def transform(p):
+        q = L * np.asarray(p)
+        return z * np.sqrt(2 * np.pi) * L * (1.0 - 0.4j * q) * np.exp(-0.5 * q * q)
+
+    if kind == "separable":
+        axial = lambda x: 1.0 + 0.5 * x - 0.8 * x * x
+        return separable_profile(axial, transverse, 12.0 * L, transverse_transform=transform)
+    return layered_profile([0.0, 0.3, 0.7, 1.0], [1.5, -0.5, 2.0], transverse, 12.0 * L, transform)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gaussian", "separable", "layered"]),
+    eval_only=st.booleans(),
+    z=st.builds(lambda m, sign: m if sign else -m, st.floats(0.1, 3.0), st.booleans()),
+    L=st.floats(0.3, 2.0),
+    k=st.floats(0.1, 2.0),
+    theta0=_ANGLE,
+)
+def test_optical_theorem_at_second_order(kind, eval_only, z, L, k, theta0):
+    # for real w, Im f2(theta0) = INT_{-pi}^{pi} |f1|^2 dtheta / (2 sqrt(2 pi)),
+    # on the closed route and on the eval-only twin's sampled one
+    prof = _real_slab(kind, z, L)
+    if eval_only:
+        prof = replace(prof, analytic_moment=None, moment_y=None, sample_count=4096)
+    cfg = ScatteringConfig2D(k=k, ell=0.1, theta0=theta0)
+    spec = QuadratureSpec()
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+    power = lambda theta: np.abs(f1_2d(prof, cfg, theta)) ** 2
+    edges = (-np.pi, -0.5 * np.pi, 0.5 * np.pi, np.pi)
+    flux = sum(integrate_1d(power, a, b, tight) for a, b in zip(edges[:-1], edges[1:]))
+    f2 = f2_2d(prof, cfg, theta0, spec)
+    assert_allclose(f2.imag, flux.real / (2.0 * np.sqrt(2.0 * np.pi)), rtol=spec.rel_tol)
 
 
 def test_amplitude_assembly_and_orders():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,10 @@ from slabscat.amp3d import (
 from slabscat.numerics import (
     DomainError,
     QuadratureSpec,
-    _integrate_2d_nested,
+    integrate_1d,
     integrate_2d,
 )
-from slabscat.profiles import Profile3D, gaussian_slab_3d
+from slabscat.profiles import Profile3D, gaussian_slab_3d, moment_3d
 
 # frozen via e^{-K^2} sqrt(pi)/(2K) erfi(K); the Riemann oracle below agrees
 Y_FORWARD_K1 = 0.5380795069127684
@@ -148,6 +150,24 @@ def test_Y_against_riemann_oracle_and_frozen_values():
     )
 
 
+def _integrate_2d_nested(f, a, b, c, d, spec):
+    """Iterated adaptive integration of f(x, y) over [a, b] x [c, d] (test oracle).
+
+    The inner (y) integral runs at a tenth of the requested tolerances so the
+    outer adaptive pass sees a consistent integrand ("tolerance splitting").
+    f is called as f(x, y) with a scalar x and an ndarray of y values.
+    """
+    inner_spec = replace(spec, rel_tol=0.1 * spec.rel_tol, abs_tol=0.1 * spec.abs_tol)
+
+    def outer(xs):
+        return np.array(
+            [integrate_1d(lambda y: f(x, y), c, d, inner_spec) for x in xs],
+            dtype=complex,
+        )
+
+    return integrate_1d(outer, a, b, spec)
+
+
 @pytest.mark.parametrize("K", [0.5, 2.0, 4.0, 8.0])
 def test_tensor_rule_matches_nested_scheme_on_Y_integrands(K):
     theta, phi, theta0, phi0 = 2.3, 1.1, 0.4, 0.7
@@ -214,6 +234,38 @@ def test_reciprocity(z_re, z_im, L, k, theta, phi, theta0, phi0):
         assert_allclose(
             coefficient(prof, swapped, d_swapped), coefficient(prof, cfg, d), rtol=1e-12
         )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    z=st.builds(lambda m, sign: m if sign else -m, st.floats(0.1, 3.0), st.booleans()),
+    L=st.floats(0.2, 2.0),
+    k=st.floats(0.1, 2.0),
+    theta0=_POLAR,
+    phi0=_AZIMUTH,
+)
+def test_optical_theorem_at_second_order(z, L, k, theta0, phi0):
+    # for real w, Im f2 forward = k / (4 pi sqrt(2 pi)) * INT |f1|^2 over the sphere
+    prof = gaussian_slab_3d(z, L)
+    cfg = ScatteringConfig3D(k=k, ell=0.1, theta0=theta0, phi0=phi0)
+    spec = QuadratureSpec()
+    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+
+    def f1(theta, phi):  # f1_3d on a mesh of directions
+        g = np.stack(np.broadcast_arrays(*g_vector(theta, phi, theta0, phi0)), axis=-1)
+        m0 = moment_3d(prof, 0, k * g.reshape(-1, 2), k).reshape(g.shape[:-1])
+        return k / (2.0 * np.sqrt(2.0 * np.pi)) * m0
+
+    d = Direction3D(2.0, 1.0)
+    assert_allclose(f1(np.array(d.theta), np.array(d.phi)), f1_3d(prof, cfg, d), rtol=1e-15)
+    power = lambda theta, phi: np.sin(theta) * np.abs(f1(theta, phi)) ** 2
+    flux = sum(
+        integrate_2d(power, a, b, 0.0, 2.0 * np.pi, tight)
+        for a, b in ((0.0, 0.5 * np.pi), (0.5 * np.pi, np.pi))
+    )
+    f2 = f2_3d(prof, cfg, Direction3D(theta0, phi0), spec)
+    c = k / (4.0 * np.pi * np.sqrt(2.0 * np.pi))
+    assert_allclose(f2.imag, c * flux.real, rtol=spec.rel_tol)
 
 
 def test_Y_lower_bound():

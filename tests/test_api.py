@@ -95,6 +95,35 @@ def test_only_the_cli_handles_exceptions():
     assert swallowing == []
 
 
+def _private_names_defined(stmt):
+    """The private (single-underscore) names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    else:
+        return set()
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_top_level_name_is_used_in_src():
+    # a private function, class or constant that nothing else in the package
+    # refers to is dead code (a test oracle belongs under tests/)
+    defined, used = {}, set()
+    for path in sorted(Path(slabscat.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = _private_names_defined(stmt)
+            defined.update((name, f"{path.name}:{stmt.lineno} {name}") for name in names)
+            nodes = list(ast.walk(stmt))
+            refs = {node.id for node in nodes
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            refs |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            used |= refs - names  # a definition does not count as its own use
+    assert sorted(where for name, where in defined.items() if name not in used) == []
+
+
 def test_import_does_not_load_the_ode_solver():
     # neither the import nor a 1D transfer matrix, by either method, loads the
     # ODE solver; the NUFFT runs on numpy's FFT, so scipy.fft is not loaded

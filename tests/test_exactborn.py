@@ -5,28 +5,19 @@ from scipy.integrate import quad
 
 from slabscat.amp2d import ScatteringConfig2D, c_factor, f1_2d, f2_2d, s_factor
 from slabscat.exactborn import (
-    BornExactProfile,
     Ex1Params,
-    exact_amplitude,
     ex1_exact,
     ex1_f1,
     ex1_f2,
     extract_series_coefficients,
-    is_born_exact,
-    ttv,
     x_function,
 )
-from slabscat.numerics import AccuracyError, DomainError, QuadratureSpec
-from slabscat.profiles import Profile2D, ex1_profile, gaussian_slab_2d, moment_2d
+from slabscat.numerics import DomainError, integrate_1d
+from slabscat.profiles import ex1_profile, moment_2d
 
 Z, ALPHA, LW = 0.3, 2.0, 1.0
 PROF = ex1_profile(Z, ALPHA, LW)
 PARAMS = Ex1Params(z=Z, alpha=ALPHA, L=LW)
-ZERO = Profile2D(
-    eval=lambda xf, y, k: np.zeros(np.broadcast(xf, y).shape, dtype=complex),
-    decay_radius=5.0,
-    descriptor="zero",
-)
 
 
 def chi_oracle(sigma, sigma0, xi):
@@ -44,99 +35,24 @@ def chi_oracle(sigma, sigma0, xi):
     return val
 
 
-def test_support_predicate():
-    assert is_born_exact(PROF, ALPHA)
-    assert not is_born_exact(gaussian_slab_2d(0.5, 1.0), 1.0)
-    assert is_born_exact(ZERO, 1.0)
-
-
-def test_support_probe_samples_each_slice_once():
-    calls = []
-
-    def zero(xf, y, k):
-        calls.append(xf)
-        return np.zeros(np.broadcast(xf, y).shape, dtype=complex)
-
-    assert is_born_exact(Profile2D(eval=zero, decay_radius=5.0), 1.0)
-    assert len(calls) <= 5
-
-
-def test_born_exact_profile_construction():
-    BornExactProfile(base=PROF, alpha=ALPHA)
-    with pytest.raises(DomainError):
-        BornExactProfile(base=gaussian_slab_2d(0.5, 1.0), alpha=1.0)
-
-
 def test_ex1_params_validation():
     with pytest.raises(DomainError):
         Ex1Params(z=0.1, alpha=-1.0, L=1.0)
     with pytest.raises(DomainError):
         Ex1Params(z=0.1, alpha=1.0, L=0.0)
-    for alpha, L in ((1.0, np.inf), (np.inf, 1.0)):
+    for z, alpha, L in ((0.1, 1.0, np.inf), (0.1, np.inf, 1.0), (np.nan, 2.0, 1.0)):
         with pytest.raises(DomainError, match="finite"):
-            Ex1Params(z=0.1, alpha=alpha, L=L)
-
-
-def test_ttv_zero_profile():
-    assert ttv(ZERO, 0.5, 1.0, 1.0, 0.3) == 0.0
-
-
-def test_ttv_axial_zero_momentum_reduces_to_moment():
-    k, ell, p_y = 1.0, 0.3, 3.0
-    got = ttv(PROF, 0.0, p_y, k, ell)
-    expect = -(k * k) * ell * moment_2d(PROF, 0, p_y, k)
-    assert_allclose(got, expect, rtol=1e-10)
-
-
-def _counted(w):
-    calls = []
-    return (lambda *args: calls.append(args) or w(*args)), calls
-
-
-def test_eval_only_ttv_matches_the_closed_transform():
-    # one sampler call over the transverse grid, then one transform at p_y
-    g = gaussian_slab_2d(0.5, 1.0)
-    w, calls = _counted(g.eval)
-    eval_only = Profile2D(eval=w, decay_radius=g.decay_radius)
-    for p_x, p_y, ell in ((0.3, 0.7, 0.4), (-1.2, 0.0, 0.9)):
-        closed = ttv(g, p_x, p_y, 1.0, ell)
-        calls.clear()
-        assert abs(ttv(eval_only, p_x, p_y, 1.0, ell) - closed) <= 1e-12 * abs(closed)
-        assert len(calls) <= 45
-    # the caller's subdivision limit holds on this route too
-    kinked = Profile2D(eval=lambda x, y, k: np.abs(x - 0.3) * g.eval(x, y, k), decay_radius=12.0)
-    ttv(kinked, 0.3, 0.7, 1.0, 0.4)
-    with pytest.raises(AccuracyError, match="within 1 subdivisions"):
-        ttv(kinked, 0.3, 0.7, 1.0, 0.4, QuadratureSpec(max_subdivisions=1))
-
-
-def test_ttv_small_thickness_expansion():
-    # vv = -k^2 ell [m0 - i ell p_x m1 - (ell p_x)^2 m2 / 2 + O(ell^3)]
-    k, ell, p_x, p_y = 1.0, 0.01, 0.8, 3.0
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-    got = ttv(PROF, p_x, p_y, k, ell, tight)
-    m0 = moment_2d(PROF, 0, p_y, k)
-    m1 = moment_2d(PROF, 1, p_y, k)
-    m2 = moment_2d(PROF, 2, p_y, k)
-    first_two = -(k * k) * ell * (m0 - 1j * ell * p_x * m1)
-    residual = got - first_two
-    cubic = (k * k) * ell * (ell * p_x) ** 2 * m2 / 2.0
-    assert_allclose(residual, cubic, rtol=1e-2)
-
-
-BORN = BornExactProfile(base=PROF, alpha=ALPHA)
+            Ex1Params(z=z, alpha=alpha, L=L)
 
 
 def test_exact_amplitude_invisibility_below_half_alpha():
     cfg = ScatteringConfig2D(k=ALPHA / 2.0, ell=0.1, theta0=4 * np.pi / 3)
     for theta in (0.3, np.pi / 3, 2.7):
-        assert exact_amplitude(BORN, cfg, theta) == 0.0
+        assert ex1_exact(PARAMS, cfg, theta) == 0.0
 
 
 def test_exact_amplitude_validity_gate():
     cfg = ScatteringConfig2D(k=1.01 * ALPHA, ell=0.1, theta0=4 * np.pi / 3)
-    with pytest.raises(DomainError):
-        exact_amplitude(BORN, cfg, np.pi / 3)
     with pytest.raises(DomainError):
         ex1_exact(PARAMS, cfg, np.pi / 3)
 
@@ -145,18 +61,28 @@ def test_exact_amplitude_leading_order_ratio():
     k = 1.6
     cfg = ScatteringConfig2D(k=k, ell=1e-3 / k, theta0=4 * np.pi / 3)
     theta = np.pi / 3
-    exact = exact_amplitude(BORN, cfg, theta)
+    exact = ex1_exact(PARAMS, cfg, theta)
     lead = f1_2d(PROF, cfg, theta) * cfg.kl
     assert abs(exact / lead - 1.0) < 1e-3
 
 
+def _born_amplitude(cfg, theta):
+    # f = -vv / (2 sqrt(2 pi)), vv = -k^2 ell INT_0^1 e^{-i ell p_x x} w~(x, p_y) dx;
+    # ex1 is uniform in x, so w~(x, p_y) is its moment m_0(p_y) throughout
+    k, ell = cfg.k, cfg.ell
+    p_x = k * c_factor(theta, cfg.theta0)
+    p_y = k * s_factor(theta, cfg.theta0)
+    axial = integrate_1d(lambda x: np.exp(-1j * ell * p_x * x), 0.0, 1.0)
+    vv = -(k * k) * ell * axial * moment_2d(PROF, 0, p_y, k)
+    return -vv / (2.0 * np.sqrt(2.0 * np.pi))
+
+
 def test_ex1_exact_matches_ttv_route():
-    # two independent code paths for the exact amplitude
+    # the closed amplitude against a quadrature of the exact Born formula
     for kl in (0.05, 0.2, 0.4):
         cfg = ScatteringConfig2D(k=1.6, ell=kl / 1.6, theta0=4 * np.pi / 3)
         a = ex1_exact(PARAMS, cfg, np.pi / 3)
-        b = exact_amplitude(BORN, cfg, np.pi / 3)
-        assert_allclose(a, b, rtol=1e-10)
+        assert_allclose(a, _born_amplitude(cfg, np.pi / 3), rtol=1e-10)
 
 
 def test_ex1_exact_series_branch_continuity():
@@ -254,11 +180,10 @@ def test_series_extraction_matches_order_coefficients():
     # the thickness and compare with the closed-order formulas
     k = 0.8 * ALPHA
     theta, theta0 = np.pi / 3, 4 * np.pi / 3
-    tight = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
 
     def amp(ell):
         cfg = ScatteringConfig2D(k=k, ell=ell, theta0=theta0)
-        return exact_amplitude(BORN, cfg, theta, tight)
+        return ex1_exact(PARAMS, cfg, theta)
 
     f1_est, f2_est = extract_series_coefficients(amp, k, ell_max=0.2 / k)
     cfg = ScatteringConfig2D(k=k, ell=0.1, theta0=theta0)

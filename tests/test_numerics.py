@@ -26,7 +26,7 @@ from slabscat.numerics import (
     _integrate_moments,
     _next_fast_len,
     _nufft_plan,
-    _transform_samples_1d_direct,
+    _trapezoid_weights,
 )
 from slabscat import numerics
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
@@ -188,12 +188,27 @@ def test_integrate_2d_separable_and_coupled():
     assert shapes == [(16, 1)]
 
 
-def test_integrate_2d_kinked_integrand_falls_back():
+_KINKED = lambda x, y: np.abs(x - 0.3) * np.abs(y - 0.7)
+
+
+def _unit_square_sum(f, n):
+    """The n x 2n tensor Gauss-Legendre sum of f over the unit square."""
+    tx, wx = gauss_legendre(n)
+    ty, wy = gauss_legendre(2 * n)
+    return 0.25 * (wx @ f(0.5 + 0.5 * tx[:, None], 0.5 + 0.5 * ty[None, :]) @ wy)
+
+
+def test_integrate_2d_kinked_integrand_raises():
     # the kinks at x = 0.3 and y = 0.7 stall the tensor rule at every level
-    f, shapes = _shapes_seen(lambda x, y: np.abs(x - 0.3) * np.abs(y - 0.7))
-    assert_allclose(integrate_2d(f, 0.0, 1.0, 0.0, 1.0), 0.29 * 0.29, rtol=1e-8)
-    assert shapes[:5] == [(16, 1), (32, 1), (64, 1), (128, 1), (256, 1)]
-    assert len(shapes) > 5 and all(s == () for s in shapes[5:])  # nested scheme
+    f, shapes = _shapes_seen(_KINKED)
+    with pytest.raises(AccuracyError, match=r"by n = 256 on \[0, 1\] x \[0, 1\] \(error") as info:
+        integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
+    assert shapes == [(16, 1), (32, 1), (64, 1), (128, 1), (256, 1)]
+    # the n = 256 sum, and its gap to the n = 128 sum
+    last, before = _unit_square_sum(_KINKED, 256), _unit_square_sum(_KINKED, 128)
+    assert_allclose(info.value.estimate, last, rtol=1e-14)
+    assert_allclose(info.value.error_estimate, abs(last - before), rtol=1e-9)
+    assert info.value.error_estimate > 1e-8 * abs(last)
 
 
 def test_integrate_2d_non_finite_integrand_fails_after_one_level():
@@ -254,17 +269,17 @@ def test_integrate_2d_batch_non_finite_point_raises():
     assert [shape for _, shape in calls] == [(16, 1)]
 
 
-def test_integrate_2d_batch_kinked_point_falls_back_alone():
-    kinked = lambda x, y: np.abs(x - 0.3) * np.abs(y - 0.7)
-    mixed = [_WAVES[0], kinked, _WAVES[2]]
+def test_integrate_2d_batch_kinked_point_raises():
+    mixed = [_WAVES[0], _KINKED, _WAVES[2]]
     batch, calls = _batch(mixed)
-    got = integrate_2d(batch, 0.0, 1.0, 0.0, 1.0, batch=3)
-    for f, value in zip(mixed, got):
-        assert value == integrate_2d(f, 0.0, 1.0, 0.0, 1.0)
-    assert_allclose(got[1], 0.29 * 0.29, rtol=1e-8)
-    tensor, nested = calls[:5], calls[5:]
-    assert [live for live, _ in tensor] == [[0, 1, 2], [0, 1, 2], [1], [1], [1]]
-    assert nested and all(call == ([1], ()) for call in nested)
+    with pytest.raises(AccuracyError, match=r"\[0, 1\] x \[0, 1\] \(integrand 1\)") as info:
+        integrate_2d(batch, 0.0, 1.0, 0.0, 1.0, batch=3)
+    assert [live for live, _ in calls] == [[0, 1, 2], [0, 1, 2], [1], [1], [1]]
+    # the attached estimates are the bits the integrand gets alone
+    with pytest.raises(AccuracyError) as alone:
+        integrate_2d(_KINKED, 0.0, 1.0, 0.0, 1.0)
+    assert info.value.estimate == alone.value.estimate
+    assert info.value.error_estimate == alone.value.error_estimate
 
 
 def test_quadrature_spec_validation():
@@ -340,6 +355,26 @@ def _nufft_cases():
     yield "gaussian", (0.7 + 0.2j) * gaussian(y), 12.0
     y = np.linspace(-400.0, 400.0, 2**19 + 1)
     yield "ex1", ex1_profile(0.1, 500.0, 0.01).eval(0.5, y, 1.0), 400.0
+
+
+def _transform_samples_1d_direct(values, radius, p):
+    """transform_samples_1d as the explicit sum over every sample (test oracle)."""
+    values = np.asarray(values, dtype=complex)
+    n = values.size - 1
+    wf = _trapezoid_weights(n, 2.0 * radius / n) * values
+    wfr = wf.real.copy()
+    wfi = wf.imag.copy()
+    y = np.linspace(-radius, radius, n + 1)
+
+    scalar = np.isscalar(p) or np.asarray(p).ndim == 0
+    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    out = np.empty(p_arr.size, dtype=complex)
+    for i, pi in enumerate(p_arr):
+        ph = pi * y
+        cs = np.cos(ph)
+        sn = np.sin(ph)
+        out[i] = (cs @ wfr + sn @ wfi) + 1j * (cs @ wfi - sn @ wfr)
+    return out[0] if scalar else out
 
 
 def test_transform_samples_matches_the_direct_sum():

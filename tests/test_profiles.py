@@ -13,7 +13,6 @@ from scipy.integrate import dblquad
 
 from slabscat.amp2d import ScatteringConfig2D, f2_2d
 from slabscat.dyson1d import constant_slab_1d
-from slabscat.exactborn import BornExactProfile
 from slabscat.numerics import (
     AccuracyError,
     DomainError,
@@ -52,6 +51,11 @@ def ex1_hat(p):
     m = p >= ALPHA
     out[m] = 2 * np.pi * Z * LW**2 * (ALPHA - p[m]) * np.exp(LW * (ALPHA - p[m]))
     return out
+
+
+def gaussian_hat(z, L, p):
+    # transverse transform of the Gaussian slab z e^{-y^2 / 2 L^2}
+    return z * np.sqrt(2 * np.pi) * L * np.exp(-0.5 * (L * np.asarray(p)) ** 2)
 
 
 def _eval_only(prof, **grid):
@@ -187,8 +191,8 @@ def test_analytic_vs_numeric_transform_gaussian():
         xf = rng.uniform(0.0, 1.0)
         p = rng.uniform(-2.5, 2.5)
         numeric = fourier_1d(lambda y: prof.eval(xf, y, 1.0), p, spec)
-        assert_allclose(numeric, prof.analytic_transform(xf, p, 1.0), rtol=1e-6)
-    assert prof.analytic_transform(1.7, 0.5, 1.0) == 0.0
+        assert_allclose(numeric, gaussian_hat(0.9 - 0.2j, 1.4, p), rtol=1e-6)
+    assert fourier_1d(lambda y: prof.eval(1.7, y, 1.0), 0.5, spec) == 0.0
 
 
 @pytest.mark.slow
@@ -205,8 +209,7 @@ def test_analytic_vs_numeric_transform_ex1():
         p = ALPHA + dp / LW
         xf = rng.uniform(0.0, 1.0)
         numeric = fourier_1d(lambda y: prof.eval(xf, y, 1.0), p, spec)
-        exact = prof.analytic_transform(xf, p, 1.0)
-        assert_allclose(numeric, exact, rtol=1e-6, atol=1e-6 * scale)
+        assert_allclose(numeric, ex1_hat(p), rtol=1e-6, atol=1e-6 * scale)
     # the sampled-moment route must agree too
     p = ALPHA + np.array([-2.0, -1.0, 1.0, 2.0]) / LW
     sampled = _eval_only(prof, sample_count=spec.sample_count)
@@ -215,13 +218,14 @@ def test_analytic_vs_numeric_transform_ex1():
 
 
 def test_moment_change_of_variable_form():
-    # the physical-coordinate form ell^-(l+1) INT_0^ell x^l wt(x/ell, p) dx
+    # the physical-coordinate form ell^-(l+1) INT_0^ell x^l wt(x/ell, p) dx;
+    # the Gaussian slab is uniform in x, so wt(x/ell, p) is its g^(p) there
     prof = gaussian_slab_2d(1.1, 0.9)
     ell = 3.7
     p = 0.6
     for l in (0, 1, 2):
         direct = integrate_1d(
-            lambda x: x**l * prof.analytic_transform(x / ell, p, 1.0),
+            lambda x: x**l * gaussian_hat(1.1, 0.9, p),
             0.0,
             ell,
             QuadratureSpec(rel_tol=1e-12),
@@ -801,8 +805,6 @@ def test_profiles_are_frozen():
         slab,
         gaussian_slab_3d(1.0, 1.0),
         coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25),
-        # alpha stays the threshold the support was probed at
-        BornExactProfile(base=ex1_profile(0.3, 2.0, 1.0), alpha=2.0),
         constant_slab_1d(1.5),
     ]
     for prof in built:
