@@ -48,13 +48,14 @@ every curve over a contiguous slice of the grid; ``--threads N`` splits the
 grid into N such slices (fewer if the grid is shorter).  Rows are grid-major
 at any thread count, floats are printed with 17 significant digits, and
 repeated runs, at any thread count and for kernels-check too, are
-byte-identical.  Exit codes: 0 on success, 2 on validation failure, 3 on
-numerical failure; failures put a machine-readable JSON diagnostic on
-standard error.
+byte-identical.  Exit codes: 0 on success, 2 on validation failure (an
+output path that cannot be written included), 3 on numerical failure;
+failures put a machine-readable JSON diagnostic on standard error.
 """
 
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -747,13 +748,20 @@ def run(config_path, preset, out_path, out_format, threads, tol):
         cfg.out_path = out_path
     if out_format is not None:
         cfg.out_format = out_format
+    directory = os.path.dirname(cfg.out_path) or "."
+    if not os.path.isdir(directory):
+        violation = f"cannot write output: directory {directory!r} does not exist"
+        _fail(2, "validation", {"violations": [violation]})
     try:
         result, note = execute(cfg, threads=threads)
-        write_result(result, cfg.out_path, cfg.out_format)
     except (AccuracyError, ArithmeticError) as exc:
         _fail(3, "numerical", {"message": str(exc)})
     except DomainError as exc:
         _fail(2, "validation", {"violations": [str(exc)]})
+    try:
+        write_result(result, cfg.out_path, cfg.out_format)
+    except OSError as exc:
+        _fail(2, "validation", {"violations": [f"cannot write output: {exc}"]})
     click.echo(f"{cfg.command}: {note} -> {cfg.out_path}")
 
 

@@ -235,6 +235,8 @@ def verify_invisibility(coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THET
         raise DomainError("verify_invisibility expects a coated_profile result")
     ell_c = float(coated.geometry.ell_c)
     y_grid = np.asarray(y_grid, dtype=float)
+    if y_grid.ndim != 1 or y_grid.size == 0:
+        raise DomainError("y_grid must be a nonempty 1D array")
     m0, m1, _ = coated.moment_y(y_grid, k)
     if theta_grid is None:
         theta_grid = np.linspace(0.25, 2.0 * np.pi - 0.25, 10)

@@ -29,16 +29,14 @@ transform_samples_1d evaluates the trapezoid sum over uniform samples at
 off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
 14(6), 1993): one numpy FFT per sample set on a twice-finer 11-smooth grid,
 then a kernel sum over 17 bins per momentum, taken as one array step per
-block of up to 4,096 momenta.  It matches the direct sum to rounding.  The
-FFT runs once per read-only sample set (such as the cached axial moments of a
-profile); the fine-grid bins its momenta reach, at least 256 on each side of
-zero, are kept.
+block of up to 4,096 momenta.  It matches the direct sum to rounding.  A
+sampled profile's cached moment row (a _SampleRow) keeps the fine-grid bins
+its momenta reach, at least 256 on each side of zero, so the FFT runs once
+per row; a plain array is transformed afresh on each call.
 transform_samples_2d sums with explicit phase factors.
 """
 
 import functools
-import threading
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -463,13 +461,9 @@ _NUFFT_KERNEL_NODES = 2 + 3 * _NUFFT_W // 2
 
 # Momenta per vectorized kernel sum; larger blocks outgrow the cache and run slower.
 _NUFFT_BLOCK = 4096
-# Least half-width of a cached window, in fine-grid bins (8 KB per sample set),
+# Least half-width of a kept window, in fine-grid bins (8 KB per sample row),
 # so that the later momenta of a row seldom make it transform the row again.
 _NUFFT_WINDOW_FLOOR = 256
-
-# id(values) -> [weakref to values, half-width W, fine-grid bins -W .. W-1]
-_nufft_windows = {}
-_nufft_windows_lock = threading.Lock()
 
 
 def _es_kernel(z):
@@ -524,36 +518,34 @@ def _fine_grid(values):
     return np.fft.fft(padded)
 
 
+class _SampleRow:
+    """A read-only copy of one 1-D sample row and the widest window of its FFT taken so far."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=complex)
+        self.values.setflags(write=False)
+        self.size = self.values.size
+        self.bins = np.empty(0, dtype=complex)
+
+
 def _window(values, half_width):
     """Fine-grid bins -W .. W-1 (W >= half_width) of a sample set.
 
-    The bins of a read-only array that owns its data are cached, keyed by a
-    weakref to it: at least _NUFFT_WINDOW_FLOOR on each side, and grown to
-    the next power of two when a call needs more.
+    A _SampleRow keeps its bins: at least _NUFFT_WINDOW_FLOOR on each side,
+    grown to the next power of two when a call needs more; threads that race
+    to grow them at worst repeat one FFT.  A plain array is transformed afresh.
     Every bin is sliced from the one FFT of the whole set, so its value does
     not depend on the window or on which momenta came first.
     """
-    n_fine = _nufft_plan(values.size)[0]
-    if values.flags.writeable or not values.flags.owndata:
+    if not isinstance(values, _SampleRow):
         return np.take(_fine_grid(values), np.arange(-half_width, half_width), mode="wrap")
-    key = id(values)
-    with _nufft_windows_lock:
-        entry = _nufft_windows.get(key)
-        if entry is not None and entry[0]() is values and entry[1] >= half_width:
-            return entry[2]
-    width = 1 << (int(max(half_width, _NUFFT_WINDOW_FLOOR)) - 1).bit_length()
-    width = min(width, n_fine // 2 + _NUFFT_W + 2)
-    bins = np.take(_fine_grid(values), np.arange(-width, width), mode="wrap")
-    bins.setflags(write=False)
-    with _nufft_windows_lock:
-        entry = _nufft_windows.get(key)
-        if entry is not None and entry[0]() is values:
-            if entry[1] >= width:
-                return entry[2]
-            entry[1:] = [width, bins]
-        else:
-            ref = weakref.ref(values, lambda _, key=key: _nufft_windows.pop(key, None))
-            _nufft_windows[key] = [ref, width, bins]
+    bins = values.bins  # read once, as another thread may replace it
+    if bins.size < 2 * half_width:
+        width = 1 << (int(max(half_width, _NUFFT_WINDOW_FLOOR)) - 1).bit_length()
+        width = min(width, _nufft_plan(values.size)[0] // 2 + _NUFFT_W + 2)
+        bins = np.take(_fine_grid(values.values), np.arange(-width, width), mode="wrap")
+        bins.setflags(write=False)
+        values.bins = bins
     return bins
 
 
@@ -572,11 +564,17 @@ def transform_samples_1d(values, radius, p):
     kernel over the w + 1 nearest fine-grid bins, evaluated for a block of
     momenta at once and added in the same order for each, so a momentum
     gets the same bits in any batch.  It agrees with the direct
-    sum to rounding: within 1e-13 of h * sum(|values|), at any momentum.  A
-    read-only ``values`` array that owns its data is treated as immutable:
-    the fine-grid bins its momenta reach are cached for later calls.
+    sum to rounding: within 1e-13 of h * sum(|values|), at any momentum.
+    ``values`` may also be a sampled profile's cached row (a _SampleRow),
+    which keeps the fine-grid bins its momenta reach for later calls.  Fewer
+    than two samples, a radius that is not positive and finite, or a momentum
+    that is not finite raise DomainError.
     """
-    values = np.asarray(values, dtype=complex)
+    values = values if isinstance(values, _SampleRow) else np.asarray(values, dtype=complex)
+    if values.size < 2:
+        raise DomainError("transform_samples_1d needs at least two samples")
+    if not 0.0 < radius < np.inf:
+        raise DomainError("transform radius must be positive and finite")
     n = values.size - 1
     h = 2.0 * radius / n
     shape = np.shape(p)

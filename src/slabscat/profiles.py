@@ -32,6 +32,7 @@ and they are safe to share across threads; the internal sample cache only ever
 adds idempotent entries.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -42,6 +43,7 @@ from .numerics import (
     DomainError,
     TransformSpec,
     _integrate_moments,
+    _SampleRow,
     check_edge_decay,
     transform_samples_1d,
     transform_samples_2d,
@@ -208,21 +210,34 @@ def _moment_samples(profile, k, route="moments"):
             return _integrate_moments(tail, (0,), t_breaks)[0] * w_row(x2)
 
         moments = {"C": _integrate_moments(layer, (2,), breaks)[0]}
-    # complex copies owning their data, which transform_samples_1d caches
-    samples = {name: np.array(row, dtype=complex) for name, row in moments.items()}
 
     # a moment that is uniformly negligible against the largest one (e.g. a
     # coating that nulls it to rounding level) has nothing left to truncate;
     # a non-finite one is checked whatever the others, and fails the check
-    peaks = {l: np.max(np.abs(vals)) for l, vals in samples.items()}
+    peaks = {l: np.max(np.abs(vals)) for l, vals in moments.items()}
     overall = max(peaks.values(), default=0.0)
-    for l, vals in samples.items():
+    for l, vals in moments.items():
         if not np.isfinite(peaks[l]) or peaks[l] > 1e-9 * overall:
             check_edge_decay(vals, "profile moment")
-        # read-only, so transform_samples_1d may cache its fine-grid bins
-        vals.setflags(write=False)
+    # one read-only complex copy of each; a 2D row keeps its own NUFFT window
+    if isinstance(profile, Profile3D):
+        samples = {l: np.array(mesh, dtype=complex) for l, mesh in moments.items()}
+        for mesh in samples.values():
+            mesh.setflags(write=False)
+    else:
+        samples = {name: _SampleRow(row) for name, row in moments.items()}
     profile._cache[key] = samples
     return samples
+
+
+def _check_momenta(p):
+    """Refuse momenta that are not all finite.
+
+    Their sum is the fast test: a non-finite entry makes it non-finite (and
+    so, rarely, does overflow, which the entry-by-entry test then clears).
+    """
+    if not math.isfinite(np.add.reduce(p, axis=None)) and not np.isfinite(p).all():
+        raise DomainError("transform momenta must be finite")
 
 
 def moment_2d(profile, l, p, k):
@@ -245,13 +260,16 @@ def moment_2d(profile, l, p, k):
     moments on the profile's transverse grid (see _spatial_moments: its
     ``moment_y``, or ``eval`` integrated over x_frac, which raises
     AccuracyError if the axial sampler cannot resolve the profile within its
-    budget) are transformed.  Samples that are not finite raise
-    AccuracyError, and an error ``moment_y`` or ``eval`` raises propagates.
+    budget) are transformed.  Momenta that are not finite raise DomainError
+    on either route; samples that are not finite raise AccuracyError, and an
+    error ``moment_y`` or ``eval`` raises propagates.
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
-    scalar = np.isscalar(p) or np.asarray(p).ndim == 0
-    p_arr = np.atleast_1d(np.asarray(p, dtype=float))
+    p_arr = np.asarray(p, dtype=float)
+    scalar = p_arr.ndim == 0
+    p_arr = p_arr.reshape(1) if scalar else p_arr
+    _check_momenta(p_arr)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
@@ -278,12 +296,15 @@ def moment_3d(profile, l, pvec, k):
     """3D transform moment m_l(p_vec; k); p_vec is (p1, p2) or an (m, 2) array.
 
     A closed ``analytic_moment`` is used if present; else samples on the
-    profile's (sample_count + 1)^2 transverse mesh are transformed.
+    profile's (sample_count + 1)^2 transverse mesh are transformed.  Momenta
+    that are not finite raise DomainError on either route.
     """
     if l not in (0, 1):
         raise DomainError("3D moment order l must be 0 or 1")
-    pv = np.atleast_2d(np.asarray(pvec, dtype=float))
-    single = np.asarray(pvec).ndim == 1
+    pv = np.asarray(pvec, dtype=float)
+    single = pv.ndim == 1
+    pv = np.atleast_2d(pv)
+    _check_momenta(pv)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, pv[:, 0], pv[:, 1], k), dtype=complex)
@@ -373,8 +394,8 @@ def ex1_profile(z, alpha, L):
     L = float(L)
     if not (np.isfinite(z) and np.isfinite(alpha)):
         raise DomainError("z and alpha must be finite")
-    if L <= 0:
-        raise DomainError("L must be positive")
+    if not 0 < L < np.inf:
+        raise DomainError("L must be positive and finite")
 
     def g(y):
         y = np.asarray(y, dtype=float)
@@ -398,8 +419,8 @@ def gaussian_slab_2d(z, L):
     L = float(L)
     if not np.isfinite(z):
         raise DomainError("z must be finite")
-    if L <= 0:
-        raise DomainError("L must be positive")
+    if not 0 < L < np.inf:
+        raise DomainError("L must be positive and finite")
 
     def g(y):
         return z * np.exp(-0.5 * (np.asarray(y, dtype=float) / L) ** 2)
@@ -419,8 +440,8 @@ def gaussian_slab_3d(z, L):
     L = float(L)
     if not np.isfinite(z):
         raise DomainError("z must be finite")
-    if L <= 0:
-        raise DomainError("L must be positive")
+    if not 0 < L < np.inf:
+        raise DomainError("L must be positive and finite")
 
     def w_eval(r1, r2, z_frac, k):
         r1, r2, z_frac = np.broadcast_arrays(

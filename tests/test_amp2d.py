@@ -16,6 +16,7 @@ from slabscat.amp2d import (
     f2_2d,
     s_factor,
 )
+from slabscat.kernels import amplitude_from_kernels
 from slabscat.numerics import DomainError, QuadratureSpec, integrate_1d
 from slabscat.profiles import (
     Profile2D,
@@ -280,14 +281,16 @@ def _real_slab(kind, z, L):
 @given(
     kind=st.sampled_from(["gaussian", "separable", "layered"]),
     eval_only=st.booleans(),
+    kernels=st.booleans(),
     z=st.builds(lambda m, sign: m if sign else -m, st.floats(0.1, 3.0), st.booleans()),
     L=st.floats(0.3, 2.0),
     k=st.floats(0.1, 2.0),
     theta0=_ANGLE,
 )
-def test_optical_theorem_at_second_order(kind, eval_only, z, L, k, theta0):
+def test_optical_theorem_at_second_order(kind, eval_only, kernels, z, L, k, theta0):
     # for real w, Im f2(theta0) = INT_{-pi}^{pi} |f1|^2 dtheta / (2 sqrt(2 pi)),
-    # on the closed route and on the eval-only twin's sampled one
+    # on the closed route and on the eval-only twin's sampled one, with f2
+    # from f2_2d or from the kernel route
     prof = _real_slab(kind, z, L)
     if eval_only:
         prof = replace(prof, analytic_moment=None, moment_y=None, sample_count=4096)
@@ -297,7 +300,18 @@ def test_optical_theorem_at_second_order(kind, eval_only, z, L, k, theta0):
     power = lambda theta: np.abs(f1_2d(prof, cfg, theta)) ** 2
     edges = (-np.pi, -0.5 * np.pi, 0.5 * np.pi, np.pi)
     flux = sum(integrate_1d(power, a, b, tight) for a, b in zip(edges[:-1], edges[1:]))
-    f2 = f2_2d(prof, cfg, theta0, spec)
+    if kernels:
+        # the kernel route truncates by total power of u = k ell, A = f1 u + f2 u^2,
+        # so two thicknesses give f2 = (A_2 / u_2 - A_1 / u_1) / (u_2 - u_1)
+        ells = (0.1, 0.2)
+        u = [k * ell for ell in ells]
+        amp = [
+            amplitude_from_kernels(prof, ScatteringConfig2D(k=k, ell=ell, theta0=theta0), theta0)
+            for ell in ells
+        ]
+        f2 = (amp[1] / u[1] - amp[0] / u[0]) / (u[1] - u[0])
+    else:
+        f2 = f2_2d(prof, cfg, theta0, spec)
     assert_allclose(f2.imag, flux.real / (2.0 * np.sqrt(2.0 * np.pi)), rtol=spec.rel_tol)
 
 

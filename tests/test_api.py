@@ -124,6 +124,41 @@ def test_every_private_top_level_name_is_used_in_src():
     assert sorted(where for name, where in defined.items() if name not in used) == []
 
 
+_MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "Lock", "RLock"}
+
+
+def _is_mutable(value):
+    """A dict, list or set display, or a call that makes a container or a lock."""
+    if isinstance(value, (ast.Dict, ast.List, ast.Set)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        return getattr(func, "id", getattr(func, "attr", None)) in _MUTABLE_CALLS
+    return False
+
+
+def test_no_module_level_mutable_state():
+    # a module-level container or lock is shared by every caller and thread;
+    # caches belong to the object whose value they hold (a profile's samples),
+    # so only UPPER_CASE tables and __all__ may be bound to one
+    found = []
+    for path in sorted(Path(slabscat.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets = [stmt.target]
+            else:
+                continue
+            if not _is_mutable(stmt.value):
+                continue
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+            found += [f"{path.name}:{stmt.lineno} {name}" for name in names
+                      if name != "__all__" and name != name.upper()]
+    assert found == []
+
+
 def test_import_does_not_load_the_ode_solver():
     # neither the import nor a 1D transfer matrix, by either method, loads the
     # ODE solver; the NUFFT runs on numpy's FFT, so scipy.fft is not loaded

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
 from slabscat.amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
-from slabscat import amp3d
+from slabscat import amp3d, cli
 from slabscat.cli import execute, load_config, main, validate_config
 from slabscat.dyson1d import constant_slab_1d, scattering_1d, transfer_matrix_1d
 from slabscat.exactborn import Ex1Params, ex1_exact
@@ -234,6 +234,133 @@ def test_grid_violations(grid, complaint):
     cfg = dict(THREAD_CASES["sweep2d_kl"], output={"path": "x.csv"})
     cfg["physics"] = dict(cfg["physics"], grid=grid)
     assert validate_config(cfg)[1] == [f"physics.grid {complaint}"]
+
+
+CLOAK = {
+    "command": "cloak",
+    "physics": {"ell": 1.0, "z0": 1.0, "z1": -1.0, "z2": 0.4,
+                "g": {"catalog": "gaussian", "L": 2.0}, "y": [-1.0, 0.0, 1.0]},
+}
+GAUSSIAN2D = {"catalog": "gaussian2d", "z": 0.1, "L": 0.01}
+
+
+@pytest.mark.parametrize(
+    "base, top, physics, violations",
+    [
+        ("amp2d", {"command": "plot"}, {},
+         ["command must be one of amp2d, amp3d, exact2d, kernels-check, cloak, dyson1d, sweep"]),
+        ("amp2d", {"numerics": [1e-8]}, {}, ["numerics must be an object"]),
+        ("amp2d", {"numerics": {"tolerance": 1e-8}}, {},
+         ["numerics.tolerance is not a known setting"]),
+        ("amp2d", {"output": "x.csv"}, {},
+         ["output must be an object", "output.path must be a nonempty string"]),
+        ("dyson1d", {"physics": [0.1]}, {},
+         ["physics must be an object",
+          "physics.kls must be an array or a start/stop/count range"]),
+        ("amp2d", {"profile": {"catalog": "gaussian3d", "z": 1.0, "L": 1.0}}, {},
+         ["profile.catalog must be one of ['ex1', 'gaussian2d'] for this command"]),
+        ("dyson1d", {"profile": GAUSSIAN2D}, {},
+         ["profile.catalog must be one of ['uniform1d'] for this command"]),
+        ("cloak", {}, {"z0": [1.0, 0.5]}, ["physics.z0 must be a finite real number"]),
+        ("cloak", {}, {"z1": "-1"}, ["physics.z1 must be a finite real number"]),
+        ("cloak", {}, {"z2": float("nan")}, ["physics.z2 must be a finite real number"]),
+        ("cloak", {}, {"z2": -1.0}, ["physics.z1 and physics.z2 must differ"]),
+        ("cloak", {}, {"z1": 0.0}, ["physics.z1 must be nonzero"]),
+        ("cloak", {}, {"g": {"catalog": "lorentzian", "L": 2.0}},
+         ["physics.g must be {'catalog': 'gaussian', 'L': ...}"]),
+        ("cloak", {}, {"k": -1.0}, ["physics.k must be a positive finite number"]),
+        ("exact2d", {"profile": GAUSSIAN2D}, {}, ["exact2d requires the ex1 catalog profile"]),
+        ("exact2d", {}, {"k": 600.0}, ["exact2d requires k <= profile alpha"]),
+        ("sweep2d_kl", {"domain": "1d"}, {}, ["domain must be '2d' or '3d'"]),
+        ("sweep2d_kl", {}, {"variable": "k"}, ["physics.variable must be 'kl' or 'theta'"]),
+        ("sweep2d_kl", {}, {"variable": "theta"}, ["2d sweeps support variable 'kl' only"]),
+        ("sweep2d_kl", {"profile": GAUSSIAN2D}, {},
+         ["the 'exact' sweep method requires the ex1 catalog"]),
+        ("sweep2d_kl", {}, {"methods": ["order3"]},
+         ["physics.methods must be a nonempty subset of ('order1', 'order2', 'exact')"]),
+        ("sweep2d_kl", {}, {"theta": None}, ["physics.theta is required"]),
+        ("sweep3d_kl", {}, {"orders": []}, ["physics.orders must be a nonempty subset of [1, 2]"]),
+        ("sweep3d_theta", {"profile": {"catalog": "gaussian3d", "z": 10.0, "L": 1.0}}, {},
+         ["theta sweeps derive the transverse width from kL_values; drop profile.L"]),
+        ("amp3d", {}, {"theta0": -0.4}, ["physics.theta0 must lie in [0, pi]"]),
+    ],
+)
+def test_every_command_violation(base, top, physics, violations):
+    # each violation message the CLI can report, exactly (physics None drops a key)
+    cfg = dict(CLOAK if base == "cloak" else THREAD_CASES[base], output={"path": "x.csv"})
+    merged = {key: value for key, value in dict(cfg["physics"], **physics).items()
+              if value is not None}
+    cfg = {**cfg, "physics": merged, **top}
+    assert validate_config(cfg)[1] == violations
+
+
+def test_config_files_that_cannot_be_read(tmp_path):
+    missing = tmp_path / "missing.json"
+    (tmp_path / "broken.json").write_text("{")
+    (tmp_path / "list.json").write_text("[]")
+    for name, message in (
+        ("missing.json", f"cannot read config: [Errno 2] No such file or directory: '{missing}'"),
+        ("broken.json", "config is not valid JSON: Expecting property name enclosed in double"
+                        " quotes: line 1 column 2 (char 1)"),
+        ("list.json", "config must be a JSON object"),
+    ):
+        with pytest.raises(DomainError) as raised:
+            load_config(str(tmp_path / name))
+        assert str(raised.value) == message
+        result = _invoke("validate", "--config", str(tmp_path / name))
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {"valid": False, "violations": [message]}
+
+
+def test_labels_notes_and_late_domain_errors(tmp_path):
+    # a theta sweep over several kL and orders labels each curve with both
+    cfg = dict(THREAD_CASES["sweep3d_theta"], output={"path": "x.csv"})
+    cfg["physics"] = dict(cfg["physics"], kL_values=[1.0, 2.5], orders=[1, 2])
+    run, _ = validate_config(cfg)
+    labels = [curve[3] for curve in run.sweep.curves]
+    assert labels == ["kL=1,order1", "kL=1,order2", "kL=2.5,order1", "kL=2.5,order2"]
+    # a cloak the bilayer method cannot build is reported, not refused
+    cfg = dict(CLOAK, output={"path": "x.csv"})
+    cfg["physics"] = dict(cfg["physics"], z1=1.0, z2=2.0)
+    _, note = execute(validate_config(cfg)[0])
+    assert note == (
+        "infeasible: square-root argument is negative; the bilayer method is not"
+        " applicable (first failing grid point y = -1)"
+    )
+    # a width that passes validation but overflows the truncation radius is
+    # refused when the profile is built, with the validation exit code
+    cfg = dict(THREAD_CASES["amp2d"], output={"path": str(tmp_path / "out.csv")})
+    cfg["profile"] = dict(cfg["profile"], L=1e308)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = _invoke("run", "--config", str(path))
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "error": "validation",
+        "violations": ["truncation_radius must be positive and finite"],
+    }
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_an_unwritable_output_path_fails_with_a_diagnostic(tmp_path, monkeypatch):
+    # a missing directory is refused before anything runs
+    ran = []
+    monkeypatch.setattr(cli, "execute", lambda *args, **kwargs: ran.append(args))
+    missing = tmp_path / "missing"
+    result = _invoke("run", "--preset", "fig3", "--out", str(missing / "x.csv"))
+    assert result.exit_code == 2 and ran == []
+    assert json.loads(result.output) == {
+        "error": "validation",
+        "violations": [f"cannot write output: directory '{missing}' does not exist"],
+    }
+    monkeypatch.undo()
+    # a path that cannot be opened for writing fails the run the same way
+    result = _invoke("run", "--preset", "fig4", "--out", str(tmp_path))
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "error": "validation",
+        "violations": [f"cannot write output: [Errno 21] Is a directory: '{tmp_path}'"],
+    }
 
 
 def test_sweep_2d_exact_rows_stop_at_the_support_edge(tmp_path):

@@ -110,6 +110,10 @@ def test_design_infeasible_paths():
         assert np.isnan(l1) and np.isnan(l2)
     with pytest.raises(DomainError, match="ell must be positive"):
         design_geometry(pair, mats, -1.0, [0.0])
+    for grid in ([], [[0.0, 1.0]]):
+        with pytest.raises(DomainError) as raised:
+            design_geometry(pair, mats, 1.0, grid)
+        assert str(raised.value) == "y_grid must be a nonempty 1D array"
 
 
 def test_design_profiled_matches_bilayer():
@@ -252,6 +256,9 @@ def test_verify_zero_thickness_and_k_mismatch():
 
     with pytest.raises(DomainError):
         verify_invisibility(slab, 1.0, np.array([0.0]))
+    with pytest.raises(DomainError) as raised:
+        verify_invisibility(coated, 1.0, np.array([]))
+    assert str(raised.value) == "y_grid must be a nonempty 1D array"
 
     # a dispersive slab designed at k1 is no longer nulled at k2
     def zk(k):

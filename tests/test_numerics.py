@@ -23,6 +23,7 @@ from slabscat.numerics import (
     _GK_WEIGHTS,
     _G_WEIGHTS,
     _WG,
+    _SampleRow,
     _integrate_moments,
     _next_fast_len,
     _nufft_plan,
@@ -135,6 +136,14 @@ def test_integrate_budget_exhaustion_attaches_estimate():
     spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=3)
     with pytest.raises(AccuracyError) as info:
         integrate_1d(lambda x: np.cos(50.0 * x) / (1.0 + x), 0.0, 10.0, spec)
+    assert info.value.estimate is not None
+    assert info.value.error_estimate > 0
+    # a jump inside a panel 64 ulp wide runs out of halvings before the budget
+    b, jump = 1.0 + 2.0**-46, 1.0 + 2.0**-47 + 3.0 * 2.0**-52
+    step = lambda x: np.where(x < jump, 1.0, 0.0)
+    with pytest.raises(AccuracyError) as info:
+        integrate_1d(step, 1.0, b, QuadratureSpec(rel_tol=1e-300, abs_tol=0.0))
+    assert str(info.value) == "integrate_1d hit the resolution limit of double precision"
     assert info.value.estimate is not None
     assert info.value.error_estimate > 0
 
@@ -394,9 +403,8 @@ def test_transform_samples_matches_the_direct_sum():
             got = transform_samples_1d(samples, radius, p)
             expect = _transform_samples_1d_direct(samples, radius, p)
             assert np.max(np.abs(got - expect)) <= bound, name
-        # a read-only sample set takes the cached path: the same bits
-        frozen = values.copy()
-        frozen.setflags(write=False)
+        # a sample row takes the cached path: the same bits
+        frozen = _SampleRow(values)
         assert np.array_equal(transform_samples_1d(frozen, radius, p), got)
         assert np.array_equal(transform_samples_1d(frozen, radius, p[::-1]), got[::-1])
         scalar = transform_samples_1d(values, radius, 1.3)
@@ -412,8 +420,7 @@ def test_transform_block_form_keeps_each_momentum_bits():
     rng = np.random.default_rng(20261019)
     radius, n = 3.0, 1024
     values = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    frozen = values.copy()
-    frozen.setflags(write=False)
+    frozen = _SampleRow(values)
     h = 2.0 * radius / n
     bound = 1e-13 * h * np.sum(np.abs(values))
     for m in (1, 15, 30, 4097):
@@ -451,7 +458,8 @@ def test_read_only_row_takes_one_fft(monkeypatch):
     far = np.array([0.4, 60.0, -75.0])
     got = transform_samples_1d(row, prof.decay_radius, far)
     assert len(ffts) == 3
-    assert got.tobytes() == transform_samples_1d(row.copy(), prof.decay_radius, far).tobytes()
+    fresh = transform_samples_1d(row.values.copy(), prof.decay_radius, far)
+    assert got.tobytes() == fresh.tobytes()
     assert transform_samples_1d(row, prof.decay_radius, 0.4) == got[0]
 
 
@@ -459,6 +467,29 @@ def test_transform_samples_rejects_non_finite_momenta():
     values = gaussian(np.linspace(-12.0, 12.0, 1025))
     with pytest.raises(DomainError, match="finite"):
         transform_samples_1d(values, 12.0, [0.5, np.nan])
+    for row, radius, message in (
+        (values[:1], 12.0, "at least two samples"),
+        (np.array([]), 12.0, "at least two samples"),
+        (values, 0.0, "radius must be positive and finite"),
+        (values, -12.0, "radius must be positive and finite"),
+        (values, np.inf, "radius must be positive and finite"),
+        (values, np.nan, "radius must be positive and finite"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            transform_samples_1d(row, radius, 0.5)
+
+
+def test_a_changed_array_transforms_to_its_new_values():
+    # a read-only array that owns its data is no promise that it never
+    # changes: made writeable, doubled and frozen again, it transforms anew
+    values = gaussian(np.linspace(-12.0, 12.0, 1025)).astype(complex)
+    values.setflags(write=False)
+    before = transform_samples_1d(values, 12.0, 0.5)
+    values.setflags(write=True)
+    values *= 2.0
+    values.setflags(write=False)
+    after = transform_samples_1d(values, 12.0, 0.5)
+    assert after == transform_samples_1d(values.copy(), 12.0, 0.5) == 2.0 * before
 
 
 def test_edge_decay_check_covers_every_edge():

@@ -19,6 +19,7 @@ from slabscat.numerics import (
     QuadratureSpec,
     TransformSpec,
     TruncationError,
+    _SampleRow,
     fourier_1d,
     integrate_1d,
     transform_samples_1d,
@@ -474,11 +475,21 @@ def test_numeric_moments_share_the_sample_cache():
     numeric = _eval_only(prof, sample_count=1024)
     assert_allclose(moment_2d(numeric, 1, 0.4, 1.0), m0 / 2)
     assert_allclose(moment_2d(numeric, 2, 0.4, 1.0), m0 / 3)
-    # a derived profile starts with a cache of its own, which holds sample
-    # arrays only: no stand-in profile objects
-    assert prof._cache == {} and numeric._cache
+    _convolution_moment(numeric, 0.4, 1.0)
+    mesh = replace(gaussian_slab_3d(0.7, 1.3), analytic_moment=None, sample_count=64)
+    moment_3d(mesh, 0, (0.4, 0.2), 1.0)
+    # a derived profile starts with a cache of its own, which holds samples
+    # only: 2D rows over read-only arrays, read-only 3D meshes, and no
+    # stand-in profile objects
+    assert prof._cache == {} and len(numeric._cache) == 2
     for samples in numeric._cache.values():
-        assert all(isinstance(v, np.ndarray) for v in samples.values())
+        for row in samples.values():
+            assert isinstance(row, _SampleRow)
+            assert isinstance(row.values, np.ndarray) and not row.values.flags.writeable
+    for samples in mesh._cache.values():
+        for values in samples.values():
+            assert isinstance(values, np.ndarray) and not values.flags.writeable
+            assert values.shape == (65, 65)
 
     calls = []
 
@@ -519,12 +530,12 @@ def test_sampled_moments_are_cached_per_k():
 
 
 def test_sampled_moments_do_not_depend_on_call_order_or_threads():
-    # each momentum is its own call, so the cached fine-grid window of each
-    # sample set grows call by call (from 16 to 64 bins a side in ascending
-    # order), in a different order in every case
+    # each momentum is its own call, and the far ones (about 280, 620 and
+    # 1,030 fine-grid bins out) grow the kept window of each sample row past
+    # its 256-bin floor, in a different order in every case
     closed = gaussian_slab_2d(0.8 + 0.3j, 0.9)
     momenta = np.linspace(-1.0, 6.0, 36)
-    requests = [(l, p) for l in (0, 1, 2) for p in momenta]
+    requests = [(l, p) for l in (0, 1, 2) for p in (*momenta, 40.0, -90.0, 150.0)]
 
     def run(order, threads=1):
         prof = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
@@ -788,8 +799,6 @@ def test_profiles_own_a_validated_grid():
     for radius in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError, match="radius must be positive"):
             Profile2D(eval=w2, decay_radius=radius)
-    with pytest.raises(DomainError, match="radius must be positive"):
-        gaussian_slab_2d(0.5, np.inf)
     for boundaries, values in (([0.0, np.nan, 1.0], [1.0, 2.0]), ([0.0, 1.0], [np.inf])):
         with pytest.raises(DomainError, match="must be finite"):
             layered_profile(boundaries, values, np.exp, 1.0)
@@ -797,6 +806,61 @@ def test_profiles_own_a_validated_grid():
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     coated = coated_profile(slab, _const_geometry(1.0, 0.5, 0.25, 2.0), -0.6, 0.25)
     assert (coated.decay_radius, coated.sample_count) == (slab.decay_radius, 4096)
+
+
+_L_BUILDERS = {
+    "ex1": lambda L: ex1_profile(Z, ALPHA, L),
+    "gaussian2d": lambda L: gaussian_slab_2d(0.5, L),
+    "gaussian3d": lambda L: gaussian_slab_3d(0.5, L),
+}
+_REFUSALS = {
+    **{
+        f"{name}-L={L}": (lambda build=build, L=L: build(L), "L must be positive and finite")
+        for name, build in _L_BUILDERS.items()
+        for L in (0.0, -1.0, np.nan, np.inf)
+    },
+    "layered-count": (
+        lambda: layered_profile([0.0, 1.0], [1.0, 2.0], np.exp, 1.0),
+        "boundaries must have exactly one more entry than values",
+    ),
+    "layered-order": (
+        lambda: layered_profile([0.0, 0.6, 0.4], [1.0, 2.0], np.exp, 1.0),
+        "boundaries must increase within [0, 1]",
+    ),
+    "sampled-shape": (
+        lambda: sampled_profile([0.0, 1.0], [-1.0, 0.0, 1.0], np.ones((3, 2)), 1.0),
+        "values must have shape (len(x_nodes), len(y_nodes))",
+    ),
+    "coated-geometry": (
+        lambda: coated_profile(
+            gaussian_slab_2d(0.8, 1.5), _const_geometry(1.0, 0.0, 0.0, 0.5), -0.6, 0.25
+        ),
+        "geometry must satisfy 0 < ell <= ell_c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_builders_refuse_bad_parameters(case):
+    build, message = _REFUSALS[case]
+    with pytest.raises(DomainError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("route", ["closed", "eval-only"])
+@pytest.mark.parametrize("dimension", ["2d", "3d"])
+def test_non_finite_momenta_are_refused_on_every_route(dimension, route, bad):
+    if dimension == "2d":
+        prof, moment, p = gaussian_slab_2d(0.7, 1.3), moment_2d, [0.4, bad]
+        prof = _eval_only(prof, sample_count=1024) if route == "eval-only" else prof
+    else:
+        prof, moment, p = gaussian_slab_3d(0.7, 1.3), moment_3d, [(0.4, 0.2), (0.1, bad)]
+        if route == "eval-only":
+            prof = replace(prof, analytic_moment=None, sample_count=64)
+    with pytest.raises(DomainError, match="^transform momenta must be finite$"):
+        moment(prof, 0, p, 1.0)
 
 
 def test_profiles_are_frozen():
