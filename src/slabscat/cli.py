@@ -44,8 +44,10 @@ grid, of observation angle theta or of k*ell.  Per-command physics:
 
 Sweeps emit one row per grid point per curve with the columns (variable,
 re_f, im_f, abs2_f, order, method).  A chunk function per domain evaluates
-every curve over a contiguous slice of the grid; ``--threads N`` splits the
-grid into N such slices (fewer if the grid is shorter).  Rows are grid-major
+every curve over a contiguous slice of the grid; at a grid point the
+closed-form curves share one amplitude at their highest order, truncated
+per curve.  ``--threads N`` splits the grid into N such slices (fewer if
+the grid is shorter).  Rows are grid-major
 at any thread count, floats are printed with 17 significant digits, and
 repeated runs, at any thread count and for kernels-check too, are
 byte-identical.  Exit codes: 0 on success, 2 on validation failure (an
@@ -537,12 +539,15 @@ def _chunk_2d(cfg):
     params = None
     if cfg.profile["catalog"] == "ex1":
         params = Ex1Params(**{key: cfg.profile[key] for key in ("z", "alpha", "L")})
+    # one amplitude per point for every closed curve: order1 rows take f1 of the order2 call
+    top = max((o for m, o in cfg.sweep.curves if m not in ("exact", "kernels")), default=None)
 
     def point(x, kernels):
         config = ScatteringConfig2D(
             k=_wavenumber(cfg, x), ell=phys["ell"], theta0=phys["theta0"]
         )
         theta = x if cfg.sweep.variable == "theta" else phys["theta"]
+        closed = amplitude_2d(prof, config, theta, order=top, spec=spec) if top else None
         out = []
         for method, order in cfg.sweep.curves:
             if method == "exact":
@@ -552,7 +557,7 @@ def _chunk_2d(cfg):
             elif method == "kernels":
                 value = kernels[x]
             else:  # order1, order2, closed
-                value = amplitude_2d(prof, config, theta, order=order, spec=spec).truncated
+                value = _truncate(closed.f1, closed.f2, config.kl, order).truncated
             out.append((x, value, order, method))
         return out
 

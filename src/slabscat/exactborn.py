@@ -170,7 +170,11 @@ def extract_series_coefficients(amplitude_fn, k, ell_max):
     ``amplitude_fn(ell)`` is evaluated on the thicknesses ell_max * 2^-j,
     j = 0, ..., 7; the first coefficient comes from extrapolating f/(k ell)
     to zero thickness, the second from extrapolating the deflated remainder.
+    An ell_max or a k * ell_max that is not positive and finite raises
+    DomainError.
     """
+    if not (0 < ell_max < np.inf and 0 < k * ell_max < np.inf):
+        raise DomainError("ell_max and k * ell_max must be positive and finite")
     ells = ell_max * 2.0 ** (-np.arange(_EXTRACT_LEVELS))
     us = k * ells
     amps = np.array([amplitude_fn(ell) for ell in ells], dtype=complex)

@@ -98,8 +98,8 @@ def momentum_grid(k, count=201):
     """
     if not 0 < k < np.inf:
         raise DomainError("k must be positive and finite")
-    if count < 3:
-        raise DomainError("a momentum grid needs at least 3 nodes")
+    if not isinstance(count, (int, np.integer)) or count < 3:
+        raise DomainError("a momentum grid needs an integer count of at least 3 nodes")
     t, w = gauss_legendre(count)
     phi = 0.5 * np.pi * t
     nodes = k * np.sin(phi)
@@ -111,35 +111,30 @@ def momentum_grid(k, count=201):
     return MomentumGrid(k=float(k), nodes=nodes, weights=weights)
 
 
-def _validate_ab(a, b):
+def _kernel_arguments(a, b, p, pp, k):
+    """p and p' as float arrays, once a, b are 1 or 2 and every momentum is inside (-k, k)."""
     if a not in (1, 2) or b not in (1, 2):
         raise DomainError("kernel indices a, b must be 1 or 2")
-
-
-def _validate_momenta(p, pp, k):
-    if np.any(np.abs(np.asarray(p)) >= k) or np.any(np.abs(np.asarray(pp)) >= k):
+    p = np.asarray(p, dtype=float)
+    pp = np.asarray(pp, dtype=float)
+    if np.any(np.abs(p) >= k) or np.any(np.abs(pp) >= k):
         raise DomainError(
             "kernel momenta must lie strictly inside (-k, k); the evaluation "
             "is singular at |p'| = k"
         )
+    return p, pp
 
 
 def kernel_n1(profile, a, b, p, pp, k):
     """First-order kernel; independent of the index b."""
-    _validate_ab(a, b)
-    _validate_momenta(p, pp, k)
-    p = np.asarray(p, dtype=float)
-    pp = np.asarray(pp, dtype=float)
+    p, pp = _kernel_arguments(a, b, p, pp, k)
     m0 = moment_2d(profile, 0, p - pp, k)
     return (-1.0) ** a * 1j * m0 / (4.0 * np.pi * np.sqrt(1.0 - (pp / k) ** 2))
 
 
 def kernel_n2(profile, a, b, p, pp, k):
     """Second-order kernel."""
-    _validate_ab(a, b)
-    _validate_momenta(p, pp, k)
-    p = np.asarray(p, dtype=float)
-    pp = np.asarray(pp, dtype=float)
+    p, pp = _kernel_arguments(a, b, p, pp, k)
     m1 = moment_2d(profile, 1, p - pp, k)
     bracket = (-1.0) ** (a + b) - np.sqrt((k * k - p * p) / (k * k - pp * pp))
     return bracket * m1 / (4.0 * np.pi)
@@ -152,10 +147,7 @@ def kernel_n3(profile, a, b, p, pp, k):
     samples (see profiles._convolution_moment), so like m_2 it is evaluated
     at the whole p - p' array at once.
     """
-    _validate_ab(a, b)
-    _validate_momenta(p, pp, k)
-    p = np.asarray(p, dtype=float)
-    pp = np.asarray(pp, dtype=float)
+    p, pp = _kernel_arguments(a, b, p, pp, k)
     m2 = moment_2d(profile, 2, p - pp, k)
     conv = _convolution_moment(profile, p - pp, k)
     root = np.sqrt((1.0 - (p / k) ** 2) * (1.0 - (pp / k) ** 2))

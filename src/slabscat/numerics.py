@@ -29,15 +29,16 @@ transform_samples_1d evaluates the trapezoid sum over uniform samples at
 off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
 14(6), 1993): one numpy FFT per sample set on a twice-finer 11-smooth grid,
 then a kernel sum over 17 bins per momentum, taken as one array step per
-block of up to 4,096 momenta.  It matches the direct sum to rounding.  A
-sampled profile's cached moment row (a _SampleRow) keeps the fine-grid bins
-its momenta reach, at least 256 on each side of zero, so the FFT runs once
-per row; a plain array is transformed afresh on each call.
-transform_samples_2d sums with explicit phase factors.
+block of up to 4,096 momenta.  It matches the direct sum to rounding.  Its
+samples are always a _SampleRow, which keeps the fine-grid bins its momenta
+reach, at least 256 on each side of zero: a sampled profile's cached moment
+row runs the FFT once, and a plain array becomes a row of its own, so it is
+transformed afresh on each call.  transform_samples_2d sums with explicit
+phase factors; both transforms check their radius and momenta in one place.
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,20 +86,16 @@ class DomainError(SlabscatError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision budget for the adaptive integrators."""
+    """Tolerances of the adaptive integrators; each integrator sets its own subdivision budget."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not 0 < self.rel_tol < np.inf:
             raise DomainError("rel_tol must be positive and finite")
         if not 0 <= self.abs_tol < np.inf:
             raise DomainError("abs_tol must be nonnegative and finite")
-        n = self.max_subdivisions
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise DomainError("max_subdivisions must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -221,16 +218,19 @@ def _gk_panel(fx, lo, hi):
 
 
 _INITIAL_PANELS = 4
+# integrate_1d's budget of halvings, and the most the axial sampler gets
+_MAX_SUBDIVISIONS = 2000
 
 
-def _bisect(panels, halve, total, spec, what):
+def _bisect(panels, halve, total, spec, budget, what):
     """The bisection loop of the adaptive G7/K15 integrators.
 
     ``panels`` holds [error, lo, hi, ...] records; halve(record, mid) returns
     the records of a panel's halves and total() the current estimate.  The
     worst panel is halved until the summed errors are within
-    max(abs_tol, rel_tol * max|total|); if the budget runs out first, or a
-    panel cannot be halved, AccuracyError carries the estimate.
+    max(abs_tol, rel_tol * max|total|); if the ``budget`` of halvings runs
+    out first, or a panel cannot be halved, AccuracyError carries the
+    estimate.
     """
     subdivisions = 0
     while True:
@@ -238,9 +238,9 @@ def _bisect(panels, halve, total, spec, what):
         error = sum(p[0] for p in panels)
         if error <= max(spec.abs_tol, spec.rel_tol * np.max(np.abs(estimate), initial=0.0)):
             return estimate
-        if subdivisions >= spec.max_subdivisions:
+        if subdivisions >= budget:
             raise AccuracyError(
-                f"{what} did not converge within {spec.max_subdivisions} "
+                f"{what} did not converge within {budget} "
                 f"subdivisions (error estimate {error:.3e})",
                 estimate=estimate,
                 error_estimate=error,
@@ -282,8 +282,9 @@ def integrate_1d(f, a, b, spec=None):
     ------
     AccuracyError
         If a panel's estimate is not finite (the message names the panel),
-        or if the tolerance is not met within max_subdivisions; in the
-        latter case the best estimate is attached to the exception.
+        or if the tolerance is not met within 2,000 subdivisions, or a panel
+        narrows to the resolution of double precision; in the latter two
+        cases the best estimate is attached to the exception.
     ValueError
         If f returns values that do not broadcast to its abscissae.
     """
@@ -305,7 +306,7 @@ def integrate_1d(f, a, b, spec=None):
     panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     halve = lambda record, mid: [panel(record[1], mid), panel(mid, record[2])]
     total = lambda: sign * sum(p[3] for p in panels)
-    return _bisect(panels, halve, total, spec, "integrate_1d")
+    return _bisect(panels, halve, total, spec, _MAX_SUBDIVISIONS, "integrate_1d")
 
 
 # the embedded Gauss weights at their places among the 15 Kronrod nodes
@@ -327,9 +328,10 @@ def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC):
     between the ``breaks`` in (0, 1) (where f is known to kink or jump);
     a panel's error is its largest |K15 - G7| over every order and entry,
     so the tolerance is relative to the largest |moment| over the row, not
-    per entry.  It gets _AXIAL_POINTS / (45 * row size) halvings, at least 1
-    and at most spec.max_subdivisions, and raises AccuracyError when they
-    run out or a panel is not finite.  A panel sums its rows node by node:
+    per entry.  ``spec`` sets only the tolerances: the sampler gets
+    _AXIAL_POINTS / (45 * row size) halvings, at least 1 and at most
+    integrate_1d's 2,000, and raises AccuracyError when they run out or a
+    panel is not finite.  A panel sums its rows node by node:
     a halved panel is evaluated again to take its estimate out of the
     running total, so memory stays at a few rows.
     """
@@ -363,8 +365,8 @@ def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC):
         return [left, right]
 
     row_size = max(1, np.size(total) // len(orders))
-    halvings = min(spec.max_subdivisions, max(1, int(_AXIAL_POINTS / (45 * row_size))))
-    return _bisect(panels, halve, lambda: total, replace(spec, max_subdivisions=halvings), what)
+    halvings = min(_MAX_SUBDIVISIONS, max(1, int(_AXIAL_POINTS / (45 * row_size))))
+    return _bisect(panels, halve, lambda: total, spec, halvings, what)
 
 
 # Orders n of the doubling tensor rule: n nodes in x times 2n nodes in y.
@@ -528,25 +530,38 @@ class _SampleRow:
         self.bins = np.empty(0, dtype=complex)
 
 
-def _window(values, half_width):
-    """Fine-grid bins -W .. W-1 (W >= half_width) of a sample set.
+def _window(row, half_width):
+    """Fine-grid bins -W .. W-1 (W >= half_width) of a _SampleRow, kept on the row.
 
-    A _SampleRow keeps its bins: at least _NUFFT_WINDOW_FLOOR on each side,
-    grown to the next power of two when a call needs more; threads that race
-    to grow them at worst repeat one FFT.  A plain array is transformed afresh.
-    Every bin is sliced from the one FFT of the whole set, so its value does
-    not depend on the window or on which momenta came first.
+    The row keeps at least _NUFFT_WINDOW_FLOOR bins on each side, grown to
+    the next power of two when a call needs more; threads that race to grow
+    them at worst repeat one FFT.  Every bin is sliced from the one FFT of
+    the whole row, so its value does not depend on the window or on which
+    momenta came first.
     """
-    if not isinstance(values, _SampleRow):
-        return np.take(_fine_grid(values), np.arange(-half_width, half_width), mode="wrap")
-    bins = values.bins  # read once, as another thread may replace it
+    bins = row.bins  # read once, as another thread may replace it
     if bins.size < 2 * half_width:
         width = 1 << (int(max(half_width, _NUFFT_WINDOW_FLOOR)) - 1).bit_length()
-        width = min(width, _nufft_plan(values.size)[0] // 2 + _NUFFT_W + 2)
-        bins = np.take(_fine_grid(values.values), np.arange(-width, width), mode="wrap")
+        width = min(width, _nufft_plan(row.size)[0] // 2 + _NUFFT_W + 2)
+        bins = np.take(_fine_grid(row.values), np.arange(-width, width), mode="wrap")
         bins.setflags(write=False)
-        values.bins = bins
+        row.bins = bins
     return bins
+
+
+def _scaled_momenta(radius, p, scale):
+    """p * scale, once the transform radius and the scaled momenta are checked.
+
+    A radius that is not positive and finite, or a scaled momentum that is
+    not finite (a momentum that is not, or one too large for the transform's
+    phases), raises DomainError.  Both sampled transforms check through it.
+    """
+    if not 0.0 < radius < np.inf:
+        raise DomainError("transform radius must be positive and finite")
+    scaled = p * scale
+    if not np.all(np.isfinite(scaled)):
+        raise DomainError("transform momenta must be finite")
+    return scaled
 
 
 def transform_samples_1d(values, radius, p):
@@ -565,34 +580,31 @@ def transform_samples_1d(values, radius, p):
     momenta at once and added in the same order for each, so a momentum
     gets the same bits in any batch.  It agrees with the direct
     sum to rounding: within 1e-13 of h * sum(|values|), at any momentum.
-    ``values`` may also be a sampled profile's cached row (a _SampleRow),
-    which keeps the fine-grid bins its momenta reach for later calls.  Fewer
-    than two samples, a radius that is not positive and finite, or a momentum
-    that is not finite raise DomainError.
+    ``values`` may be a sampled profile's cached row (a _SampleRow), which
+    keeps the fine-grid bins its momenta reach for later calls; an array is
+    copied into a row of its own, so it is transformed afresh on each call.
+    Fewer than two samples, a radius that is not positive and finite, or a
+    momentum that is not finite raise DomainError.
     """
-    values = values if isinstance(values, _SampleRow) else np.asarray(values, dtype=complex)
-    if values.size < 2:
+    row = values if isinstance(values, _SampleRow) else _SampleRow(values)
+    if row.size < 2:
         raise DomainError("transform_samples_1d needs at least two samples")
-    if not 0.0 < radius < np.inf:
-        raise DomainError("transform radius must be positive and finite")
-    n = values.size - 1
+    n = row.size - 1
+    n_fine = _nufft_plan(row.size)[0]
     h = 2.0 * radius / n
     shape = np.shape(p)
     p_arr = np.asarray(p, dtype=float).ravel()
-    if p_arr.size == 0:
-        return np.empty(shape, dtype=complex)
-    n_fine = _nufft_plan(values.size)[0]
 
     # fine-grid position of each momentum; the sum is periodic in p*h with
     # period 2 pi, i.e. n_fine bins, and both reductions below are exact
-    position = p_arr * (h * n_fine / (2.0 * np.pi))
-    if not np.all(np.isfinite(position)):
-        raise DomainError("transform momenta must be finite")
+    position = _scaled_momenta(radius, p_arr, h * n_fine / (2.0 * np.pi))
+    if p_arr.size == 0:
+        return np.empty(shape, dtype=complex)
     position = np.fmod(position, n_fine)
     position -= n_fine * np.round(position / n_fine)
     first = np.floor(position - 0.5 * _NUFFT_W).astype(int)
     half_width = max(-first.min(), first.max() + _NUFFT_W + 1)
-    bins = _window(values, half_width)
+    bins = _window(row, half_width)
     width = bins.size // 2
     total = np.zeros(p_arr.size, dtype=complex)
     q = np.arange(_NUFFT_W + 1)[:, None]
@@ -636,16 +648,22 @@ def transform_samples_2d(values, radius, pvec):
     """2D analog of transform_samples_1d on an (n+1) x (n+1) uniform grid.
 
     ``values[i, j]`` is f at (x_i, y_j); ``pvec`` is one momentum pair
-    (px, py) or an array of shape (m, 2).
+    (px, py) or an array of shape (m, 2).  A mesh that is not square with at
+    least 2 x 2 samples, a radius that is not positive and finite, or a
+    momentum that is not finite raise DomainError, as in
+    transform_samples_1d.
     """
     values = np.asarray(values, dtype=complex)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] < 2:
+        raise DomainError("transform_samples_2d needs a square mesh of at least 2 x 2 samples")
+    pv = np.atleast_2d(np.asarray(pvec, dtype=float))
+    single = np.asarray(pvec).ndim == 1
+    _scaled_momenta(radius, pv, radius)  # |px x| <= |px| radius on the mesh
     n = values.shape[0] - 1
     h = 2.0 * radius / n
     w = _trapezoid_weights(n, h)
     x = np.linspace(-radius, radius, n + 1)
 
-    pv = np.atleast_2d(np.asarray(pvec, dtype=float))
-    single = np.asarray(pvec).ndim == 1
     out = np.empty(pv.shape[0], dtype=complex)
     for i, (px, py) in enumerate(pv):
         u = w * np.exp(-1j * px * x)

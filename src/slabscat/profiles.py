@@ -382,6 +382,19 @@ _uniform = lambda x_frac: 1.0
 _uniform_moments = tuple(1.0 / (l + 1.0) for l in (0, 1, 2))
 
 
+def _decay_radius(L, widths):
+    """The decay radius widths * L that a builder derives from its width L.
+
+    An L that is not positive and finite, or one whose radius overflows,
+    raises DomainError naming L.
+    """
+    if not 0 < L < np.inf:
+        raise DomainError("L must be positive and finite")
+    if widths * L == np.inf:
+        raise DomainError(f"L = {L:g} is too large: the decay radius {widths:g} * L overflows")
+    return widths * L
+
+
 def ex1_profile(z, alpha, L):
     """Slab with w(x_frac, y) = z e^{i alpha y} / (y/L + i)^2.
 
@@ -394,8 +407,7 @@ def ex1_profile(z, alpha, L):
     L = float(L)
     if not (np.isfinite(z) and np.isfinite(alpha)):
         raise DomainError("z and alpha must be finite")
-    if not 0 < L < np.inf:
-        raise DomainError("L must be positive and finite")
+    radius = _decay_radius(L, 2000.0)
 
     def g(y):
         y = np.asarray(y, dtype=float)
@@ -409,7 +421,7 @@ def ex1_profile(z, alpha, L):
         return out
 
     return _separable_2d(
-        _uniform, _uniform_moments, g, g_hat, 2000.0 * L, f"ex1(z={z}, alpha={alpha}, L={L})"
+        _uniform, _uniform_moments, g, g_hat, radius, f"ex1(z={z}, alpha={alpha}, L={L})"
     )
 
 
@@ -419,8 +431,7 @@ def gaussian_slab_2d(z, L):
     L = float(L)
     if not np.isfinite(z):
         raise DomainError("z must be finite")
-    if not 0 < L < np.inf:
-        raise DomainError("L must be positive and finite")
+    radius = _decay_radius(L, 12.0)
 
     def g(y):
         return z * np.exp(-0.5 * (np.asarray(y, dtype=float) / L) ** 2)
@@ -430,7 +441,7 @@ def gaussian_slab_2d(z, L):
         return z * np.sqrt(2.0 * np.pi) * L * np.exp(-0.5 * (L * p) ** 2)
 
     return _separable_2d(
-        _uniform, _uniform_moments, g, g_hat, 12.0 * L, f"gaussian2d(z={z}, L={L})"
+        _uniform, _uniform_moments, g, g_hat, radius, f"gaussian2d(z={z}, L={L})"
     )
 
 
@@ -440,8 +451,7 @@ def gaussian_slab_3d(z, L):
     L = float(L)
     if not np.isfinite(z):
         raise DomainError("z must be finite")
-    if not 0 < L < np.inf:
-        raise DomainError("L must be positive and finite")
+    radius = _decay_radius(L, 12.0)
 
     def w_eval(r1, r2, z_frac, k):
         r1, r2, z_frac = np.broadcast_arrays(
@@ -461,7 +471,7 @@ def gaussian_slab_3d(z, L):
 
     return Profile3D(
         eval=w_eval,
-        decay_radius=12.0 * L,
+        decay_radius=radius,
         descriptor=f"gaussian3d(z={z}, L={L})",
         analytic_moment=w_moment,
     )

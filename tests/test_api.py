@@ -124,6 +124,32 @@ def test_every_private_top_level_name_is_used_in_src():
     assert sorted(where for name, where in defined.items() if name not in used) == []
 
 
+def test_cli_numerics_defaults_are_the_librarys():
+    # the CLI repeats the library's defaults in one table (check_tol, the
+    # kernels-check gate, is the CLI's own); they must not drift apart
+    numerics, kernels, dyson1d, cli = (
+        importlib.import_module(f"slabscat.{name}")
+        for name in ("numerics", "kernels", "dyson1d", "cli")
+    )
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    node_counts = {
+        default(kernels.amplitude_from_kernels, "node_count"),
+        default(kernels.momentum_grid, "count"),
+    }
+    assert len(node_counts) == 1
+    library = {
+        "rel_tol": numerics.QuadratureSpec().rel_tol,
+        "node_count": node_counts.pop(),
+        "max_terms": default(dyson1d.transfer_matrix_1d, "max_terms"),
+        "series_tol": default(dyson1d.transfer_matrix_1d, "tol"),
+    }
+    assert {key: value for key, value in cli._DEFAULT_NUMERICS.items()
+            if key != "check_tol"} == library
+
+
 _MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "Lock", "RLock"}
 
 

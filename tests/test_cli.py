@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
 from slabscat.amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
-from slabscat import amp3d, cli
+from slabscat import amp2d, amp3d, cli
 from slabscat.cli import execute, load_config, main, validate_config
 from slabscat.dyson1d import constant_slab_1d, scattering_1d, transfer_matrix_1d
 from slabscat.exactborn import Ex1Params, ex1_exact
@@ -327,7 +327,7 @@ def test_labels_notes_and_late_domain_errors(tmp_path):
         "infeasible: square-root argument is negative; the bilayer method is not"
         " applicable (first failing grid point y = -1)"
     )
-    # a width that passes validation but overflows the truncation radius is
+    # a width that passes validation but overflows the decay radius is
     # refused when the profile is built, with the validation exit code
     cfg = dict(THREAD_CASES["amp2d"], output={"path": str(tmp_path / "out.csv")})
     cfg["profile"] = dict(cfg["profile"], L=1e308)
@@ -337,7 +337,7 @@ def test_labels_notes_and_late_domain_errors(tmp_path):
     assert result.exit_code == 2
     assert json.loads(result.output) == {
         "error": "validation",
-        "violations": ["truncation_radius must be positive and finite"],
+        "violations": ["L = 1e+308 is too large: the decay radius 12 * L overflows"],
     }
     assert not (tmp_path / "out.csv").exists()
 
@@ -615,3 +615,32 @@ def test_fig6_batches_each_level_in_capped_blocks(monkeypatch):
     assert {n for _, n in calls} == {16, 32}
     assert len(calls) <= 28  # 7 per curve; one call per point and level was 320
     assert sum(size * 2 * n * n for size, n in calls) == 160 * (512 + 2048)
+
+
+def test_each_2d_sweep_point_is_evaluated_once(tmp_path, monkeypatch):
+    # the order1 and order2 curves of a point share one order-2 amplitude,
+    # whose f1 gives the order1 row the bits of an order-1 call
+    calls = []
+    f1_2d = amp2d.f1_2d
+    monkeypatch.setattr(amp2d, "f1_2d", lambda *args: calls.append(args) or f1_2d(*args))
+    raw = {
+        "command": "sweep",
+        "domain": "2d",
+        "profile": {"catalog": "gaussian2d", "z": [0.3, 0.05], "L": 1.2},
+        "physics": {"variable": "kl", "grid": [0.05, 0.1, 0.2], "ell": 0.05,
+                    "theta": 1.0, "theta0": 4.0, "methods": ["order1", "order2"]},
+        "output": {"path": str(tmp_path / "s.csv")},
+    }
+    cfg, violations = validate_config(raw)
+    assert violations == []
+    rows = execute(cfg)[0].rows
+    assert len(calls) == 3
+    monkeypatch.undo()
+    prof = gaussian_slab_2d(0.3 + 0.05j, 1.2)
+    assert [(row[0], row[4], row[5]) for row in rows] == [
+        (kl, order, f"order{order}") for kl in (0.05, 0.1, 0.2) for order in (1, 2)
+    ]
+    for kl, re_f, im_f, _, order, _ in rows:
+        config = ScatteringConfig2D(k=kl / 0.05, ell=0.05, theta0=4.0)
+        expect = amplitude_2d(prof, config, 1.0, order=order, spec=cli._quad_spec(cfg))
+        assert complex(re_f, im_f) == expect.truncated

@@ -189,6 +189,9 @@ def test_series_extraction_matches_order_coefficients():
     cfg = ScatteringConfig2D(k=k, ell=0.1, theta0=theta0)
     assert_allclose(f1_est, f1_2d(PROF, cfg, theta), rtol=1e-5)
     assert_allclose(f2_est, f2_2d(PROF, cfg, theta), rtol=1e-5)
+    for k_bad, ell_max in ((k, 0.0), (k, -1.0), (k, np.nan), (k, np.inf), (-k, -0.1)):
+        with pytest.raises(DomainError, match="k \\* ell_max must be positive and finite"):
+            extract_series_coefficients(amp, k_bad, ell_max)
 
 
 def test_truncation_error_is_third_order():

@@ -819,6 +819,19 @@ _REFUSALS = {
         for name, build in _L_BUILDERS.items()
         for L in (0.0, -1.0, np.nan, np.inf)
     },
+    # finite widths whose derived decay radius (12 L, or 2000 L for ex1) overflows
+    "ex1-L=1e306": (
+        lambda: ex1_profile(0.1, 1.0, 1e306),
+        "L = 1e+306 is too large: the decay radius 2000 * L overflows",
+    ),
+    "gaussian2d-L=1e308": (
+        lambda: gaussian_slab_2d(0.5, 1e308),
+        "L = 1e+308 is too large: the decay radius 12 * L overflows",
+    ),
+    "gaussian3d-L=1e308": (
+        lambda: gaussian_slab_3d(0.5, 1e308),
+        "L = 1e+308 is too large: the decay radius 12 * L overflows",
+    ),
     "layered-count": (
         lambda: layered_profile([0.0, 1.0], [1.0, 2.0], np.exp, 1.0),
         "boundaries must have exactly one more entry than values",
