@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, QuadratureSpec, integrate_1d
+from .numerics import DomainError, integrate_1d
 from .profiles import moment_2d
 
 __all__ = [
@@ -110,42 +110,65 @@ def _check_theta(theta):
         raise DomainError("theta = +-pi/2 (grazing observation) is excluded")
 
 
-def f1_2d(profile, config, theta):
-    """First-order amplitude coefficient f1(theta)."""
+def _runs(k):
+    """(slice, value) of every run of equal values in the 1-D array k (none if it is empty)."""
+    edges = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), k.size]
+    return [(slice(a, b), k[a]) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+
+
+def _sweep_2d(profile, configs, thetas, order=2, spec=None):
+    """f1 and f2 (0j at order 1) lists at the points (configs[j], thetas[j]).
+
+    The route of f1_2d, f2_2d, amplitude_2d, the CLI and verify_invisibility:
+    m_0 (and m_1) of the outgoing momenta once per run of equal k, then one
+    integrate_1d per f2.  Prefactors stay per point (numpy rounds an array's
+    complex division otherwise), so a point's bits do not depend on its batch.
+    """
+    theta = np.asarray(thetas, dtype=float)
     _check_theta(theta)
-    k = config.k
-    p = k * s_factor(theta, config.theta0)
-    return k / (2.0 * np.sqrt(2.0 * np.pi)) * moment_2d(profile, 0, p, k)
+    k = np.array([c.k for c in configs])
+    momenta = k * s_factor(theta, np.array([c.theta0 for c in configs]))
+    m = np.empty((order, k.size), dtype=complex)  # m_0 and m_1 at momenta
+    for run, kj in _runs(k):
+        for l in range(order):
+            m[l, run] = moment_2d(profile, l, momenta[run], kj)
+    f1 = [complex(c.k / (2.0 * np.sqrt(2.0 * np.pi)) * m0) for c, m0 in zip(configs, m[0])]
+    if order == 1:
+        return f1, [0j] * k.size
+    f2 = []
+    for c, t, m1 in zip(configs, theta, m[1]):
+        def integrand(phi):
+            # one transform of the panel's left and right momenta together
+            momenta = np.concatenate((c.k * s_factor(t, phi), c.k * s_factor(phi, c.theta0)))
+            values = np.asarray(moment_2d(profile, 0, momenta, c.k), dtype=complex)
+            return values[: phi.size] * values[phi.size :]
+
+        term1 = -c_factor(t, c.theta0) * m1
+        term2 = c.k / (4.0 * np.pi) * integrate_1d(integrand, -np.pi / 2.0, np.pi / 2.0, spec)
+        f2.append(complex(1j * c.k / (2.0 * np.sqrt(2.0 * np.pi)) * (term1 + term2)))
+    return f1, f2
+
+
+def f1_2d(profile, config, theta):
+    """First-order amplitude coefficient f1(theta); an array of angles gives an array."""
+    f1, _ = _sweep_2d(profile, [config] * np.size(theta), np.ravel(theta), order=1)
+    return np.array(f1, dtype=complex).reshape(np.shape(theta))[()]
 
 
 def f2_2d(profile, config, theta, spec=None):
-    """Second-order amplitude coefficient f2(theta).
+    """Second-order amplitude coefficient f2(theta); an array of angles gives an array.
 
     The phi-integral runs over the propagating directions (-pi/2, pi/2) of
     the intermediate channel; it is evaluated by adaptive quadrature with the
     supplied QuadratureSpec.
     """
-    _check_theta(theta)
-    spec = spec or QuadratureSpec()
-    k = config.k
-    theta0 = config.theta0
-    s = s_factor(theta, theta0)
-    term1 = -c_factor(theta, theta0) * moment_2d(profile, 1, k * s, k)
-
-    def integrand(phi):
-        # one transform of the panel's left and right momenta together
-        momenta = np.concatenate((k * s_factor(theta, phi), k * s_factor(phi, theta0)))
-        left, right = np.asarray(moment_2d(profile, 0, momenta, k), dtype=complex).reshape(2, -1)
-        return left * right
-
-    term2 = k / (4.0 * np.pi) * integrate_1d(integrand, -np.pi / 2.0, np.pi / 2.0, spec)
-    return 1j * k / (2.0 * np.sqrt(2.0 * np.pi)) * (term1 + term2)
+    _, f2 = _sweep_2d(profile, [config] * np.size(theta), np.ravel(theta), spec=spec)
+    return np.array(f2, dtype=complex).reshape(np.shape(theta))[()]
 
 
 def amplitude_2d(profile, config, theta, order=2, spec=None):
     """Truncated amplitude f1*(k ell) [+ f2*(k ell)^2] with its coefficients."""
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    f1 = complex(f1_2d(profile, config, theta))
-    f2 = complex(f2_2d(profile, config, theta, spec=spec)) if order == 2 else 0j
+    (f1,), (f2,) = _sweep_2d(profile, [config], [theta], order, spec)
     return _truncate(f1, f2, config.kl, order)

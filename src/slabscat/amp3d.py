@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp2d import _GRAZING_TOL, _truncate
+from .amp2d import _GRAZING_TOL, _runs, _truncate
 from .numerics import DomainError, integrate_2d
 from .profiles import moment_3d
 
@@ -131,17 +131,11 @@ def gaussian_Y(theta, phi, theta0, phi0, K):
     return float(val.real) / (2.0 * np.pi)
 
 
-def _runs(k):
-    """(slice, value) of every run of equal values in the 1-D array k."""
-    edges = [0, *(np.flatnonzero(np.diff(k)) + 1), k.size]
-    return [(slice(a, b), k[a]) for a, b in zip(edges[:-1], edges[1:])]
-
-
 def _sweep_3d(profile, configs, directions, order=2, spec=None):
     """f1 and f2 (0j at order 1) lists at the points (configs[j], directions[j]).
 
-    The curve route of f1_3d, f2_3d and amplitude_3d: one integrate_2d batch
-    for every f2 integral, and m_0 of the incoming momenta once per run of k.
+    The curve route of f1_3d, f2_3d, amplitude_3d and the CLI: one integrate_2d
+    batch for every f2 integral, and m_0 of the incoming momenta once per run of k.
     Every point has the theta0 and phi0 of configs[0].
     """
     theta0, phi0 = configs[0].theta0, configs[0].phi0

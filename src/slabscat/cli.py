@@ -43,11 +43,12 @@ grid, of observation angle theta or of k*ell.  Per-command physics:
   width is derived per curve), orders selecting the truncation
 
 Sweeps emit one row per grid point per curve with the columns (variable,
-re_f, im_f, abs2_f, order, method).  A chunk function per domain evaluates
-every curve over a contiguous slice of the grid; at a grid point the
-closed-form curves share one amplitude at their highest order, truncated
-per curve.  ``--threads N`` splits the grid into N such slices (fewer if
-the grid is shorter).  Rows are grid-major
+re_f, im_f, abs2_f, order, method).  A chunk function evaluates every curve
+over a contiguous slice of the grid: in 2D and 3D alike, the closed-form
+curves of a profile take one amplitude sweep (amp2d._sweep_2d or
+amp3d._sweep_3d) at their highest order, truncated per curve.
+``--threads N`` splits the grid into N such slices (fewer if the grid is
+shorter).  Rows are grid-major
 at any thread count, floats are printed with 17 significant digits, and
 repeated runs, at any thread count and for kernels-check too, are
 byte-identical.  Exit codes: 0 on success, 2 on validation failure (an
@@ -60,13 +61,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import click
 import numpy as np
 
-from .amp2d import _GRAZING_TOL, ScatteringConfig2D, _truncate, amplitude_2d
+from .amp2d import _GRAZING_TOL, ScatteringConfig2D, _sweep_2d, _truncate
 from .amp3d import Direction3D, ScatteringConfig3D, _sweep_3d
 from .cloak import (
     CoatingMaterials,
@@ -276,10 +277,11 @@ def _validate_profile(prof, dimension, violations, derived=()):
 class Sweep:
     """Curves evaluated along one grid; every command but cloak is one.
 
-    ``domain`` selects the chunk function and the shape of a curve: in 2D
-    (method, order tag), method one of order1, order2, exact, kernels,
-    closed; in 3D (profile overrides, fixed theta or None, order, label);
-    in 1D (channel, order tag).  Rows are grid-major, curves in list order.
+    An amplitude curve (2D or 3D) is (profile overrides, fixed theta or None
+    for the grid's, order tag, label); the labels exact and kernels (2D)
+    name a route of their own, any other curve is the closed-form amplitude
+    truncated at its order.  A 1D curve is (channel, order tag).  ``domain``
+    selects the chunk function.  Rows are grid-major, curves in list order.
     """
 
     domain: str
@@ -403,17 +405,14 @@ def _validate_command(command, prof, phys, raw, violations):
         thetas = _grid(phys.get("thetas"), "physics.thetas", violations)
         _check_angles(thetas, "physics.thetas", violations, polar=polar)
         orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
-        if command == "amp3d":
-            curves = [({}, None, order, f"order{order}") for order in orders]
-            return profile, physics, Sweep("3d", "theta", thetas, curves)
-        curves = [(f"order{order}", order) for order in orders]
+        curves = [({}, None, order, f"order{order}") for order in orders]
         if command == "kernels-check":
-            curves = [("kernels", 2), ("closed", 2)]
+            curves = [({}, None, 2, "kernels"), ({}, None, 2, "closed")]
         elif command == "exact2d":
-            curves.insert(0, ("exact", 0))
+            curves.insert(0, ({}, None, 0, "exact"))
             if profile is not None and _beyond_support(physics["k"], profile["alpha"]):
                 violations.append("exact2d requires k <= profile alpha")
-        return profile, physics, Sweep("2d", "theta", thetas, curves)
+        return profile, physics, Sweep("3d" if polar else "2d", "theta", thetas, curves)
 
     # sweep
     domain = raw.get("domain", "2d")
@@ -438,7 +437,7 @@ def _validate_command(command, prof, phys, raw, violations):
         methods = _subset(phys, "methods", known, ["order1", "order2"], violations)
         if "exact" in methods and (profile is None or profile["catalog"] != "ex1"):
             violations.append("the 'exact' sweep method requires the ex1 catalog")
-        curves = [(m, 0 if m == "exact" else int(m[-1])) for m in methods]
+        curves = [({}, physics["theta"], 0 if m == "exact" else int(m[-1]), m) for m in methods]
         return profile, physics, Sweep("2d", "kl", grid, curves)
 
     physics["theta0"] = _angle(phys, "theta0", violations, polar=True)
@@ -531,74 +530,51 @@ def _wavenumber(cfg, x):
     return cfg.physics["k"] if cfg.sweep.variable == "theta" else x / cfg.physics["ell"]
 
 
-def _chunk_2d(cfg):
-    """Chunk function of a 2D sweep: grid slice -> rows of every (method, order) curve."""
-    prof = profile_from_dict(cfg.profile)
+# per domain: its config type, the angle argument a grid theta becomes, and its sweep
+_DOMAINS = {
+    "2d": (ScatteringConfig2D, lambda theta, phys: theta, _sweep_2d),
+    "3d": (ScatteringConfig3D, lambda theta, phys: Direction3D(theta, phys["phi"]), _sweep_3d),
+}
+
+
+def _chunk(cfg):
+    """Chunk function of a 2D or 3D sweep: one sweep call per profile for its closed curves."""
+    routed = ("exact", "kernels")  # the labels of the 2D curves with a route of their own
+    config_type, angle, sweep = _DOMAINS[cfg.sweep.domain]
     phys = cfg.physics
-    spec = _quad_spec(cfg)
-    params = None
-    if cfg.profile["catalog"] == "ex1":
-        params = Ex1Params(**{key: cfg.profile[key] for key in ("z", "alpha", "L")})
-    # one amplitude per point for every closed curve: order1 rows take f1 of the order2 call
-    top = max((o for m, o in cfg.sweep.curves if m not in ("exact", "kernels")), default=None)
-
-    def point(x, kernels):
-        config = ScatteringConfig2D(
-            k=_wavenumber(cfg, x), ell=phys["ell"], theta0=phys["theta0"]
-        )
-        theta = x if cfg.sweep.variable == "theta" else phys["theta"]
-        closed = amplitude_2d(prof, config, theta, order=top, spec=spec) if top else None
-        out = []
-        for method, order in cfg.sweep.curves:
-            if method == "exact":
-                if _beyond_support(config.k, params.alpha):
-                    continue  # the exact formula stops being valid above alpha
-                value = ex1_exact(params, config, theta)
-            elif method == "kernels":
-                value = kernels[x]
-            else:  # order1, order2, closed
-                value = _truncate(closed.f1, closed.f2, config.kl, order).truncated
-            out.append((x, value, order, method))
-        return out
-
-    def chunk(xs):
-        kernels = {}  # a kernels-check sweeps theta at one k: every angle in one call
-        if ("kernels", 2) in cfg.sweep.curves:
-            config = ScatteringConfig2D(k=phys["k"], ell=phys["ell"], theta0=phys["theta0"])
-            values = amplitude_from_kernels(prof, config, xs, 2, cfg.numerics["node_count"])
-            kernels = dict(zip(xs, values))
-        return [row for x in xs for row in point(x, kernels)]
-
-    return chunk
-
-
-def _chunk_3d(cfg):
-    """Chunk function of a 3D sweep: one _sweep_3d call per profile, for all its curves."""
-    phys = cfg.physics
+    fixed = {f.name: phys[f.name] for f in fields(config_type) if f.name != "k"}
     curves = cfg.sweep.curves
     keys = [tuple(curve[0].items()) for curve in curves]
     built = {key: profile_from_dict(dict(cfg.profile, **dict(key))) for key in keys}
+    if cfg.profile["catalog"] == "ex1":
+        params = Ex1Params(**{key: cfg.profile[key] for key in ("z", "alpha", "L")})
 
     def chunk(xs):
-        found = {}  # (profile key, fixed theta, grid index) -> (f1, f2, kl)
+        configs = [config_type(k=_wavenumber(cfg, x), **fixed) for x in xs]
+        found = {}  # (profile key, fixed theta, grid index) -> (f1, f2)
         for key, prof in built.items():
-            mine = [curve for k, curve in zip(keys, curves) if k == key]
+            mine = [c for c, ck in zip(curves, keys) if ck == key and c[3] not in routed]
             points = [(j, t) for j in range(len(xs)) for t in dict.fromkeys(c[1] for c in mine)]
-            configs = [
-                ScatteringConfig3D(k=_wavenumber(cfg, xs[j]), ell=phys["ell"],
-                                   theta0=phys["theta0"], phi0=phys["phi0"])
-                for j, _ in points
-            ]
-            directions = [Direction3D(xs[j] if t is None else t, phys["phi"]) for j, t in points]
-            top = max(curve[2] for curve in mine)  # order1 rows take f1 of the order2 call
-            f1, f2 = _sweep_3d(prof, configs, directions, top, _quad_spec(cfg))
-            coefficients = zip(f1, f2, [c.kl for c in configs])
-            found.update(zip([(key, t, j) for j, t in points], coefficients))
-        return [
-            (x, _truncate(*found[key, theta, j], order).truncated, order, label)
-            for j, x in enumerate(xs)
-            for key, (_, theta, order, label) in zip(keys, curves)
-        ]
+            angles = [angle(xs[j] if t is None else t, phys) for j, t in points]
+            top = max((c[2] for c in mine), default=1)  # order1 rows take f1 of the order2 call
+            f1, f2 = sweep(prof, [configs[j] for j, _ in points], angles, top, _quad_spec(cfg))
+            found.update(zip([(key, t, j) for j, t in points], zip(f1, f2)))
+        if any(curve[3] == "kernels" for curve in curves):  # theta at one k: one call
+            nodes = cfg.numerics["node_count"]
+            kernels = amplitude_from_kernels(built[()], configs[0], xs, 2, nodes)
+        rows = []
+        for j, (x, config) in enumerate(zip(xs, configs)):
+            for key, (_, theta, order, label) in zip(keys, curves):
+                if label == "kernels":
+                    value = kernels[j]
+                elif label != "exact":
+                    value = _truncate(*found[key, theta, j], config.kl, order).truncated
+                elif _beyond_support(config.k, params.alpha):
+                    continue  # the exact formula stops being valid above alpha
+                else:
+                    value = ex1_exact(params, config, x if theta is None else theta)
+                rows.append((x, value, order, label))
+        return rows
 
     return chunk
 
@@ -622,7 +598,7 @@ def _chunk_1d(cfg):
     return lambda kls: [row for kl in kls for row in point(kl)]
 
 
-_CHUNKS = {"1d": _chunk_1d, "2d": _chunk_2d, "3d": _chunk_3d}
+_CHUNKS = {"1d": _chunk_1d, "2d": _chunk, "3d": _chunk}
 
 
 def _kernel_deviation(rows, check_tol):

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .amp2d import ScatteringConfig2D, f1_2d, f2_2d
+from .amp2d import ScatteringConfig2D, _sweep_2d
 from .numerics import DomainError
 from .profiles import CoatedProfile2D
 
@@ -242,14 +242,13 @@ def verify_invisibility(coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THET
         theta_grid = np.linspace(0.25, 2.0 * np.pi - 0.25, 10)
     theta_grid = np.asarray(theta_grid, dtype=float)
     config = ScatteringConfig2D(k=k, ell=ell_c, theta0=theta0)
-    f1 = np.asarray(f1_2d(coated, config, theta_grid), dtype=complex)
-    f2 = np.array([f2_2d(coated, config, t) for t in theta_grid], dtype=complex)
+    f1, f2 = _sweep_2d(coated, [config] * theta_grid.size, theta_grid)
     return InvisibilityReport(
         moment0_max=float(np.max(np.abs(m0))) * ell_c,
         moment1_max=float(np.max(np.abs(m1))) * ell_c**2,
         theta_grid=theta_grid,
-        f1=f1,
-        f2=f2,
+        f1=np.array(f1, dtype=complex),
+        f2=np.array(f2, dtype=complex),
         ell_c=ell_c,
         kl_c=k * ell_c,
     )

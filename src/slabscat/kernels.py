@@ -253,6 +253,8 @@ def amplitude_from_kernels(profile, config, theta, truncation=2, node_count=201)
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if any(abs(math.cos(t)) < _GRAZING_TOL for t in thetas):
         raise DomainError("theta = +-pi/2 is excluded")
+    if thetas.size == 0:
+        return np.empty(0, dtype=complex)
     grid = momentum_grid(config.k, count=node_count)
     p = [config.k * math.sin(t) for t in thetas]
     b_minus, a_plus = assemble_channels(profile, config, p, truncation, grid)

@@ -38,6 +38,7 @@ phase factors; both transforms check their radius and momenta in one place.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,14 @@ def _bisect(panels, halve, total, spec, budget, what):
         subdivisions += 1
 
 
+def _finite_limits(*limits):
+    """The integration limits as floats; DomainError if one is not finite."""
+    limits = [float(x) for x in limits]
+    if not all(map(math.isfinite, limits)):
+        raise DomainError("integration limits must be finite")
+    return limits
+
+
 def integrate_1d(f, a, b, spec=None):
     """Adaptively integrate a complex-valued function over [a, b].
 
@@ -285,12 +294,13 @@ def integrate_1d(f, a, b, spec=None):
         or if the tolerance is not met within 2,000 subdivisions, or a panel
         narrows to the resolution of double precision; in the latter two
         cases the best estimate is attached to the exception.
+    DomainError
+        Before any evaluation, if a limit is not finite.
     ValueError
         If f returns values that do not broadcast to its abscissae.
     """
     spec = spec or _DEFAULT_QUAD
-    a = float(a)
-    b = float(b)
+    a, b = _finite_limits(a, b)
     if a == b:
         return 0j
     sign = 1.0
@@ -419,10 +429,13 @@ def integrate_2d(f, a, b, c, d, spec=None, batch=None):
         converged at n = 256 (a kinked one, say), with the n = 256 sum as
         ``estimate`` and its gap to the n = 128 sum as ``error_estimate``.
         The message names the rectangle, and in a batch the integrand.
+    DomainError
+        Before any evaluation, if a limit is not finite.
     ValueError
         If f returns values that do not broadcast to its abscissae.
     """
     spec = spec or _DEFAULT_QUAD
+    _finite_limits(a, b, c, d)
     g = f if batch is not None else (lambda live, x, y: np.asarray(f(x, y))[None])
     out = np.empty(1 if batch is None else batch, dtype=complex)
     live, previous = np.arange(out.size), np.full(out.size, np.nan)
@@ -583,12 +596,12 @@ def transform_samples_1d(values, radius, p):
     ``values`` may be a sampled profile's cached row (a _SampleRow), which
     keeps the fine-grid bins its momenta reach for later calls; an array is
     copied into a row of its own, so it is transformed afresh on each call.
-    Fewer than two samples, a radius that is not positive and finite, or a
-    momentum that is not finite raise DomainError.
+    Samples that are not one row of at least two, a radius that is not
+    positive and finite, or a momentum that is not finite raise DomainError.
     """
     row = values if isinstance(values, _SampleRow) else _SampleRow(values)
-    if row.size < 2:
-        raise DomainError("transform_samples_1d needs at least two samples")
+    if row.values.ndim != 1 or row.size < 2:
+        raise DomainError("transform_samples_1d needs one 1-D row of at least two samples")
     n = row.size - 1
     n_fine = _nufft_plan(row.size)[0]
     h = 2.0 * radius / n

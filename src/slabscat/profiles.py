@@ -148,7 +148,9 @@ class CoatedProfile2D(Profile2D):
 
 def _check_grid(profile, max_samples=None):
     """Refuse a transverse grid the sampled route cannot use."""
-    TransformSpec(profile.decay_radius, profile.sample_count)  # R > 0, a power of two
+    if not 0 < profile.decay_radius < np.inf:
+        raise DomainError("decay_radius must be positive and finite")
+    TransformSpec(profile.decay_radius, profile.sample_count)  # a power of two
     n = profile.sample_count
     if max_samples is not None and n > max_samples:
         raise DomainError(f"3D moments sample at most {max_samples} panels per axis, not {n}")

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slabscat import amp2d
+from slabscat.cloak import CoatingMaterials, SlabMomentPair, design_geometry, verify_invisibility
 from slabscat.amp2d import (
     AmplitudeResult,
     ScatteringConfig2D,
@@ -20,11 +22,13 @@ from slabscat.kernels import amplitude_from_kernels
 from slabscat.numerics import DomainError, QuadratureSpec, integrate_1d
 from slabscat.profiles import (
     Profile2D,
+    coated_profile,
     ex1_profile,
     gaussian_slab_2d,
     layered_profile,
     moment_2d,
     separable_profile,
+    spatial_moment_y,
 )
 
 Z, ALPHA, LW = 0.3, 2.0, 1.0
@@ -206,6 +210,7 @@ def _eval_only(kind, z, L, decay_radius=None):
 _CONTRAST = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 
 
+@pytest.mark.slow
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(
     a=_CONTRAST,
@@ -344,8 +349,9 @@ def _f2_two_calls(profile, cfg, theta):
 
 
 def test_f2_takes_one_moment_call_per_panel(monkeypatch):
-    # the panel's left and right momenta go to moment_2d as one array, with
-    # the bits of two separate calls, on the sampled and the closed routes
+    # m_0 and m_1 of the outgoing momentum once each, then the panel's left and
+    # right momenta go to moment_2d as one array, with the bits of two
+    # separate calls, on the sampled and the closed routes
     cfg = ScatteringConfig2D(k=0.8, ell=0.1, theta0=-0.4)
     calls, panels = [], []
 
@@ -368,6 +374,61 @@ def test_f2_takes_one_moment_call_per_panel(monkeypatch):
             calls.clear()
             panels.clear()
             got = f2_2d(prof, cfg, theta)
-            assert calls == [1] + [0] * len(panels)
+            assert calls == [0, 1] + [0] * len(panels)
             want = _f2_two_calls(prof, cfg, theta)
             assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_slab(kind):
+    """A closed, an eval-only or a coated slab, built once so its sample caches persist."""
+    if kind == "closed":
+        return gaussian_slab_2d(0.6 + 0.2j, 1.1)
+    if kind == "eval-only":
+        return _eval_only("separable", 0.9, 0.7)
+    bare = gaussian_slab_2d(0.6, 1.0)
+    moments = SlabMomentPair(
+        w0bar=lambda y: spatial_moment_y(bare, 0, y, 0.4),
+        w1bar=lambda y: spatial_moment_y(bare, 1, y, 0.4),
+    )
+    materials = CoatingMaterials(z1=-0.6, z2=0.24)
+    geometry = design_geometry(moments, materials, 0.1, np.linspace(-12.0, 12.0, 121))
+    return coated_profile(bare, geometry, materials.z1, materials.z2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["closed", "eval-only", "coated"]),
+    runs=st.lists(
+        st.tuples(st.sampled_from([0.4, 0.9]), st.lists(_ANGLE, min_size=1, max_size=3)),
+        min_size=1,
+        max_size=3,
+    ),
+    theta0=_ANGLE,
+)
+def test_a_points_bits_do_not_depend_on_its_batch(kind, runs, theta0):
+    # runs of equal k share their m_0 and m_1 calls; every point keeps the
+    # f1 and f2 bits of its one-point amplitude_2d
+    prof = _batch_slab(kind)
+    points = [(k, theta) for k, thetas in runs for theta in thetas]
+    configs = [ScatteringConfig2D(k=k, ell=0.1, theta0=theta0) for k, _ in points]
+    f1, f2 = amp2d._sweep_2d(prof, configs, [theta for _, theta in points])
+    for config, (_, theta), a, b in zip(configs, points, f1, f2):
+        res = amplitude_2d(prof, config, theta)
+        assert np.array([a, b]).tobytes() == np.array([res.f1, res.f2]).tobytes()
+
+
+def test_2d_routes_take_angle_arrays_of_any_size():
+    prof = gaussian_slab_2d(0.6 + 0.2j, 1.1)
+    cfg = ScatteringConfig2D(k=0.8, ell=0.1, theta0=-0.4)
+    thetas = np.array([[0.1, 0.2, 2.9]])
+    for coefficient in (f1_2d, f2_2d):
+        got = coefficient(prof, cfg, thetas)
+        alone = [coefficient(prof, cfg, theta) for theta in thetas[0]]
+        assert got.shape == (1, 3) and got.tobytes() == np.array([alone]).tobytes()
+        empty = coefficient(prof, cfg, np.array([]))
+        assert empty.shape == (0,) and empty.dtype == complex
+    empty = amplitude_from_kernels(prof, cfg, np.array([]))
+    assert empty.shape == (0,) and empty.dtype == complex
+    report = verify_invisibility(_batch_slab("coated"), 0.4, [0.0, 1.0], theta_grid=[])
+    assert report.f1.shape == report.f2.shape == (0,)

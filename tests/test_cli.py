@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
 from slabscat.amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
-from slabscat import amp2d, amp3d, cli
+from slabscat import amp3d, cli
 from slabscat.cli import execute, load_config, main, validate_config
 from slabscat.dyson1d import constant_slab_1d, scattering_1d, transfer_matrix_1d
 from slabscat.exactborn import Ex1Params, ex1_exact
@@ -618,11 +618,13 @@ def test_fig6_batches_each_level_in_capped_blocks(monkeypatch):
 
 
 def test_each_2d_sweep_point_is_evaluated_once(tmp_path, monkeypatch):
-    # the order1 and order2 curves of a point share one order-2 amplitude,
-    # whose f1 gives the order1 row the bits of an order-1 call
+    # the order1 and order2 curves of a point share one order-2 amplitude, all
+    # points of the chunk in one sweep, whose f1 gives the order1 row the bits
+    # of an order-1 call
     calls = []
-    f1_2d = amp2d.f1_2d
-    monkeypatch.setattr(amp2d, "f1_2d", lambda *args: calls.append(args) or f1_2d(*args))
+    config_type, angle, sweep = cli._DOMAINS["2d"]
+    counting = lambda *args: calls.append(args) or sweep(*args)
+    monkeypatch.setitem(cli._DOMAINS, "2d", (config_type, angle, counting))
     raw = {
         "command": "sweep",
         "domain": "2d",
@@ -634,7 +636,7 @@ def test_each_2d_sweep_point_is_evaluated_once(tmp_path, monkeypatch):
     cfg, violations = validate_config(raw)
     assert violations == []
     rows = execute(cfg)[0].rows
-    assert len(calls) == 3
+    assert len(calls) == 1 and len(calls[0][1]) == 3
     monkeypatch.undo()
     prof = gaussian_slab_2d(0.3 + 0.05j, 1.2)
     assert [(row[0], row[4], row[5]) for row in rows] == [

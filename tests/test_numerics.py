@@ -44,6 +44,23 @@ def test_integrate_constant_exact():
     assert_allclose(integrate_1d(lambda x: np.ones_like(x), 0.0, 1.0), 1.0, rtol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("limit", range(4))
+def test_integrators_refuse_non_finite_limits(limit, bad):
+    # refused before the integrand is evaluated, as a bad input rather than
+    # as a non-finite integrand
+    calls = []
+    f = lambda *x: calls.append(x) or np.ones(np.broadcast(*x).shape)
+    limits = [0.0, 1.0, 0.0, 1.0]
+    limits[limit] = bad
+    with pytest.raises(DomainError, match="^integration limits must be finite$"):
+        integrate_2d(f, *limits)
+    if limit < 2:
+        with pytest.raises(DomainError, match="^integration limits must be finite$"):
+            integrate_1d(f, *limits[:2])
+    assert calls == []
+
+
 def test_integrate_complex_exponential():
     val = integrate_1d(lambda x: np.exp(1j * x), 0.0, np.pi)
     assert_allclose(val, 2j, rtol=1e-12, atol=1e-13)
@@ -469,6 +486,7 @@ def test_transform_samples_rejects_non_finite_momenta():
     for row, radius, message in (
         (values[:1], 12.0, "at least two samples"),
         (np.array([]), 12.0, "at least two samples"),
+        (np.ones((3, 3)), 12.0, "one 1-D row"),
         (values, 0.0, "radius must be positive and finite"),
         (values, -12.0, "radius must be positive and finite"),
         (values, np.inf, "radius must be positive and finite"),

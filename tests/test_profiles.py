@@ -844,6 +844,15 @@ _REFUSALS = {
         lambda: sampled_profile([0.0, 1.0], [-1.0, 0.0, 1.0], np.ones((3, 2)), 1.0),
         "values must have shape (len(x_nodes), len(y_nodes))",
     ),
+    # the decay radius is named for what the caller wrote, not the transform's field
+    "separable-decay_radius=inf": (
+        lambda: separable_profile(np.exp, lambda y: np.exp(-y * y), np.inf),
+        "decay_radius must be positive and finite",
+    ),
+    "sampled-decay_radius=-2": (
+        lambda: sampled_profile([0.0, 1.0], [-1.0, 0.0, 1.0], np.ones((2, 3)), -2.0),
+        "decay_radius must be positive and finite",
+    ),
     "coated-geometry": (
         lambda: coated_profile(
             gaussian_slab_2d(0.8, 1.5), _const_geometry(1.0, 0.0, 0.0, 0.5), -0.6, 0.25
