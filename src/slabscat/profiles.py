@@ -14,10 +14,13 @@ are absent one axial sampler, adaptive Gauss-Kronrod over x_frac of whole rows
 of ``eval`` samples (numerics._integrate_moments), takes every axial integral:
 the moments on the profile's transverse grid (2D and 3D), which are then
 transformed (in 2D by a type-2 NUFFT), spatial_moment_y at any y, and the a_l
-of separable_profile.  Its first panels end where the profile declares an
-axial kink or jump (the x nodes of a sampled profile, the boundaries of a
-layered one).  Nested, it gives the simplex convolution C(y) of w with itself
-that the third-order kernel needs (see _convolution_moment).  A profile the
+of separable_profile.  The transverse grid is sized by convergence: 64
+panels, doubled (re-using every sample) until the samples' transforms have
+decayed at the top of the grid's band, and at most ``sample_count`` panels.
+The sampler's first panels end where the profile declares an axial kink or
+jump (the x nodes of a sampled profile, the boundaries of a layered one).
+Nested, it gives the simplex convolution C(y) of w with itself that the
+third-order kernel needs (see _convolution_moment).  A profile the
 sampler cannot resolve within its budget of evaluated points (an axial jump
 whose position moves with y, say) raises AccuracyError.  For a 2D profile
 one private function, _spatial_moments, chooses between its closed
@@ -42,6 +45,7 @@ from .dyson1d import constant_slab_1d
 from .numerics import (
     DomainError,
     TransformSpec,
+    _band_decayed,
     _integrate_moments,
     _SampleRow,
     check_edge_decay,
@@ -85,11 +89,15 @@ class Profile2D:
 
     Each closed-form builder here makes a w = a(x_frac) g(y) through one
     constructor.  Moments without a closed form are sampled on the
-    profile's transverse grid: ``sample_count`` uniform panels (a power of
-    two) on [-decay_radius, decay_radius], a radius that bounds the support
-    well enough for transforms truncated there to pass the edge-decay check.
-    Those samples are cached per k, since w may depend on k.  A profile is
-    frozen (assigning to a field raises FrozenInstanceError);
+    profile's transverse grid: uniform panels on [-decay_radius,
+    decay_radius], a radius that bounds the support well enough for
+    transforms truncated there to pass the edge-decay check.  The grid
+    starts at 64 panels and doubles until the samples' transforms have
+    decayed at the top of its band; ``sample_count`` (a power of two) is
+    the cap, which a kinked or slowly decaying profile reaches.  A momentum
+    beyond the band of that grid takes the first finer one whose band holds
+    it.  Each grid's samples are cached per k, since w may depend on k.  A
+    profile is frozen (assigning to a field raises FrozenInstanceError);
     ``dataclasses.replace`` derives a variant with a cache of its own:
     ``analytic_moment=None, moment_y=None`` for the sampled route, another
     ``sample_count``, or a wrapped ``eval``.
@@ -110,7 +118,7 @@ class Profile2D:
         _check_grid(self)
 
 
-# 3D moments sample a (sample_count + 1)^2 mesh, so their grid is coarser
+# 3D moments sample up to a (sample_count + 1)^2 mesh, so their cap is lower
 _MAX_SAMPLES_3D = 4096
 
 
@@ -119,10 +127,11 @@ class Profile3D:
     """A 3D slab profile w(r1, r2, z_frac; k); see Profile2D for semantics.
 
     ``eval`` takes (r1, r2, z_frac, k); ``analytic_moment`` takes
-    (l, p1, p2, k).  The sampled route takes a (sample_count + 1)^2 mesh on
-    [-decay_radius, decay_radius]^2, so ``sample_count`` is at most 4096.
-    Like a Profile2D it is frozen, caches its samples per k, and is varied
-    by ``dataclasses.replace``.
+    (l, p1, p2, k).  The sampled route takes square meshes on
+    [-decay_radius, decay_radius]^2 from 65^2 points up to the cap of
+    (sample_count + 1)^2, so ``sample_count`` is at most 4096.  Like a
+    Profile2D it is frozen, declares its axial breaks (in z_frac), caches its
+    samples per k, and is varied by ``dataclasses.replace``.
     """
 
     eval: Callable
@@ -130,6 +139,9 @@ class Profile3D:
     descriptor: str = ""
     analytic_moment: Optional[Callable] = None
     sample_count: int = 1024
+    # interior z_frac where eval may kink or jump; the axial sampler starts
+    # its panels there
+    _axial_breaks: tuple = field(default=(), repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -161,85 +173,168 @@ def _unit_mask(x_frac):
     return (x_frac >= 0.0) & (x_frac <= 1.0)
 
 
-def _spatial_moments(profile, y, k, orders):
+def _spatial_moments(profile, y, k, orders, row_size=None):
     """{l: w_l(y; k)} for each l in ``orders`` of a 2D profile, as complex arrays.
 
     The one choice between closed and sampled spatial moments: a closed
     ``moment_y`` when the profile has one, else one call of the axial sampler
-    (numerics._integrate_moments, to its own tolerances and budget of
-    evaluated points) over every y at once, from the declared axial breaks.
+    (numerics._integrate_moments, to its own tolerances, and the budget of
+    evaluated points of a ``row_size`` row when that is larger than y) over
+    every y at once, from the declared axial breaks.
     """
     if profile.moment_y is not None:
         closed = profile.moment_y(y, k)
         return {l: np.asarray(closed[l], dtype=complex) for l in orders}
     row = lambda xf: profile.eval(xf, y, k)
-    moments = _integrate_moments(row, orders, profile._axial_breaks)
+    moments = _integrate_moments(row, orders, profile._axial_breaks, row_size=row_size)
     return {l: np.asarray(vals, dtype=complex) for l, vals in zip(orders, moments)}
 
 
-def _moment_samples(profile, k, route="moments"):
-    """Spatial moment samples on the profile's transverse grid, cached per route and k.
+# the first transverse grid of the sampled route, in panels per axis
+_FIRST_PANELS = 64
 
-    The "moments" route samples m_l for l = 0, 1, 2 of a 2D profile on the
-    1-D y grid, by _spatial_moments (closed or sampled), and for l = 0, 1 of
-    a 3D profile on the r1 x r2 mesh, by the axial sampler.  The
-    "convolution" route samples a 2D profile's
+
+def _sample_nodes(profile, k, route, nodes):
+    """The raw samples {name: values} of a route at the transverse ``nodes``.
+
+    ``nodes`` is (y,) for a 2D profile and (r1, r2) for a 3D one, flat
+    arrays.  The "moments" route samples m_l for l = 0, 1, 2 of a 2D
+    profile, by _spatial_moments (closed or sampled), and for l = 0, 1 of a
+    3D profile, by the axial sampler.  The "convolution" route samples a 2D
+    profile's
 
         C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y)
 
     under the key "C", by the same sampler nested: over x2 from the declared
-    breaks, and at each x2 over t from the breaks b/x2 with b < x2.
+    breaks, and at each x2 over t from the breaks b/x2 with b < x2.  Every
+    sampler call gets the halving budget of the cap's grid, however few the
+    nodes.
     """
-    key = (route, float(k))
-    if key in profile._cache:
-        return profile._cache[key]
-    r = np.linspace(-profile.decay_radius, profile.decay_radius, profile.sample_count + 1)
-
+    breaks = profile._axial_breaks
+    cap = (profile.sample_count + 1) ** len(nodes)
     if isinstance(profile, Profile3D):
-        r1, r2 = np.meshgrid(r, r, indexing="ij")
+        r1, r2 = nodes
         layer = lambda zf: profile.eval(r1, r2, zf, k)
-        moments = dict(zip((0, 1), _integrate_moments(layer, (0, 1))))
-    elif route == "moments":
-        moments = _spatial_moments(profile, r, k, (0, 1, 2))
-    else:
-        breaks = profile._axial_breaks
-        w_row = lambda xf: profile.eval(xf, r, k)
+        return dict(zip((0, 1), _integrate_moments(layer, (0, 1), breaks, row_size=cap)))
+    (y,) = nodes
+    if route == "moments":
+        return _spatial_moments(profile, y, k, (0, 1, 2), cap)
+    w_row = lambda xf: profile.eval(xf, y, k)
 
-        def layer(x2):
-            # INT_0^1 dt (1 - t) w(x2 t, y), from the breaks below x2
-            t_breaks = [b / x2 for b in breaks if b < x2]
-            tail = lambda t: (1.0 - t) * w_row(x2 * t)
-            return _integrate_moments(tail, (0,), t_breaks)[0] * w_row(x2)
+    def layer(x2):
+        # INT_0^1 dt (1 - t) w(x2 t, y), from the breaks below x2
+        t_breaks = [b / x2 for b in breaks if b < x2]
+        tail = lambda t: (1.0 - t) * w_row(x2 * t)
+        return _integrate_moments(tail, (0,), t_breaks, row_size=cap)[0] * w_row(x2)
 
-        moments = {"C": _integrate_moments(layer, (2,), breaks)[0]}
+    return {"C": _integrate_moments(layer, (2,), breaks, row_size=cap)[0]}
+
+
+def _level(profile, k, route, panels, coarse=None):
+    """(samples, checked): a route's read-only samples on ``panels`` panels per axis.
+
+    With ``coarse``, the samples on panels / 2 panels, only the new nodes
+    are sampled and the coarse samples keep their places.  ``checked`` lists
+    the sample arrays that are not negligible, each of which has passed the
+    edge-decay check.  A 3D mesh is made read-only in place, and a 2D row
+    becomes a _SampleRow, which keeps its own NUFFT window.
+    """
+    r = np.linspace(-profile.decay_radius, profile.decay_radius, panels + 1)
+    axes = np.meshgrid(*(r,) * (2 if isinstance(profile, Profile3D) else 1), indexing="ij")
+    old = (slice(None, None, 2),) * len(axes)
+    fresh = np.ones(axes[0].shape, dtype=bool)
+    if coarse is not None:
+        fresh[old] = False
+    samples = {}
+    for name, vals in _sample_nodes(profile, k, route, [a[fresh] for a in axes]).items():
+        samples[name] = np.empty(fresh.shape, dtype=complex)
+        samples[name][fresh] = vals
+        if coarse is not None:  # a 2D row's samples are its values
+            samples[name][old] = getattr(coarse[name], "values", coarse[name])
 
     # a moment that is uniformly negligible against the largest one (e.g. a
-    # coating that nulls it to rounding level) has nothing left to truncate;
-    # a non-finite one is checked whatever the others, and fails the check
-    peaks = {l: np.max(np.abs(vals)) for l, vals in moments.items()}
+    # coating that nulls it to rounding level) has nothing left to truncate
+    # or resolve; a non-finite one is checked whatever the others, and fails
+    peaks = {name: np.max(np.abs(vals)) for name, vals in samples.items()}
     overall = max(peaks.values(), default=0.0)
-    for l, vals in moments.items():
-        if not np.isfinite(peaks[l]) or peaks[l] > 1e-9 * overall:
-            check_edge_decay(vals, "profile moment")
-    # one read-only complex copy of each; a 2D row keeps its own NUFFT window
+    checked = [
+        vals
+        for name, vals in samples.items()
+        if not np.isfinite(peaks[name]) or peaks[name] > 1e-9 * overall
+    ]
+    for vals in checked:
+        check_edge_decay(vals, "profile moment")
     if isinstance(profile, Profile3D):
-        samples = {l: np.array(mesh, dtype=complex) for l, mesh in moments.items()}
         for mesh in samples.values():
             mesh.setflags(write=False)
-    else:
-        samples = {name: _SampleRow(row) for name, row in moments.items()}
-    profile._cache[key] = samples
-    return samples
+        return samples, checked
+    return {name: _SampleRow(row) for name, row in samples.items()}, checked
 
 
-def _check_momenta(p):
-    """Refuse momenta that are not all finite.
+def _moment_samples(profile, k, route="moments", panels=0):
+    """(panels, samples): a route's samples (see _sample_nodes) on a transverse grid.
 
-    Their sum is the fast test: a non-finite entry makes it non-finite (and
-    so, rarely, does overflow, which the entry-by-entry test then clears).
+    The grid is the accepted one, or the finer one of ``panels`` panels per
+    axis (a power of two up to ``sample_count``).  A grid is accepted once
+    every sample array that is not negligible has a transform that has
+    decayed at the top of its band (numerics._band_decayed), or at the cap,
+    ``sample_count`` panels; the search starts at 64 panels and doubles,
+    each grid re-using the samples of the one before.  The accepted grid and
+    every finer one taken since are cached in ``_cache[(route, k)]``, keyed
+    by panels, the accepted one first, so a grid's samples depend on
+    (route, k, panels) alone and not on the momenta asked or their order.
     """
-    if not math.isfinite(np.add.reduce(p, axis=None)) and not np.isfinite(p).all():
+    grids = profile._cache.get((route, float(k)))
+    if grids and not panels:
+        return next(iter(grids.items()))  # the accepted grid, kept first
+    grids = profile._cache.setdefault((route, float(k)), {})
+    if not grids:
+        n, samples = min(_FIRST_PANELS, profile.sample_count), None
+        while True:
+            samples, checked = _level(profile, k, route, n, samples)
+            if n == profile.sample_count or all(map(_band_decayed, checked)):
+                break
+            n *= 2
+        grids[n] = samples
+    n = max(grids)
+    while n < panels:
+        grids[2 * n] = _level(profile, k, route, 2 * n, grids[n])[0]
+        n *= 2
+    n = max(panels, min(grids))
+    return n, grids[n]
+
+
+def _sampled_transform(profile, k, route, name, p, largest, transform):
+    """transform(samples, radius, p) of a route's samples ``name`` at the momenta p.
+
+    p is an (m,) array in 2D and an (m, 2) array in 3D, and ``largest`` its
+    largest |component|.  Each momentum is transformed on the accepted grid
+    if that grid's band |p| <= pi / h holds it (in 3D, both components),
+    else on the first finer grid whose band does, or on the cap's grid.
+    """
+    panels, samples = _moment_samples(profile, k, route)
+    scale = np.pi / (2.0 * profile.decay_radius)  # n panels hold the band |p| <= n scale
+    if panels == profile.sample_count or largest <= panels * scale:
+        return transform(samples[name], profile.decay_radius, p)
+    reach = np.abs(p).reshape(len(p), -1).max(axis=1)
+    out = np.empty(len(p), dtype=complex)
+    todo = np.ones(len(p), dtype=bool)
+    while True:
+        take = todo if panels == profile.sample_count else todo & (reach <= panels * scale)
+        if take.any():
+            out[take] = transform(samples[name], profile.decay_radius, p[take])
+        todo &= ~take
+        if not todo.any():
+            return out
+        panels, samples = _moment_samples(profile, k, route, 2 * panels)
+
+
+def _largest_momentum(p):
+    """The largest |component| of the momenta p (0 if none); DomainError if one is not finite."""
+    largest = np.maximum.reduce(np.abs(p), axis=None, initial=0.0)  # NaN if any is
+    if not math.isfinite(largest):
         raise DomainError("transform momenta must be finite")
+    return largest
 
 
 def moment_2d(profile, l, p, k):
@@ -262,7 +357,8 @@ def moment_2d(profile, l, p, k):
     moments on the profile's transverse grid (see _spatial_moments: its
     ``moment_y``, or ``eval`` integrated over x_frac, which raises
     AccuracyError if the axial sampler cannot resolve the profile within its
-    budget) are transformed.  Momenta that are not finite raise DomainError
+    budget) are transformed, each momentum on the coarsest grid whose
+    transforms have decayed and whose band holds it (see _moment_samples).  Momenta that are not finite raise DomainError
     on either route; samples that are not finite raise AccuracyError, and an
     error ``moment_y`` or ``eval`` raises propagates.
     """
@@ -271,15 +367,14 @@ def moment_2d(profile, l, p, k):
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p_arr = p_arr.reshape(1) if scalar else p_arr
-    _check_momenta(p_arr)
+    largest = _largest_momentum(p_arr)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
         return out[0] if scalar else out
 
-    samples = _moment_samples(profile, k)
-    out = transform_samples_1d(samples[l], profile.decay_radius, p_arr)
-    return out[0] if scalar else out
+    out = _sampled_transform(profile, k, "moments", l, p_arr.ravel(), largest, transform_samples_1d)
+    return out[0] if scalar else out.reshape(p_arr.shape)
 
 
 def _convolution_moment(profile, p, k):
@@ -290,30 +385,33 @@ def _convolution_moment(profile, p, k):
     transverse transform of w(x1, y) w(x2, y); C is sampled from ``eval``
     (for an axially uniform w, C = w^2 / 6) and transformed like m_l.
     """
-    samples = _moment_samples(profile, k, route="convolution")
-    return transform_samples_1d(samples["C"], profile.decay_radius, p)
+    p_arr = np.asarray(p, dtype=float)
+    largest = _largest_momentum(p_arr)
+    out = _sampled_transform(profile, k, "convolution", "C", p_arr.ravel(), largest, transform_samples_1d)
+    return out.reshape(p_arr.shape) if p_arr.ndim else out[0]
 
 
 def moment_3d(profile, l, pvec, k):
     """3D transform moment m_l(p_vec; k); p_vec is (p1, p2) or an (m, 2) array.
 
-    A closed ``analytic_moment`` is used if present; else samples on the
-    profile's (sample_count + 1)^2 transverse mesh are transformed.  Momenta
-    that are not finite raise DomainError on either route.
+    A closed ``analytic_moment`` is used if present; else samples on a
+    square transverse mesh are transformed: the coarsest mesh, from 65^2
+    points up to the cap's (sample_count + 1)^2, whose transforms have
+    decayed and whose band holds the momentum (see _moment_samples).
+    Momenta that are not finite raise DomainError on either route.
     """
     if l not in (0, 1):
         raise DomainError("3D moment order l must be 0 or 1")
     pv = np.asarray(pvec, dtype=float)
     single = pv.ndim == 1
     pv = np.atleast_2d(pv)
-    _check_momenta(pv)
+    largest = _largest_momentum(pv)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, pv[:, 0], pv[:, 1], k), dtype=complex)
         return out[0] if single else out
 
-    samples = _moment_samples(profile, k)
-    out = transform_samples_2d(samples[l], profile.decay_radius, pv)
+    out = _sampled_transform(profile, k, "moments", l, pv, largest, transform_samples_2d)
     return out[0] if single else out
 
 
@@ -616,7 +714,9 @@ def coated_profile(slab, geometry, z1, z2):
         a = ell
         b = ell + l1
         c = ell + l1 + l2
-        bare = _spatial_moments(slab, y, k, (0, 1, 2))
+        # an eval-only bare slab is sampled with the halving budget of its
+        # cap's grid, as its own moments would be
+        bare = _spatial_moments(slab, y, k, (0, 1, 2), slab.sample_count + 1)
         return tuple(
             (
                 ell ** (l + 1) * bare[l]

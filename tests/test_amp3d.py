@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_gaussian_forward_and_backward_f1():
     assert_allclose(fwd, np.sqrt(np.pi / 2) * z * K * K / k, rtol=1e-12)
     # backscattering off a transverse profile transfers no transverse momentum
     assert_allclose(f1_3d(prof, cfg, Direction3D(np.pi, 0.0)), fwd, rtol=1e-15)
+
+
+def test_eval_only_gaussian_matches_its_closed_form_quickly():
+    # its moments are sampled on a 129^2 mesh, not the cap's 1025^2 (where one
+    # f2 took about 3 s), and f1 and f2 keep the closed route's values
+    closed = gaussian_slab_3d(0.5, 1.0)
+    prof = replace(closed, analytic_moment=None)
+    cfg = ScatteringConfig3D(k=1.0, ell=0.1, theta0=0.4, phi0=0.3)
+    d = Direction3D(2.2, 1.1)
+    start = time.perf_counter()
+    f1, f2 = f1_3d(prof, cfg, d), f2_3d(prof, cfg, d)
+    assert time.perf_counter() - start < 2.0
+    assert_allclose(f1, f1_3d(closed, cfg, d), rtol=1e-12)
+    assert_allclose(f2, f2_3d(closed, cfg, d), rtol=1e-12)
 
 
 def test_Y_against_riemann_oracle_and_frozen_values():

@@ -24,6 +24,7 @@ from slabscat.numerics import (
     _G_WEIGHTS,
     _WG,
     _SampleRow,
+    _band_decayed,
     _integrate_moments,
     _next_fast_len,
     _nufft_plan,
@@ -459,7 +460,8 @@ def test_transform_keeps_the_shape_of_the_momenta():
 
 def test_read_only_row_takes_one_fft(monkeypatch):
     # the cached window starts wide enough for every momentum f1 and f2 ask
-    # of a slab: one FFT per transformed row (m_0 and m_1), however many angles
+    # of a slab: one FFT per transformed row (m_0 and m_1) of the accepted
+    # grid, however many angles; the grid search itself takes no NUFFT
     closed = gaussian_slab_2d(0.6 + 0.1j, 1.1)
     prof = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
     cfg = ScatteringConfig2D(k=0.9, ell=0.1, theta0=0.3)
@@ -468,15 +470,34 @@ def test_read_only_row_takes_one_fft(monkeypatch):
     monkeypatch.setattr(numerics, "_fine_grid", lambda v: ffts.append(v.size) or fine_grid(v))
     for theta in (0.7, 2.0, -2.9):
         amplitude_2d(prof, cfg, theta)
-    assert len(ffts) == 2
-    # a momentum beyond the floor still grows the window, to a fresh row's bits
-    row = _moment_samples(prof, cfg.k)[0]
+    panels = _moment_samples(prof, cfg.k)[0]
+    assert ffts == [panels + 1] * 2
+    # a finer grid's row takes its own one FFT, and keeps every bin of it:
+    # far momenta take no further FFT, and have a fresh row's bits
+    row = _moment_samples(prof, cfg.k, panels=1024)[1][0]
+    transform_samples_1d(row, prof.decay_radius, 0.4)
     far = np.array([0.4, 60.0, -75.0])
     got = transform_samples_1d(row, prof.decay_radius, far)
-    assert len(ffts) == 3
+    assert ffts[2:] == [1025]
     fresh = transform_samples_1d(row.values.copy(), prof.decay_radius, far)
     assert got.tobytes() == fresh.tobytes()
     assert transform_samples_1d(row, prof.decay_radius, 0.4) == got[0]
+
+
+def test_band_decay_is_read_at_the_top_of_the_band():
+    # a Gaussian on [-12, 12] (transform e^{-p^2/2}) has decayed on the outer
+    # quarter of the band of 128 panels (|p| >= 12.6), not of 64 (|p| >= 6.3);
+    # so has an odd row, whose transform vanishes at the band's very top, and
+    # a mesh of their product
+    for n, decayed in ((64, False), (128, True)):
+        y = np.linspace(-12.0, 12.0, n + 1)
+        for values in (gaussian(y), (1.0 - 2.0j) * y * gaussian(y)):
+            assert _band_decayed(values) == decayed
+        assert _band_decayed(np.outer(gaussian(y), y * gaussian(y))) == decayed
+    # a kink (e^{-|y|}, transform 2 / (1 + p^2)) decays only as p^-2: not
+    # within 2^16 panels; zero samples have nothing to resolve
+    assert not _band_decayed(np.exp(-np.abs(np.linspace(-40.0, 40.0, 2**16 + 1))))
+    assert _band_decayed(np.zeros(65)) and _band_decayed(np.zeros((65, 65)))
 
 
 def test_transform_samples_rejects_non_finite_momenta():

@@ -19,6 +19,7 @@ from slabscat.numerics import (
     QuadratureSpec,
     TransformSpec,
     TruncationError,
+    _integrate_moments,
     _SampleRow,
     fourier_1d,
     integrate_1d,
@@ -29,6 +30,7 @@ from slabscat.profiles import (
     Profile2D,
     Profile3D,
     _convolution_moment,
+    _moment_samples,
     coated_profile,
     ex1_profile,
     gaussian_slab_2d,
@@ -299,13 +301,23 @@ def test_bilinear_sampled_moments_match_the_exact_axial_integral():
     _check_bilinear_moments(*_bilinear_profile())
 
 
+# The bilinear interpolant kinks in y, so its transforms decay only as p^-2
+# and its transverse grid doubles from 64 panels up to the cap of 65,536:
+# 11 grids, each sampled in one axial sampler call.
+_BILINEAR_GRIDS = 11
+
+
 def test_sampled_profile_panels_start_at_its_x_nodes():
     # 21 x nodes put 16 kinks off the dyadic points; halving toward each of
     # them would take about ten halvings apiece
     prof, y_nodes, b, axial = _bilinear_profile(0.6 + 0.4 * np.sin(2.3 * np.arange(21)))
     prof, calls = _counted_eval(prof)
     _check_bilinear_moments(prof, y_nodes, b, axial)
-    assert len(calls) == 20 * 15  # one Kronrod panel per interval, none halved
+    assert _moment_samples(prof, 1.0)[0] == prof.sample_count
+    # on every grid one Kronrod panel per interval, none halved; each y is
+    # evaluated on the grid that adds it, and on no other
+    assert len(calls) == _BILINEAR_GRIDS * 20 * 15
+    assert sum(np.size(y) for _, y, _ in calls) == 20 * 15 * (prof.sample_count + 1)
 
 
 def test_sampled_profile_reaches_second_order_quickly():
@@ -316,7 +328,20 @@ def test_sampled_profile_reaches_second_order_quickly():
     f2 = f2_2d(prof, cfg, 0.7)  # sampling the profile included
     assert time.perf_counter() - start < 2.0
     assert np.isfinite(f2)
-    assert len(calls) == 4 * 15
+    assert len(calls) == _BILINEAR_GRIDS * 4 * 15
+
+
+def test_eval_only_gaussian_row_is_accepted_on_a_few_hundred_samples():
+    # a smooth decaying row needs no more than 256 panels (here 128): the
+    # whole grid search evaluates at most 15 rows of 257 points
+    closed = gaussian_slab_2d(0.6, 1.0)
+    prof, calls = _counted_eval(_eval_only(closed))
+    p = np.linspace(-2.0, 2.0, 41)
+    got = moment_2d(prof, 0, p, 0.8)
+    panels, samples = _moment_samples(prof, 0.8)
+    assert panels <= 256 and samples[0].size == panels + 1
+    assert sum(np.size(y) for _, y, _ in calls) <= 15 * 257
+    assert np.max(np.abs(got - closed.analytic_moment(0, p, 0.8))) <= 1e-14 * abs(got[20])
 
 
 def _tanh_jump(x, y):
@@ -329,10 +354,26 @@ def _tanh_jump(x, y):
 
 @pytest.mark.slow
 def test_y_dependent_axial_jump_fails_fast():
-    # [0, 1], then 45 rows for each of the 101 halvings of a 65,537-point row;
-    # the convolution route first resolves the inner integrals of the five
-    # outer nodes below the jump (16 rows each), then fails on the sixth
-    routes = [(moment_2d, (0, 0.3, 1.0), 0), (_convolution_moment, (0.3, 1.0), 5 * 16)]
+    # the first grid's 65 y get the 101 halvings of the cap's 65,537-point
+    # row, not the 2,000 of their own: with those the sampler "resolves" them
+    # 2.4e-8 off g s^(l+1) / (l+1), 24 times its 1e-9 tolerance, as the G7/K15
+    # estimate cannot see a jump next to a panel end
+    y = np.linspace(-12.0, 12.0, 65)
+    s = 0.5 + 0.25 * np.tanh(y)
+    silent = _integrate_moments(lambda x: _tanh_jump(x, y), (0,))[0]
+    assert np.max(np.abs(silent - np.exp(-0.5 * y * y) * s)) > 2e-8
+    # [0, 1], then 45 rows for each of the 101 halvings; the convolution
+    # route first resolves the inner integrals of the five outer nodes below
+    # the jump (16 rows each), then fails on the sixth; a coating samples its
+    # bare slab with the same budget
+    coated = lambda prof, *args: moment_2d(
+        coated_profile(prof, _tapered_geometry([]), -0.6, 0.25), *args
+    )
+    routes = [
+        (moment_2d, (0, 0.3, 1.0), 0),
+        (_convolution_moment, (0.3, 1.0), 5 * 16),
+        (coated, (0, 0.3, 1.0), 0),
+    ]
     for moment, args, resolved in routes:
         prof, calls = _counted_eval(
             Profile2D(eval=lambda x, y, k: _tanh_jump(x, y), decay_radius=12.0)
@@ -372,8 +413,30 @@ def test_3d_axial_jump_fails_within_the_point_budget():
     prof, calls = _counted_eval(prof)
     with pytest.raises(AccuracyError, match="did not converge"):
         moment_3d(prof, 0, (0.3, 0.1), 1.0)
-    # a 1025 x 1025 mesh costs 16 times a 2D row, so it gets 6 halvings
+    # the cap's 1025 x 1025 mesh costs 16 times a 2D row, so it gets 6
+    # halvings, and the first 65 x 65 mesh gets no more
     assert len(calls) == 15 + 45 * 6
+    assert all(np.size(r1) == 65 * 65 for r1, _, _, _ in calls)
+
+
+def test_3d_axial_jumps_at_declared_breaks_are_exact():
+    # jumps at z = 0.3 and 0.7 under a Gaussian, with the layered profile's
+    # axial integrals: declared, the sampler starts its panels there and
+    # takes 15 rows per layer and grid, with no halving
+    def w(r1, r2, z, k):
+        r1, r2, z = np.broadcast_arrays(np.asarray(r1, float), np.asarray(r2, float), z)
+        axial = np.select([(z >= 0) & (z < 0.3), (z >= 0.3) & (z < 0.7), (z >= 0.7) & (z <= 1)],
+                          [1.5, -0.5, 2.0], 0.0)
+        return axial * np.exp(-0.5 * (r1 * r1 + r2 * r2))
+
+    prof, calls = _counted_eval(Profile3D(eval=w, decay_radius=12.0, _axial_breaks=(0.3, 0.7)))
+    pv = np.array([[0.0, 0.0], [0.3, -0.2], [1.1, 0.7]])
+    closed = 2.0 * np.pi * np.exp(-0.5 * np.sum(pv * pv, axis=1))
+    for l, a_l in enumerate((0.85, 0.4775)):
+        assert_allclose(moment_3d(prof, l, pv, 1.0), a_l * closed, rtol=1e-14, atol=1e-14)
+    # on each of 2 grids: 65^2 and 129^2 points
+    assert _moment_samples(prof, 1.0)[0] == 128
+    assert len(calls) == 2 * 3 * 15
 
 
 def test_non_finite_profile_fails_on_the_first_panel():
@@ -421,8 +484,10 @@ def test_convolution_moment_of_a_sheared_gaussian():
             for part in (np.real, np.imag)
         ]
         assert_allclose(_convolution_moment(prof, q, 1.0), complex(*want), rtol=1e-9)
-    # one outer panel of 15 nodes, each one row plus one inner panel of 15
-    assert len(calls) == 15 * 16
+    # on each of 2 grids (64 and 128 panels), one outer panel of 15 nodes,
+    # each one row plus one inner panel of 15
+    assert _moment_samples(prof, 1.0, "convolution")[0] == 128
+    assert len(calls) == 2 * 15 * 16
 
 
 def test_convolution_moment_of_a_bilinear_sampled_profile():
@@ -449,8 +514,9 @@ def test_convolution_moment_of_a_bilinear_sampled_profile():
     b_interp = np.interp(y, y_nodes, b, left=0.0, right=0.0)
     want = A * transform_samples_1d(b_interp**2, prof.decay_radius, p)
     assert_allclose(_convolution_moment(prof, p, 1.0), want, rtol=1e-9)
-    # outer piece i holds i + 1 inner pieces, none halved: 15 (1 + 15 (i + 1))
-    assert len(calls) == sum(15 * (1 + 15 * (i + 1)) for i in range(4))
+    # on each of the 7 grids from 64 panels to the cap of 4,096, outer piece i
+    # holds i + 1 inner pieces, none halved: 15 (1 + 15 (i + 1))
+    assert len(calls) == 7 * sum(15 * (1 + 15 * (i + 1)) for i in range(4))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -479,17 +545,19 @@ def test_numeric_moments_share_the_sample_cache():
     mesh = replace(gaussian_slab_3d(0.7, 1.3), analytic_moment=None, sample_count=64)
     moment_3d(mesh, 0, (0.4, 0.2), 1.0)
     # a derived profile starts with a cache of its own, which holds samples
-    # only: 2D rows over read-only arrays, read-only 3D meshes, and no
-    # stand-in profile objects
+    # only, per route and k and then per grid: 2D rows over read-only
+    # arrays, read-only 3D meshes (here the 64-panel cap's), and no stand-in
+    # profile objects
     assert prof._cache == {} and len(numeric._cache) == 2
-    for samples in numeric._cache.values():
-        for row in samples.values():
-            assert isinstance(row, _SampleRow)
-            assert isinstance(row.values, np.ndarray) and not row.values.flags.writeable
-    for samples in mesh._cache.values():
-        for values in samples.values():
-            assert isinstance(values, np.ndarray) and not values.flags.writeable
-            assert values.shape == (65, 65)
+    for grids in numeric._cache.values():
+        for panels, samples in grids.items():
+            for row in samples.values():
+                assert isinstance(row, _SampleRow) and row.size == panels + 1
+                assert isinstance(row.values, np.ndarray) and not row.values.flags.writeable
+    assert list(mesh._cache) == [("moments", 1.0)] and list(mesh._cache["moments", 1.0]) == [64]
+    for values in mesh._cache["moments", 1.0][64].values():
+        assert isinstance(values, np.ndarray) and not values.flags.writeable
+        assert values.shape == (65, 65)
 
     calls = []
 
@@ -530,9 +598,9 @@ def test_sampled_moments_are_cached_per_k():
 
 
 def test_sampled_moments_do_not_depend_on_call_order_or_threads():
-    # each momentum is its own call, and the far ones (about 280, 620 and
-    # 1,030 fine-grid bins out) grow the kept window of each sample row past
-    # its 256-bin floor, in a different order in every case
+    # each momentum is its own call; the far ones lie beyond the accepted
+    # grid's band and take the grids of 512, 1,024 and 2,048 panels, which
+    # are built (from the coarser ones) in a different order in every case
     closed = gaussian_slab_2d(0.8 + 0.3j, 0.9)
     momenta = np.linspace(-1.0, 6.0, 36)
     requests = [(l, p) for l in (0, 1, 2) for p in (*momenta, 40.0, -90.0, 150.0)]
@@ -545,6 +613,9 @@ def test_sampled_moments_do_not_depend_on_call_order_or_threads():
 
     ascending = run(requests)
     descending = run(requests[::-1])
+    prof = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
+    moment_2d(prof, 0, [40.0, -90.0, 150.0], 1.0)
+    assert list(prof._cache["moments", 1.0])[-3:] == [512, 1024, 2048]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -703,18 +774,20 @@ def _tapered_geometry(counts):
 
 
 def test_coating_samples_an_eval_only_bare_slab_in_one_call():
-    # the bare slab's w_0, w_1, w_2 come from one sampler call of 15 rows
+    # the bare slab's w_0, w_1, w_2 come from one sampler call of 15 rows per grid
     slab = replace(gaussian_slab_2d(0.8, 1.5), sample_count=4096)
     bare, calls = _counted_eval(_eval_only(slab))
     coated = coated_profile(bare, _tapered_geometry([]), -0.6, 0.25)
     closed = coated_profile(slab, _tapered_geometry([]), -0.6, 0.25)
     p = np.array([0.0, 0.7, -1.3])
     got = moment_2d(coated, 0, p, 1.0)
-    assert len(calls) == 15
+    # on each of 2 grids (64 and 128 panels)
+    assert _moment_samples(coated, 1.0)[0] == 128
+    assert len(calls) == 2 * 15
     assert_allclose(got, moment_2d(closed, 0, p, 1.0), rtol=1e-9)
     for l in (1, 2):
         assert_allclose(moment_2d(coated, l, p, 1.0), moment_2d(closed, l, p, 1.0), rtol=1e-9)
-    assert len(calls) == 15
+    assert len(calls) == 2 * 15
 
 
 def test_coated_moments_evaluate_the_layer_bounds_once():
@@ -723,7 +796,8 @@ def test_coated_moments_evaluate_the_layer_bounds_once():
     coated = coated_profile(slab, _tapered_geometry(counts), -0.6, 0.25)
     for l in (0, 1, 2):
         moment_2d(coated, l, 0.4, 1.0)
-    assert len(counts) == 1
+    # once per grid: 64 and 128 panels
+    assert _moment_samples(coated, 1.0)[0] == 128 and len(counts) == 2
 
 
 def test_coated_extent_check():
