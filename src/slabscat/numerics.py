@@ -30,16 +30,17 @@ off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
 14(6), 1993): one numpy FFT per sample set on a twice-finer 11-smooth grid,
 then a kernel sum over 17 bins per momentum, taken as one array step per
 block of up to 4,096 momenta.  It matches the direct sum to rounding.  Its
-samples are always a _SampleRow, which keeps every fine-grid bin a momentum
-can reach: a sampled profile's cached moment row runs the FFT once, and a
-plain array becomes a row of its own, so it is transformed afresh on each
-call.  transform_samples_2d sums with explicit
+samples are always a _SampleRow, which keeps the fine-grid bins its momenta
+reach, at least 512 on each side of zero (all of them for a row of up to
+about 490 samples): a sampled profile's cached moment row runs the FFT
+once, and a plain array becomes a row of its own, so it is transformed
+afresh on each call.  transform_samples_2d sums with explicit
 phase factors; both transforms check their radius and momenta in one place.
-_band_decayed, the test that sizes a sampled profile's transverse grid, reads
-the same trapezoid transform of a row or a mesh at the top of its band, by one
-FFT.
+_band_ratio, which sizes a sampled profile's transverse grid, reads the same
+trapezoid transform of a row or a mesh at the top of its band, by one FFT.
 """
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -333,9 +334,15 @@ _G_WEIGHTS_AT_NODES[_G_IDX] = _G_WEIGHTS
 # the first grid, in milliseconds.
 _AXIAL_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
 _AXIAL_POINTS = 3e8
+# The size of the row a sampler call stands for, where that is more than its
+# own.  A sampled profile sets it to its cap's row while it samples a grid
+# (profiles._level), so every call made meanwhile (the nested calls of the
+# convolution route and a coating's calls on its bare slab included) gets the
+# cap's budget; calls made outside, such as spatial_moment_y's, keep their own.
+_BUDGET_ROW = contextvars.ContextVar("_BUDGET_ROW", default=1)
 
 
-def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC, row_size=None):
+def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC):
     """INT_0^1 x^l f(x) dx for each l in ``orders``, of a row f(x) of any shape.
 
     The one axial sampler: every axial integral of an eval-only profile is
@@ -345,11 +352,10 @@ def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC, row_size=None):
     so the tolerance is relative to the largest |moment| over the row, not
     per entry.  ``spec`` sets only the tolerances: the sampler gets
     _AXIAL_POINTS / (45 * n) halvings, at least 1 and at most integrate_1d's
-    2,000, where n is the larger of f's row size and ``row_size`` (the grid
-    a part of a row stands for), and raises AccuracyError when they run out
-    or a panel is not finite.  A panel sums its rows node by node:
-    a halved panel is evaluated again to take its estimate out of the
-    running total, so memory stays at a few rows.
+    2,000, where n is the larger of f's row size and _BUDGET_ROW, and raises
+    AccuracyError when they run out or a panel is not finite.  A panel sums
+    its rows node by node: a halved panel is evaluated again to take its
+    estimate out of the running total, so memory stays at a few rows.
     """
     what = "axial moment sampler"
 
@@ -380,7 +386,7 @@ def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC, row_size=None):
         total = total + ((left_sum + right_sum) - panel(*record[1:])[1])
         return [left, right]
 
-    row_size = max(1, np.size(total) // len(orders), row_size or 1)
+    row_size = max(np.size(total) // len(orders), _BUDGET_ROW.get())
     halvings = min(_MAX_SUBDIVISIONS, max(1, int(_AXIAL_POINTS / (45 * row_size))))
     return _bisect(panels, halve, lambda: total, spec, halvings, what)
 
@@ -482,6 +488,10 @@ _NUFFT_KERNEL_NODES = 2 + 3 * _NUFFT_W // 2
 
 # Momenta per vectorized kernel sum; larger blocks outgrow the cache and run slower.
 _NUFFT_BLOCK = 4096
+# Least half-width of a kept window, in fine-grid bins (16 KB per sample row):
+# a row of up to about 490 samples keeps every bin at its first FFT, and the
+# later momenta of a longer row seldom make it transform the row again.
+_NUFFT_WINDOW_FLOOR = 512
 
 
 def _es_kernel(z):
@@ -537,48 +547,56 @@ def _fine_grid(values):
 
 
 class _SampleRow:
-    """A read-only copy of one 1-D sample row and, once transformed, the bins of its FFT."""
+    """A read-only copy of one 1-D sample row and the widest window of its FFT taken so far."""
 
     def __init__(self, values):
         self.values = np.array(values, dtype=complex)
         self.values.setflags(write=False)
         self.size = self.values.size
-        self.bins = None
+        self.bins = np.empty(0, dtype=complex)
 
 
-def _window(row):
-    """Fine-grid bins -W .. W-1 of a _SampleRow, W = n_fine / 2 + 18, kept on the row.
+def _window(row, first):
+    """Fine-grid bins -W .. W-1 of a _SampleRow, kept on the row, that reach every kernel sum.
 
-    They are every bin a momentum's kernel sum reaches, wrapped from the one
-    FFT of the whole row, so a row is transformed once (threads that race
-    to take it at worst repeat that FFT) whatever momenta come first.
+    ``first`` holds each momentum's first bin.  The row keeps at least
+    _NUFFT_WINDOW_FLOOR bins on each side, or all of them (W = n_fine / 2 +
+    18), grown to the next power of two when a call needs more; once it
+    keeps all, a call looks at no momentum.  Threads that race to grow the
+    window at worst repeat one FFT.  Every bin is sliced from the one FFT of
+    the whole row, so its value does not depend on the window or on which
+    momenta came first.
     """
-    bins = row.bins  # read once, as another thread may set it
-    if bins is None:
-        width = _nufft_plan(row.size)[0] // 2 + _NUFFT_W + 2
-        bins = np.take(_fine_grid(row.values), np.arange(-width, width), mode="wrap")
-        bins.setflags(write=False)
-        row.bins = bins
+    bins = row.bins  # read once, as another thread may replace it
+    whole = _nufft_plan(row.size)[0] // 2 + _NUFFT_W + 2
+    if bins.size < 2 * whole:
+        half_width = max(-first.min(), first.max() + _NUFFT_W + 1)
+        if bins.size < 2 * half_width:
+            width = 1 << (int(max(half_width, _NUFFT_WINDOW_FLOOR)) - 1).bit_length()
+            width = min(width, whole)
+            bins = np.take(_fine_grid(row.values), np.arange(-width, width), mode="wrap")
+            bins.setflags(write=False)
+            row.bins = bins
     return bins
 
 
-# A sampled grid resolves its transform once the transform's largest magnitude
-# on the outer quarter of the grid's band is at most this fraction of its peak.
+# A grid has resolved the transform of a sample array whose _band_ratio is at
+# most this (profiles._moment_samples asks it of the next grid too).
 _BAND_DECAY = 1e-13
 
 
-def _band_decayed(values):
-    """Whether the trapezoid transform of uniform samples has decayed at the top of its band.
+def _band_ratio(values):
+    """How far the trapezoid transform of uniform samples has decayed at the top of its band.
 
     ``values`` are a row, or a square mesh, of n + 1 samples per axis on
     [-R, R], h = 2R / n apart.  Their trapezoid transform at the momenta
     j pi / R, |j| <= n / 2, which span the band |p| <= pi / h, is one FFT of
     the samples with each axis's two end samples folded into one (the ends
-    share the phase of every such momentum).  The transform has decayed when
-    its largest magnitude where some |p_axis| >= 3/4 pi / h is at most
-    _BAND_DECAY of its peak: the sum's aliasing error anywhere in the band is
-    then of that order, for a transform that keeps decaying beyond it.  It
-    looks at no momentum a caller asks for.  All-zero samples have decayed.
+    share the phase of every such momentum).  The ratio is the transform's
+    largest magnitude where some |p_axis| >= 3/4 pi / h over its peak: once
+    it is at most _BAND_DECAY, the sum's aliasing error anywhere in the band
+    is of that order, for a transform that keeps decaying beyond it.  It
+    looks at no momentum a caller asks for.  All-zero samples give 0.
     """
     folded = np.array(values, dtype=complex)
     for axis in range(folded.ndim):
@@ -590,7 +608,8 @@ def _band_decayed(values):
     top = np.zeros(magnitude.shape, dtype=bool)
     for axis in range(magnitude.ndim):
         top |= np.expand_dims(near, [a for a in range(magnitude.ndim) if a != axis])
-    return np.max(magnitude[top]) <= _BAND_DECAY * np.max(magnitude)
+    peak = np.max(magnitude)
+    return np.max(magnitude[top]) / peak if peak > 0.0 else 0.0
 
 
 def _scaled_momenta(radius, p, scale):
@@ -625,7 +644,7 @@ def transform_samples_1d(values, radius, p):
     gets the same bits in any batch.  It agrees with the direct
     sum to rounding: within 1e-13 of h * sum(|values|), at any momentum.
     ``values`` may be a sampled profile's cached row (a _SampleRow), which
-    keeps its fine-grid bins for later calls; an array is
+    keeps the fine-grid bins its momenta reach for later calls; an array is
     copied into a row of its own, so it is transformed afresh on each call.
     Samples that are not one row of at least two, a radius that is not
     positive and finite, or a momentum that is not finite raise DomainError.
@@ -647,7 +666,7 @@ def transform_samples_1d(values, radius, p):
     position = np.fmod(position, n_fine)
     position -= n_fine * np.round(position / n_fine)
     first = np.floor(position - 0.5 * _NUFFT_W).astype(int)
-    bins = _window(row)
+    bins = _window(row, first)
     width = bins.size // 2
     total = np.zeros(p_arr.size, dtype=complex)
     q = np.arange(_NUFFT_W + 1)[:, None]

@@ -16,7 +16,9 @@ the moments on the profile's transverse grid (2D and 3D), which are then
 transformed (in 2D by a type-2 NUFFT), spatial_moment_y at any y, and the a_l
 of separable_profile.  The transverse grid is sized by convergence: 64
 panels, doubled (re-using every sample) until the samples' transforms have
-decayed at the top of the grid's band, and at most ``sample_count`` panels.
+decayed at the top of the grid's band on it and on the next grid, and at
+most ``sample_count`` panels, which a transform that decays only as a power
+of the momentum takes as soon as two grids show it.
 The sampler's first panels end where the profile declares an axial kink or
 jump (the x nodes of a sampled profile, the boundaries of a layered one).
 Nested, it gives the simplex convolution C(y) of w with itself that the
@@ -45,7 +47,9 @@ from .dyson1d import constant_slab_1d
 from .numerics import (
     DomainError,
     TransformSpec,
-    _band_decayed,
+    _BAND_DECAY,
+    _BUDGET_ROW,
+    _band_ratio,
     _integrate_moments,
     _SampleRow,
     check_edge_decay,
@@ -93,8 +97,9 @@ class Profile2D:
     decay_radius], a radius that bounds the support well enough for
     transforms truncated there to pass the edge-decay check.  The grid
     starts at 64 panels and doubles until the samples' transforms have
-    decayed at the top of its band; ``sample_count`` (a power of two) is
-    the cap, which a kinked or slowly decaying profile reaches.  A momentum
+    decayed at the top of its band, there and on the next grid;
+    ``sample_count`` (a power of two) is the cap, which a kinked or slowly
+    decaying profile reaches.  A momentum
     beyond the band of that grid takes the first finer one whose band holds
     it.  Each grid's samples are cached per k, since w may depend on k.  A
     profile is frozen (assigning to a field raises FrozenInstanceError);
@@ -173,25 +178,32 @@ def _unit_mask(x_frac):
     return (x_frac >= 0.0) & (x_frac <= 1.0)
 
 
-def _spatial_moments(profile, y, k, orders, row_size=None):
+def _spatial_moments(profile, y, k, orders):
     """{l: w_l(y; k)} for each l in ``orders`` of a 2D profile, as complex arrays.
 
     The one choice between closed and sampled spatial moments: a closed
     ``moment_y`` when the profile has one, else one call of the axial sampler
-    (numerics._integrate_moments, to its own tolerances, and the budget of
-    evaluated points of a ``row_size`` row when that is larger than y) over
-    every y at once, from the declared axial breaks.
+    (numerics._integrate_moments, to its own tolerances and budget of
+    evaluated points) over every y at once, from the declared axial breaks.
     """
     if profile.moment_y is not None:
         closed = profile.moment_y(y, k)
         return {l: np.asarray(closed[l], dtype=complex) for l in orders}
     row = lambda xf: profile.eval(xf, y, k)
-    moments = _integrate_moments(row, orders, profile._axial_breaks, row_size=row_size)
+    moments = _integrate_moments(row, orders, profile._axial_breaks)
     return {l: np.asarray(vals, dtype=complex) for l, vals in zip(orders, moments)}
 
 
 # the first transverse grid of the sampled route, in panels per axis
 _FIRST_PANELS = 64
+# A transform that decays exponentially or faster at least squares its band
+# ratio (numerics._band_ratio) when a resolving grid doubles.  One that decays
+# only as p^-a (a kink or a jump in the transverse coordinate) divides it by
+# 2^a, and a grid much coarser than the profile's features leaves it near 1;
+# neither is resolved short of the cap.  So when two grids in a row have not
+# decayed and the finer one's ratio is at least the coarser one's to this
+# power, the search takes the cap.
+_ALGEBRAIC_POWER = 1.5
 
 
 def _sample_nodes(profile, k, route, nodes):
@@ -206,96 +218,118 @@ def _sample_nodes(profile, k, route, nodes):
         C(y) = INT_0^1 dx2 x2^2 w(x2, y) INT_0^1 dt (1 - t) w(x2 t, y)
 
     under the key "C", by the same sampler nested: over x2 from the declared
-    breaks, and at each x2 over t from the breaks b/x2 with b < x2.  Every
-    sampler call gets the halving budget of the cap's grid, however few the
-    nodes.
+    breaks, and at each x2 over t from the breaks b/x2 with b < x2.
     """
     breaks = profile._axial_breaks
-    cap = (profile.sample_count + 1) ** len(nodes)
     if isinstance(profile, Profile3D):
         r1, r2 = nodes
         layer = lambda zf: profile.eval(r1, r2, zf, k)
-        return dict(zip((0, 1), _integrate_moments(layer, (0, 1), breaks, row_size=cap)))
+        return dict(zip((0, 1), _integrate_moments(layer, (0, 1), breaks)))
     (y,) = nodes
     if route == "moments":
-        return _spatial_moments(profile, y, k, (0, 1, 2), cap)
+        return _spatial_moments(profile, y, k, (0, 1, 2))
     w_row = lambda xf: profile.eval(xf, y, k)
 
     def layer(x2):
         # INT_0^1 dt (1 - t) w(x2 t, y), from the breaks below x2
         t_breaks = [b / x2 for b in breaks if b < x2]
         tail = lambda t: (1.0 - t) * w_row(x2 * t)
-        return _integrate_moments(tail, (0,), t_breaks, row_size=cap)[0] * w_row(x2)
+        return _integrate_moments(tail, (0,), t_breaks)[0] * w_row(x2)
 
-    return {"C": _integrate_moments(layer, (2,), breaks, row_size=cap)[0]}
+    return {"C": _integrate_moments(layer, (2,), breaks)[0]}
 
 
 def _level(profile, k, route, panels, coarse=None):
-    """(samples, checked): a route's read-only samples on ``panels`` panels per axis.
+    """(samples, ratios): a route's read-only samples on ``panels`` panels per axis.
 
-    With ``coarse``, the samples on panels / 2 panels, only the new nodes
-    are sampled and the coarse samples keep their places.  ``checked`` lists
-    the sample arrays that are not negligible, each of which has passed the
-    edge-decay check.  A 3D mesh is made read-only in place, and a 2D row
-    becomes a _SampleRow, which keeps its own NUFFT window.
+    The nodes are sampled with the halving budget of the cap's grid (see
+    numerics._BUDGET_ROW); with ``coarse``, the samples of a coarser grid of
+    the same nodes, only the new ones are, and the coarse samples keep their
+    places.  Every
+    sample array that is not negligible passes the edge-decay check, and
+    ``ratios`` holds its numerics._band_ratio (0 for a negligible one).  A 3D
+    mesh is made read-only in place, and a 2D row becomes a _SampleRow, which
+    keeps its own NUFFT window.
     """
     r = np.linspace(-profile.decay_radius, profile.decay_radius, panels + 1)
     axes = np.meshgrid(*(r,) * (2 if isinstance(profile, Profile3D) else 1), indexing="ij")
-    old = (slice(None, None, 2),) * len(axes)
     fresh = np.ones(axes[0].shape, dtype=bool)
-    if coarse is not None:
+    if coarse is not None:  # a 2D row's samples are its values
+        coarse = {name: getattr(vals, "values", vals) for name, vals in coarse.items()}
+        stride = panels // (next(iter(coarse.values())).shape[0] - 1)
+        old = (slice(None, None, stride),) * len(axes)
         fresh[old] = False
+    token = _BUDGET_ROW.set((profile.sample_count + 1) ** len(axes))
+    try:
+        raw = _sample_nodes(profile, k, route, [a[fresh] for a in axes])
+    finally:
+        _BUDGET_ROW.reset(token)
     samples = {}
-    for name, vals in _sample_nodes(profile, k, route, [a[fresh] for a in axes]).items():
+    for name, vals in raw.items():
         samples[name] = np.empty(fresh.shape, dtype=complex)
         samples[name][fresh] = vals
-        if coarse is not None:  # a 2D row's samples are its values
-            samples[name][old] = getattr(coarse[name], "values", coarse[name])
+        if coarse is not None:
+            samples[name][old] = coarse[name]
 
     # a moment that is uniformly negligible against the largest one (e.g. a
     # coating that nulls it to rounding level) has nothing left to truncate
     # or resolve; a non-finite one is checked whatever the others, and fails
     peaks = {name: np.max(np.abs(vals)) for name, vals in samples.items()}
     overall = max(peaks.values(), default=0.0)
-    checked = [
-        vals
-        for name, vals in samples.items()
-        if not np.isfinite(peaks[name]) or peaks[name] > 1e-9 * overall
-    ]
-    for vals in checked:
-        check_edge_decay(vals, "profile moment")
+    ratios = {}
+    for name, vals in samples.items():
+        ratios[name] = 0.0
+        if not np.isfinite(peaks[name]) or peaks[name] > 1e-9 * overall:
+            check_edge_decay(vals, "profile moment")
+            ratios[name] = _band_ratio(vals)
     if isinstance(profile, Profile3D):
         for mesh in samples.values():
             mesh.setflags(write=False)
-        return samples, checked
-    return {name: _SampleRow(row) for name, row in samples.items()}, checked
+        return samples, ratios
+    return {name: _SampleRow(row) for name, row in samples.items()}, ratios
 
 
 def _moment_samples(profile, k, route="moments", panels=0):
     """(panels, samples): a route's samples (see _sample_nodes) on a transverse grid.
 
     The grid is the accepted one, or the finer one of ``panels`` panels per
-    axis (a power of two up to ``sample_count``).  A grid is accepted once
-    every sample array that is not negligible has a transform that has
-    decayed at the top of its band (numerics._band_decayed), or at the cap,
-    ``sample_count`` panels; the search starts at 64 panels and doubles,
-    each grid re-using the samples of the one before.  The accepted grid and
-    every finer one taken since are cached in ``_cache[(route, k)]``, keyed
-    by panels, the accepted one first, so a grid's samples depend on
-    (route, k, panels) alone and not on the momenta asked or their order.
+    axis (a power of two up to ``sample_count``).  The search starts at 64
+    panels and doubles, each grid re-using the samples of the one before.
+    A grid is accepted when the band ratio (numerics._band_ratio) of every
+    sample array is at most _BAND_DECAY on it and on the next grid, which
+    is sampled to confirm it: a feature that one grid aliases to a decayed
+    transform shows on the other.  The search goes straight to the cap,
+    ``sample_count`` panels, when a ratio falls no faster than a power of p
+    would make it (see _ALGEBRAIC_POWER), and stops there in any case.  The
+    accepted grid and every finer one taken are cached in
+    ``_cache[(route, k)]``, keyed by panels (the accepted one is the
+    coarsest), so a grid's samples depend on (route, k, panels) alone and
+    not on the momenta asked or their order.
     """
     grids = profile._cache.get((route, float(k)))
     if grids and not panels:
-        return next(iter(grids.items()))  # the accepted grid, kept first
+        n = min(grids)
+        return n, grids[n]
     grids = profile._cache.setdefault((route, float(k)), {})
     if not grids:
-        n, samples = min(_FIRST_PANELS, profile.sample_count), None
-        while True:
-            samples, checked = _level(profile, k, route, n, samples)
-            if n == profile.sample_count or all(map(_band_decayed, checked)):
+        cap = profile.sample_count
+        n, confirm = min(_FIRST_PANELS, cap), None
+        samples, ratios = _level(profile, k, route, n)
+        while n < cap:
+            confirm, next_ratios = _level(profile, k, route, 2 * n, samples)
+            if max(*ratios.values(), *next_ratios.values()) <= _BAND_DECAY:
                 break
-            n *= 2
+            algebraic = any(
+                min(ratio, next_ratios[name]) > _BAND_DECAY
+                and next_ratios[name] >= ratio**_ALGEBRAIC_POWER
+                for name, ratio in ratios.items()
+            )
+            n, samples, ratios, confirm = 2 * n, confirm, next_ratios, None
+            if algebraic and n < cap:
+                n, samples = cap, _level(profile, k, route, cap, samples)[0]
         grids[n] = samples
+        if confirm is not None:
+            grids[2 * n] = confirm
     n = max(grids)
     while n < panels:
         grids[2 * n] = _level(profile, k, route, 2 * n, grids[n])[0]
@@ -304,19 +338,20 @@ def _moment_samples(profile, k, route="moments", panels=0):
     return n, grids[n]
 
 
-def _sampled_transform(profile, k, route, name, p, largest, transform):
+def _sampled_transform(profile, k, route, name, p, transform):
     """transform(samples, radius, p) of a route's samples ``name`` at the momenta p.
 
-    p is an (m,) array in 2D and an (m, 2) array in 3D, and ``largest`` its
-    largest |component|.  Each momentum is transformed on the accepted grid
-    if that grid's band |p| <= pi / h holds it (in 3D, both components),
-    else on the first finer grid whose band does, or on the cap's grid.
+    p is an (m,) array in 2D and an (m, 2) array in 3D.  Each momentum is
+    transformed on the accepted grid if that grid's band |p| <= pi / h holds
+    it (in 3D, both components), else on the first finer grid whose band
+    does, or on the cap's grid.
     """
     panels, samples = _moment_samples(profile, k, route)
     scale = np.pi / (2.0 * profile.decay_radius)  # n panels hold the band |p| <= n scale
-    if panels == profile.sample_count or largest <= panels * scale:
+    reach = np.abs(p) if p.ndim == 1 else np.abs(p).max(axis=1)
+    # the common case, without the masks below: they add 13% to a cache hit
+    if panels == profile.sample_count or reach.max(initial=0.0) <= panels * scale:
         return transform(samples[name], profile.decay_radius, p)
-    reach = np.abs(p).reshape(len(p), -1).max(axis=1)
     out = np.empty(len(p), dtype=complex)
     todo = np.ones(len(p), dtype=bool)
     while True:
@@ -329,12 +364,14 @@ def _sampled_transform(profile, k, route, name, p, largest, transform):
         panels, samples = _moment_samples(profile, k, route, 2 * panels)
 
 
-def _largest_momentum(p):
-    """The largest |component| of the momenta p (0 if none); DomainError if one is not finite."""
-    largest = np.maximum.reduce(np.abs(p), axis=None, initial=0.0)  # NaN if any is
-    if not math.isfinite(largest):
+def _check_momenta(p):
+    """Refuse momenta that are not all finite.
+
+    Their sum is the fast test: a non-finite entry makes it non-finite (and
+    so, rarely, does overflow, which the entry-by-entry test then clears).
+    """
+    if not math.isfinite(np.add.reduce(p, axis=None)) and not np.isfinite(p).all():
         raise DomainError("transform momenta must be finite")
-    return largest
 
 
 def moment_2d(profile, l, p, k):
@@ -358,22 +395,23 @@ def moment_2d(profile, l, p, k):
     ``moment_y``, or ``eval`` integrated over x_frac, which raises
     AccuracyError if the axial sampler cannot resolve the profile within its
     budget) are transformed, each momentum on the coarsest grid whose
-    transforms have decayed and whose band holds it (see _moment_samples).  Momenta that are not finite raise DomainError
-    on either route; samples that are not finite raise AccuracyError, and an
-    error ``moment_y`` or ``eval`` raises propagates.
+    transforms have decayed and whose band holds it (see _moment_samples).
+    Momenta that are not finite raise DomainError on either route; samples
+    that are not finite raise AccuracyError, and an error ``moment_y`` or
+    ``eval`` raises propagates.
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p_arr = p_arr.reshape(1) if scalar else p_arr
-    largest = _largest_momentum(p_arr)
+    _check_momenta(p_arr)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
         return out[0] if scalar else out
 
-    out = _sampled_transform(profile, k, "moments", l, p_arr.ravel(), largest, transform_samples_1d)
+    out = _sampled_transform(profile, k, "moments", l, p_arr.ravel(), transform_samples_1d)
     return out[0] if scalar else out.reshape(p_arr.shape)
 
 
@@ -386,8 +424,8 @@ def _convolution_moment(profile, p, k):
     (for an axially uniform w, C = w^2 / 6) and transformed like m_l.
     """
     p_arr = np.asarray(p, dtype=float)
-    largest = _largest_momentum(p_arr)
-    out = _sampled_transform(profile, k, "convolution", "C", p_arr.ravel(), largest, transform_samples_1d)
+    _check_momenta(p_arr)
+    out = _sampled_transform(profile, k, "convolution", "C", p_arr.ravel(), transform_samples_1d)
     return out.reshape(p_arr.shape) if p_arr.ndim else out[0]
 
 
@@ -405,13 +443,13 @@ def moment_3d(profile, l, pvec, k):
     pv = np.asarray(pvec, dtype=float)
     single = pv.ndim == 1
     pv = np.atleast_2d(pv)
-    largest = _largest_momentum(pv)
+    _check_momenta(pv)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, pv[:, 0], pv[:, 1], k), dtype=complex)
         return out[0] if single else out
 
-    out = _sampled_transform(profile, k, "moments", l, pv, largest, transform_samples_2d)
+    out = _sampled_transform(profile, k, "moments", l, pv, transform_samples_2d)
     return out[0] if single else out
 
 
@@ -714,9 +752,7 @@ def coated_profile(slab, geometry, z1, z2):
         a = ell
         b = ell + l1
         c = ell + l1 + l2
-        # an eval-only bare slab is sampled with the halving budget of its
-        # cap's grid, as its own moments would be
-        bare = _spatial_moments(slab, y, k, (0, 1, 2), slab.sample_count + 1)
+        bare = _spatial_moments(slab, y, k, (0, 1, 2))
         return tuple(
             (
                 ell ** (l + 1) * bare[l]

@@ -127,8 +127,9 @@ def test_gaussian_forward_and_backward_f1():
 
 
 def test_eval_only_gaussian_matches_its_closed_form_quickly():
-    # its moments are sampled on a 129^2 mesh, not the cap's 1025^2 (where one
-    # f2 took about 3 s), and f1 and f2 keep the closed route's values
+    # its moments are transformed on a 129^2 mesh (confirmed on 257^2), not
+    # the cap's 1025^2 (where one f2 took about 3 s), and f1 and f2 keep the
+    # closed route's values
     closed = gaussian_slab_3d(0.5, 1.0)
     prof = replace(closed, analytic_moment=None)
     cfg = ScatteringConfig3D(k=1.0, ell=0.1, theta0=0.4, phi0=0.3)

@@ -23,8 +23,9 @@ from slabscat.numerics import (
     _GK_WEIGHTS,
     _G_WEIGHTS,
     _WG,
+    _BAND_DECAY,
     _SampleRow,
-    _band_decayed,
+    _band_ratio,
     _integrate_moments,
     _next_fast_len,
     _nufft_plan,
@@ -472,19 +473,19 @@ def test_read_only_row_takes_one_fft(monkeypatch):
         amplitude_2d(prof, cfg, theta)
     panels = _moment_samples(prof, cfg.k)[0]
     assert ffts == [panels + 1] * 2
-    # a finer grid's row takes its own one FFT, and keeps every bin of it:
-    # far momenta take no further FFT, and have a fresh row's bits
+    # on a finer grid's row a momentum beyond the kept window's floor grows
+    # it by one more FFT of the row, to a fresh row's bits
     row = _moment_samples(prof, cfg.k, panels=1024)[1][0]
     transform_samples_1d(row, prof.decay_radius, 0.4)
     far = np.array([0.4, 60.0, -75.0])
     got = transform_samples_1d(row, prof.decay_radius, far)
-    assert ffts[2:] == [1025]
+    assert ffts[2:] == [1025, 1025]
     fresh = transform_samples_1d(row.values.copy(), prof.decay_radius, far)
     assert got.tobytes() == fresh.tobytes()
     assert transform_samples_1d(row, prof.decay_radius, 0.4) == got[0]
 
 
-def test_band_decay_is_read_at_the_top_of_the_band():
+def test_band_ratio_is_read_at_the_top_of_the_band():
     # a Gaussian on [-12, 12] (transform e^{-p^2/2}) has decayed on the outer
     # quarter of the band of 128 panels (|p| >= 12.6), not of 64 (|p| >= 6.3);
     # so has an odd row, whose transform vanishes at the band's very top, and
@@ -492,12 +493,14 @@ def test_band_decay_is_read_at_the_top_of_the_band():
     for n, decayed in ((64, False), (128, True)):
         y = np.linspace(-12.0, 12.0, n + 1)
         for values in (gaussian(y), (1.0 - 2.0j) * y * gaussian(y)):
-            assert _band_decayed(values) == decayed
-        assert _band_decayed(np.outer(gaussian(y), y * gaussian(y))) == decayed
+            assert (_band_ratio(values) <= _BAND_DECAY) == decayed
+        assert (_band_ratio(np.outer(gaussian(y), y * gaussian(y))) <= _BAND_DECAY) == decayed
     # a kink (e^{-|y|}, transform 2 / (1 + p^2)) decays only as p^-2: not
-    # within 2^16 panels; zero samples have nothing to resolve
-    assert not _band_decayed(np.exp(-np.abs(np.linspace(-40.0, 40.0, 2**16 + 1))))
-    assert _band_decayed(np.zeros(65)) and _band_decayed(np.zeros((65, 65)))
+    # within 2^16 panels, and each doubling divides its ratio by about 4
+    kink = [_band_ratio(np.exp(-np.abs(np.linspace(-40.0, 40.0, n + 1)))) for n in (2**15, 2**16)]
+    assert kink[1] > _BAND_DECAY and 0.2 < kink[1] / kink[0] < 0.3
+    # zero samples have nothing to resolve
+    assert _band_ratio(np.zeros(65)) == 0.0 and _band_ratio(np.zeros((65, 65))) == 0.0
 
 
 def test_transform_samples_rejects_non_finite_momenta():

@@ -301,10 +301,11 @@ def test_bilinear_sampled_moments_match_the_exact_axial_integral():
     _check_bilinear_moments(*_bilinear_profile())
 
 
-# The bilinear interpolant kinks in y, so its transforms decay only as p^-2
-# and its transverse grid doubles from 64 panels up to the cap of 65,536:
-# 11 grids, each sampled in one axial sampler call.
-_BILINEAR_GRIDS = 11
+# The bilinear interpolant kinks in y, so its transforms decay only as p^-2:
+# the grid search samples 64 and 128 panels, where the band ratio does not
+# fall as a resolved transform's would, and then the cap of 65,536 panels; 3
+# grids, each sampled in one axial sampler call.
+_BILINEAR_GRIDS = 3
 
 
 def test_sampled_profile_panels_start_at_its_x_nodes():
@@ -320,6 +321,15 @@ def test_sampled_profile_panels_start_at_its_x_nodes():
     assert sum(np.size(y) for _, y, _ in calls) == 20 * 15 * (prof.sample_count + 1)
 
 
+def test_a_cap_one_grid_away_is_sampled_once():
+    # with a cap of 128 panels the second grid is the cap itself, which the
+    # search takes as it is: 15 rows on each of 2 grids, none of them empty
+    prof, calls = _counted_eval(replace(_bilinear_profile()[0], sample_count=128))
+    moment_2d(prof, 0, 0.3, 1.0)
+    assert list(prof._cache["moments", 1.0]) == [128]
+    assert [np.size(y) for _, y, _ in calls] == [65] * 4 * 15 + [64] * 4 * 15
+
+
 def test_sampled_profile_reaches_second_order_quickly():
     prof = _bilinear_profile()[0]
     prof, calls = _counted_eval(prof)
@@ -332,7 +342,7 @@ def test_sampled_profile_reaches_second_order_quickly():
 
 
 def test_eval_only_gaussian_row_is_accepted_on_a_few_hundred_samples():
-    # a smooth decaying row needs no more than 256 panels (here 128): the
+    # a smooth decaying row is accepted on 128 panels, confirmed on 256: the
     # whole grid search evaluates at most 15 rows of 257 points
     closed = gaussian_slab_2d(0.6, 1.0)
     prof, calls = _counted_eval(_eval_only(closed))
@@ -342,6 +352,37 @@ def test_eval_only_gaussian_row_is_accepted_on_a_few_hundred_samples():
     assert panels <= 256 and samples[0].size == panels + 1
     assert sum(np.size(y) for _, y, _ in calls) <= 15 * 257
     assert np.max(np.abs(got - closed.analytic_moment(0, p, 0.8))) <= 1e-14 * abs(got[20])
+
+
+def test_a_grid_that_aliases_a_feature_away_is_not_accepted():
+    # w = cos(q r_1) e^{-|r|^2 / 8} on [-16, 16] with q = 4 pi: at every node
+    # of the 64-panel grid (h = 1/2) cos(q r_1) = 1, so there the samples are
+    # a plain Gaussian's, whose transform has decayed at the top of the band;
+    # on 128 panels they alternate in sign and show the feature, so 64 panels
+    # are not accepted, and 256 are (confirmed on 512).  Per axis the closed
+    # transform is (G(p - q) + G(p + q)) / 2, G(p) = sqrt(8 pi) e^{-2 p^2}
+    q = 4.0 * np.pi
+    G = lambda p: np.sqrt(8.0 * np.pi) * np.exp(-2.0 * np.asarray(p) ** 2)
+    wave = lambda r1, r2=0.0: np.cos(q * r1) * np.exp(-(r1 * r1 + r2 * r2) / 8.0)
+
+    def w2(x, y, k):
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        return np.where((x >= 0) & (x <= 1), wave(y), 0.0)
+
+    def w3(r1, r2, z, k):
+        r1, r2, z = np.broadcast_arrays(np.asarray(r1, float), np.asarray(r2, float), z)
+        return np.where((z >= 0) & (z <= 1), wave(r1, r2), 0.0)
+
+    p = np.array([0.0, 1.0, 0.5 * q, q])
+    want = 0.5 * (G(p - q) + G(p + q))
+    row = Profile2D(eval=w2, decay_radius=16.0)
+    assert_allclose(moment_2d(row, 0, p, 1.0), want, rtol=1e-12, atol=1e-13)
+    mesh = Profile3D(eval=w3, decay_radius=16.0)
+    pv = np.array([[0.0, 0.0], [1.0, 0.0], [q, 0.0], [q, 0.5]])
+    want = 0.5 * (G(pv[:, 0] - q) + G(pv[:, 0] + q)) * G(pv[:, 1])
+    assert_allclose(moment_3d(mesh, 0, pv, 1.0), want, rtol=1e-12, atol=1e-13)
+    for prof in (row, mesh):
+        assert list(prof._cache["moments", 1.0]) == [256, 512]
 
 
 def _tanh_jump(x, y):
@@ -402,6 +443,16 @@ def test_spatial_moment_y_of_a_moving_jump():
     with pytest.raises(AccuracyError, match="within 2000 subdivisions"):
         spatial_moment_y(prof, 0, np.linspace(-3.0, 3.0, 121), 1.0)
     assert time.perf_counter() - start < 10.0
+    # a coating over it samples the bare slab with the budget of the y asked
+    # too, not the 101 halvings a transverse grid's samples get: over 8 y it
+    # takes more than those and resolves w_0 = (g s - 0.6 l1 + 0.25 l2) / 2
+    counted, calls = _counted_eval(prof)
+    coated = coated_profile(counted, _tapered_geometry([]), -0.6, 0.25)
+    y = np.linspace(-3.0, 3.0, 8)
+    l1, l2 = _tapered_geometry([]).thicknesses(y)
+    expect = (np.exp(-0.5 * y * y) * (0.5 + 0.25 * np.tanh(y)) - 0.6 * l1 + 0.25 * l2) / 2.0
+    assert np.max(np.abs(spatial_moment_y(coated, 0, y, 1.0) - expect)) <= 1e-8
+    assert len(calls) > 15 + 45 * 101
 
 
 @pytest.mark.slow
@@ -434,9 +485,9 @@ def test_3d_axial_jumps_at_declared_breaks_are_exact():
     closed = 2.0 * np.pi * np.exp(-0.5 * np.sum(pv * pv, axis=1))
     for l, a_l in enumerate((0.85, 0.4775)):
         assert_allclose(moment_3d(prof, l, pv, 1.0), a_l * closed, rtol=1e-14, atol=1e-14)
-    # on each of 2 grids: 65^2 and 129^2 points
+    # on each of 3 grids: 65^2, 129^2 (accepted) and 257^2 points
     assert _moment_samples(prof, 1.0)[0] == 128
-    assert len(calls) == 2 * 3 * 15
+    assert len(calls) == 3 * 3 * 15
 
 
 def test_non_finite_profile_fails_on_the_first_panel():
@@ -484,10 +535,10 @@ def test_convolution_moment_of_a_sheared_gaussian():
             for part in (np.real, np.imag)
         ]
         assert_allclose(_convolution_moment(prof, q, 1.0), complex(*want), rtol=1e-9)
-    # on each of 2 grids (64 and 128 panels), one outer panel of 15 nodes,
-    # each one row plus one inner panel of 15
+    # on each of 3 grids (64, 128 accepted, 256 confirming it), one outer
+    # panel of 15 nodes, each one row plus one inner panel of 15
     assert _moment_samples(prof, 1.0, "convolution")[0] == 128
-    assert len(calls) == 2 * 15 * 16
+    assert len(calls) == 3 * 15 * 16
 
 
 def test_convolution_moment_of_a_bilinear_sampled_profile():
@@ -514,9 +565,10 @@ def test_convolution_moment_of_a_bilinear_sampled_profile():
     b_interp = np.interp(y, y_nodes, b, left=0.0, right=0.0)
     want = A * transform_samples_1d(b_interp**2, prof.decay_radius, p)
     assert_allclose(_convolution_moment(prof, p, 1.0), want, rtol=1e-9)
-    # on each of the 7 grids from 64 panels to the cap of 4,096, outer piece i
-    # holds i + 1 inner pieces, none halved: 15 (1 + 15 (i + 1))
-    assert len(calls) == 7 * sum(15 * (1 + 15 * (i + 1)) for i in range(4))
+    # on each of the _BILINEAR_GRIDS grids (the last is the cap of 4,096),
+    # outer piece i holds i + 1 inner pieces, none halved: 15 (1 + 15 (i + 1))
+    assert list(prof._cache["convolution", 1.0]) == [4096]
+    assert len(calls) == _BILINEAR_GRIDS * sum(15 * (1 + 15 * (i + 1)) for i in range(4))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -781,13 +833,13 @@ def test_coating_samples_an_eval_only_bare_slab_in_one_call():
     closed = coated_profile(slab, _tapered_geometry([]), -0.6, 0.25)
     p = np.array([0.0, 0.7, -1.3])
     got = moment_2d(coated, 0, p, 1.0)
-    # on each of 2 grids (64 and 128 panels)
+    # on each of 3 grids (64, 128 accepted, 256 confirming it)
     assert _moment_samples(coated, 1.0)[0] == 128
-    assert len(calls) == 2 * 15
+    assert len(calls) == 3 * 15
     assert_allclose(got, moment_2d(closed, 0, p, 1.0), rtol=1e-9)
     for l in (1, 2):
         assert_allclose(moment_2d(coated, l, p, 1.0), moment_2d(closed, l, p, 1.0), rtol=1e-9)
-    assert len(calls) == 2 * 15
+    assert len(calls) == 3 * 15
 
 
 def test_coated_moments_evaluate_the_layer_bounds_once():
@@ -796,8 +848,8 @@ def test_coated_moments_evaluate_the_layer_bounds_once():
     coated = coated_profile(slab, _tapered_geometry(counts), -0.6, 0.25)
     for l in (0, 1, 2):
         moment_2d(coated, l, 0.4, 1.0)
-    # once per grid: 64 and 128 panels
-    assert _moment_samples(coated, 1.0)[0] == 128 and len(counts) == 2
+    # once per grid: 64, 128 (accepted) and 256 panels
+    assert _moment_samples(coated, 1.0)[0] == 128 and len(counts) == 3
 
 
 def test_coated_extent_check():
