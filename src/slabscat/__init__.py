@@ -31,8 +31,6 @@ from .amp3d import (
     amplitude_3d,
     f1_3d,
     f2_3d,
-    gaussian_Y,
-    gaussian_h,
     normalized_cross_section,
 )
 from .cloak import (
@@ -55,9 +53,6 @@ from .exactborn import (
     Ex1Params,
     ex1_exact,
     ex1_f1,
-    ex1_f2,
-    extract_series_coefficients,
-    x_function,
 )
 from .kernels import amplitude_from_kernels, momentum_grid
 from .numerics import (
@@ -113,15 +108,10 @@ __all__ = [
     "f2_3d",
     "amplitude_3d",
     "normalized_cross_section",
-    "gaussian_h",
-    "gaussian_Y",
     # the exactly solvable profile ex1
     "Ex1Params",
     "ex1_exact",
     "ex1_f1",
-    "ex1_f2",
-    "x_function",
-    "extract_series_coefficients",
     # kernel route
     "momentum_grid",
     "amplitude_from_kernels",

@@ -21,18 +21,9 @@ sin theta sin phi - sin alpha sin beta):
 Both coefficients carry units of length.  Observation polar angles
 theta = pi/2 (detectors at z = +-infinity) are excluded.
 
-For the Gaussian slab w = z0 exp(-(x^2+y^2)/2L^2) the coefficients close:
-with K = kL and h(theta, phi, theta0) = sin(theta0) sin(theta) cos(phi)
-+ (cos 2 theta + cos 2 theta0)/4 - 1/2 (equal to -|g|^2/2, so h >= -2),
-
-    f1 = sqrt(pi/2) (z0 K^2 / k) e^{K^2 h(theta, phi - phi0, theta0)},
-    f2 = sqrt(pi/2) (i z0 K^2 / 2k) [ (cos theta0 - cos theta)
-             e^{K^2 h(theta, phi - phi0, theta0)} + z0 K^2 Y ],
-    Y(theta, phi, theta0, phi0, K) = (1/2 pi) INT d alpha d beta sin(alpha)
-             e^{K^2 [h(theta, phi - beta, alpha) + h(alpha, beta - phi0, theta0)]},
-
-with Y(K=0) = 1.  gaussian_h and gaussian_Y implement these; the module's
-generic path must agree with them, which is the main cross-check here.
+For the Gaussian slab w = z0 exp(-(x^2+y^2)/2L^2) both coefficients close
+in terms of K = kL; the test suite checks the generic path against those
+closed forms, which is the main cross-check here.
 """
 
 import math
@@ -48,8 +39,6 @@ __all__ = [
     "ScatteringConfig3D",
     "Direction3D",
     "g_vector",
-    "gaussian_h",
-    "gaussian_Y",
     "f1_3d",
     "f2_3d",
     "amplitude_3d",
@@ -104,31 +93,6 @@ def g_vector(theta, phi, alpha, beta):
     g1 = np.sin(theta) * np.cos(phi) - np.sin(alpha) * np.cos(beta)
     g2 = np.sin(theta) * np.sin(phi) - np.sin(alpha) * np.sin(beta)
     return g1, g2
-
-
-def gaussian_h(theta, phi, theta0):
-    """Gaussian-slab exponent: -|g(theta, phi+phi0, theta0, phi0)|^2 / 2."""
-    return (
-        np.sin(theta0) * np.sin(theta) * np.cos(phi)
-        + 0.25 * (np.cos(2.0 * np.asarray(theta)) + np.cos(2.0 * np.asarray(theta0)))
-        - 0.5
-    )
-
-
-def gaussian_Y(theta, phi, theta0, phi0, K):
-    """Normalized double integral entering the Gaussian second-order form."""
-    if K < 0:
-        raise DomainError("K = kL must be nonnegative")
-    K2 = K * K
-
-    def integrand(alpha, beta):
-        expo = gaussian_h(theta, phi - beta, alpha) + gaussian_h(
-            alpha, beta - phi0, theta0
-        )
-        return np.sin(alpha) * np.exp(K2 * expo)
-
-    val = integrate_2d(integrand, 0.0, 0.5 * np.pi, 0.0, 2.0 * np.pi)
-    return float(val.real) / (2.0 * np.pi)
 
 
 def _sweep_3d(profile, configs, directions, order=2, spec=None):

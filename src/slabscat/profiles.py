@@ -38,6 +38,7 @@ adds idempotent entries.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -364,14 +365,17 @@ def _sampled_transform(profile, k, route, name, p, transform):
         panels, samples = _moment_samples(profile, k, route, 2 * panels)
 
 
-def _check_momenta(p):
-    """Refuse momenta that are not all finite.
+def _check_finite(k, name, values):
+    """Refuse a wavenumber k, or ``values`` (momenta, or y), that are not all finite.
 
-    Their sum is the fast test: a non-finite entry makes it non-finite (and
-    so, rarely, does overflow, which the entry-by-entry test then clears).
+    The sum of the values is the fast test: a non-finite entry makes it
+    non-finite (and so, rarely, does overflow, which the entry-by-entry test
+    then clears).  ``name`` names the values in the message.
     """
-    if not math.isfinite(np.add.reduce(p, axis=None)) and not np.isfinite(p).all():
-        raise DomainError("transform momenta must be finite")
+    if not math.isfinite(k):
+        raise DomainError("k must be finite")
+    if not math.isfinite(np.add.reduce(values, axis=None)) and not np.isfinite(values).all():
+        raise DomainError(f"{name} must be finite")
 
 
 def moment_2d(profile, l, p, k):
@@ -396,16 +400,16 @@ def moment_2d(profile, l, p, k):
     AccuracyError if the axial sampler cannot resolve the profile within its
     budget) are transformed, each momentum on the coarsest grid whose
     transforms have decayed and whose band holds it (see _moment_samples).
-    Momenta that are not finite raise DomainError on either route; samples
-    that are not finite raise AccuracyError, and an error ``moment_y`` or
-    ``eval`` raises propagates.
+    Momenta or a k that are not finite raise DomainError on either route;
+    samples that are not finite raise AccuracyError, and an error
+    ``moment_y`` or ``eval`` raises propagates.
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
     p_arr = np.asarray(p, dtype=float)
     scalar = p_arr.ndim == 0
     p_arr = p_arr.reshape(1) if scalar else p_arr
-    _check_momenta(p_arr)
+    _check_finite(k, "transform momenta", p_arr)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
@@ -424,7 +428,7 @@ def _convolution_moment(profile, p, k):
     (for an axially uniform w, C = w^2 / 6) and transformed like m_l.
     """
     p_arr = np.asarray(p, dtype=float)
-    _check_momenta(p_arr)
+    _check_finite(k, "transform momenta", p_arr)
     out = _sampled_transform(profile, k, "convolution", "C", p_arr.ravel(), transform_samples_1d)
     return out.reshape(p_arr.shape) if p_arr.ndim else out[0]
 
@@ -436,14 +440,14 @@ def moment_3d(profile, l, pvec, k):
     square transverse mesh are transformed: the coarsest mesh, from 65^2
     points up to the cap's (sample_count + 1)^2, whose transforms have
     decayed and whose band holds the momentum (see _moment_samples).
-    Momenta that are not finite raise DomainError on either route.
+    Momenta or a k that are not finite raise DomainError on either route.
     """
     if l not in (0, 1):
         raise DomainError("3D moment order l must be 0 or 1")
     pv = np.asarray(pvec, dtype=float)
     single = pv.ndim == 1
     pv = np.atleast_2d(pv)
-    _check_momenta(pv)
+    _check_finite(k, "transform momenta", pv)
 
     if profile.analytic_moment is not None:
         out = np.asarray(profile.analytic_moment(l, pv[:, 0], pv[:, 1], k), dtype=complex)
@@ -461,12 +465,14 @@ def spatial_moment_y(profile, l, y, k):
     order l alone, from the declared axial breaks.  It meets 1e-9 of the
     largest |w_l| over the requested y, not a tolerance per point, and a jump
     whose position moves with y, which no shared partition resolves, raises
-    AccuracyError.
+    AccuracyError.  A y or a k that is not finite raises DomainError on either
+    route.
     """
     if l not in (0, 1, 2):
         raise DomainError("spatial moment order l must be 0, 1, or 2")
     scalar = np.isscalar(y) or np.asarray(y).ndim == 0
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    _check_finite(k, "y", y_arr)
     out = _spatial_moments(profile, y_arr, k, (l,))[l]
     return out[0] if scalar else out
 
@@ -670,26 +676,50 @@ def sampled_profile(x_nodes, y_nodes, values, decay_radius, descriptor="sampled"
     """Bilinear interpolation of tabulated w on a rectangular (x_frac, y) grid.
 
     Outside the tabulated rectangle the profile is zero.  This is the
-    interchange format for externally defined profiles.
+    interchange format for externally defined profiles.  Each axis needs at
+    least two finite nodes, strictly increasing or strictly decreasing, and
+    the values must be finite; anything else raises DomainError.
     """
-    from scipy.interpolate import RegularGridInterpolator
-
     x_nodes = np.asarray(x_nodes, dtype=float)
     y_nodes = np.asarray(y_nodes, dtype=float)
     values = np.asarray(values, dtype=complex)
     if values.shape != (x_nodes.size, y_nodes.size):
         raise DomainError("values must have shape (len(x_nodes), len(y_nodes))")
-    interp = RegularGridInterpolator(
-        (x_nodes, y_nodes), values, method="linear", bounds_error=False, fill_value=0.0
-    )
+    monotonic = lambda steps: (steps > 0).all() or (steps < 0).all()
+    for name, nodes in (("x_nodes", x_nodes), ("y_nodes", y_nodes)):
+        row = nodes.ndim == 1 and nodes.size >= 2 and np.isfinite(nodes).all()
+        if not (row and monotonic(np.diff(nodes))):
+            raise DomainError(
+                f"{name} must be a row of two or more finite, strictly monotonic nodes"
+            )
+    if not np.isfinite(values).all():
+        raise DomainError("values must be finite")
+    # the interpolant reads both axes in increasing order
+    if x_nodes[0] > x_nodes[-1]:
+        x_nodes, values = x_nodes[::-1], values[::-1]
+    if y_nodes[0] > y_nodes[-1]:
+        y_nodes, values = y_nodes[::-1], values[:, ::-1]
+    cells = x_nodes.size - 1
 
     def w_eval(x_frac, y, k):
+        # per x cell the table touches: its two rows interpolated in y (zero
+        # outside the nodes), blended linearly in x
         x_frac, y = np.broadcast_arrays(
             np.asarray(x_frac, dtype=float), np.asarray(y, dtype=float)
         )
-        pts = np.stack([x_frac.ravel(), y.ravel()], axis=-1)
-        out = interp(pts).reshape(x_frac.shape)
-        return np.where(_unit_mask(x_frac), out, 0.0)
+        out = np.zeros(x_frac.shape, dtype=complex)
+        inside = _unit_mask(x_frac)
+        reach = (x_frac.min(initial=np.inf), x_frac.max(initial=-np.inf))
+        first, last = np.searchsorted(x_nodes, reach, side="right")
+        for i in range(max(first - 1, 0), min(last, cells)):
+            x0, x1 = x_nodes[i], x_nodes[i + 1]
+            take = inside & (x_frac >= x0) & (x_frac <= x1)
+            t = (x_frac[take] - x0) / (x1 - x0)
+            row0, row1 = (
+                np.interp(y[take], y_nodes, values[j], left=0.0, right=0.0) for j in (i, i + 1)
+            )
+            out[take] = row0 + t * (row1 - row0)
+        return out
 
     return Profile2D(
         eval=w_eval,
@@ -718,6 +748,8 @@ def coated_profile(slab, geometry, z1, z2):
     """
     z1 = complex(z1)
     z2 = complex(z2)
+    if not (np.isfinite(z1) and np.isfinite(z2)):
+        raise DomainError("z1 and z2 must be finite")
     ell = float(geometry.ell)
     ell_c = float(geometry.ell_c)
     if ell <= 0 or ell_c < ell:
@@ -787,9 +819,12 @@ def profile_from_dict(data):
     """Build a catalog profile from ``{"catalog": <name>, <param>: value, ...}``.
 
     The parameters of each name are listed in CATALOG; complex ones may be
-    written as ``[re, im]`` pairs.  Unknown names and missing parameters
-    raise a DomainError.
+    written as ``[re, im]`` pairs.  Data that is not a dict, unknown names,
+    missing parameters and parameters that are neither a number nor such a
+    pair raise a DomainError.
     """
+    if not isinstance(data, dict):
+        raise DomainError(f"profile data must be a dict, not {type(data).__name__}")
     name = data.get("catalog")
     if name not in CATALOG:
         raise DomainError(f"unknown profile catalog {name!r}; available: {sorted(CATALOG)}")
@@ -797,8 +832,17 @@ def profile_from_dict(data):
     missing = [key for key in names if key not in data]
     if missing:
         raise DomainError(f"catalog {name} requires {', '.join(missing)}")
-    params = {
-        key: complex(*data[key]) if isinstance(data[key], (list, tuple)) else data[key]
-        for key in names
-    }
+
+    def number(value, kind=numbers.Number):
+        return isinstance(value, kind) and not isinstance(value, bool)
+
+    params = {}
+    for key in names:
+        value = data[key]
+        pair = isinstance(value, (list, tuple)) and len(value) == 2
+        if pair and all(number(part, numbers.Real) for part in value):
+            value = complex(*value)
+        elif not number(value):
+            raise DomainError(f"catalog {name}: {key} must be a number or an [re, im] pair")
+        params[key] = value
     return builder(**params)

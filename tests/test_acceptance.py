@@ -21,8 +21,6 @@ from slabscat.amp3d import (
     ScatteringConfig3D,
     f1_3d,
     f2_3d,
-    gaussian_h,
-    gaussian_Y,
     normalized_cross_section,
 )
 from slabscat.cli import execute, load_config, validate_config
@@ -40,12 +38,7 @@ from slabscat.dyson1d import (
     scattering_1d,
     transfer_matrix_1d,
 )
-from slabscat.exactborn import (
-    Ex1Params,
-    ex1_exact,
-    extract_series_coefficients,
-    x_function,
-)
+from slabscat.exactborn import Ex1Params, ex1_exact
 from slabscat.kernels import amplitude_from_kernels
 from slabscat.profiles import (
     Profile2D,
@@ -54,6 +47,8 @@ from slabscat.profiles import (
     gaussian_slab_2d,
     gaussian_slab_3d,
 )
+
+from oracles import extract_series_coefficients, gaussian_h, gaussian_Y, x_function
 
 # worked one-sided profile, lengths in mm
 EX1_Z, EX1_ALPHA, EX1_LW, EX1_ELL = 0.1, 500.0, 0.01, 0.001

@@ -16,8 +16,6 @@ from slabscat.amp3d import (
     f1_3d,
     f2_3d,
     g_vector,
-    gaussian_h,
-    gaussian_Y,
     normalized_cross_section,
 )
 from slabscat.numerics import (
@@ -27,6 +25,8 @@ from slabscat.numerics import (
     integrate_2d,
 )
 from slabscat.profiles import Profile3D, gaussian_slab_3d, moment_3d
+
+from oracles import gaussian_h, gaussian_Y
 
 # frozen via e^{-K^2} sqrt(pi)/(2K) erfi(K); the Riemann oracle below agrees
 Y_FORWARD_K1 = 0.5380795069127684

@@ -186,16 +186,21 @@ def test_no_module_level_mutable_state():
 
 
 def test_import_does_not_load_the_ode_solver():
-    # neither the import nor a 1D transfer matrix, by either method, loads the
-    # ODE solver; the NUFFT runs on numpy's FFT, so scipy.fft is not loaded
+    # scipy is a test dependency only: neither the import, nor a 1D transfer
+    # matrix by either method, nor a sampled transform (the NUFFT runs on
+    # numpy's FFT), nor a tabulated profile and its moment loads any of it
     src = str(Path(slabscat.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import slabscat; "
-    code += "print('scipy.integrate' in sys.modules, 'scipy.fft' in sys.modules); "
+    scipy_loaded = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules)); "
+    code = f"import sys; sys.path.insert(0, {src!r}); import slabscat; " + scipy_loaded
     code += "slab = slabscat.constant_slab_1d(1.5); "
     code += "methods = ('series', 'direct'); "
     code += "[slabscat.transfer_matrix_1d(slab, 1.0, 0.5, method=m) for m in methods]; "
-    code += "slabscat.numerics.transform_samples_1d([1.0] * 9, 1.0, 0.5); "
-    code += "print('scipy.integrate' in sys.modules, 'scipy.fft' in sys.modules)"
+    code += scipy_loaded
+    code += "slabscat.numerics.transform_samples_1d([1.0] * 9, 1.0, 0.5); " + scipy_loaded
+    code += "from dataclasses import replace; from slabscat.profiles import sampled_profile; "
+    code += "table = sampled_profile([0.0, 0.5, 1.0], [-1.0, 0.0, 1.0], [[1, 2, 1]] * 3, 2.0); "
+    code += "table = replace(table, sample_count=128); "
+    code += "slabscat.moment_2d(table, 0, 0.3, 1.0); " + scipy_loaded
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )

@@ -4,16 +4,11 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from slabscat.amp2d import ScatteringConfig2D, c_factor, f1_2d, f2_2d, s_factor
-from slabscat.exactborn import (
-    Ex1Params,
-    ex1_exact,
-    ex1_f1,
-    ex1_f2,
-    extract_series_coefficients,
-    x_function,
-)
+from slabscat.exactborn import Ex1Params, ex1_exact, ex1_f1
 from slabscat.numerics import DomainError, integrate_1d
 from slabscat.profiles import ex1_profile, moment_2d
+
+from oracles import ex1_f2, extract_series_coefficients, x_function
 
 Z, ALPHA, LW = 0.3, 2.0, 1.0
 PROF = ex1_profile(Z, ALPHA, LW)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import dblquad
+from scipy.interpolate import RegularGridInterpolator
 
 from slabscat.amp2d import ScatteringConfig2D, f2_2d
 from slabscat.dyson1d import constant_slab_1d
@@ -731,6 +732,44 @@ def test_sampled_profile_interpolates_and_vanishes_outside():
     assert prof.eval(-0.1, 0.0, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("descending", ["", "x", "y", "xy"])
+def test_sampled_profile_eval_matches_scipys_bilinear_interpolant(descending):
+    # scipy's RegularGridInterpolator (zero outside the table) is the oracle,
+    # on the bilinear test table: at its nodes, on its edges, on a mesh that
+    # reaches past it, at scattered points and on the axial sampler's calls
+    # (a scalar x and a row of y); an axis may be given in decreasing order
+    a = np.array([0.2, 1.0, 0.4, 0.9, 0.1])
+    x_nodes, y_nodes = np.linspace(0.0, 1.0, a.size), np.linspace(-6.0, 6.0, 49)
+    values = np.outer(a, np.exp(-0.5 * y_nodes**2) * (1.0 + 0.3j * y_nodes))
+    oracle = RegularGridInterpolator(
+        (x_nodes, y_nodes), values, method="linear", bounds_error=False, fill_value=0.0
+    )
+    table = x_nodes, y_nodes, values
+    if "x" in descending:
+        table = table[0][::-1], table[1], table[2][::-1]
+    if "y" in descending:
+        table = table[0], table[1][::-1], table[2][:, ::-1]
+    w = sampled_profile(*table, decay_radius=8.0).eval
+
+    rng = np.random.default_rng(5)
+    edges = [x_nodes[[0, -1]], y_nodes[[0, -1]]]
+    points = [
+        np.meshgrid(x_nodes, y_nodes, indexing="ij"),
+        np.meshgrid(edges[0], np.linspace(-7.0, 7.0, 57), indexing="ij"),
+        np.meshgrid(np.linspace(-0.1, 1.1, 57), edges[1], indexing="ij"),
+        np.meshgrid(np.linspace(-0.2, 1.2, 300), np.linspace(-8.0, 8.0, 300), indexing="ij"),
+        (rng.uniform(-0.1, 1.1, 20_000), rng.uniform(-7.0, 7.0, 20_000)),
+    ]
+    peak = np.abs(values).max()
+    for x, y in points:
+        want = oracle(np.stack([x.ravel(), y.ravel()], axis=-1)).reshape(x.shape)
+        assert np.abs(w(x, y, 1.0) - want).max() <= 1e-15 * peak
+    for x, n in zip(rng.uniform(0, 1, 4), (65, 257, 4097, 65537)):  # the sampler's scalar x
+        y = np.linspace(-8.0, 8.0, n)
+        want = oracle(np.stack(np.broadcast_arrays(x, y), axis=-1))
+        assert np.abs(w(x, y, 1.0) - want).max() <= 1e-15 * peak
+
+
 def test_profile_from_dict_round_trip():
     d = {"catalog": "ex1", "z": [0.3, 0.0], "alpha": 2.0, "L": 1.0}
     prof = profile_from_dict(d)
@@ -754,6 +793,12 @@ def test_profile_from_dict_round_trip():
     ):
         with pytest.raises(DomainError, match="must be finite"):
             profile_from_dict(bad)
+    with pytest.raises(DomainError, match="^profile data must be a dict, not list$"):
+        profile_from_dict([("catalog", "gaussian2d"), ("z", 1.0), ("L", 1.0)])
+    message = r"^catalog gaussian2d: z must be a number or an \[re, im\] pair$"
+    for z in ("a", "1+2j", True, None, [1.0], [1.0, "b"], [1.0, 2.0, 3.0], [True, 0.0]):
+        with pytest.raises(DomainError, match=message):
+            profile_from_dict({"catalog": "gaussian2d", "z": z, "L": 1.0})
 
 
 def _const_geometry(ell, l1, l2, ell_c):
@@ -975,6 +1020,27 @@ _REFUSALS = {
         lambda: separable_profile(np.exp, lambda y: np.exp(-y * y), np.inf),
         "decay_radius must be positive and finite",
     ),
+    **{
+        f"sampled-{name}": (
+            lambda x=x, y=y: sampled_profile(x, y, np.ones((len(x), len(y))), 1.0),
+            f"{axis} must be a row of two or more finite, strictly monotonic nodes",
+        )
+        for name, axis, x, y in [
+            ("one-x-node", "x_nodes", [0.5], [-1.0, 1.0]),
+            ("one-y-node", "y_nodes", [0.0, 1.0], [0.0]),
+            ("repeated-y-node", "y_nodes", [0.0, 1.0], [-1.0, 0.0, 0.0]),
+            ("unordered-x-nodes", "x_nodes", [0.0, 0.6, 0.4], [-1.0, 1.0]),
+            ("nan-x-node", "x_nodes", [0.0, np.nan], [-1.0, 1.0]),
+            ("inf-y-node", "y_nodes", [0.0, 1.0], [-1.0, np.inf]),
+        ]
+    },
+    **{
+        f"sampled-value={bad}": (
+            lambda bad=bad: sampled_profile([0, 1], [-1, 1], [[1.0, bad], [1.0, 1.0]], 1.0),
+            "values must be finite",
+        )
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf))
+    },
     "sampled-decay_radius=-2": (
         lambda: sampled_profile([0.0, 1.0], [-1.0, 0.0, 1.0], np.ones((2, 3)), -2.0),
         "decay_radius must be positive and finite",
@@ -985,6 +1051,15 @@ _REFUSALS = {
         ),
         "geometry must satisfy 0 < ell <= ell_c",
     ),
+    **{
+        f"coated-{z}": (
+            lambda z=z: coated_profile(
+                gaussian_slab_2d(0.8, 1.5), _const_geometry(1.0, 0.5, 0.25, 2.0), *z
+            ),
+            "z1 and z2 must be finite",
+        )
+        for z in [(np.nan, 0.2), (-0.6, np.inf), (complex(0.1, np.nan), 0.2)]
+    },
 }
 
 
@@ -1009,6 +1084,16 @@ def test_non_finite_momenta_are_refused_on_every_route(dimension, route, bad):
             prof = replace(prof, analytic_moment=None, sample_count=64)
     with pytest.raises(DomainError, match="^transform momenta must be finite$"):
         moment(prof, 0, p, 1.0)
+    # a wavenumber that is not finite, and spatial moments at a y or a k that
+    # is not finite, are refused too, before anything is sampled
+    with pytest.raises(DomainError, match="^k must be finite$"):
+        moment(prof, 0, p[:1], bad)
+    if dimension == "2d":
+        with pytest.raises(DomainError, match="^y must be finite$"):
+            spatial_moment_y(prof, 0, [bad, 1.0], 1.0)
+        with pytest.raises(DomainError, match="^k must be finite$"):
+            spatial_moment_y(prof, 0, [0.0, 1.0], bad)
+    assert prof._cache == {}
 
 
 def test_profiles_are_frozen():
