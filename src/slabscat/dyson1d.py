@@ -17,17 +17,24 @@ the coefficient pair across the slab is the x-ordered exponential
 whose n-th term scales as (k ell)^n: each H carries one factor of k.  The
 ordered-simplex integrals are evaluated by the equivalent cascade
 T_n(x) = -i ell INT_0^x H T_{n-1}, T_0 = I, collocated on adaptive Chebyshev-
-Lobatto panels [a, b] as T_n = T_n(a) + Q (A T_{n-1}), with Q the spectral
-integration matrix and A = -i ell (b - a) H (Greengard 1991, SIAM J. Numer.
-Anal. 28(4)); the partial-sum ("series") mode keeps the individual term
-matrices so convergence can be inspected, while the "direct" mode solves
-U = U(a) + Q (A U) on each panel as one linear system.
+Lobatto panels [a, b] (Greengard 1991, SIAM J. Numer. Anal. 28(4)).  With Q
+the spectral integration matrix and A = -i ell (b - a) H = c u v^T, where
+c = i ell (b - a) k w / 2, u = (1, -exp(2 i k ell x_check)) and
+v = (1, exp(-2 i k ell x_check)), the collocation U = U(a) + Q (A U) reduces
+to the scalars s_j = v_j^T U_j: s = V U(a) + G s with
+G_ij = Q_ij c_j (1 - exp(2 i k ell (x_j - x_i))), and U(b) = U(a) + R s with
+R = [Q_Nj c_j u_j].  Both modes read one panel list, a panel accepted when
+its fine and coarse propagators agree.  "direct" takes their product;
+"series" runs the cascade s_m = V T_m(a) + G s_{m-1}, T_m(b) = T_m(a) +
+R s_{m-1} term-major, one pass over the panels per term, so only the terms
+the stop rule reads are made.
 
 Reflection/transmission follow from the matrix entries: R_left = -M21/M22,
 R_right = M12/M22, and T = 1/M22 on both sides since det M = 1.
 """
 
 import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -103,13 +110,18 @@ def constant_slab_1d(n):
     return Profile1D(eval=w_eval, descriptor=f"constant slab n={n}")
 
 
+def _factors(profile, x_check, k, ell):
+    """H_check = coef u v^T as (coef, u, v), coef = -k w / 2, from one eval call."""
+    x = np.asarray(x_check, dtype=float)
+    coef = -0.5 * k * np.broadcast_to(profile.eval(x, k), x.shape)
+    up, ones = np.exp(2j * k * ell * x), np.ones(x.shape)
+    return coef, np.stack([ones, -up], -1), np.stack([ones, np.exp(-2j * k * ell * x)], -1)
+
+
 def h_check(profile, x_check, k, ell):
     """Evolution generator at x_check, shape x_check.shape + (2, 2), from one eval call."""
-    x = np.asarray(x_check, dtype=float)
-    w = np.broadcast_to(profile.eval(x, k), x.shape)
-    up, down = np.exp(2j * k * ell * x), np.exp(-2j * k * ell * x)
-    h = np.stack([np.ones_like(up), down, -up, -np.ones_like(up)], -1)
-    return (-0.5 * k * w)[..., None, None] * h.reshape(x.shape + (2, 2))
+    coef, u, v = _factors(profile, x_check, k, ell)
+    return coef[..., None, None] * (u[..., :, None] * v[..., None, :])
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,47 +140,44 @@ def _lobatto(n):
     return x, q
 
 
-def _series_step(kernel, terms):
-    """Carry T_0 = I, T_1, ... across a panel: T_m = T_m(start) + Q (A T_{m-1})."""
-    starts = np.tile(terms, (1, len(kernel) // 2, 1))
-    path, ends = starts[0], terms.astype(complex)
-    for m in range(1, len(terms)):
-        path = kernel @ path + starts[m]
-        ends[m] = path[-2:]
-    return ends
+def _collocate(q, c, u, v):
+    """A panel's (v, G, R, propagator): s = v U(start) + G s, U(end) = U(start) + R s."""
+    g, r = q * c * (v @ u.T), q[-1] * c * u.T
+    return v, g, r, np.eye(2) + r @ np.linalg.solve(np.eye(len(g)) - g, v)
 
 
-def _direct_step(kernel, u):
-    """Carry U across a panel by solving U = U(start) + Q (A U) as one system."""
-    return np.linalg.solve(np.eye(len(kernel)) - kernel, np.tile(u, (len(kernel) // 2, 1)))[-2:]
-
-
-def _sweep(step, state, profile, k, ell):
-    """The state at x_check = 1 of the collocated evolution from state at 0.
-
-    Panels are taken left to right from a stack; step(kernel, state) carries the
-    state across one, with kernel = Q (x) A, block (i, j) = Q_ij A(x_j).  A panel
-    whose fine and coarse steps disagree is halved.
-    """
+def _panels(profile, k, ell):
+    """The accepted panels of [0, 1] left to right, from a stack; a rejected one is halved."""
     x, q = _lobatto(2 * _NODES)
     qc = _lobatto(_NODES)[1]
-    stack, budget = [(0.0, 1.0)], _MAX_PANELS
+    panels, stack, budget = [], [(0.0, 1.0)], _MAX_PANELS
     while stack:
         lo, hi = stack.pop()
         budget -= 1
-        h = h_check(profile, lo + (hi - lo) * x, k, ell)
-        if not np.all(np.isfinite(h)):
+        coef, u, v = _factors(profile, lo + (hi - lo) * x, k, ell)
+        if not np.all(np.isfinite(coef)):
             raise AccuracyError(f"profile is not finite on [{lo:.17g}, {hi:.17g}]")
-        a = (-1j * ell * (hi - lo) * h).transpose(1, 0, 2)
-        fine = step((q[:, None, :, None] * a).reshape(2 * len(q), -1), state)
-        coarse = step((qc[:, None, :, None] * a[:, ::2]).reshape(2 * len(qc), -1), state)
-        if np.linalg.norm(fine - coarse) <= _AGREE * np.linalg.norm(fine):
-            state = fine
+        c = -1j * ell * (hi - lo) * coef
+        fine = _collocate(q, c, u, v)
+        coarse = _collocate(qc, c[::2], u[::2], v[::2])[3]
+        if np.linalg.norm(fine[3] - coarse) <= _AGREE * np.linalg.norm(fine[3]):
+            panels.append(fine)
         elif hi - lo > _MIN_WIDTH and budget > 0:
             stack += [(0.5 * (lo + hi), hi), (lo, 0.5 * (lo + hi))]
         else:
             raise AccuracyError(f"collocation did not converge on [{lo:.17g}, {hi:.17g}]")
-    return state
+    return panels
+
+
+def _terms(panels):
+    """Yield T_1, T_2, ... at x_check = 1, each from one cascade step on every panel."""
+    v, g, r = (np.array(factor) for factor in list(zip(*panels))[:3])
+    s = v  # v T_0 on every panel
+    while True:
+        ends = np.add.accumulate(r @ s)  # T_m at each panel's end
+        yield ends[-1]
+        s = g @ s
+        s[1:] += v[1:] @ ends[:-1]  # v T_m(start) on the panels after the first
 
 
 def _check_inputs(k, ell, count, name):
@@ -181,11 +190,10 @@ def _check_inputs(k, ell, count, name):
 def dyson_terms(profile, k, ell, n_terms):
     """Ordered-simplex series terms T_1..T_n at x_check = 1, shape (n, 2, 2).
 
-    The whole cascade crosses each panel at once, so all terms share its values.
+    Term m is one pass of the cascade over the panels; its bits do not depend on n.
     """
     _check_inputs(k, ell, n_terms, "n_terms")
-    start = np.concatenate(([np.eye(2)], np.zeros((n_terms, 2, 2))))
-    return _sweep(_series_step, start, profile, k, ell)[1:]
+    return np.array(list(itertools.islice(_terms(_panels(profile, k, ell)), n_terms)))
 
 
 def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"):
@@ -193,7 +201,7 @@ def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"
 
     "series" accumulates ordered-simplex terms until one falls below tol in
     Frobenius norm (raising if max_terms is exhausted first); "direct"
-    collocates the evolution U' = -i ell H U across the slab in one sweep.
+    multiplies the panel propagators of the evolution U' = -i ell H U.
     """
     _check_inputs(k, ell, max_terms, "max_terms")
     if not 0 < tol < np.inf:
@@ -201,16 +209,17 @@ def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"
     if method not in ("series", "direct"):
         raise DomainError("method must be 'series' or 'direct'")
 
+    panels = _panels(profile, k, ell)
     if method == "direct":
-        return TransferMatrix1D.from_array(_sweep(_direct_step, np.eye(2), profile, k, ell))
+        product = functools.reduce(lambda u, panel: panel[3] @ u, panels, np.eye(2))
+        return TransferMatrix1D.from_array(product)
 
-    terms = dyson_terms(profile, k, ell, max_terms)
     total = np.eye(2, dtype=complex)
-    for m in range(max_terms):
-        total = total + terms[m]
-        if np.linalg.norm(terms[m]) < tol:
+    for term in itertools.islice(_terms(panels), max_terms):
+        total = total + term
+        if np.linalg.norm(term) < tol:
             return TransferMatrix1D.from_array(total)
-    last = float(np.linalg.norm(terms[-1]))
+    last = float(np.linalg.norm(term))
     raise AccuracyError(
         f"series not converged after {max_terms} terms; last increment norm {last:.3e}"
     )

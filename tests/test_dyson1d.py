@@ -238,3 +238,60 @@ def test_unusable_profiles_fail_fast():
         assert time.perf_counter() - start < 1.0, method
     with pytest.raises(AccuracyError, match=r"not finite on \[0, 1\]"):
         dyson_terms(nan, 1.0, 1.0, 3)
+
+
+def _two_layer(upper):
+    # w jumps from 0.5 to upper at x_check = 0.37
+    return Profile1D(eval=lambda x, k: _on_slab(x, np.where(x < 0.37, 0.5, upper)))
+
+
+SMOOTH_LOSSY = Profile1D(
+    eval=lambda x, k: _on_slab(x, (0.6 + 0.2j) + 0.3 * np.cos(2 * np.pi * x)), descriptor="lossy"
+)
+
+
+def test_dyson_terms_do_not_depend_on_how_many_are_asked_for():
+    for prof, k, ell in ((SMOOTH_LOSSY, 1.3, 0.8), (_two_layer(1.2 + 0.3j), 1.0, 1.0)):
+        assert np.array_equal(dyson_terms(prof, k, ell, 30)[:7], dyson_terms(prof, k, ell, 7))
+
+
+def test_series_is_the_identity_plus_the_terms_up_to_the_stop():
+    for prof, k, ell, tol in (
+        (constant_slab_1d(1.5), 1.0, 0.5, 1e-12),
+        (SMOOTH_LOSSY, 1.3, 0.8, 1e-9),
+        (_two_layer(1.2 + 0.3j), 1.0, 1.0, 1e-12),
+    ):
+        total = np.eye(2, dtype=complex)
+        for term in dyson_terms(prof, k, ell, 40):
+            total = total + term
+            if np.linalg.norm(term) < tol:
+                break
+        got = transfer_matrix_1d(prof, k, ell, tol=tol).as_array()
+        assert np.array_equal(got, total)
+
+
+def test_series_and_direct_evaluate_the_profile_at_the_same_points():
+    # one panel list serves both modes, so both ask for w at the same abscissae
+    for prof in (SMOOTH_LOSSY, _two_layer(1.2 + 0.3j)):
+        seen = {}
+        for method in ("series", "direct"):
+            calls = seen[method] = []
+
+            def w(x, k, calls=calls, inner=prof.eval):
+                calls.append(np.array(x))
+                return inner(x, k)
+
+            transfer_matrix_1d(Profile1D(eval=w), 1.0, 1.0, method=method)
+        assert len(seen["series"]) == len(seen["direct"]) > 1
+        for a, b in zip(seen["series"], seen["direct"]):
+            assert np.array_equal(a, b)
+
+
+def test_a_large_term_budget_costs_nothing():
+    # the series stops at the first term below tol, whatever max_terms allows
+    prof = _two_layer(1.2 + 0.3j)
+    default = transfer_matrix_1d(prof, 1.0, 1.0)
+    start = time.perf_counter()
+    large = transfer_matrix_1d(prof, 1.0, 1.0, max_terms=20_000)
+    assert time.perf_counter() - start < 1.0
+    assert large == default
