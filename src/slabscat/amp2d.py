@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, integrate_1d
+from .numerics import DomainError, _finite, _positive_finite, integrate_1d
 from .profiles import moment_2d
 
 __all__ = [
@@ -43,6 +43,18 @@ __all__ = [
 _GRAZING_TOL = 1e-9
 
 
+def _grazing(theta):
+    """Whether any of the angles theta grazes the slab faces."""
+    return (abs(np.cos(theta)) < _GRAZING_TOL).any()
+
+
+def _check_angles(theta, name):
+    """Refuse angles theta that are not finite or that graze the slab faces."""
+    _finite(theta, name)
+    if _grazing(theta):
+        raise DomainError(f"grazing {name} (cos {name} = 0) is excluded")
+
+
 @dataclass(frozen=True)
 class ScatteringConfig2D:
     """Wavenumber, slab thickness, and incidence angle of a 2D problem."""
@@ -52,14 +64,9 @@ class ScatteringConfig2D:
     theta0: float
 
     def __post_init__(self):
-        if not 0 < self.k < np.inf:
-            raise DomainError("k must be positive and finite")
-        if not 0 < self.ell < np.inf:
-            raise DomainError("ell must be positive and finite")
-        if not np.isfinite(self.theta0):
-            raise DomainError("theta0 must be finite")
-        if abs(np.cos(self.theta0)) < _GRAZING_TOL:
-            raise DomainError("theta0 = +-pi/2 (grazing incidence) is excluded")
+        _positive_finite(self.k, "k")
+        _positive_finite(self.ell, "ell")
+        _check_angles(self.theta0, "theta0")
 
     @property
     def kl(self):
@@ -103,13 +110,6 @@ def c_factor(theta, theta0):
     return np.cos(theta) - np.cos(theta0)
 
 
-def _check_theta(theta):
-    if not np.all(np.isfinite(theta)):
-        raise DomainError("theta must be finite")
-    if np.any(np.abs(np.cos(theta)) < _GRAZING_TOL):
-        raise DomainError("theta = +-pi/2 (grazing observation) is excluded")
-
-
 def _runs(k):
     """(slice, value) of every run of equal values in the 1-D array k (none if it is empty)."""
     edges = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1), k.size]
@@ -125,7 +125,7 @@ def _sweep_2d(profile, configs, thetas, order=2, spec=None):
     complex division otherwise), so a point's bits do not depend on its batch.
     """
     theta = np.asarray(thetas, dtype=float)
-    _check_theta(theta)
+    _check_angles(theta, "theta")
     k = np.array([c.k for c in configs])
     momenta = k * s_factor(theta, np.array([c.theta0 for c in configs]))
     m = np.empty((order, k.size), dtype=complex)  # m_0 and m_1 at momenta

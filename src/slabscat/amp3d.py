@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp2d import _GRAZING_TOL, _runs, _truncate
-from .numerics import DomainError, integrate_2d
+from .amp2d import _check_angles, _runs, _truncate
+from .numerics import DomainError, _finite, _positive_finite, integrate_2d
 from .profiles import moment_3d
 
 __all__ = [
@@ -58,14 +58,10 @@ class ScatteringConfig3D:
     phi0: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.k < math.inf:
-            raise DomainError("k must be positive and finite")
-        if not 0 < self.ell < math.inf:
-            raise DomainError("ell must be positive and finite")
-        if not (math.isfinite(self.theta0) and math.isfinite(self.phi0)):
-            raise DomainError("theta0 and phi0 must be finite")
-        if abs(math.cos(self.theta0)) < _GRAZING_TOL:
-            raise DomainError("grazing incidence (cos theta0 = 0) is excluded")
+        _positive_finite(self.k, "k")
+        _positive_finite(self.ell, "ell")
+        _check_angles(self.theta0, "theta0")
+        _finite(self.phi0, "phi0")
 
     @property
     def kl(self):
@@ -82,8 +78,7 @@ class Direction3D:
     def __post_init__(self):
         if not 0.0 <= self.theta <= np.pi:
             raise DomainError("theta must lie in [0, pi]")
-        if abs(math.cos(self.theta)) < _GRAZING_TOL:
-            raise DomainError("theta = pi/2 (in-plane observation) is excluded")
+        _check_angles(self.theta, "theta")
         if not 0.0 <= self.phi < 2.0 * np.pi:
             raise DomainError("phi must lie in [0, 2 pi)")
 

@@ -57,7 +57,6 @@ failures put a machine-readable JSON diagnostic on standard error.
 """
 
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -67,7 +66,7 @@ from importlib import resources
 import click
 import numpy as np
 
-from .amp2d import _GRAZING_TOL, ScatteringConfig2D, _sweep_2d, _truncate
+from .amp2d import ScatteringConfig2D, _grazing, _sweep_2d, _truncate
 from .amp3d import Direction3D, ScatteringConfig3D, _sweep_3d
 from .cloak import (
     CoatingMaterials,
@@ -130,9 +129,9 @@ def load_config(config_path=None, preset=None):
 
 
 def _is_number(value, finite=True):
-    """An int or a float, not a bool, and finite (unless ``finite`` is False)."""
+    """An int or a float, not a bool, and finite as a float (unless ``finite`` is False)."""
     real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return real and (not finite or isinstance(value, int) or math.isfinite(value))
+    return real and (not finite or abs(value) <= sys.float_info.max)
 
 
 def _as_complex(value, label, violations):
@@ -187,9 +186,9 @@ def _grid(spec, label, violations, positive=False):
     return values
 
 
-def _check_angles(values, label, violations, polar=False):
+def _angle_violations(values, label, violations, polar=False):
     values = np.atleast_1d(values)
-    if np.any(np.abs(np.cos(values)) < _GRAZING_TOL):
+    if _grazing(values):
         violations.append(f"{label} touches the excluded pi/2 line")
     if polar and (np.any(values < 0) or np.any(values > np.pi)):
         violations.append(f"{label} must lie in [0, pi]")
@@ -203,7 +202,7 @@ def _angle(phys, key, violations, polar=False):
     if not _is_number(value):
         violations.append(f"physics.{key} must be a finite number")
         return 0.0
-    _check_angles(float(value), f"physics.{key}", violations, polar=polar)
+    _angle_violations(float(value), f"physics.{key}", violations, polar=polar)
     return float(value)
 
 
@@ -248,7 +247,8 @@ def _validate_profile(prof, dimension, violations, derived=()):
     """Check a catalog dict and return it (params coerced), or None.
 
     ``derived`` names catalog parameters the command computes itself; they
-    are not read from the profile.
+    are not read from the profile.  Without them the dict is built, and a
+    DomainError from building is a violation too.
     """
     names = sorted(name for name, entry in CATALOG.items() if entry[1] == dimension)
     if prof is None:
@@ -260,16 +260,21 @@ def _validate_profile(prof, dimension, violations, derived=()):
         violations.append(f"profile.catalog must be one of {names} for this command")
         return None
     out = {"catalog": name}
-    for key in CATALOG[name][2]:
+    for key, kind in CATALOG[name][2].items():
         if key in derived:
             continue
         if key not in prof:
             violations.append(f"profile.{key} is required by catalog {name}")
             return None
-        if key in ("z", "n"):
+        if kind is complex:
             out[key] = _as_complex(prof[key], f"profile.{key}", violations)
         else:
             out[key] = _positive(prof[key], f"profile.{key}", violations)
+    if not derived:  # a parameter refused above is built from a harmless default
+        try:
+            profile_from_dict(out)
+        except DomainError as exc:
+            violations.append(str(exc))
     return out
 
 
@@ -403,7 +408,7 @@ def _validate_command(command, prof, phys, raw, violations):
         if polar:
             _azimuths(phys, physics, violations)
         thetas = _grid(phys.get("thetas"), "physics.thetas", violations)
-        _check_angles(thetas, "physics.thetas", violations, polar=polar)
+        _angle_violations(thetas, "physics.thetas", violations, polar=polar)
         orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
         curves = [({}, None, order, f"order{order}") for order in orders]
         if command == "kernels-check":
@@ -446,7 +451,7 @@ def _validate_command(command, prof, phys, raw, violations):
     if variable == "kl":
         profile = _validate_profile(prof, "3d", violations)
         theta_values = _grid(phys.get("theta_values"), "physics.theta_values", violations)
-        _check_angles(theta_values, "physics.theta_values", violations, polar=True)
+        _angle_violations(theta_values, "physics.theta_values", violations, polar=True)
         curves = [
             ({}, theta, order, f"theta={theta:.6g}")
             for theta in theta_values
@@ -458,7 +463,7 @@ def _validate_command(command, prof, phys, raw, violations):
         violations.append(
             "theta sweeps derive the transverse width from kL_values; drop profile.L"
         )
-    _check_angles(grid, "physics.grid", violations, polar=True)
+    _angle_violations(grid, "physics.grid", violations, polar=True)
     physics["k"] = _positive(phys.get("kl", 0.0), "physics.kl", violations) / physics["ell"]
     kL_values = _grid(phys.get("kL_values"), "physics.kL_values", violations, positive=True)
     curves = []

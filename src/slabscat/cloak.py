@@ -26,7 +26,6 @@ per-y and per-k; only real moments admit a design (the verification path
 accepts complex contrasts).
 """
 
-import cmath
 import json
 import warnings
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .amp2d import ScatteringConfig2D, _sweep_2d
-from .numerics import DomainError
+from .numerics import DomainError, _finite, _positive_finite
 from .profiles import CoatedProfile2D
 
 __all__ = [
@@ -65,8 +64,7 @@ class CoatingMaterials:
     def __post_init__(self):
         object.__setattr__(self, "z1", complex(self.z1))
         object.__setattr__(self, "z2", complex(self.z2))
-        if not (cmath.isfinite(self.z1) and cmath.isfinite(self.z2)):
-            raise DomainError("coating contrasts must be finite")
+        _finite((self.z1, self.z2), "coating contrasts")
         if self.z1 == self.z2:
             raise DomainError("coating contrasts must differ (z1 != z2)")
         if self.z1 == 0:
@@ -169,6 +167,15 @@ def _design_arrays(w0, w1, z1, z2, ell):
     return ell1, np.where(ok, ell2, np.nan), ok, why
 
 
+def _y_grid(y_grid):
+    """y_grid as a float array; one that is not a nonempty finite 1D grid raises DomainError."""
+    y_grid = np.asarray(y_grid, dtype=float)
+    if y_grid.ndim != 1 or y_grid.size == 0:
+        raise DomainError("y_grid must be a nonempty 1D array")
+    _finite(y_grid, "y_grid values")
+    return y_grid
+
+
 def _solve(moments, materials, ell, y):
     """The closed-form design at every y: (ell1, ell2, ok, why), each shaped like y."""
     y = np.asarray(y, dtype=float)
@@ -191,13 +198,8 @@ def design_geometry(moments, materials, ell, y_grid, k=None):
     ``k`` is given and k*ell_c >= 0.3, a warning flags that the
     low-frequency premise is strained.
     """
-    y_grid = np.asarray(y_grid, dtype=float)
-    if not 0 < ell < np.inf:
-        raise DomainError("ell must be positive and finite")
-    if not np.all(np.isfinite(y_grid)):
-        raise DomainError("y_grid values must be finite")
-    if y_grid.ndim != 1 or y_grid.size == 0:
-        raise DomainError("y_grid must be a nonempty 1D array")
+    _positive_finite(ell, "ell")
+    y_grid = _y_grid(y_grid)
     l1, l2, ok, why = _solve(moments, materials, ell, y_grid)
     bad = y_grid[~ok]
     reason = f"{why} (first failing grid point y = {bad[0]:.6g})" if bad.size else ""
@@ -234,9 +236,7 @@ def verify_invisibility(coated, k, y_grid, theta_grid=None, theta0=_DEFAULT_THET
     if not isinstance(coated, CoatedProfile2D):
         raise DomainError("verify_invisibility expects a coated_profile result")
     ell_c = float(coated.geometry.ell_c)
-    y_grid = np.asarray(y_grid, dtype=float)
-    if y_grid.ndim != 1 or y_grid.size == 0:
-        raise DomainError("y_grid must be a nonempty 1D array")
+    y_grid = _y_grid(y_grid)
     m0, m1, _ = coated.moment_y(y_grid, k)
     if theta_grid is None:
         theta_grid = np.linspace(0.25, 2.0 * np.pi - 0.25, 10)

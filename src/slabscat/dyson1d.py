@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import AccuracyError, DomainError
+from .numerics import AccuracyError, DomainError, _finite, _positive_finite
 
 __all__ = [
     "TransferMatrix1D",
@@ -99,8 +99,7 @@ class Profile1D:
 
 def constant_slab_1d(n):
     """Homogeneous slab of refractive index n: w = n^2 - 1 inside the slab."""
-    if not np.isfinite(n):
-        raise DomainError("n must be finite")
+    _finite(n, "n")
     w0 = complex(n) ** 2 - 1.0
 
     def w_eval(x_check, k):
@@ -181,8 +180,8 @@ def _terms(panels):
 
 
 def _check_inputs(k, ell, count, name):
-    if not (0 < k < np.inf and 0 < ell < np.inf):
-        raise DomainError("k and ell must be positive and finite")
+    _positive_finite(k, "k")
+    _positive_finite(ell, "ell")
     if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
         raise DomainError(f"{name} must be an integer of at least 1")
 
@@ -204,8 +203,7 @@ def transfer_matrix_1d(profile, k, ell, max_terms=24, tol=1e-12, method="series"
     multiplies the panel propagators of the evolution U' = -i ell H U.
     """
     _check_inputs(k, ell, max_terms, "max_terms")
-    if not 0 < tol < np.inf:
-        raise DomainError("tol must be positive and finite")
+    _positive_finite(tol, "tol")
     if method not in ("series", "direct"):
         raise DomainError("method must be 'series' or 'direct'")
 

@@ -22,14 +22,13 @@ coefficient, with an arcsine bracket, and a Richardson extractor of the series
 coefficients serve the test suite as oracles and live there.)
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .amp2d import c_factor, s_factor
-from .numerics import DomainError
+from .numerics import DomainError, _finite, _positive_finite
 
 __all__ = [
     "Ex1Params",
@@ -50,12 +49,9 @@ class Ex1Params:
     L: float
 
     def __post_init__(self):
-        if not cmath.isfinite(self.z):
-            raise DomainError("z must be finite")
-        if not 0 < self.alpha < math.inf:
-            raise DomainError("alpha must be positive and finite")
-        if not 0 < self.L < math.inf:
-            raise DomainError("L must be positive and finite")
+        _finite(self.z, "z")
+        _positive_finite(self.alpha, "alpha")
+        _positive_finite(self.L, "L")
 
 
 def _beyond_support(k, alpha):

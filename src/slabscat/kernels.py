@@ -64,8 +64,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amp2d import _GRAZING_TOL
-from .numerics import DomainError, gauss_legendre
+from .amp2d import _check_angles
+from .numerics import DomainError, _positive_finite, gauss_legendre
 from .profiles import _convolution_moment, moment_2d
 
 __all__ = [
@@ -96,8 +96,7 @@ def momentum_grid(k, count=201):
 
     The substitution makes the weights absorb the endpoint measure.
     """
-    if not 0 < k < np.inf:
-        raise DomainError("k must be positive and finite")
+    _positive_finite(k, "k")
     if not isinstance(count, (int, np.integer)) or count < 3:
         raise DomainError("a momentum grid needs an integer count of at least 3 nodes")
     t, w = gauss_legendre(count)
@@ -251,8 +250,7 @@ def amplitude_from_kernels(profile, config, theta, truncation=2, node_count=201)
     for cos theta > 0, B- otherwise.  Each angle's bits are its own call's.
     """
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    if any(abs(math.cos(t)) < _GRAZING_TOL for t in thetas):
-        raise DomainError("theta = +-pi/2 is excluded")
+    _check_angles(thetas, "theta")
     if thetas.size == 0:
         return np.empty(0, dtype=complex)
     grid = momentum_grid(config.k, count=node_count)

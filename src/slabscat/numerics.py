@@ -40,6 +40,7 @@ _band_ratio, which sizes a sampled profile's transverse grid, reads the same
 trapezoid transform of a row or a mesh at the top of its band, by one FFT.
 """
 
+import cmath
 import contextvars
 import functools
 import math
@@ -89,6 +90,19 @@ class DomainError(SlabscatError):
     """Inputs lie outside the domain an operation is defined on."""
 
 
+def _positive_finite(value, name):
+    """Refuse a number that is not positive and finite, naming it ``name``."""
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite")
+
+
+def _finite(values, name):
+    """Refuse a number, or an array of them, that is not all finite (cmath tests a number fast)."""
+    scalar = isinstance(values, (int, float, complex))
+    if not (cmath.isfinite(values) if scalar else np.isfinite(values).all()):
+        raise DomainError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances of the adaptive integrators; each integrator sets its own subdivision budget."""
@@ -97,8 +111,7 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not 0 < self.rel_tol < np.inf:
-            raise DomainError("rel_tol must be positive and finite")
+        _positive_finite(self.rel_tol, "rel_tol")
         if not 0 <= self.abs_tol < np.inf:
             raise DomainError("abs_tol must be nonnegative and finite")
 
@@ -116,8 +129,7 @@ class TransformSpec:
     sample_count: int = 65536
 
     def __post_init__(self):
-        if not 0 < self.truncation_radius < np.inf:
-            raise DomainError("truncation_radius must be positive and finite")
+        _positive_finite(self.truncation_radius, "truncation_radius")
         n = self.sample_count
         if not isinstance(n, (int, np.integer)) or n < 2 or (n & (n - 1)) != 0:
             raise DomainError("sample_count must be a power of two")
@@ -266,8 +278,8 @@ def _bisect(panels, halve, total, spec, budget, what):
 def _finite_limits(*limits):
     """The integration limits as floats; DomainError if one is not finite."""
     limits = [float(x) for x in limits]
-    if not all(map(math.isfinite, limits)):
-        raise DomainError("integration limits must be finite")
+    for x in limits:
+        _finite(x, "integration limits")
     return limits
 
 
@@ -619,11 +631,9 @@ def _scaled_momenta(radius, p, scale):
     not finite (a momentum that is not, or one too large for the transform's
     phases), raises DomainError.  Both sampled transforms check through it.
     """
-    if not 0.0 < radius < np.inf:
-        raise DomainError("transform radius must be positive and finite")
+    _positive_finite(radius, "transform radius")
     scaled = p * scale
-    if not np.all(np.isfinite(scaled)):
-        raise DomainError("transform momenta must be finite")
+    _finite(scaled, "transform momenta")
     return scaled
 
 

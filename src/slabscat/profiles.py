@@ -51,7 +51,9 @@ from .numerics import (
     _BAND_DECAY,
     _BUDGET_ROW,
     _band_ratio,
+    _finite,
     _integrate_moments,
+    _positive_finite,
     _SampleRow,
     check_edge_decay,
     transform_samples_1d,
@@ -166,8 +168,7 @@ class CoatedProfile2D(Profile2D):
 
 def _check_grid(profile, max_samples=None):
     """Refuse a transverse grid the sampled route cannot use."""
-    if not 0 < profile.decay_radius < np.inf:
-        raise DomainError("decay_radius must be positive and finite")
+    _positive_finite(profile.decay_radius, "decay_radius")
     TransformSpec(profile.decay_radius, profile.sample_count)  # a power of two
     n = profile.sample_count
     if max_samples is not None and n > max_samples:
@@ -374,8 +375,8 @@ def _check_finite(k, name, values):
     """
     if not math.isfinite(k):
         raise DomainError("k must be finite")
-    if not math.isfinite(np.add.reduce(values, axis=None)) and not np.isfinite(values).all():
-        raise DomainError(f"{name} must be finite")
+    if not math.isfinite(np.add.reduce(values, axis=None)):
+        _finite(values, name)
 
 
 def moment_2d(profile, l, p, k):
@@ -532,8 +533,7 @@ def _decay_radius(L, widths):
     An L that is not positive and finite, or one whose radius overflows,
     raises DomainError naming L.
     """
-    if not 0 < L < np.inf:
-        raise DomainError("L must be positive and finite")
+    _positive_finite(L, "L")
     if widths * L == np.inf:
         raise DomainError(f"L = {L:g} is too large: the decay radius {widths:g} * L overflows")
     return widths * L
@@ -549,8 +549,7 @@ def ex1_profile(z, alpha, L):
     z = complex(z)
     alpha = float(alpha)
     L = float(L)
-    if not (np.isfinite(z) and np.isfinite(alpha)):
-        raise DomainError("z and alpha must be finite")
+    _finite((z, alpha), "z and alpha")
     radius = _decay_radius(L, 2000.0)
 
     def g(y):
@@ -573,8 +572,7 @@ def gaussian_slab_2d(z, L):
     """Slab with w(x_frac, y) = z e^{-y^2 / 2 L^2} (no axial variation)."""
     z = complex(z)
     L = float(L)
-    if not np.isfinite(z):
-        raise DomainError("z must be finite")
+    _finite(z, "z")
     radius = _decay_radius(L, 12.0)
 
     def g(y):
@@ -593,8 +591,7 @@ def gaussian_slab_3d(z, L):
     """3D slab with w(r1, r2, z_frac) = z e^{-(r1^2 + r2^2) / 2 L^2}."""
     z = complex(z)
     L = float(L)
-    if not np.isfinite(z):
-        raise DomainError("z must be finite")
+    _finite(z, "z")
     radius = _decay_radius(L, 12.0)
 
     def w_eval(r1, r2, z_frac, k):
@@ -656,8 +653,7 @@ def layered_profile(
     v = np.asarray(values, dtype=complex)
     if b.ndim != 1 or v.ndim != 1 or b.size != v.size + 1:
         raise DomainError("boundaries must have exactly one more entry than values")
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(v))):
-        raise DomainError("boundaries and values must be finite")
+    _finite(np.concatenate((b, v)), "boundaries and values")
     if np.any(np.diff(b) < 0) or b[0] < 0 or b[-1] > 1:
         raise DomainError("boundaries must increase within [0, 1]")
 
@@ -692,8 +688,7 @@ def sampled_profile(x_nodes, y_nodes, values, decay_radius, descriptor="sampled"
             raise DomainError(
                 f"{name} must be a row of two or more finite, strictly monotonic nodes"
             )
-    if not np.isfinite(values).all():
-        raise DomainError("values must be finite")
+    _finite(values, "values")
     # the interpolant reads both axes in increasing order
     if x_nodes[0] > x_nodes[-1]:
         x_nodes, values = x_nodes[::-1], values[::-1]
@@ -748,8 +743,7 @@ def coated_profile(slab, geometry, z1, z2):
     """
     z1 = complex(z1)
     z2 = complex(z2)
-    if not (np.isfinite(z1) and np.isfinite(z2)):
-        raise DomainError("z1 and z2 must be finite")
+    _finite((z1, z2), "z1 and z2")
     ell = float(geometry.ell)
     ell_c = float(geometry.ell_c)
     if ell <= 0 or ell_c < ell:
@@ -805,31 +799,31 @@ def coated_profile(slab, geometry, z1, z2):
     )
 
 
-# name -> (builder, dimension, parameter names); the names are the builder's
-# keyword arguments
+# name -> (builder, dimension, {parameter: complex or float}); the parameters
+# are the builder's keyword arguments, and a float one takes no [re, im] pair
 CATALOG = {
-    "ex1": (ex1_profile, "2d", ("z", "alpha", "L")),
-    "gaussian2d": (gaussian_slab_2d, "2d", ("z", "L")),
-    "gaussian3d": (gaussian_slab_3d, "3d", ("z", "L")),
-    "uniform1d": (constant_slab_1d, "1d", ("n",)),
+    "ex1": (ex1_profile, "2d", {"z": complex, "alpha": float, "L": float}),
+    "gaussian2d": (gaussian_slab_2d, "2d", {"z": complex, "L": float}),
+    "gaussian3d": (gaussian_slab_3d, "3d", {"z": complex, "L": float}),
+    "uniform1d": (constant_slab_1d, "1d", {"n": complex}),
 }
 
 
 def profile_from_dict(data):
     """Build a catalog profile from ``{"catalog": <name>, <param>: value, ...}``.
 
-    The parameters of each name are listed in CATALOG; complex ones may be
-    written as ``[re, im]`` pairs.  Data that is not a dict, unknown names,
-    missing parameters and parameters that are neither a number nor such a
-    pair raise a DomainError.
+    CATALOG lists each name's parameters, complex or real; only a complex one
+    may be written as an ``[re, im]`` pair.  Data that is not a dict, unknown
+    names, missing parameters and values of the wrong kind (a pair or a
+    complex number for a real parameter) raise a DomainError.
     """
     if not isinstance(data, dict):
         raise DomainError(f"profile data must be a dict, not {type(data).__name__}")
     name = data.get("catalog")
     if name not in CATALOG:
         raise DomainError(f"unknown profile catalog {name!r}; available: {sorted(CATALOG)}")
-    builder, _, names = CATALOG[name]
-    missing = [key for key in names if key not in data]
+    builder, _, kinds = CATALOG[name]
+    missing = [key for key in kinds if key not in data]
     if missing:
         raise DomainError(f"catalog {name} requires {', '.join(missing)}")
 
@@ -837,9 +831,11 @@ def profile_from_dict(data):
         return isinstance(value, kind) and not isinstance(value, bool)
 
     params = {}
-    for key in names:
+    for key, kind in kinds.items():
         value = data[key]
         pair = isinstance(value, (list, tuple)) and len(value) == 2
+        if kind is float and not number(value, numbers.Real):
+            raise DomainError(f"catalog {name}: {key} must be a real number")
         if pair and all(number(part, numbers.Real) for part in value):
             value = complex(*value)
         elif not number(value):

@@ -18,6 +18,7 @@ from slabscat.amp2d import (
     f2_2d,
     s_factor,
 )
+from slabscat.amp3d import Direction3D, ScatteringConfig3D
 from slabscat.kernels import amplitude_from_kernels
 from slabscat.numerics import DomainError, QuadratureSpec, integrate_1d
 from slabscat.profiles import (
@@ -70,6 +71,30 @@ def test_config_validation():
         f1_2d(gaussian_slab_2d(1.0, 1.0), cfg, np.pi / 2)
     with pytest.raises(DomainError, match="finite"):
         f1_2d(gaussian_slab_2d(1.0, 1.0), cfg, np.array([0.3, np.nan]))
+
+
+def test_a_grazing_angle_gets_one_message_on_every_route():
+    # amp2d holds the one grazing rule: the 2D and 3D configs, the 3D
+    # direction, the closed route and the kernel route all refuse through it
+    slab = gaussian_slab_2d(1.0, 1.0)
+    config = ScatteringConfig2D(k=1.0, ell=0.1, theta0=0.3)
+    graze = np.pi / 2
+    routes = {
+        "theta0": (
+            lambda: ScatteringConfig2D(k=1.0, ell=0.1, theta0=graze),
+            lambda: ScatteringConfig3D(k=1.0, ell=0.1, theta0=graze),
+        ),
+        "theta": (
+            lambda: Direction3D(graze, 0.0),
+            lambda: f1_2d(slab, config, graze),
+            lambda: amplitude_from_kernels(slab, config, graze),
+        ),
+    }
+    for name, calls in routes.items():
+        for call in calls:
+            with pytest.raises(DomainError) as raised:
+                call()
+            assert str(raised.value) == f"grazing {name} (cos {name} = 0) is excluded"
 
 
 def test_zero_profile_zero_amplitudes():

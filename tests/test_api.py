@@ -95,6 +95,43 @@ def test_only_the_cli_handles_exceptions():
     assert swallowing == []
 
 
+def _owned_nodes(tree):
+    """(node, name of the innermost function or class around it) for every node of tree."""
+    stack = [(tree, "<module>")]
+    while stack:
+        node, owner = stack.pop()
+        yield node, owner
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def _is_positive_finite_test(node):
+    """A comparison ``0 < x < inf`` (inf, np.inf or math.inf)."""
+    if not (isinstance(node, ast.Compare) and [type(op) for op in node.ops] == [ast.Lt] * 2):
+        return False
+    last = node.comparators[-1]
+    zero = isinstance(node.left, ast.Constant) and node.left.value == 0
+    return zero and getattr(last, "attr", getattr(last, "id", None)) == "inf"
+
+
+def test_each_input_rule_is_written_once():
+    # the positive-finite rule lives in numerics._positive_finite and the
+    # grazing tolerance in amp2d; a copy elsewhere drifts from its message
+    positive_finite, grazing = [], set()
+    for path in sorted(Path(slabscat.__file__).parent.glob("*.py")):
+        for node, owner in _owned_nodes(ast.parse(path.read_text())):
+            if _is_positive_finite_test(node):
+                positive_finite.append(f"{path.name}:{owner}")
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            if "_GRAZING_TOL" in names:
+                grazing.add(path.name)
+    assert positive_finite == ["numerics.py:_positive_finite"]
+    assert grazing == {"amp2d.py"}
+
+
 def _private_names_defined(stmt):
     """The private (single-underscore) names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):

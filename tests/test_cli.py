@@ -115,6 +115,7 @@ def test_validation_collects_every_violation(tmp_path):
         ("physics", "theta0", True, "physics.theta0 must be a finite number"),
         ("profile", "z", True, "profile.z must be a number"),
         ("profile", "z", [0.3, float("inf")], "profile.z must be a number"),
+        ("profile", "L", 10**400, "profile.L must be a positive"),
     ):
         cfg = dict(base, **{section: dict(base.get(section, {}), **{key: value})})
         found = validate_config(cfg)[1]
@@ -228,6 +229,7 @@ def test_bad_profile_is_one_violation(tmp_path):
         ({"start": True, "stop": 0.2, "count": 3}, "start/stop must be numbers"),
         ({"start": 0.1, "stop": 0.2, "count": True}, "count must be a positive integer"),
         ({"start": 0.1, "stop": float("inf"), "count": 3}, "values must be finite"),
+        ([0.1, -10**400], "values must be finite"),
     ],
 )
 def test_grid_violations(grid, complaint):
@@ -327,8 +329,8 @@ def test_labels_notes_and_late_domain_errors(tmp_path):
         "infeasible: square-root argument is negative; the bilayer method is not"
         " applicable (first failing grid point y = -1)"
     )
-    # a width that passes validation but overflows the decay radius is
-    # refused when the profile is built, with the validation exit code
+    # a width whose decay radius overflows is refused when validation builds
+    # the profile: validate and run both exit 2 with the builder's message
     cfg = dict(THREAD_CASES["amp2d"], output={"path": str(tmp_path / "out.csv")})
     cfg["profile"] = dict(cfg["profile"], L=1e308)
     path = tmp_path / "cfg.json"
@@ -340,6 +342,12 @@ def test_labels_notes_and_late_domain_errors(tmp_path):
         "violations": ["L = 1e+308 is too large: the decay radius 12 * L overflows"],
     }
     assert not (tmp_path / "out.csv").exists()
+    result = _invoke("validate", "--config", str(path))
+    assert result.exit_code == 2
+    assert json.loads(result.output) == {
+        "valid": False,
+        "violations": ["L = 1e+308 is too large: the decay radius 12 * L overflows"],
+    }
 
 
 def test_an_unwritable_output_path_fails_with_a_diagnostic(tmp_path, monkeypatch):

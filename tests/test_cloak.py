@@ -259,6 +259,11 @@ def test_verify_zero_thickness_and_k_mismatch():
     with pytest.raises(DomainError) as raised:
         verify_invisibility(coated, 1.0, np.array([]))
     assert str(raised.value) == "y_grid must be a nonempty 1D array"
+    # the y-grid rule of design_geometry: a y that is not finite is refused,
+    # not returned as a NaN (or, for inf, a zero) residual
+    for bad in ([np.nan], [0.0, np.inf]):
+        with pytest.raises(DomainError, match="^y_grid values must be finite$"):
+            verify_invisibility(coated, 1.0, bad)
 
     # a dispersive slab designed at k1 is no longer nulled at k2
     def zk(k):

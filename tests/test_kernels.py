@@ -266,6 +266,9 @@ def test_assembly_error_paths():
         amplitude_from_kernels(prof, config, 1.0, truncation=4)
     with pytest.raises(DomainError):
         amplitude_from_kernels(prof, config, np.pi / 2)
+    for theta in (np.nan, [0.3, np.nan]):
+        with pytest.raises(DomainError, match="^theta must be finite$"):
+            amplitude_from_kernels(prof, config, theta)
 
 
 def test_amplitude_matches_closed_forms():

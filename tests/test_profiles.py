@@ -799,6 +799,12 @@ def test_profile_from_dict_round_trip():
     for z in ("a", "1+2j", True, None, [1.0], [1.0, "b"], [1.0, 2.0, 3.0], [True, 0.0]):
         with pytest.raises(DomainError, match=message):
             profile_from_dict({"catalog": "gaussian2d", "z": z, "L": 1.0})
+    # a real parameter takes no [re, im] pair (nor a complex number)
+    for name, key in (("gaussian2d", "L"), ("ex1", "L"), ("ex1", "alpha")):
+        for value in ([1.0, 2.0], 1 + 2j):
+            data = {"catalog": name, "z": 1.0, "alpha": 2.0, "L": 1.0, key: value}
+            with pytest.raises(DomainError, match=f"^catalog {name}: {key} must be a real number$"):
+                profile_from_dict(data)
 
 
 def _const_geometry(ell, l1, l2, ell_c):
