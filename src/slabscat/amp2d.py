@@ -22,6 +22,7 @@ Observation and incidence angles of +-pi/2 (grazing, along the slab faces)
 are outside the domain of the channel decomposition and rejected.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,9 @@ _GRAZING_TOL = 1e-9
 
 
 def _grazing(theta):
-    """Whether any of the angles theta grazes the slab faces."""
+    """Whether any of the angles theta grazes the slab faces (math tests a number fast)."""
+    if isinstance(theta, (int, float)):
+        return abs(math.cos(theta)) < _GRAZING_TOL
     return (abs(np.cos(theta)) < _GRAZING_TOL).any()
 
 

@@ -78,7 +78,7 @@ from .cloak import (
 from .dyson1d import scattering_1d, transfer_matrix_1d
 from .exactborn import Ex1Params, _beyond_support, ex1_exact
 from .kernels import amplitude_from_kernels
-from .numerics import AccuracyError, DomainError, QuadratureSpec
+from .numerics import AccuracyError, DomainError, QuadratureSpec, _positive_finite
 from .profiles import CATALOG, profile_from_dict
 
 __all__ = ["main", "load_config", "validate_config", "execute"]
@@ -183,6 +183,7 @@ def _grid(spec, label, violations, positive=False):
     values = np.array(spec, dtype=float)
     if positive and np.any(values <= 0):
         violations.append(f"{label} values must all be positive")
+        return np.array([1.0])
     return values
 
 
@@ -244,49 +245,64 @@ def _profile_dict(raw, violations):
 
 
 def _validate_profile(prof, dimension, violations, derived=()):
-    """Check a catalog dict and return it (params coerced), or None.
+    """Check a catalog dict; returns (its params coerced, its profile), or (None, None).
 
-    ``derived`` names catalog parameters the command computes itself; they
-    are not read from the profile.  Without them the dict is built, and a
-    DomainError from building is a violation too.
+    ``derived`` names catalog parameters the command computes itself: they
+    are not read, and the command builds the profile (None here).
     """
     names = sorted(name for name, entry in CATALOG.items() if entry[1] == dimension)
     if prof is None:
         violations.append("profile is required for this command")
     if not isinstance(prof, dict):
-        return None
+        return None, None
     name = prof.get("catalog")
     if name not in names:
         violations.append(f"profile.catalog must be one of {names} for this command")
-        return None
+        return None, None
     out = {"catalog": name}
     for key, kind in CATALOG[name][2].items():
         if key in derived:
             continue
         if key not in prof:
             violations.append(f"profile.{key} is required by catalog {name}")
-            return None
+            return None, None
         if kind is complex:
             out[key] = _as_complex(prof[key], f"profile.{key}", violations)
         else:
             out[key] = _positive(prof[key], f"profile.{key}", violations)
-    if not derived:  # a parameter refused above is built from a harmless default
-        try:
-            profile_from_dict(out)
-        except DomainError as exc:
-            violations.append(str(exc))
-    return out
+    return out, None if derived else _build(out, violations)
+
+
+def _build(params, violations):
+    """The profile of catalog params, or None with the builder's DomainError as a violation."""
+    try:
+        return profile_from_dict(params)
+    except DomainError as exc:
+        violations.append(str(exc))
+        return None
+
+
+def _wavenumbers(kls, ell, label, violations):
+    """Whether k = kl / ell, which may overflow, is positive and finite at each kl."""
+    name = f"k = {label} / physics.ell"
+    try:
+        for kl in kls:
+            _positive_finite(float(kl) / ell, name)
+    except DomainError as exc:
+        violations.append(str(exc))
+        return False
+    return True
 
 
 @dataclass
 class Sweep:
     """Curves evaluated along one grid; every command but cloak is one.
 
-    An amplitude curve (2D or 3D) is (profile overrides, fixed theta or None
-    for the grid's, order tag, label); the labels exact and kernels (2D)
-    name a route of their own, any other curve is the closed-form amplitude
-    truncated at its order.  A 1D curve is (channel, order tag).  ``domain``
-    selects the chunk function.  Rows are grid-major, curves in list order.
+    A curve is (profile validation built, fixed theta or None for the grid's,
+    order tag, label); a 1D curve's label is its channel, and in 2D the
+    labels exact and kernels name a route of their own, any other curve is
+    the closed-form amplitude truncated at its order.  ``domain`` selects
+    the chunk function.  Rows are grid-major, curves in list order.
     """
 
     domain: str
@@ -388,15 +404,16 @@ def _validate_command(command, prof, phys, raw, violations):
         return None, physics, None
 
     if command == "dyson1d":
-        profile = _validate_profile(prof, "1d", violations)
+        profile, built = _validate_profile(prof, "1d", violations)
         grid = _grid(phys.get("kls"), "physics.kls", violations, positive=True)
         physics = {"ell": _positive(phys.get("ell", 1.0), "physics.ell", violations)}
-        curves = [("R_left", 0), ("R_right", 0), ("T", 0)]
+        _wavenumbers(grid, physics["ell"], "physics.kls", violations)
+        curves = [(built, None, 0, name) for name in ("R_left", "R_right", "T")]
         return profile, physics, Sweep("1d", "kl", grid, curves)
 
     if command in ("amp2d", "exact2d", "kernels-check", "amp3d"):
         polar = command == "amp3d"
-        profile = _validate_profile(prof, "3d" if polar else "2d", violations)
+        profile, built = _validate_profile(prof, "3d" if polar else "2d", violations)
         if command == "exact2d" and profile is not None and profile["catalog"] != "ex1":
             violations.append("exact2d requires the ex1 catalog profile")
             profile = None
@@ -410,11 +427,11 @@ def _validate_command(command, prof, phys, raw, violations):
         thetas = _grid(phys.get("thetas"), "physics.thetas", violations)
         _angle_violations(thetas, "physics.thetas", violations, polar=polar)
         orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
-        curves = [({}, None, order, f"order{order}") for order in orders]
+        curves = [(built, None, order, f"order{order}") for order in orders]
         if command == "kernels-check":
-            curves = [({}, None, 2, "kernels"), ({}, None, 2, "closed")]
+            curves = [(built, None, 2, "kernels"), (built, None, 2, "closed")]
         elif command == "exact2d":
-            curves.insert(0, ({}, None, 0, "exact"))
+            curves.insert(0, (built, None, 0, "exact"))
             if profile is not None and _beyond_support(physics["k"], profile["alpha"]):
                 violations.append("exact2d requires k <= profile alpha")
         return profile, physics, Sweep("3d" if polar else "2d", "theta", thetas, curves)
@@ -430,44 +447,49 @@ def _validate_command(command, prof, phys, raw, violations):
         return None, {}, None
     grid = _grid(phys.get("grid"), "physics.grid", violations, positive=(variable == "kl"))
     physics = {"ell": _positive(phys.get("ell", 0.0), "physics.ell", violations)}
+    if variable == "kl":
+        _wavenumbers(grid, physics["ell"], "physics.grid", violations)
 
     if domain == "2d":
         if variable != "kl":
             violations.append("2d sweeps support variable 'kl' only")
             return None, physics, None
-        profile = _validate_profile(prof, "2d", violations)
+        profile, built = _validate_profile(prof, "2d", violations)
         physics["theta"] = _angle(phys, "theta", violations)
         physics["theta0"] = _angle(phys, "theta0", violations)
         known = ("order1", "order2", "exact")
         methods = _subset(phys, "methods", known, ["order1", "order2"], violations)
         if "exact" in methods and (profile is None or profile["catalog"] != "ex1"):
             violations.append("the 'exact' sweep method requires the ex1 catalog")
-        curves = [({}, physics["theta"], 0 if m == "exact" else int(m[-1]), m) for m in methods]
+        curves = [(built, physics["theta"], 0 if m == "exact" else int(m[-1]), m) for m in methods]
         return profile, physics, Sweep("2d", "kl", grid, curves)
 
     physics["theta0"] = _angle(phys, "theta0", violations, polar=True)
     _azimuths(phys, physics, violations)
     orders = _subset(phys, "orders", [1, 2], [1, 2], violations)
     if variable == "kl":
-        profile = _validate_profile(prof, "3d", violations)
+        profile, built = _validate_profile(prof, "3d", violations)
         theta_values = _grid(phys.get("theta_values"), "physics.theta_values", violations)
         _angle_violations(theta_values, "physics.theta_values", violations, polar=True)
         curves = [
-            ({}, theta, order, f"theta={theta:.6g}")
+            (built, theta, order, f"theta={theta:.6g}")
             for theta in theta_values
             for order in orders
         ]
         return profile, physics, Sweep("3d", "kl", grid, curves)
-    profile = _validate_profile(prof, "3d", violations, derived=("L",))
+    profile, _ = _validate_profile(prof, "3d", violations, derived=("L",))
     if profile is not None and "L" in prof:
         violations.append(
             "theta sweeps derive the transverse width from kL_values; drop profile.L"
         )
     _angle_violations(grid, "physics.grid", violations, polar=True)
-    physics["k"] = _positive(phys.get("kl", 0.0), "physics.kl", violations) / physics["ell"]
+    kl = _positive(phys.get("kl", 0.0), "physics.kl", violations)
+    physics["k"] = kl / physics["ell"]
+    widths = _wavenumbers([kl], physics["ell"], "physics.kl", violations) and profile is not None
     kL_values = _grid(phys.get("kL_values"), "physics.kL_values", violations, positive=True)
     curves = []
-    for kL in kL_values:
+    for kL in kL_values.tolist():  # each width L = kL / k builds a profile of its own
+        built = _build(dict(profile, L=kL / physics["k"]), violations) if widths else None
         for order in orders:
             if len(kL_values) == 1:
                 label = f"order{order}"
@@ -475,7 +497,7 @@ def _validate_command(command, prof, phys, raw, violations):
                 label = f"kL={kL:.6g}"
             else:
                 label = f"kL={kL:.6g},order{order}"
-            curves.append(({"L": kL / physics["k"]}, None, order, label))
+            curves.append((built, None, order, label))
     return profile, physics, Sweep("3d", "theta", grid, curves)
 
 
@@ -549,16 +571,15 @@ def _chunk(cfg):
     phys = cfg.physics
     fixed = {f.name: phys[f.name] for f in fields(config_type) if f.name != "k"}
     curves = cfg.sweep.curves
-    keys = [tuple(curve[0].items()) for curve in curves]
-    built = {key: profile_from_dict(dict(cfg.profile, **dict(key))) for key in keys}
+    built = {id(curve[0]): curve[0] for curve in curves}  # curves of a profile share it
     if cfg.profile["catalog"] == "ex1":
         params = Ex1Params(**{key: cfg.profile[key] for key in ("z", "alpha", "L")})
 
     def chunk(xs):
         configs = [config_type(k=_wavenumber(cfg, x), **fixed) for x in xs]
-        found = {}  # (profile key, fixed theta, grid index) -> (f1, f2)
+        found = {}  # (profile id, fixed theta, grid index) -> (f1, f2)
         for key, prof in built.items():
-            mine = [c for c, ck in zip(curves, keys) if ck == key and c[3] not in routed]
+            mine = [c for c in curves if c[0] is prof and c[3] not in routed]
             points = [(j, t) for j in range(len(xs)) for t in dict.fromkeys(c[1] for c in mine)]
             angles = [angle(xs[j] if t is None else t, phys) for j, t in points]
             top = max((c[2] for c in mine), default=1)  # order1 rows take f1 of the order2 call
@@ -566,14 +587,14 @@ def _chunk(cfg):
             found.update(zip([(key, t, j) for j, t in points], zip(f1, f2)))
         if any(curve[3] == "kernels" for curve in curves):  # theta at one k: one call
             nodes = cfg.numerics["node_count"]
-            kernels = amplitude_from_kernels(built[()], configs[0], xs, 2, nodes)
+            kernels = amplitude_from_kernels(curves[0][0], configs[0], xs, 2, nodes)
         rows = []
         for j, (x, config) in enumerate(zip(xs, configs)):
-            for key, (_, theta, order, label) in zip(keys, curves):
+            for prof, theta, order, label in curves:
                 if label == "kernels":
                     value = kernels[j]
                 elif label != "exact":
-                    value = _truncate(*found[key, theta, j], config.kl, order).truncated
+                    value = _truncate(*found[id(prof), theta, j], config.kl, order).truncated
                 elif _beyond_support(config.k, params.alpha):
                     continue  # the exact formula stops being valid above alpha
                 else:
@@ -586,7 +607,7 @@ def _chunk(cfg):
 
 def _chunk_1d(cfg):
     """Chunk function of a 1D sweep: kl slice -> rows of the R_left, R_right, T curves."""
-    prof = profile_from_dict(cfg.profile)
+    prof = cfg.sweep.curves[0][0]
     ell = cfg.physics["ell"]
 
     def point(kl):
@@ -598,7 +619,7 @@ def _chunk_1d(cfg):
             tol=cfg.numerics["series_tol"],
         )
         channels = dict(zip(("R_left", "R_right", "T"), scattering_1d(matrix)))
-        return [(kl, channels[name], order, name) for name, order in cfg.sweep.curves]
+        return [(kl, channels[name], order, name) for _, _, order, name in cfg.sweep.curves]
 
     return lambda kls: [row for kl in kls for row in point(kl)]
 

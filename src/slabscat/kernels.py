@@ -156,15 +156,11 @@ def kernel_n3(profile, a, b, p, pp, k):
 
 
 def _kernel_block(profile, j, a, b, p, pp, k):
-    """N^(j)_ab at every pair of the momenta p and p', as a (p.size, p'.size) array.
-
-    The pairs are flattened first: the sampled transforms take 1-D momenta.
-    """
+    """N^(j)_ab at every pair of the momenta p and p', as a (p.size, p'.size) array."""
     if j not in (1, 2, 3):
         raise DomainError("kernel order j must be 1, 2, or 3")
     kernel = (kernel_n1, kernel_n2, kernel_n3)[j - 1]
-    vals = kernel(profile, a, b, np.repeat(p, pp.size), np.tile(pp, p.size), k)
-    return vals.reshape(p.size, pp.size)
+    return kernel(profile, a, b, p[:, None], pp[None, :], k)
 
 
 def kernel_matrix(profile, j, a, b, grid):

@@ -30,11 +30,10 @@ off-grid momenta as a type-2 NUFFT (Dutt & Rokhlin, SIAM J. Sci. Comput.
 14(6), 1993): one numpy FFT per sample set on a twice-finer 11-smooth grid,
 then a kernel sum over 17 bins per momentum, taken as one array step per
 block of up to 4,096 momenta.  It matches the direct sum to rounding.  Its
-samples are always a _SampleRow, which keeps the fine-grid bins its momenta
-reach, at least 512 on each side of zero (all of them for a row of up to
-about 490 samples): a sampled profile's cached moment row runs the FFT
-once, and a plain array becomes a row of its own, so it is transformed
-afresh on each call.  transform_samples_2d sums with explicit
+samples are always a _SampleRow, which keeps its whole fine grid once it is
+transformed: a sampled profile's cached moment row runs the FFT once, and a
+plain array becomes a row of its own, so it is transformed afresh on each
+call.  transform_samples_2d sums with explicit
 phase factors; both transforms check their radius and momenta in one place.
 _band_ratio, which sizes a sampled profile's transverse grid, reads the same
 trapezoid transform of a row or a mesh at the top of its band, by one FFT.
@@ -500,10 +499,6 @@ _NUFFT_KERNEL_NODES = 2 + 3 * _NUFFT_W // 2
 
 # Momenta per vectorized kernel sum; larger blocks outgrow the cache and run slower.
 _NUFFT_BLOCK = 4096
-# Least half-width of a kept window, in fine-grid bins (16 KB per sample row):
-# a row of up to about 490 samples keeps every bin at its first FFT, and the
-# later momenta of a longer row seldom make it transform the row again.
-_NUFFT_WINDOW_FLOOR = 512
 
 
 def _es_kernel(z):
@@ -547,7 +542,10 @@ def _nufft_plan(count):
 
 
 def _fine_grid(values):
-    """The FFT of the pre-corrected, zero-padded samples (trapezoid weights, h = 1)."""
+    """Bins -W .. W-1 of the FFT of the pre-corrected, zero-padded samples (h = 1), read-only.
+
+    W = n_fine / 2 + 18, so they reach every kernel sum.
+    """
     count = values.size
     n_fine, correction = _nufft_plan(count)
     half = (count - 1) // 2
@@ -555,41 +553,20 @@ def _fine_grid(values):
     padded = np.zeros(n_fine, dtype=complex)
     padded[: count - half] = a[half:]
     padded[n_fine - half :] = a[:half]
-    return np.fft.fft(padded)
+    width = n_fine // 2 + _NUFFT_W + 2
+    bins = np.take(np.fft.fft(padded), np.arange(-width, width), mode="wrap")
+    bins.setflags(write=False)
+    return bins
 
 
 class _SampleRow:
-    """A read-only copy of one 1-D sample row and the widest window of its FFT taken so far."""
+    """A read-only copy of one 1-D sample row and, once it is transformed, its whole fine grid."""
 
     def __init__(self, values):
         self.values = np.array(values, dtype=complex)
         self.values.setflags(write=False)
         self.size = self.values.size
-        self.bins = np.empty(0, dtype=complex)
-
-
-def _window(row, first):
-    """Fine-grid bins -W .. W-1 of a _SampleRow, kept on the row, that reach every kernel sum.
-
-    ``first`` holds each momentum's first bin.  The row keeps at least
-    _NUFFT_WINDOW_FLOOR bins on each side, or all of them (W = n_fine / 2 +
-    18), grown to the next power of two when a call needs more; once it
-    keeps all, a call looks at no momentum.  Threads that race to grow the
-    window at worst repeat one FFT.  Every bin is sliced from the one FFT of
-    the whole row, so its value does not depend on the window or on which
-    momenta came first.
-    """
-    bins = row.bins  # read once, as another thread may replace it
-    whole = _nufft_plan(row.size)[0] // 2 + _NUFFT_W + 2
-    if bins.size < 2 * whole:
-        half_width = max(-first.min(), first.max() + _NUFFT_W + 1)
-        if bins.size < 2 * half_width:
-            width = 1 << (int(max(half_width, _NUFFT_WINDOW_FLOOR)) - 1).bit_length()
-            width = min(width, whole)
-            bins = np.take(_fine_grid(row.values), np.arange(-width, width), mode="wrap")
-            bins.setflags(write=False)
-            row.bins = bins
-    return bins
+        self.bins = None  # _fine_grid(values), set by the first transform
 
 
 # A grid has resolved the transform of a sample array whose _band_ratio is at
@@ -654,8 +631,8 @@ def transform_samples_1d(values, radius, p):
     gets the same bits in any batch.  It agrees with the direct
     sum to rounding: within 1e-13 of h * sum(|values|), at any momentum.
     ``values`` may be a sampled profile's cached row (a _SampleRow), which
-    keeps the fine-grid bins its momenta reach for later calls; an array is
-    copied into a row of its own, so it is transformed afresh on each call.
+    keeps its whole fine grid for later calls; an array is copied into a row
+    of its own, so it is transformed afresh on each call.
     Samples that are not one row of at least two, a radius that is not
     positive and finite, or a momentum that is not finite raise DomainError.
     """
@@ -676,7 +653,9 @@ def transform_samples_1d(values, radius, p):
     position = np.fmod(position, n_fine)
     position -= n_fine * np.round(position / n_fine)
     first = np.floor(position - 0.5 * _NUFFT_W).astype(int)
-    bins = _window(row, first)
+    bins = row.bins  # kept from the row's first transform (racing threads repeat one FFT)
+    if bins is None:
+        bins = row.bins = _fine_grid(row.values)
     width = bins.size // 2
     total = np.zeros(p_arr.size, dtype=complex)
     q = np.arange(_NUFFT_W + 1)[:, None]

@@ -251,7 +251,7 @@ def _level(profile, k, route, panels, coarse=None):
     sample array that is not negligible passes the edge-decay check, and
     ``ratios`` holds its numerics._band_ratio (0 for a negligible one).  A 3D
     mesh is made read-only in place, and a 2D row becomes a _SampleRow, which
-    keeps its own NUFFT window.
+    keeps its whole fine grid once it is transformed.
     """
     r = np.linspace(-profile.decay_radius, profile.decay_radius, panels + 1)
     axes = np.meshgrid(*(r,) * (2 if isinstance(profile, Profile3D) else 1), indexing="ij")
@@ -340,22 +340,24 @@ def _moment_samples(profile, k, route="moments", panels=0):
     return n, grids[n]
 
 
-def _sampled_transform(profile, k, route, name, p, transform):
-    """transform(samples, radius, p) of a route's samples ``name`` at the momenta p.
+def _sampled_transform(profile, k, route, name, p):
+    """transform_samples_1d (2D) or transform_samples_2d (3D) of a route's samples ``name`` at p.
 
-    p is an (m,) array in 2D and an (m, 2) array in 3D.  Each momentum is
-    transformed on the accepted grid if that grid's band |p| <= pi / h holds
-    it (in 3D, both components), else on the first finer grid whose band
-    does, or on the cap's grid.
+    p is an array of any shape in 2D and an (m, 2) array in 3D.  Each momentum
+    is transformed on the accepted grid if that grid's band |p| <= pi / h
+    holds it (in 3D, both components), else on the first finer grid whose
+    band does, or on the cap's grid.
     """
+    three_d = isinstance(profile, Profile3D)
+    transform = transform_samples_2d if three_d else transform_samples_1d
     panels, samples = _moment_samples(profile, k, route)
     scale = np.pi / (2.0 * profile.decay_radius)  # n panels hold the band |p| <= n scale
-    reach = np.abs(p) if p.ndim == 1 else np.abs(p).max(axis=1)
+    reach = np.abs(p).max(axis=1) if three_d else np.abs(p)
     # the common case, without the masks below: they add 13% to a cache hit
     if panels == profile.sample_count or reach.max(initial=0.0) <= panels * scale:
         return transform(samples[name], profile.decay_radius, p)
-    out = np.empty(len(p), dtype=complex)
-    todo = np.ones(len(p), dtype=bool)
+    out = np.empty(reach.shape, dtype=complex)
+    todo = np.ones(reach.shape, dtype=bool)
     while True:
         take = todo if panels == profile.sample_count else todo & (reach <= panels * scale)
         if take.any():
@@ -377,6 +379,27 @@ def _check_finite(k, name, values):
         raise DomainError("k must be finite")
     if not math.isfinite(np.add.reduce(values, axis=None)):
         _finite(values, name)
+
+
+def _moment(profile, route, name, p, k):
+    """The transform ``name`` of a route's axial moment at the momenta p, closed or sampled.
+
+    p is one momentum (a number in 2D, a pair in 3D) or an array of them.  k
+    and p are checked first; the "moments" route takes a closed
+    ``analytic_moment`` (m_l for ``name`` = l) if the profile has one.
+    """
+    p = np.asarray(p, dtype=float)
+    three_d = isinstance(profile, Profile3D)
+    single = p.ndim == (1 if three_d else 0)
+    p = p.reshape((1, -1) if three_d else 1) if single else p
+    _check_finite(k, "transform momenta", p)
+    if route != "moments" or profile.analytic_moment is None:
+        out = _sampled_transform(profile, k, route, name, p)
+    elif three_d:
+        out = np.asarray(profile.analytic_moment(name, p[:, 0], p[:, 1], k), dtype=complex)
+    else:
+        out = np.asarray(profile.analytic_moment(name, p, k), dtype=complex)
+    return out[0] if single else out
 
 
 def moment_2d(profile, l, p, k):
@@ -407,17 +430,7 @@ def moment_2d(profile, l, p, k):
     """
     if l not in (0, 1, 2):
         raise DomainError("moment order l must be 0, 1, or 2")
-    p_arr = np.asarray(p, dtype=float)
-    scalar = p_arr.ndim == 0
-    p_arr = p_arr.reshape(1) if scalar else p_arr
-    _check_finite(k, "transform momenta", p_arr)
-
-    if profile.analytic_moment is not None:
-        out = np.asarray(profile.analytic_moment(l, p_arr, k), dtype=complex)
-        return out[0] if scalar else out
-
-    out = _sampled_transform(profile, k, "moments", l, p_arr.ravel(), transform_samples_1d)
-    return out[0] if scalar else out.reshape(p_arr.shape)
+    return _moment(profile, "moments", l, p, k)
 
 
 def _convolution_moment(profile, p, k):
@@ -428,10 +441,7 @@ def _convolution_moment(profile, p, k):
     transverse transform of w(x1, y) w(x2, y); C is sampled from ``eval``
     (for an axially uniform w, C = w^2 / 6) and transformed like m_l.
     """
-    p_arr = np.asarray(p, dtype=float)
-    _check_finite(k, "transform momenta", p_arr)
-    out = _sampled_transform(profile, k, "convolution", "C", p_arr.ravel(), transform_samples_1d)
-    return out.reshape(p_arr.shape) if p_arr.ndim else out[0]
+    return _moment(profile, "convolution", "C", p, k)
 
 
 def moment_3d(profile, l, pvec, k):
@@ -445,17 +455,7 @@ def moment_3d(profile, l, pvec, k):
     """
     if l not in (0, 1):
         raise DomainError("3D moment order l must be 0 or 1")
-    pv = np.asarray(pvec, dtype=float)
-    single = pv.ndim == 1
-    pv = np.atleast_2d(pv)
-    _check_finite(k, "transform momenta", pv)
-
-    if profile.analytic_moment is not None:
-        out = np.asarray(profile.analytic_moment(l, pv[:, 0], pv[:, 1], k), dtype=complex)
-        return out[0] if single else out
-
-    out = _sampled_transform(profile, k, "moments", l, pv, transform_samples_2d)
-    return out[0] if single else out
+    return _moment(profile, "moments", l, pvec, k)
 
 
 def spatial_moment_y(profile, l, y, k):

@@ -132,6 +132,20 @@ def test_each_input_rule_is_written_once():
     assert grazing == {"amp2d.py"}
 
 
+
+def test_momenta_reach_a_moment_by_one_path():
+    # moment_2d, moment_3d and _convolution_moment share one body: only it
+    # checks transform momenta and calls the sampled transform
+    callers = {}
+    profiles = Path(slabscat.__file__).parent / "profiles.py"
+    for node, owner in _owned_nodes(ast.parse(profiles.read_text())):
+        name = getattr(getattr(node, "func", None), "id", None)
+        if name == "_check_finite":
+            name += f"({getattr(node.args[1], 'value', None)})"  # what it checks
+        callers.setdefault(name, []).append(owner)
+    assert callers["_sampled_transform"] == ["_moment"]
+    assert callers["_check_finite(transform momenta)"] == ["_moment"]
+
 def _private_names_defined(stmt):
     """The private (single-underscore) names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):

@@ -348,6 +348,27 @@ def test_labels_notes_and_late_domain_errors(tmp_path):
         "valid": False,
         "violations": ["L = 1e+308 is too large: the decay radius 12 * L overflows"],
     }
+    # so are a wavenumber k = kl / ell that overflows and a theta sweep's
+    # width L = kL / k that does: validate and run both exit 2, warning-free
+    theta_sweep, kl_sweep = THREAD_CASES["sweep3d_theta"], THREAD_CASES["sweep2d_kl"]
+    for base, physics, violation in (
+        (theta_sweep, {"kl": 1e-10, "ell": 1.0, "kL_values": [1e300]},
+         "L must be positive and finite"),
+        (theta_sweep, {"kl": 1e300, "ell": 1e-10},
+         "k = physics.kl / physics.ell must be positive and finite"),
+        (kl_sweep, {"grid": [0.1, 1e300], "ell": 1e-10},
+         "k = physics.grid / physics.ell must be positive and finite"),
+        (THREAD_CASES["dyson1d"], {"kls": [0.1, 1e300], "ell": 1e-10},
+         "k = physics.kls / physics.ell must be positive and finite"),
+    ):
+        cfg = dict(base, output={"path": str(tmp_path / "out.csv")})
+        cfg["physics"] = dict(base["physics"], **physics)
+        path.write_text(json.dumps(cfg))
+        for command, payload in (("validate", {"valid": False}), ("run", {"error": "validation"})):
+            result = _invoke(command, "--config", str(path))
+            assert result.exit_code == 2, (command, physics)
+            assert json.loads(result.output) == dict(payload, violations=[violation])
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_an_unwritable_output_path_fails_with_a_diagnostic(tmp_path, monkeypatch):

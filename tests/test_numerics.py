@@ -460,9 +460,8 @@ def test_transform_keeps_the_shape_of_the_momenta():
 
 
 def test_read_only_row_takes_one_fft(monkeypatch):
-    # the cached window starts wide enough for every momentum f1 and f2 ask
-    # of a slab: one FFT per transformed row (m_0 and m_1) of the accepted
-    # grid, however many angles; the grid search itself takes no NUFFT
+    # one FFT per transformed row (m_0 and m_1) of the accepted grid, however
+    # many angles; the grid search itself takes no NUFFT
     closed = gaussian_slab_2d(0.6 + 0.1j, 1.1)
     prof = Profile2D(eval=closed.eval, decay_radius=closed.decay_radius)
     cfg = ScatteringConfig2D(k=0.9, ell=0.1, theta0=0.3)
@@ -473,13 +472,13 @@ def test_read_only_row_takes_one_fft(monkeypatch):
         amplitude_2d(prof, cfg, theta)
     panels = _moment_samples(prof, cfg.k)[0]
     assert ffts == [panels + 1] * 2
-    # on a finer grid's row a momentum beyond the kept window's floor grows
-    # it by one more FFT of the row, to a fresh row's bits
+    # a finer grid's row keeps its whole fine grid from its first transform:
+    # momenta far out in its band take no further FFT, and get a fresh row's bits
     row = _moment_samples(prof, cfg.k, panels=1024)[1][0]
     transform_samples_1d(row, prof.decay_radius, 0.4)
     far = np.array([0.4, 60.0, -75.0])
     got = transform_samples_1d(row, prof.decay_radius, far)
-    assert ffts[2:] == [1025, 1025]
+    assert ffts[2:] == [1025]
     fresh = transform_samples_1d(row.values.copy(), prof.decay_radius, far)
     assert got.tobytes() == fresh.tobytes()
     assert transform_samples_1d(row, prof.decay_radius, 0.4) == got[0]
