@@ -76,11 +76,22 @@ class Direction3D:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise DomainError("theta must lie in [0, pi]")
+        _check_polar(self.theta, "theta")
         _check_angles(self.theta, "theta")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise DomainError("phi must lie in [0, 2 pi)")
+        _check_azimuth(self.phi, "phi")
+
+
+def _check_polar(theta, name):
+    """Refuse a polar angle, or an array of them, outside [0, pi]."""
+    low, high = (theta, theta) if isinstance(theta, float) else (np.min(theta), np.max(theta))
+    if not 0.0 <= low <= high <= np.pi:
+        raise DomainError(f"{name} must lie in [0, pi]")
+
+
+def _check_azimuth(phi, name):
+    """Refuse an observation azimuth outside [0, 2 pi)."""
+    if not 0.0 <= phi < 2.0 * np.pi:
+        raise DomainError(f"{name} must lie in [0, 2 pi)")
 
 
 def g_vector(theta, phi, alpha, beta):

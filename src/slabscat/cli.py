@@ -56,6 +56,7 @@ output path that cannot be written included), 3 on numerical failure;
 failures put a machine-readable JSON diagnostic on standard error.
 """
 
+import functools
 import json
 import os
 import sys
@@ -67,19 +68,26 @@ import click
 import numpy as np
 
 from .amp2d import ScatteringConfig2D, _grazing, _sweep_2d, _truncate
-from .amp3d import Direction3D, ScatteringConfig3D, _sweep_3d
+from .amp3d import Direction3D, ScatteringConfig3D, _check_azimuth, _check_polar, _sweep_3d
 from .cloak import (
     CoatingMaterials,
     SlabMomentPair,
+    _check_contrasts,
     _geometry_header,
     design_geometry,
     export_geometry,
 )
-from .dyson1d import scattering_1d, transfer_matrix_1d
+from .dyson1d import _MIN_TERMS, scattering_1d, transfer_matrix_1d
 from .exactborn import Ex1Params, _beyond_support, ex1_exact
-from .kernels import amplitude_from_kernels
-from .numerics import AccuracyError, DomainError, QuadratureSpec, _positive_finite
-from .profiles import CATALOG, profile_from_dict
+from .kernels import _MIN_NODES, amplitude_from_kernels
+from .numerics import (
+    AccuracyError,
+    DomainError,
+    QuadratureSpec,
+    _integer_at_least,
+    _positive_finite,
+)
+from .profiles import CATALOG, _read_catalog
 
 __all__ = ["main", "load_config", "validate_config", "execute"]
 
@@ -93,6 +101,7 @@ _DEFAULT_NUMERICS = {
     "series_tol": 1e-12,
     "check_tol": 1e-5,
 }
+_FLOORS = {"node_count": _MIN_NODES, "max_terms": _MIN_TERMS}  # the integer settings' least
 
 
 def _fmt(value):
@@ -134,13 +143,13 @@ def _is_number(value, finite=True):
     return real and (not finite or abs(value) <= sys.float_info.max)
 
 
-def _as_complex(value, label, violations):
-    if _is_number(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
-        return complex(value[0], value[1])
-    violations.append(f"{label} must be a number or an [re, im] pair")
-    return 0j
+def _collect(violations, check, *args, **kwargs):
+    """check(*args, **kwargs), or None with the DomainError it raises listed as a violation."""
+    try:
+        return check(*args, **kwargs)
+    except DomainError as exc:
+        violations.append(str(exc))
+        return None
 
 
 def _positive(value, label, violations):
@@ -151,48 +160,39 @@ def _positive(value, label, violations):
 
 
 def _grid(spec, label, violations, positive=False):
-    if isinstance(spec, list):
-        if len(spec) == 0 or not all(_is_number(v, finite=False) for v in spec):
-            violations.append(f"{label} must be a nonempty array of numbers")
-            return np.array([1.0])
-        numbers = spec
-    elif isinstance(spec, dict):
-        missing = [key for key in ("start", "stop", "count") if key not in spec]
-        if missing:
-            violations.append(f"{label} range is missing {', '.join(missing)}")
-            return np.array([1.0])
-        count = spec["count"]
-        if not (_is_number(count) and isinstance(count, int)) or count < 1:
-            violations.append(f"{label} count must be a positive integer")
-            return np.array([1.0])
-        numbers = [spec["start"], spec["stop"]]
-        if not all(_is_number(v, finite=False) for v in numbers):
-            violations.append(f"{label} start/stop must be numbers")
-            return np.array([1.0])
-        if numbers[0] > numbers[1]:
-            violations.append(f"{label} start exceeds stop")
-            return np.array([1.0])
+    """The values of an array or a start/stop/count range; [1.0] after a violation."""
+    ranged = isinstance(spec, dict)
+    missing = [key for key in ("start", "stop", "count") if ranged and key not in spec]
+    numbers = [spec.get("start"), spec.get("stop")] if ranged else spec  # each must be finite
+    count = spec.get("count") if ranged else 1
+    if not (ranged or isinstance(spec, list)):
+        problem = "must be an array or a start/stop/count range"
+    elif not ranged and not (spec and all(_is_number(v, finite=False) for v in spec)):
+        problem = "must be a nonempty array of numbers"
+    elif missing:
+        problem = f"range is missing {', '.join(missing)}"
+    elif not (_is_number(count) and isinstance(count, int)) or count < 1:
+        problem = "count must be a positive integer"
+    elif not all(_is_number(v, finite=False) for v in numbers):
+        problem = "start/stop must be numbers"
+    elif ranged and numbers[0] > numbers[1]:
+        problem = "start exceeds stop"
+    elif not all(map(_is_number, numbers)):
+        problem = "values must be finite"
     else:
-        violations.append(f"{label} must be an array or a start/stop/count range")
-        return np.array([1.0])
-    if not all(map(_is_number, numbers)):
-        violations.append(f"{label} values must be finite")
-        return np.array([1.0])
-    if isinstance(spec, dict):
-        spec = np.linspace(numbers[0], numbers[1], count)
-    values = np.array(spec, dtype=float)
-    if positive and np.any(values <= 0):
-        violations.append(f"{label} values must all be positive")
-        return np.array([1.0])
-    return values
+        values = np.linspace(*numbers, count) if ranged else np.array(spec, dtype=float)
+        if not (positive and np.any(values <= 0)):
+            return values
+        problem = "values must all be positive"
+    violations.append(f"{label} {problem}")
+    return np.array([1.0])
 
 
 def _angle_violations(values, label, violations, polar=False):
-    values = np.atleast_1d(values)
     if _grazing(values):
         violations.append(f"{label} touches the excluded pi/2 line")
-    if polar and (np.any(values < 0) or np.any(values > np.pi)):
-        violations.append(f"{label} must lie in [0, pi]")
+    if polar:
+        _collect(violations, _check_polar, values, label)
 
 
 def _angle(phys, key, violations, polar=False):
@@ -208,18 +208,24 @@ def _angle(phys, key, violations, polar=False):
 
 
 def _azimuths(phys, physics, violations):
-    """Copy the 3D azimuths phi0 and phi (default 0) into ``physics``.
-
-    phi0 may be any finite number; phi must lie in Direction3D's [0, 2 pi).
-    """
+    """Copy the 3D azimuths phi0 (any finite number) and phi (default 0) into ``physics``."""
     for key in ("phi0", "phi"):
         value = phys.get(key, 0.0)
         if not _is_number(value):
             violations.append(f"physics.{key} must be a finite number")
             value = 0.0
-        elif key == "phi" and not 0.0 <= value < 2.0 * np.pi:
-            violations.append("physics.phi must lie in [0, 2 pi)")
+        elif key == "phi":
+            _collect(violations, _check_azimuth, value, "physics.phi")
         physics[key] = float(value)
+
+
+def _section(raw, key, violations):
+    """The object raw[key] (default empty), or an empty one with a violation."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        violations.append(f"{key} must be an object")
+        return {}
+    return value
 
 
 def _profile_dict(raw, violations):
@@ -245,53 +251,31 @@ def _profile_dict(raw, violations):
 
 
 def _validate_profile(prof, dimension, violations, derived=()):
-    """Check a catalog dict; returns (its params coerced, its profile), or (None, None).
+    """Check a catalog dict; returns (its params as read, its profile), or (None, None).
 
-    ``derived`` names catalog parameters the command computes itself: they
-    are not read, and the command builds the profile (None here).
+    A refused parameter reads None, and the profile is then None.  ``derived``
+    names parameters the command computes: it gets their builder in place of a profile.
     """
     names = sorted(name for name, entry in CATALOG.items() if entry[1] == dimension)
     if prof is None:
         violations.append("profile is required for this command")
     if not isinstance(prof, dict):
         return None, None
-    name = prof.get("catalog")
-    if name not in names:
+    if prof.get("catalog") not in names:
         violations.append(f"profile.catalog must be one of {names} for this command")
         return None, None
-    out = {"catalog": name}
-    for key, kind in CATALOG[name][2].items():
-        if key in derived:
-            continue
-        if key not in prof:
-            violations.append(f"profile.{key} is required by catalog {name}")
-            return None, None
-        if kind is complex:
-            out[key] = _as_complex(prof[key], f"profile.{key}", violations)
-        else:
-            out[key] = _positive(prof[key], f"profile.{key}", violations)
-    return out, None if derived else _build(out, violations)
-
-
-def _build(params, violations):
-    """The profile of catalog params, or None with the builder's DomainError as a violation."""
-    try:
-        return profile_from_dict(params)
-    except DomainError as exc:
-        violations.append(str(exc))
-        return None
+    builder, params = _read_catalog(prof, "profile.", lambda *c: _collect(violations, *c), derived)
+    profile = dict(params, catalog=prof["catalog"])
+    if None in params.values():
+        return profile, None
+    build = functools.partial(builder, **params)
+    return profile, build if derived else _collect(violations, build)
 
 
 def _wavenumbers(kls, ell, label, violations):
-    """Whether k = kl / ell, which may overflow, is positive and finite at each kl."""
+    """k = kl / ell, which may overflow, at each kl, or None if one is not positive and finite."""
     name = f"k = {label} / physics.ell"
-    try:
-        for kl in kls:
-            _positive_finite(float(kl) / ell, name)
-    except DomainError as exc:
-        violations.append(str(exc))
-        return False
-    return True
+    return _collect(violations, lambda: [_positive_finite(float(kl) / ell, name) for kl in kls])
 
 
 @dataclass
@@ -333,26 +317,18 @@ def validate_config(raw):
         return None, violations
 
     numerics = dict(_DEFAULT_NUMERICS)
-    extra = raw.get("numerics", {})
-    if not isinstance(extra, dict):
-        violations.append("numerics must be an object")
-        extra = {}
-    for key, value in extra.items():
+    for key, value in _section(raw, "numerics", violations).items():
+        label = f"numerics.{key}"
         if key not in numerics:
-            violations.append(f"numerics.{key} is not a known setting")
-        elif key in ("node_count", "max_terms"):
-            floor = 3 if key == "node_count" else 1
-            if not (_is_number(value) and isinstance(value, int)) or value < floor:
-                violations.append(f"numerics.{key} must be an integer >= {floor}")
-            else:
-                numerics[key] = value
+            violations.append(f"{label} is not a known setting")
+        elif key not in _FLOORS:
+            numerics[key] = _positive(value, label, violations)
+        elif _is_number(value) and isinstance(value, int):
+            numerics[key] = _collect(violations, _integer_at_least, value, _FLOORS[key], label)
         else:
-            numerics[key] = _positive(value, f"numerics.{key}", violations)
+            violations.append(f"{label} must be an integer")
 
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        violations.append("output must be an object")
-        output = {}
+    output = _section(raw, "output", violations)
     out_path = output.get("path", "")
     if not isinstance(out_path, str) or not out_path:
         violations.append("output.path must be a nonempty string")
@@ -362,10 +338,7 @@ def validate_config(raw):
         violations.append("output.format must be 'csv' or 'json'")
         out_format = "csv"
 
-    phys_raw = raw.get("physics", {})
-    if not isinstance(phys_raw, dict):
-        violations.append("physics must be an object")
-        phys_raw = {}
+    phys_raw = _section(raw, "physics", violations)
     prof_raw = _profile_dict(raw, violations)
 
     profile, physics, sweep = _validate_command(
@@ -386,10 +359,9 @@ def _validate_command(command, prof, phys, raw, violations):
                 violations.append(f"physics.{key} must be a finite real number")
                 value = 1.0
             physics[key] = float(value)
-        if physics["z1"] == physics["z2"]:
-            violations.append("physics.z1 and physics.z2 must differ")
-        if physics["z1"] == 0.0:
-            violations.append("physics.z1 must be nonzero")
+        z1, z2 = physics.pop("z1"), physics.pop("z2")
+        if _collect(violations, _check_contrasts, z1, z2, "physics."):
+            physics["materials"] = CoatingMaterials(z1, z2)
         g = phys.get("g")
         if not (isinstance(g, dict) and g.get("catalog") == "gaussian"):
             violations.append("physics.g must be {'catalog': 'gaussian', 'L': ...}")
@@ -432,7 +404,8 @@ def _validate_command(command, prof, phys, raw, violations):
             curves = [(built, None, 2, "kernels"), (built, None, 2, "closed")]
         elif command == "exact2d":
             curves.insert(0, (built, None, 0, "exact"))
-            if profile is not None and _beyond_support(physics["k"], profile["alpha"]):
+            alpha = profile and profile["alpha"]  # None if refused
+            if alpha and _beyond_support(physics["k"], alpha):
                 violations.append("exact2d requires k <= profile alpha")
         return profile, physics, Sweep("3d" if polar else "2d", "theta", thetas, curves)
 
@@ -477,7 +450,7 @@ def _validate_command(command, prof, phys, raw, violations):
             for order in orders
         ]
         return profile, physics, Sweep("3d", "kl", grid, curves)
-    profile, _ = _validate_profile(prof, "3d", violations, derived=("L",))
+    profile, build = _validate_profile(prof, "3d", violations, derived=("L",))
     if profile is not None and "L" in prof:
         violations.append(
             "theta sweeps derive the transverse width from kL_values; drop profile.L"
@@ -485,19 +458,16 @@ def _validate_command(command, prof, phys, raw, violations):
     _angle_violations(grid, "physics.grid", violations, polar=True)
     kl = _positive(phys.get("kl", 0.0), "physics.kl", violations)
     physics["k"] = kl / physics["ell"]
-    widths = _wavenumbers([kl], physics["ell"], "physics.kl", violations) and profile is not None
+    widths = _wavenumbers([kl], physics["ell"], "physics.kl", violations) and build is not None
     kL_values = _grid(phys.get("kL_values"), "physics.kL_values", violations, positive=True)
     curves = []
     for kL in kL_values.tolist():  # each width L = kL / k builds a profile of its own
-        built = _build(dict(profile, L=kL / physics["k"]), violations) if widths else None
-        for order in orders:
-            if len(kL_values) == 1:
-                label = f"order{order}"
-            elif len(orders) == 1:
-                label = f"kL={kL:.6g}"
-            else:
-                label = f"kL={kL:.6g},order{order}"
-            curves.append((built, None, order, label))
+        L = widths and _collect(violations, _positive_finite, kL / physics["k"], f"L = {kL:g} / k")
+        built = _collect(violations, build, L=L) if L else None
+        for order in orders:  # a label names kL if there are several, and the order if needed
+            tags = [f"kL={kL:.6g}"] if len(kL_values) > 1 else []
+            tags += [f"order{order}"] if len(orders) > 1 or not tags else []
+            curves.append((built, None, order, ",".join(tags)))
     return profile, physics, Sweep("3d", "theta", grid, curves)
 
 
@@ -648,13 +618,8 @@ def _run_cloak(cfg):
     def g(y):
         return np.exp(-np.asarray(y) ** 2 / (2.0 * L * L))
 
-    moments = SlabMomentPair(
-        w0bar=lambda y: z0 * g(y), w1bar=lambda y: 0.5 * z0 * g(y)
-    )
-    materials = CoatingMaterials(z1=phys["z1"], z2=phys["z2"])
-    geometry = design_geometry(
-        moments, materials, phys["ell"], phys["y"], k=phys["k"]
-    )
+    moments = SlabMomentPair(w0bar=lambda y: z0 * g(y), w1bar=lambda y: 0.5 * z0 * g(y))
+    geometry = design_geometry(moments, phys["materials"], phys["ell"], phys["y"], k=phys["k"])
     note = (
         f"feasible over the grid, ell_c = {geometry.ell_c:.6g}"
         if geometry.feasible
@@ -715,14 +680,10 @@ def _fail(code, kind, payload):
 
 
 def _load_and_validate(config_path, preset):
-    try:
-        raw = load_config(config_path, preset)
-    except DomainError as exc:
-        _fail(2, "validation", {"violations": [str(exc)]})
-    cfg, violations = validate_config(raw)
-    if violations:
-        _fail(2, "validation", {"violations": violations})
-    return cfg
+    """(RunConfig or None, violations) of a config file or preset, one it cannot load included."""
+    violations = []
+    raw = _collect(violations, load_config, config_path, preset)
+    return (None, violations) if raw is None else validate_config(raw)
 
 
 @click.group()
@@ -742,23 +703,23 @@ def main():
 @click.option("--tol", default=None, type=float, help="Override the main tolerance.")
 def run(config_path, preset, out_path, out_format, threads, tol):
     """Execute a config and write its output table."""
-    cfg = _load_and_validate(config_path, preset)
+    cfg, violations = _load_and_validate(config_path, preset)
+    if violations:
+        _fail(2, "validation", {"violations": violations})
     if threads < 1:
-        _fail(2, "validation", {"violations": ["--threads must be at least 1"]})
+        violations.append("--threads must be at least 1")
     if tol is not None:
-        if not (_is_number(tol) and tol > 0):
-            _fail(2, "validation", {"violations": ["--tol must be a positive finite number"]})
-        cfg.numerics["rel_tol"] = tol
-        cfg.numerics["check_tol"] = tol
-        cfg.numerics["series_tol"] = tol
+        tol = _positive(tol, "--tol", violations)
+        cfg.numerics.update(rel_tol=tol, check_tol=tol, series_tol=tol)
     if out_path is not None:
         cfg.out_path = out_path
     if out_format is not None:
         cfg.out_format = out_format
     directory = os.path.dirname(cfg.out_path) or "."
     if not os.path.isdir(directory):
-        violation = f"cannot write output: directory {directory!r} does not exist"
-        _fail(2, "validation", {"violations": [violation]})
+        violations.append(f"cannot write output: directory {directory!r} does not exist")
+    if violations:
+        _fail(2, "validation", {"violations": violations})
     try:
         result, note = execute(cfg, threads=threads)
     except (AccuracyError, ArithmeticError) as exc:
@@ -777,12 +738,7 @@ def run(config_path, preset, out_path, out_format, threads, tol):
 @click.option("--preset", default=None, help=f"One of: {', '.join(_PRESET_NAMES)}.")
 def validate(config_path, preset):
     """Check a config without executing it; lists every violation."""
-    try:
-        raw = load_config(config_path, preset)
-    except DomainError as exc:
-        click.echo(json.dumps({"valid": False, "violations": [str(exc)]}, sort_keys=True))
-        sys.exit(2)
-    _, violations = validate_config(raw)
+    _, violations = _load_and_validate(config_path, preset)
     click.echo(json.dumps({"valid": not violations, "violations": violations}, sort_keys=True))
     if violations:
         sys.exit(2)

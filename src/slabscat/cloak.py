@@ -62,13 +62,20 @@ class CoatingMaterials:
     z2: complex
 
     def __post_init__(self):
+        _finite(self.z1, "z1")
+        _finite(self.z2, "z2")
+        _check_contrasts(self.z1, self.z2)
         object.__setattr__(self, "z1", complex(self.z1))
         object.__setattr__(self, "z2", complex(self.z2))
-        _finite((self.z1, self.z2), "coating contrasts")
-        if self.z1 == self.z2:
-            raise DomainError("coating contrasts must differ (z1 != z2)")
-        if self.z1 == 0:
-            raise DomainError("the inner coating contrast must be nonzero")
+
+
+def _check_contrasts(z1, z2, prefix=""):
+    """Return (z1, z2) if they differ and z1 is nonzero; refusals name them ``prefix`` + z1, z2."""
+    if z1 == z2:
+        raise DomainError(f"{prefix}z1 and {prefix}z2 must differ")
+    if z1 == 0:
+        raise DomainError(f"{prefix}z1 must be nonzero")
+    return z1, z2
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import AccuracyError, DomainError, _finite, _positive_finite
+from .numerics import AccuracyError, DomainError, _finite, _integer_at_least, _positive_finite
 
 __all__ = [
     "TransferMatrix1D",
@@ -57,6 +57,7 @@ _NODES = 16  # a panel's coarse step; its fine step has 2 * _NODES intervals
 _AGREE = 1e-14  # relative gap at which the two steps accept the panel
 _MIN_WIDTH = 2.0**-50
 _MAX_PANELS = 256  # an interior jump in w takes about 80
+_MIN_TERMS = 1  # the fewest series terms max_terms and n_terms take
 # |M22| below which scattering_1d warns of a nearby spectral singularity
 _SINGULAR_TOL = 1e-8
 
@@ -182,8 +183,7 @@ def _terms(panels):
 def _check_inputs(k, ell, count, name):
     _positive_finite(k, "k")
     _positive_finite(ell, "ell")
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"{name} must be an integer of at least 1")
+    _integer_at_least(count, _MIN_TERMS, name)
 
 
 def dyson_terms(profile, k, ell, n_terms):

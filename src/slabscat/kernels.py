@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amp2d import _check_angles
-from .numerics import DomainError, _positive_finite, gauss_legendre
+from .numerics import DomainError, _integer_at_least, _positive_finite, gauss_legendre
 from .profiles import _convolution_moment, moment_2d
 
 __all__ = [
@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 _EDGE_MARGIN = 1e-10
+_MIN_NODES = 3  # the fewest nodes a momentum grid takes
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ def momentum_grid(k, count=201):
     The substitution makes the weights absorb the endpoint measure.
     """
     _positive_finite(k, "k")
-    if not isinstance(count, (int, np.integer)) or count < 3:
-        raise DomainError("a momentum grid needs an integer count of at least 3 nodes")
+    _integer_at_least(count, _MIN_NODES, "count")
     t, w = gauss_legendre(count)
     phi = 0.5 * np.pi * t
     nodes = k * np.sin(phi)

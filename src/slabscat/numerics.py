@@ -39,10 +39,10 @@ _band_ratio, which sizes a sampled profile's transverse grid, reads the same
 trapezoid transform of a row or a mesh at the top of its band, by one FFT.
 """
 
-import cmath
 import contextvars
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +89,30 @@ class DomainError(SlabscatError):
     """Inputs lie outside the domain an operation is defined on."""
 
 
+_LARGEST = sys.float_info.max  # a Python int above the largest float is not finite
+
+
 def _positive_finite(value, name):
-    """Refuse a number that is not positive and finite, naming it ``name``."""
-    if not 0 < value < math.inf:
+    """Return a number that is positive and finite, else refuse it naming it ``name``."""
+    if not 0 < value < math.inf or value > _LARGEST:
         raise DomainError(f"{name} must be positive and finite")
+    return value
 
 
 def _finite(values, name):
-    """Refuse a number, or an array of them, that is not all finite (cmath tests a number fast)."""
+    """Refuse a number, or an array of them, that is not all finite (a number by its range)."""
     scalar = isinstance(values, (int, float, complex))
-    if not (cmath.isfinite(values) if scalar else np.isfinite(values).all()):
+    if not (
+        abs(values.real) <= _LARGEST >= abs(values.imag) if scalar else np.isfinite(values).all()
+    ):
         raise DomainError(f"{name} must be finite")
+
+
+def _integer_at_least(value, floor, name):
+    """Return an integer of at least ``floor``, else refuse it naming it ``name``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < floor:
+        raise DomainError(f"{name} must be an integer >= {floor}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         _positive_finite(self.rel_tol, "rel_tol")
-        if not 0 <= self.abs_tol < np.inf:
+        if not 0 <= self.abs_tol <= _LARGEST:
             raise DomainError("abs_tol must be nonnegative and finite")
 
 

@@ -30,7 +30,7 @@ one private function, _spatial_moments, chooses between its closed
 
 ``CATALOG`` is the one table of named closed-form profiles (in 1D, 2D and
 3D); ``profile_from_dict`` builds a profile from its JSON form
-``{"catalog": <name>, <param>: value, ...}``, the form the CLI reads too.
+``{"catalog": <name>, <param>: value, ...}``, which the CLI reads with the same reader.
 
 Profiles are frozen dataclasses, so no code can change one once it is built,
 and they are safe to share across threads; the internal sample cache only ever
@@ -546,11 +546,10 @@ def ex1_profile(z, alpha, L):
     w~(p) = 2 pi z L^2 (alpha - p) e^{L(alpha - p)} for p >= alpha, else 0,
     which is what makes the profile exactly solvable at low frequency.
     """
-    z = complex(z)
-    alpha = float(alpha)
-    L = float(L)
-    _finite((z, alpha), "z and alpha")
+    _finite(z, "z")
+    _positive_finite(alpha, "alpha")
     radius = _decay_radius(L, 2000.0)
+    z, alpha, L = complex(z), float(alpha), float(L)
 
     def g(y):
         y = np.asarray(y, dtype=float)
@@ -570,10 +569,9 @@ def ex1_profile(z, alpha, L):
 
 def gaussian_slab_2d(z, L):
     """Slab with w(x_frac, y) = z e^{-y^2 / 2 L^2} (no axial variation)."""
-    z = complex(z)
-    L = float(L)
     _finite(z, "z")
     radius = _decay_radius(L, 12.0)
+    z, L = complex(z), float(L)
 
     def g(y):
         return z * np.exp(-0.5 * (np.asarray(y, dtype=float) / L) ** 2)
@@ -589,10 +587,9 @@ def gaussian_slab_2d(z, L):
 
 def gaussian_slab_3d(z, L):
     """3D slab with w(r1, r2, z_frac) = z e^{-(r1^2 + r2^2) / 2 L^2}."""
-    z = complex(z)
-    L = float(L)
     _finite(z, "z")
     radius = _decay_radius(L, 12.0)
+    z, L = complex(z), float(L)
 
     def w_eval(r1, r2, z_frac, k):
         r1, r2, z_frac = np.broadcast_arrays(
@@ -800,7 +797,7 @@ def coated_profile(slab, geometry, z1, z2):
 
 
 # name -> (builder, dimension, {parameter: complex or float}); the parameters
-# are the builder's keyword arguments, and a float one takes no [re, im] pair
+# are the builder's keyword arguments, read by _catalog_value
 CATALOG = {
     "ex1": (ex1_profile, "2d", {"z": complex, "alpha": float, "L": float}),
     "gaussian2d": (gaussian_slab_2d, "2d", {"z": complex, "L": float}),
@@ -809,13 +806,33 @@ CATALOG = {
 }
 
 
-def profile_from_dict(data):
-    """Build a catalog profile from ``{"catalog": <name>, <param>: value, ...}``.
+def _catalog_value(data, key, kind, name):
+    """Parameter ``key`` of a catalog dict as its builder takes it; refusals name it ``name``.
 
-    CATALOG lists each name's parameters, complex or real; only a complex one
-    may be written as an ``[re, im]`` pair.  Data that is not a dict, unknown
-    names, missing parameters and values of the wrong kind (a pair or a
-    complex number for a real parameter) raise a DomainError.
+    A complex one is a finite number or [re, im] pair, a float one a positive finite real.
+    """
+    number = lambda v, kind=numbers.Number: isinstance(v, kind) and not isinstance(v, bool)
+    if key not in data:
+        raise DomainError(f"{name} is required")
+    value = data[key]
+    if kind is float and not number(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number")
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    parts = value if pair else (value,)
+    if not (all(number(part, numbers.Real) for part in parts) if pair else number(value)):
+        raise DomainError(f"{name} must be a number or an [re, im] pair")
+    for part in parts:
+        _finite(part, name)
+    if kind is float:
+        _positive_finite(value, name)
+    return complex(*value) if pair else value
+
+
+def _read_catalog(data, prefix="catalog {}: ", read=lambda check, *args: check(*args), skip=()):
+    """The builder of a catalog dict and its parameters but ``skip``, or DomainError.
+
+    Each is read as ``read(_catalog_value, ...)``, named ``prefix`` (formatted
+    with the catalog name) + key; a ``read`` that collects refusals returns None.
     """
     if not isinstance(data, dict):
         raise DomainError(f"profile data must be a dict, not {type(data).__name__}")
@@ -823,22 +840,16 @@ def profile_from_dict(data):
     if name not in CATALOG:
         raise DomainError(f"unknown profile catalog {name!r}; available: {sorted(CATALOG)}")
     builder, _, kinds = CATALOG[name]
-    missing = [key for key in kinds if key not in data]
-    if missing:
-        raise DomainError(f"catalog {name} requires {', '.join(missing)}")
+    read_one = lambda key, kind: read(_catalog_value, data, key, kind, prefix.format(name) + key)
+    return builder, {key: read_one(key, kind) for key, kind in kinds.items() if key not in skip}
 
-    def number(value, kind=numbers.Number):
-        return isinstance(value, kind) and not isinstance(value, bool)
 
-    params = {}
-    for key, kind in kinds.items():
-        value = data[key]
-        pair = isinstance(value, (list, tuple)) and len(value) == 2
-        if kind is float and not number(value, numbers.Real):
-            raise DomainError(f"catalog {name}: {key} must be a real number")
-        if pair and all(number(part, numbers.Real) for part in value):
-            value = complex(*value)
-        elif not number(value):
-            raise DomainError(f"catalog {name}: {key} must be a number or an [re, im] pair")
-        params[key] = value
+def profile_from_dict(data):
+    """Build a catalog profile from ``{"catalog": <name>, <param>: value, ...}``.
+
+    CATALOG lists each name's parameters; _catalog_value reads each.  Data
+    that is not a dict, unknown names, missing parameters and values of the
+    wrong kind or out of range raise a DomainError.
+    """
+    builder, params = _read_catalog(data)
     return builder(**params)

@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,37 @@ def test_each_input_rule_is_written_once():
     assert positive_finite == ["numerics.py:_positive_finite"]
     assert grazing == {"amp2d.py"}
 
+
+
+# the refusal message of each rule the CLI shares with a library type, as a
+# pattern, and the one module that may write it
+_SHARED_RULES = {
+    r"must lie in \[0, pi\]": "amp3d.py",  # a polar angle
+    r"must lie in \[0, 2 pi\)": "amp3d.py",  # an observation azimuth
+    r"must differ": "cloak.py",  # two coating contrasts
+    r"integer.*(>=|at least)": "numerics.py",  # the floor of a count
+}
+
+
+def test_each_rule_shared_with_the_cli_is_written_once():
+    # the CLI calls the library's check with its field label; a copy of the
+    # message elsewhere is a second copy of the rule.  Only profiles reads a
+    # CATALOG entry (its parameter table): elsewhere the catalog is listed
+    homes = {pattern: set() for pattern in _SHARED_RULES}
+    catalog_readers = set()
+    for path in sorted(Path(slabscat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for pattern in _SHARED_RULES:
+                    if re.search(pattern, node.value):
+                        homes[pattern].add(path.name)
+            value = getattr(node, "value", None)
+            if isinstance(node, ast.Subscript) and "CATALOG" in (
+                getattr(value, "id", None), getattr(value, "attr", None)
+            ):
+                catalog_readers.add(path.name)
+    assert homes == {pattern: {home} for pattern, home in _SHARED_RULES.items()}
+    assert catalog_readers == {"profiles.py"}
 
 
 def test_momenta_reach_a_moment_by_one_path():

@@ -114,8 +114,8 @@ def test_validation_collects_every_violation(tmp_path):
         ("physics", "k", True, "physics.k must be a positive"),
         ("physics", "theta0", True, "physics.theta0 must be a finite number"),
         ("profile", "z", True, "profile.z must be a number"),
-        ("profile", "z", [0.3, float("inf")], "profile.z must be a number"),
-        ("profile", "L", 10**400, "profile.L must be a positive"),
+        ("profile", "z", [0.3, float("inf")], "profile.z must be finite"),
+        ("profile", "L", 10**400, "profile.L must be finite"),
     ):
         cfg = dict(base, **{section: dict(base.get(section, {}), **{key: value})})
         found = validate_config(cfg)[1]
@@ -349,17 +349,21 @@ def test_labels_notes_and_late_domain_errors(tmp_path):
         "violations": ["L = 1e+308 is too large: the decay radius 12 * L overflows"],
     }
     # so are a wavenumber k = kl / ell that overflows and a theta sweep's
-    # width L = kL / k that does: validate and run both exit 2, warning-free
+    # width L = kL / k that does, each width named by its kL: validate and
+    # run both exit 2, warning-free
     theta_sweep, kl_sweep = THREAD_CASES["sweep3d_theta"], THREAD_CASES["sweep2d_kl"]
-    for base, physics, violation in (
+    for base, physics, violations in (
         (theta_sweep, {"kl": 1e-10, "ell": 1.0, "kL_values": [1e300]},
-         "L must be positive and finite"),
+         ["L = 1e+300 / k must be positive and finite"]),
+        (theta_sweep, {"kl": 1e-10, "ell": 1.0, "kL_values": [1e300, 2e300, 1.0]},
+         ["L = 1e+300 / k must be positive and finite",
+          "L = 2e+300 / k must be positive and finite"]),
         (theta_sweep, {"kl": 1e300, "ell": 1e-10},
-         "k = physics.kl / physics.ell must be positive and finite"),
+         ["k = physics.kl / physics.ell must be positive and finite"]),
         (kl_sweep, {"grid": [0.1, 1e300], "ell": 1e-10},
-         "k = physics.grid / physics.ell must be positive and finite"),
+         ["k = physics.grid / physics.ell must be positive and finite"]),
         (THREAD_CASES["dyson1d"], {"kls": [0.1, 1e300], "ell": 1e-10},
-         "k = physics.kls / physics.ell must be positive and finite"),
+         ["k = physics.kls / physics.ell must be positive and finite"]),
     ):
         cfg = dict(base, output={"path": str(tmp_path / "out.csv")})
         cfg["physics"] = dict(base["physics"], **physics)
@@ -367,7 +371,7 @@ def test_labels_notes_and_late_domain_errors(tmp_path):
         for command, payload in (("validate", {"valid": False}), ("run", {"error": "validation"})):
             result = _invoke(command, "--config", str(path))
             assert result.exit_code == 2, (command, physics)
-            assert json.loads(result.output) == dict(payload, violations=[violation])
+            assert json.loads(result.output) == dict(payload, violations=violations)
     assert not (tmp_path / "out.csv").exists()
 
 

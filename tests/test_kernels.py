@@ -61,7 +61,7 @@ def test_momentum_grid_invariants():
     assert semicircle == pytest.approx(0.5 * np.pi * k * k, rel=1e-13)
     with pytest.raises(DomainError):
         momentum_grid(k, count=2)
-    with pytest.raises(DomainError, match="integer count"):
+    with pytest.raises(DomainError, match=r"^count must be an integer >= 3$"):
         momentum_grid(1.0, 3.5)
     with pytest.raises(DomainError):
         momentum_grid(-1.0)

@@ -33,7 +33,17 @@ from slabscat.numerics import (
 )
 from slabscat import numerics
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
-from slabscat.profiles import Profile2D, _moment_samples, ex1_profile, gaussian_slab_2d, moment_2d
+from slabscat.cloak import CoatingMaterials
+from slabscat.dyson1d import constant_slab_1d, transfer_matrix_1d
+from slabscat.kernels import momentum_grid
+from slabscat.profiles import (
+    Profile2D,
+    _moment_samples,
+    ex1_profile,
+    gaussian_slab_2d,
+    moment_2d,
+    profile_from_dict,
+)
 
 
 def test_gk_constants_consistent():
@@ -321,6 +331,28 @@ def test_quadrature_spec_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError, match="positive and finite"):
             QuadratureSpec(rel_tol=bad)
+
+
+HUGE = 10**400  # a Python int beyond the float range: JSON and Python both allow one
+_HUGE_INPUTS = {
+    "ScatteringConfig2D-k": lambda: ScatteringConfig2D(k=HUGE, ell=1.0, theta0=0.3),
+    "gaussian_slab_2d-L": lambda: gaussian_slab_2d(0.5, HUGE),
+    "constant_slab_1d-n": lambda: constant_slab_1d(HUGE),
+    "momentum_grid-k": lambda: momentum_grid(HUGE),
+    "transfer_matrix_1d-k": lambda: transfer_matrix_1d(constant_slab_1d(1.5), HUGE, 1.0),
+    "CoatingMaterials-z1": lambda: CoatingMaterials(z1=HUGE, z2=1.0),
+    "profile_from_dict-L": lambda: profile_from_dict({"catalog": "gaussian2d", "z": 0.5, "L": HUGE}),
+    "QuadratureSpec-rel_tol": lambda: QuadratureSpec(rel_tol=HUGE),
+    "QuadratureSpec-abs_tol": lambda: QuadratureSpec(abs_tol=HUGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_INPUTS))
+def test_an_int_too_large_for_a_float_is_a_domain_error(case):
+    # the positive-finite and finite rules refuse it by its range, as they
+    # refuse inf, rather than let float() or cmath overflow
+    with pytest.raises(DomainError, match="finite"):
+        _HUGE_INPUTS[case]()
 
 
 def test_transform_spec_validation():
