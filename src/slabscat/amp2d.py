@@ -124,13 +124,16 @@ def _sweep_2d(profile, configs, thetas, order=2, spec=None):
 
     The route of f1_2d, f2_2d, amplitude_2d, the CLI and verify_invisibility:
     m_0 (and m_1) of the outgoing momenta once per run of equal k, then one
-    integrate_1d per f2.  Prefactors stay per point (numpy rounds an array's
-    complex division otherwise), so a point's bits do not depend on its batch.
+    batch integrate_1d for every f2, whose rounds take m_0 once per run of
+    equal k among the points still running.  Prefactors stay per point (numpy
+    rounds an array's complex division otherwise), so a point's bits do not
+    depend on its batch.
     """
     theta = np.asarray(thetas, dtype=float)
     _check_angles(theta, "theta")
     k = np.array([c.k for c in configs])
-    momenta = k * s_factor(theta, np.array([c.theta0 for c in configs]))
+    theta0 = np.array([c.theta0 for c in configs])
+    momenta = k * s_factor(theta, theta0)
     m = np.empty((order, k.size), dtype=complex)  # m_0 and m_1 at momenta
     for run, kj in _runs(k):
         for l in range(order):
@@ -138,16 +141,22 @@ def _sweep_2d(profile, configs, thetas, order=2, spec=None):
     f1 = [complex(c.k / (2.0 * np.sqrt(2.0 * np.pi)) * m0) for c, m0 in zip(configs, m[0])]
     if order == 1:
         return f1, [0j] * k.size
-    f2 = []
-    for c, t, m1 in zip(configs, theta, m[1]):
-        def integrand(phi):
-            # one transform of the panel's left and right momenta together
-            momenta = np.concatenate((c.k * s_factor(t, phi), c.k * s_factor(phi, c.theta0)))
-            values = np.asarray(moment_2d(profile, 0, momenta, c.k), dtype=complex)
-            return values[: phi.size] * values[phi.size :]
 
+    def integrand(live, phi):
+        # one transform per run of equal k: each point's left and right momenta side by side
+        values = np.empty(phi.shape, dtype=complex)
+        for run, kj in _runs(k[live]):
+            points = live[run, None]
+            left, right = s_factor(theta[points], phi[run]), s_factor(phi[run], theta0[points])
+            both = moment_2d(profile, 0, kj * np.hstack((left, right)), kj)
+            values[run] = both[:, : phi.shape[1]] * both[:, phi.shape[1] :]
+        return values
+
+    integrals = integrate_1d(integrand, -np.pi / 2.0, np.pi / 2.0, spec, batch=k.size)
+    f2 = []
+    for c, t, m1, integral in zip(configs, theta, m[1], integrals):
         term1 = -c_factor(t, c.theta0) * m1
-        term2 = c.k / (4.0 * np.pi) * integrate_1d(integrand, -np.pi / 2.0, np.pi / 2.0, spec)
+        term2 = c.k / (4.0 * np.pi) * integral
         f2.append(complex(1j * c.k / (2.0 * np.sqrt(2.0 * np.pi)) * (term1 + term2)))
     return f1, f2
 

@@ -101,6 +101,7 @@ class Profile1D:
 def constant_slab_1d(n):
     """Homogeneous slab of refractive index n: w = n^2 - 1 inside the slab."""
     _finite(n, "n")
+    _finite(complex(n) * complex(n), "n^2")  # a product overflows to inf, a power raises
     w0 = complex(n) ** 2 - 1.0
 
     def w_eval(x_check, k):

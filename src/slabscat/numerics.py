@@ -17,8 +17,10 @@ Conventions used throughout the package:
   ``check_edge_decay``, the package's single truncation check.
 
 integrate_1d is an adaptive Gauss-Kronrod (G7/K15) bisection scheme with
-per-panel error estimates (the classic QUADPACK 15-point constants); its loop
-also drives _integrate_moments, the one axial sampler of eval-only profiles.
+per-panel error estimates (the classic QUADPACK 15-point constants); a batch
+of its integrands (a sweep curve's f2 integrals) advances together, one call
+per round.  Its stopping rule, _bisect, also drives _integrate_moments, the
+one axial sampler of eval-only profiles.
 integrate_2d is a tensor Gauss-Legendre rule whose order doubles until two
 levels agree (exponentially convergent for smooth integrands, Trefethen &
 Weideman, SIAM Rev. 56(3), 2014); an integrand it does not resolve by
@@ -233,16 +235,16 @@ def _gk_nodes(lo, hi):
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * _GK_NODES
 
 
-def _gk_panel(fx, lo, hi):
+def _gk_panel(fx, lo, hi, what):
     """[error, lo, hi, kron] of one panel from its 15 f-values.
 
-    A non-finite estimate raises at once, since bisection cannot repair it.
+    A non-finite estimate raises at once (naming ``what``): bisection cannot repair it.
     """
     half_width = 0.5 * (hi - lo)
     kron = half_width * np.dot(_GK_WEIGHTS, fx)
     gauss = half_width * np.dot(_G_WEIGHTS, fx[_G_IDX])
     if not (np.isfinite(kron) and np.isfinite(gauss)):
-        raise AccuracyError(f"integrand is not finite on [{lo:.17g}, {hi:.17g}]")
+        raise AccuracyError(f"{what} is not finite on [{lo:.17g}, {hi:.17g}]")
     return [abs(kron - gauss), lo, hi, kron]
 
 
@@ -251,51 +253,46 @@ _INITIAL_PANELS = 4
 _MAX_SUBDIVISIONS = 2000
 
 
-def _bisect(panels, halve, total, spec, budget, what):
-    """The bisection loop of the adaptive G7/K15 integrators.
+def _bisect(panels, estimate, halvings, spec, budget, what):
+    """The stopping rule of the adaptive G7/K15 integrators, for one integral.
 
-    ``panels`` holds [error, lo, hi, ...] records; halve(record, mid) returns
-    the records of a panel's halves and total() the current estimate.  The
-    worst panel is halved until the summed errors are within
-    max(abs_tol, rel_tol * max|total|); if the ``budget`` of halvings runs
-    out first, or a panel cannot be halved, AccuracyError carries the
-    estimate.
+    ``panels`` holds the [error, lo, hi, ...] records of an integral whose
+    estimate is ``estimate`` after ``halvings`` halvings.  None means the
+    summed errors are within max(abs_tol, rel_tol * max|estimate|); else the
+    index of the worst panel and the spans of its halves, for the caller to
+    evaluate.  If the ``budget`` of halvings is spent first, or the worst
+    panel cannot be halved, AccuracyError carries the estimate.
     """
-    subdivisions = 0
-    while True:
-        estimate = total()
-        error = sum(p[0] for p in panels)
-        if error <= max(spec.abs_tol, spec.rel_tol * np.max(np.abs(estimate), initial=0.0)):
-            return estimate
-        if subdivisions >= budget:
-            raise AccuracyError(
-                f"{what} did not converge within {budget} "
-                f"subdivisions (error estimate {error:.3e})",
-                estimate=estimate,
-                error_estimate=error,
-            )
-        worst = max(range(len(panels)), key=lambda i: panels[i][0])
-        lo, hi = panels[worst][1:3]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise AccuracyError(
-                f"{what} hit the resolution limit of double precision",
-                estimate=estimate,
-                error_estimate=error,
-            )
-        panels[worst : worst + 1] = halve(panels[worst], mid)
-        subdivisions += 1
+    error = sum(p[0] for p in panels)
+    if error <= max(spec.abs_tol, spec.rel_tol * np.max(np.abs(estimate), initial=0.0)):
+        return None
+    if halvings >= budget:
+        raise AccuracyError(
+            f"{what} did not converge within {budget} "
+            f"subdivisions (error estimate {error:.3e})",
+            estimate=estimate,
+            error_estimate=error,
+        )
+    worst = max(range(len(panels)), key=lambda i: panels[i][0])
+    lo, hi = panels[worst][1:3]
+    mid = 0.5 * (lo + hi)
+    if mid <= lo or mid >= hi:
+        raise AccuracyError(
+            f"{what} hit the resolution limit of double precision",
+            estimate=estimate,
+            error_estimate=error,
+        )
+    return worst, [(lo, mid), (mid, hi)]
 
 
 def _finite_limits(*limits):
     """The integration limits as floats; DomainError if one is not finite."""
-    limits = [float(x) for x in limits]
     for x in limits:
         _finite(x, "integration limits")
-    return limits
+    return [float(x) for x in limits]
 
 
-def integrate_1d(f, a, b, spec=None):
+def integrate_1d(f, a, b, spec=None, batch=None):
     """Adaptively integrate a complex-valued function over [a, b].
 
     Parameters
@@ -310,6 +307,14 @@ def integrate_1d(f, a, b, spec=None):
     spec : QuadratureSpec, optional
         Tolerances; the result satisfies
         |error| <= max(abs_tol, rel_tol * |result|) per the G7/K15 estimator.
+    batch : int, optional
+        With ``batch`` = m, f is m integrands, and the ndarray of their
+        integrals is returned.  Each round makes one call f(live, x) for the
+        integrands ``live`` still running: row i of the 2-D x holds the
+        abscissae of integrand live[i] (its 4 initial panels, then the two
+        halves of its worst panel, 15 per panel) and f returns the values of
+        x's shape.  Each keeps its own panels and stops on its own, bit for
+        bit as alone.
 
     Returns
     -------
@@ -321,7 +326,8 @@ def integrate_1d(f, a, b, spec=None):
         If a panel's estimate is not finite (the message names the panel),
         or if the tolerance is not met within 2,000 subdivisions, or a panel
         narrows to the resolution of double precision; in the latter two
-        cases the best estimate is attached to the exception.
+        cases the best estimate is attached to the exception.  In a batch
+        the message names the integrand.
     DomainError
         Before any evaluation, if a limit is not finite.
     ValueError
@@ -329,22 +335,35 @@ def integrate_1d(f, a, b, spec=None):
     """
     spec = spec or _DEFAULT_QUAD
     a, b = _finite_limits(a, b)
-    if a == b:
-        return 0j
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    def panel(lo, hi):
-        return _gk_panel(_sample(f, _GK_NODES.shape, _gk_nodes(lo, hi)), lo, hi)
-
-    # panels: list of [error, a, b, kron]
+    sign = 1.0 if a <= b else -1.0
+    a, b = min(a, b), max(a, b)
+    g = f
+    if batch is None:  # a batch of one, whose f still gets one panel per call
+        panel_values = lambda x: [_sample(f, _GK_NODES.shape, row) for row in x.reshape(-1, 15)]
+        g = lambda live, x: np.concatenate(panel_values(x))
+    out = np.zeros(1 if batch is None else batch, dtype=complex)
+    live = np.arange(out.size if a < b else 0)
     edges = np.linspace(a, b, _INITIAL_PANELS + 1)
-    panels = [panel(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    halve = lambda record, mid: [panel(record[1], mid), panel(mid, record[2])]
-    total = lambda: sign * sum(p[3] for p in panels)
-    return _bisect(panels, halve, total, spec, _MAX_SUBDIVISIONS, "integrate_1d")
+    spans = np.broadcast_to(np.stack((edges[:-1], edges[1:]), 1), (live.size, _INITIAL_PANELS, 2))
+    panels, worst = [[] for _ in live], [0] * live.size  # worst: where new records go
+    while live.size:
+        x = _gk_nodes(spans[..., :1], spans[..., 1:]).reshape(live.size, -1)
+        values = _sample(g, x.shape, live, x).reshape(spans.shape[:2] + (15,))
+        halves = {}  # of the integrands still running
+        for j, fx, span in zip(live, values, spans):
+            who = "integrand" if batch is None else f"integrand {j}"
+            records = [_gk_panel(v, lo, hi, who) for v, (lo, hi) in zip(fx, span)]
+            panels[j][worst[j] : worst[j] + 1] = records
+            estimate = sign * sum(p[3] for p in panels[j])
+            what = "integrate_1d" if batch is None else f"integrate_1d ({who})"
+            halvings = len(panels[j]) - _INITIAL_PANELS
+            step = _bisect(panels[j], estimate, halvings, spec, _MAX_SUBDIVISIONS, what)
+            if step is None:
+                out[j] = estimate
+            else:
+                worst[j], halves[j] = step
+        live, spans = np.array(list(halves), dtype=int), np.array(list(halves.values()))
+    return out if batch is not None else out[0]
 
 
 # the embedded Gauss weights at their places among the 15 Kronrod nodes
@@ -370,8 +389,8 @@ def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC):
     """INT_0^1 x^l f(x) dx for each l in ``orders``, of a row f(x) of any shape.
 
     The one axial sampler: every axial integral of an eval-only profile is
-    one call.  Adaptive G7/K15 by the loop of integrate_1d, from the panels
-    between the ``breaks`` in (0, 1) (where f is known to kink or jump);
+    one call.  Adaptive G7/K15 by integrate_1d's stopping rule, from the
+    panels between the ``breaks`` in (0, 1) (where f is known to kink or jump);
     a panel's error is its largest |K15 - G7| over every order and entry,
     so the tolerance is relative to the largest |moment| over the row, not
     per entry.  ``spec`` sets only the tolerances: the sampler gets
@@ -404,15 +423,16 @@ def _integrate_moments(f, orders, breaks=(), spec=_AXIAL_SPEC):
         panels.append(record)
         total = total + part
 
-    def halve(record, mid):
-        nonlocal total
-        (left, left_sum), (right, right_sum) = panel(record[1], mid), panel(mid, record[2])
-        total = total + ((left_sum + right_sum) - panel(*record[1:])[1])
-        return [left, right]
-
     row_size = max(np.size(total) // len(orders), _BUDGET_ROW.get())
-    halvings = min(_MAX_SUBDIVISIONS, max(1, int(_AXIAL_POINTS / (45 * row_size))))
-    return _bisect(panels, halve, lambda: total, spec, halvings, what)
+    budget = min(_MAX_SUBDIVISIONS, max(1, int(_AXIAL_POINTS / (45 * row_size))))
+    halvings = 0
+    while (step := _bisect(panels, total, halvings, spec, budget, what)) is not None:
+        worst, halves = step
+        (left, left_sum), (right, right_sum) = (panel(*span) for span in halves)
+        total = total + ((left_sum + right_sum) - panel(*panels[worst][1:])[1])
+        panels[worst : worst + 1] = [left, right]
+        halvings += 1
+    return total
 
 
 # Orders n of the doubling tensor rule: n nodes in x times 2n nodes in y.

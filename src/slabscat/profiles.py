@@ -738,9 +738,9 @@ def coated_profile(slab, geometry, z1, z2):
     once and takes the bare slab's w_0, w_1, w_2 together: from the bare
     slab's own ``moment_y``, or else from one axial sampler call.
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
-    _finite((z1, z2), "z1 and z2")
+    for z in (z1, z2):
+        _finite(z, "z1 and z2")
+    z1, z2 = complex(z1), complex(z2)
     ell = float(geometry.ell)
     ell_c = float(geometry.ell_c)
     if ell <= 0 or ell_c < ell:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -373,19 +374,23 @@ def _f2_two_calls(profile, cfg, theta):
     return 1j * k / (2.0 * np.sqrt(2.0 * np.pi)) * (term1 + term2)
 
 
-def test_f2_takes_one_moment_call_per_panel(monkeypatch):
-    # m_0 and m_1 of the outgoing momentum once each, then the panel's left and
-    # right momenta go to moment_2d as one array, with the bits of two
-    # separate calls, on the sampled and the closed routes
-    cfg = ScatteringConfig2D(k=0.8, ell=0.1, theta0=-0.4)
-    calls, panels = [], []
+def test_f2_takes_one_moment_call_per_run_of_k_per_round(monkeypatch):
+    # m_0 and m_1 of the outgoing momenta once per run of equal k; then each
+    # round of the batch f2 integral takes m_0 once per run of equal k among
+    # the points still running, all their panels' left and right momenta as
+    # one array, with the bits of two separate calls per panel, on the
+    # sampled and the closed routes
+    points = [(5.0, 0.5), (5.0, 2.6), (0.8, 0.5), (5.0, -1.0)]  # k = 0.8 stops at once
+    configs = [ScatteringConfig2D(k=k, ell=0.1, theta0=-0.4) for k, _ in points]
+    calls, rounds = [], []
 
     def counting_moment(*args):
-        calls.append(args[1])
+        calls.append((args[1], args[3]))
         return moment_2d(*args)
 
-    def counting_integrate(f, *args):
-        return integrate_1d(lambda phi: panels.append(phi) or f(phi), *args)
+    def counting_integrate(f, *args, **kwargs):
+        counted = lambda live, phi: rounds.append(live.tolist()) or f(live, phi)
+        return integrate_1d(counted, *args, **kwargs)
 
     monkeypatch.setattr(amp2d, "moment_2d", counting_moment)
     monkeypatch.setattr(amp2d, "integrate_1d", counting_integrate)
@@ -395,11 +400,16 @@ def test_f2_takes_one_moment_call_per_panel(monkeypatch):
         gaussian_slab_2d(0.6 + 0.2j, 1.1),
         ex1_profile(Z, ALPHA, LW),
     ):
-        for theta in (0.5, 2.6):
-            calls.clear()
-            panels.clear()
-            got = f2_2d(prof, cfg, theta)
-            assert calls == [0, 1] + [0] * len(panels)
+        calls.clear()
+        rounds.clear()
+        _, f2 = amp2d._sweep_2d(prof, configs, [theta for _, theta in points])
+        outgoing = [(l, k) for k in (5.0, 0.8, 5.0) for l in (0, 1)]
+        per_round = [
+            (0, k) for live in rounds for k, _ in itertools.groupby(points[j][0] for j in live)
+        ]
+        assert rounds[0] == [0, 1, 2, 3] and 2 not in rounds[1]
+        assert calls == outgoing + per_round
+        for cfg, (_, theta), got in zip(configs, points, f2):
             want = _f2_two_calls(prof, cfg, theta)
             assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
 

@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose
 
 from slabscat.amp2d import ScatteringConfig2D, amplitude_2d
 from slabscat.amp3d import Direction3D, ScatteringConfig3D, amplitude_3d
-from slabscat import amp3d, cli
+from slabscat import amp2d, amp3d, cli
 from slabscat.cli import execute, load_config, main, validate_config
 from slabscat.dyson1d import constant_slab_1d, scattering_1d, transfer_matrix_1d
 from slabscat.exactborn import Ex1Params, ex1_exact
-from slabscat.numerics import DomainError, integrate_2d
-from slabscat.profiles import ex1_profile, gaussian_slab_2d, gaussian_slab_3d
+from slabscat.numerics import DomainError, integrate_1d, integrate_2d
+from slabscat.profiles import ex1_profile, gaussian_slab_2d, gaussian_slab_3d, moment_2d
 
 PRESETS = ("fig3", "fig4", "fig6", "fig7", "fig8")
 # the benchmark's reference tables; fig6-fig8 match them only within rel_tol
@@ -285,6 +285,8 @@ GAUSSIAN2D = {"catalog": "gaussian2d", "z": 0.1, "L": 0.01}
         ("sweep3d_theta", {"profile": {"catalog": "gaussian3d", "z": 10.0, "L": 1.0}}, {},
          ["theta sweeps derive the transverse width from kL_values; drop profile.L"]),
         ("amp3d", {}, {"theta0": -0.4}, ["physics.theta0 must lie in [0, pi]"]),
+        ("dyson1d", {"profile": {"catalog": "uniform1d", "n": 1e300}}, {},
+         ["n^2 must be finite"]),
     ],
 )
 def test_every_command_violation(base, top, physics, violations):
@@ -648,6 +650,27 @@ def test_fig6_batches_each_level_in_capped_blocks(monkeypatch):
     assert {n for _, n in calls} == {16, 32}
     assert len(calls) <= 28  # 7 per curve; one call per point and level was 320
     assert sum(size * 2 * n * n for size, n in calls) == 160 * (512 + 2048)
+
+
+def test_fig3_advances_every_f2_integral_together(monkeypatch):
+    # one thread: fig3's 60 second-order points are one batch integrate_1d,
+    # one integrand call per round, and each round takes m_0 once per point
+    # still running (each kl has its own k); the abscissae are the 374
+    # panels x 15 of one integrate_1d per point, one call per panel
+    calls, moments = [], []  # abscissae per integrand call; moment_2d orders
+
+    def counting(f, *args, **kwargs):
+        counted = lambda live, phi: calls.append(phi.size) or f(live, phi)
+        return integrate_1d(counted, *args, **kwargs)
+
+    counted_moment = lambda *args: moments.append(args[1]) or moment_2d(*args)
+    monkeypatch.setattr(amp2d, "integrate_1d", counting)
+    monkeypatch.setattr(amp2d, "moment_2d", counted_moment)
+    cfg, _ = validate_config(load_config(preset="fig3"))
+    execute(cfg)
+    assert len(calls) <= 30 and len(moments) <= 250  # 374 and 494 then
+    assert moments.count(1) == 60
+    assert sum(calls) == 374 * 15
 
 
 def test_each_2d_sweep_point_is_evaluated_once(tmp_path, monkeypatch):

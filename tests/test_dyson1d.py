@@ -214,6 +214,18 @@ def test_series_stop_and_error_paths():
             dyson_terms(VACUUM, k, ell, n_terms)
 
 
+@pytest.mark.parametrize("n", [1e300, -2e154, complex(1e154, 1e154), complex(0.0, 1e200)])
+def test_constant_slab_refuses_an_index_whose_square_overflows(n):
+    # complex(n) ** 2 would raise OverflowError; the refusal is a DomainError
+    with pytest.raises(DomainError, match="^n\\^2 must be finite$"):
+        constant_slab_1d(n)
+
+
+def test_constant_slab_takes_the_largest_index_whose_square_is_finite():
+    n = 1e154  # n^2 = 1e308 is finite
+    assert constant_slab_1d(n).eval(np.array([0.5, 2.0]), 1.0).tolist() == [n * n - 1.0, 0.0]
+
+
 def test_two_layer_slab_against_wavefront_matching():
     # w jumps inside the slab, so panels close in on x_check = 0.37 from both sides
     k, ell = 1.0, 1.0

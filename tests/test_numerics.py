@@ -56,11 +56,15 @@ def test_integrate_constant_exact():
     assert_allclose(integrate_1d(lambda x: np.ones_like(x), 0.0, 1.0), 1.0, rtol=1e-15)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, np.inf, -np.inf] + [pytest.param(s * 10**400, id=f"{s:+}e400") for s in (1, -1)],
+)
 @pytest.mark.parametrize("limit", range(4))
 def test_integrators_refuse_non_finite_limits(limit, bad):
     # refused before the integrand is evaluated, as a bad input rather than
-    # as a non-finite integrand
+    # as a non-finite integrand (or, for an int beyond the float range, as
+    # an OverflowError from its conversion)
     calls = []
     f = lambda *x: calls.append(x) or np.ones(np.broadcast(*x).shape)
     limits = [0.0, 1.0, 0.0, 1.0]
@@ -320,6 +324,71 @@ def test_integrate_2d_batch_kinked_point_raises():
         integrate_2d(_KINKED, 0.0, 1.0, 0.0, 1.0)
     assert info.value.estimate == alone.value.estimate
     assert info.value.error_estimate == alone.value.error_estimate
+
+
+def _batch_1d(integrands):
+    """The 1-D batch form of ``integrands``, plus a list of (live, x shape) per call."""
+    calls = []
+
+    def batch(live, x):
+        calls.append((live.tolist(), x.shape))
+        return np.stack([np.broadcast_to(integrands[j](row), row.shape) for j, row in zip(live, x)])
+
+    return batch, calls
+
+
+# exp(i w x) on [0, 2] takes 0 halvings for w = 1, 28 for 60, 4 for 12 and 12 for 30
+_PHASES = [lambda x, w=w: np.exp(1j * w * x) for w in (1.0, 60.0, 12.0, 30.0)]
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 2.0), (2.0, 0.0)])
+def test_integrate_1d_batch_matches_single_calls_bit_for_bit(a, b):
+    batch, calls = _batch_1d(_PHASES)
+    got = integrate_1d(batch, a, b, batch=len(_PHASES))
+    assert got.shape == (len(_PHASES),)
+    for f, value in zip(_PHASES, got):
+        single = integrate_1d(f, a, b)
+        assert value.tobytes() == np.complex128(single).tobytes()
+    # one call per round: the 4 initial panels of every integrand, then the
+    # two halves of the worst panel of each still running, each stopping at
+    # the round it stops at alone
+    assert [live for live, _ in calls] == (
+        [[0, 1, 2, 3]] + [[1, 2, 3]] * 4 + [[1, 3]] * 8 + [[1]] * 16
+    )
+    assert [shape for _, shape in calls] == [(4, 60)] + [(len(live), 30) for live, _ in calls[1:]]
+
+
+def test_integrate_1d_batch_non_finite_integrand_raises_naming_it():
+    broken = _PHASES[:2] + [lambda x: np.where(x > 0.9, np.nan, x)] + _PHASES[2:]
+    batch, calls = _batch_1d(broken)
+    with pytest.raises(AccuracyError, match=r"^integrand 2 is not finite on \[0.75, 1\]$"):
+        integrate_1d(batch, 0.0, 1.0, batch=len(broken))
+    assert len(calls) == 1
+
+
+def test_integrate_1d_batch_budget_exhaustion_names_the_integrand():
+    # the jumps of test_integrate_budget_exhaustion_attaches_estimate, beside
+    # an integrand that stops at once
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300)
+    jumps = lambda x: np.sign(np.sin(1e3 * x))
+    batch, calls = _batch_1d([lambda x: x * x, jumps])
+    with pytest.raises(AccuracyError) as info:
+        integrate_1d(batch, 0.0, 1.0, spec, batch=2)
+    assert str(info.value).startswith(
+        "integrate_1d (integrand 1) did not converge within 2000 subdivisions"
+    )
+    assert len(calls) == 2001 and calls[1][0] == [1]
+    with pytest.raises(AccuracyError) as alone:
+        integrate_1d(jumps, 0.0, 1.0, spec)
+    assert info.value.estimate == alone.value.estimate
+    assert info.value.error_estimate == alone.value.error_estimate
+
+
+def test_integrate_1d_empty_batch():
+    batch, calls = _batch_1d([])
+    got = integrate_1d(batch, 0.0, 1.0, batch=0)
+    assert got.shape == (0,) and got.dtype == complex and calls == []
+    assert integrate_1d(_batch_1d(_PHASES)[0], 1.0, 1.0, batch=4).tolist() == [0j] * 4
 
 
 def test_quadrature_spec_validation():

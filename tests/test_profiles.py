@@ -1066,6 +1066,12 @@ _REFUSALS = {
         )
         for z in [(np.nan, 0.2), (-0.6, np.inf), (complex(0.1, np.nan), 0.2)]
     },
+    "coated-int-beyond-float-z1": (  # refused before complex() would overflow
+        lambda: coated_profile(
+            gaussian_slab_2d(0.8, 1.5), _const_geometry(1.0, 0.5, 0.25, 2.0), 10**400, 0.2
+        ),
+        "z1 and z2 must be finite",
+    ),
 }
 
 
